@@ -17,9 +17,10 @@ Four sections, correctness gated before speed is reported:
 * **fault** — one worker is SIGKILLed mid-workload: every in-flight
   future must resolve with a *typed* REJECTED outcome
   (``ShedReason.WORKER_DEAD``), never hang or leak a raw
-  ``ConnectionError``; the supervisor respawns the worker, lost
-  sessions are restored from their pre-fault captures, the interrupted
-  phase is resubmitted, and the final op_logs must equal the golden.
+  ``ConnectionError``; the coordinator's log shipper adopts the lost
+  sessions onto the survivor from their shipped WAL, only the rejected
+  suffix of each session's steps is resubmitted, and the final op_logs
+  must equal the golden.
 * **determinism** — a seeded shuffle of the cross-session submission
   order (per-session order preserved) run twice must produce op_logs
   identical to each other and to the golden: frame ordering across
@@ -47,6 +48,7 @@ __all__ = [
     "inline_golden",
     "throughput_bench",
     "cross_process_migration_bench",
+    "kill_and_adopt",
     "fault_bench",
     "determinism_bench",
     "write_bench_json",
@@ -165,10 +167,9 @@ def _open_all(cluster, specs, *, timeout: float = 300.0) -> None:
         future.result(timeout).unwrap()
 
 
-def _collect_logs(cluster, specs) -> dict[str, bytes]:
+def _collect_logs(cluster, keys) -> dict[str, bytes]:
     return {
-        spec.key: _log_bytes(cluster.describe(spec.key)["op_logs"])
-        for spec in specs
+        key: _log_bytes(cluster.describe(key)["op_logs"]) for key in keys
     }
 
 
@@ -214,7 +215,7 @@ def _cluster_run(specs: list, workers: int) -> dict[str, Any]:
                 f"{len(failed)} step(s) failed at {workers} worker(s); "
                 f"first: {failed[0].summary()}"
             )
-        op_logs = _collect_logs(cluster, specs)
+        op_logs = _collect_logs(cluster, [spec.key for spec in specs])
         stats = cluster.stats()
     finally:
         cluster.stop()
@@ -262,7 +263,8 @@ def throughput_bench(
 
 def cross_process_migration_bench() -> dict[str, Any]:
     """Migrate each domain's session across the process boundary."""
-    from repro.bench.migrate import domain_cases, golden_logs
+    from repro.bench.migrate import golden_logs
+    from repro.domains.assembly import domain_cases
     from repro.modeling.serialize import model_to_dict
     from repro.runtime.cluster import ProcessCluster
 
@@ -317,100 +319,133 @@ def cross_process_migration_bench() -> dict[str, Any]:
 # -- kill-a-worker fault injection -------------------------------------------
 
 
-def fault_bench(*, sessions: int = 8) -> dict[str, Any]:
-    """SIGKILL a worker mid-workload; recover to byte-identical logs."""
-    from repro.runtime.cluster import ProcessCluster
+def kill_and_adopt(cluster, phases: list) -> dict[str, Any]:
+    """SIGKILL the busiest worker mid-workload; adopt and resume.
+
+    ``phases`` lists ``(key, phase_a_docs, phase_b_docs)`` for sessions
+    already open on ``cluster``, which must have been started with a
+    log shipper.  Phase A runs to a barrier, so every session has
+    shipped frames; phase B is pipelined and the worker hosting the
+    most sessions is killed mid-stream.  The shipper adopts the lost
+    sessions onto a survivor from the shipped checkpoint + WAL tail;
+    each session's steps rejected with ``WORKER_DEAD`` (a suffix of
+    its phase B: the acknowledged prefix is in the shipped log) are
+    then resubmitted in order onto the adopted route.
+
+    Raises on a hung or untyped-failed future, or on a lost session
+    the adoption skipped.  Returns the victim's sessions, the counts
+    and the adoption report.
+    """
     from repro.runtime.faults import InvocationOutcome
     from repro.runtime.ingress import IngressRejected, ShedReason
 
+    phase_a = [cluster.submit(key, doc) for key, docs, _b in phases
+               for doc in docs]
+    for future in phase_a:
+        future.result(300).unwrap()
+
+    homes = [cluster.worker_for(key) for key, _a, _b in phases]
+    victim = max(set(homes), key=homes.count)
+    victim_keys = [key for key, _a, _b in phases
+                   if cluster.worker_for(key) == victim]
+
+    phase_b: dict[str, list] = {key: [] for key, _a, _b in phases}
+    max_b = max(len(docs) for _key, _a, docs in phases)
+    for step_index in range(max_b):
+        for key, _a, docs in phases:
+            if step_index < len(docs):
+                doc = docs[step_index]
+                phase_b[key].append((doc, cluster.submit(key, doc)))
+    cluster.kill_worker(victim)
+
+    report = cluster.wait_adoption(120)
+    if report is None:
+        raise RuntimeError("no adoption ran after the kill")
+    bad = {key: row for key, row in report["sessions"].items()
+           if "skipped" in row or "error" in row}
+    missing = sorted(set(victim_keys) - set(report["sessions"]))
+    if bad or missing:
+        raise RuntimeError(
+            f"standby failed to adopt: {bad}; left behind: {missing}")
+
+    unresolved = 0
+    untyped: list[str] = []
+    suffixes: dict[str, list] = {}
+    for key, steps in phase_b.items():
+        for doc, future in steps:
+            try:
+                outcome = future.result(300)
+            except Exception:  # a hung or raising future: the failure mode
+                unresolved += 1
+                continue
+            error = outcome.error
+            if (outcome.status == InvocationOutcome.REJECTED
+                    and isinstance(error, IngressRejected)
+                    and error.reason == ShedReason.WORKER_DEAD):
+                suffixes.setdefault(key, []).append(doc)
+            elif not outcome.ok:
+                untyped.append(repr(error))
+            elif key in suffixes:
+                untyped.append(f"{key}: step acknowledged after a rejection")
+    if unresolved or untyped:
+        raise RuntimeError(
+            f"kill-a-worker fault leaked: {unresolved} unresolved "
+            f"future(s), {len(untyped)} untyped failure(s): {untyped[:3]}"
+        )
+    for key, docs in suffixes.items():
+        for doc in docs:
+            cluster.call(key, doc, timeout=300)
+    errors = [err for row in report["sessions"].values()
+              for err in row.get("errors", ())]
+    if errors:
+        raise RuntimeError(f"adoption replay errors: {errors[:3]}")
+    return {
+        "victim_keys": victim_keys,
+        "rejected_worker_dead": sum(len(docs) for docs in suffixes.values()),
+        "report": report,
+    }
+
+
+def fault_bench(*, sessions: int = 8) -> dict[str, Any]:
+    """SIGKILL a worker mid-workload; recover to byte-identical logs.
+
+    Recovery is the fabric's one worker-death path: log shipping plus
+    standby adoption (:func:`kill_and_adopt`).
+    """
+    from repro.runtime.cluster import ProcessCluster
+
     specs = build_workload(sessions)
     golden = inline_golden(specs)
-    split = {
-        spec.key: (spec.steps[: len(spec.steps) // 2],
-                   spec.steps[len(spec.steps) // 2:])
+    phases = [
+        (spec.key,
+         [step_doc(step) for step in spec.steps[: len(spec.steps) // 2]],
+         [step_doc(step) for step in spec.steps[len(spec.steps) // 2:]])
         for spec in specs
-    }
+    ]
 
     cluster = ProcessCluster(
         2, backend="repro.bench.cluster:backend", name="bench-fault",
-    ).start()
-    unresolved = 0
-    untyped: list[str] = []
+    )
+    cluster.build_shipper()
+    cluster.start()
     try:
         _open_all(cluster, specs)
-        # Phase A, then a barrier, then capture every session.
-        phase_a = []
-        for spec in specs:
-            for step in split[spec.key][0]:
-                phase_a.append(cluster.submit(spec.key, step_doc(step)))
-        for future in phase_a:
-            future.result(300).unwrap()
-        captures = {spec.key: cluster.capture(spec.key, timeout=300)
-                    for spec in specs}
-
-        # Kill whichever worker hosts the most sessions.
-        homes = [cluster.worker_for(spec.key) for spec in specs]
-        victim = max(set(homes), key=homes.count)
-        victim_keys = [spec.key for spec in specs
-                       if cluster.worker_for(spec.key) == victim]
-
-        # Phase B pipelined, kill the victim mid-stream.
-        phase_b: dict[str, list] = {spec.key: [] for spec in specs}
-        max_b = max(len(parts[1]) for parts in split.values())
-        for step_index in range(max_b):
-            for spec in specs:
-                steps = split[spec.key][1]
-                if step_index < len(steps):
-                    phase_b[spec.key].append(
-                        cluster.submit(spec.key, step_doc(steps[step_index]))
-                    )
-        cluster.kill_worker(victim)
-
-        rejected = 0
-        for key, futures in phase_b.items():
-            for future in futures:
-                try:
-                    outcome = future.result(120)
-                except Exception:  # a hung or raising future: the failure mode
-                    unresolved += 1
-                    continue
-                if outcome.status == InvocationOutcome.REJECTED:
-                    error = outcome.error
-                    if (isinstance(error, IngressRejected)
-                            and error.reason == ShedReason.WORKER_DEAD):
-                        rejected += 1
-                    else:
-                        untyped.append(repr(error))
-                elif not outcome.ok:
-                    untyped.append(repr(outcome.error))
-        if unresolved or untyped:
-            raise RuntimeError(
-                f"kill-a-worker fault leaked: {unresolved} unresolved "
-                f"future(s), {len(untyped)} untyped failure(s): {untyped[:3]}"
-            )
-
-        # Supervisor respawns the victim; restore its sessions from the
-        # pre-fault captures and resubmit their phase B exactly once.
-        if not cluster.wait_worker(victim, timeout=60):
-            raise RuntimeError("victim worker did not respawn")
-        for key in victim_keys:
-            cluster.restore_session(key, captures[key], worker=victim,
-                                    timeout=300)
-            for step in split[key][1]:
-                cluster.call(key, step_doc(step), timeout=300)
-
-        _check_logs(_collect_logs(cluster, specs), golden, "fault recovery")
+        fault = kill_and_adopt(cluster, phases)
+        _check_logs(_collect_logs(cluster, [spec.key for spec in specs]),
+                    golden, "fault recovery")
         stats = cluster.stats()
     finally:
         cluster.stop()
     return {
         "sessions": sessions,
-        "victim_sessions": len(victim_keys),
-        "rejected_worker_dead": rejected,
+        "victim_sessions": len(fault["victim_keys"]),
+        "rejected_worker_dead": fault["rejected_worker_dead"],
+        "resubmitted": fault["rejected_worker_dead"],
         "unresolved_futures": 0,
         "untyped_failures": 0,
         "deaths": stats["deaths"],
         "restarts": stats["restarts"],
+        "adoptions": stats["adoptions"],
         "op_logs_identical": True,
     }
 
@@ -448,7 +483,8 @@ def determinism_bench(*, sessions: int = 8, seed: int = 20260808,
                 futures.append(cluster.submit(key, step_doc(step)))
             for future in futures:
                 future.result(300).unwrap()
-            logs.append(_collect_logs(cluster, specs))
+            logs.append(
+                _collect_logs(cluster, [spec.key for spec in specs]))
         finally:
             cluster.stop()
 

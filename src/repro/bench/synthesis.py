@@ -234,7 +234,8 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
     back to Tier-2), the end of the next cycle regenerates it, and the
     op_log must still match the pure Tier-2 run.
     """
-    from repro.bench.migrate import _fresh_session, _log_bytes, domain_cases
+    from repro.bench.migrate import _fresh_session, _log_bytes
+    from repro.domains.assembly import domain_cases
 
     domains: list[dict[str, Any]] = []
     edit_result: dict[str, Any] | None = None

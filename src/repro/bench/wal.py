@@ -5,15 +5,16 @@ Exercises :mod:`repro.runtime.wal` end to end and produces
 
 * **kill_recovery** — for each of the four shipped domains, a session
   runs the two-phase workload through a
-  :class:`~repro.middleware.snapshot.DurableSession` (entry frames
-  written before dispatch, resource effects memoized, checkpoint
-  frames embedded snapshot-then-truncate).  The session is killed two
-  ways — after the tail entry was applied but not checkpointed
-  (recovery must *replay* the tail with memoized effects), and right
-  after a checkpoint (recovery restores and the remaining work runs
-  live) — and in both cases the domain service's ``op_log`` must come
-  out byte-identical to the uninterrupted golden run.  A second
-  immediate kill-and-recover (double recovery) checks idempotence.
+  :class:`~repro.runtime.durability.ShardDurability` over a log of its
+  own (entry frames written before dispatch, resource effects
+  memoized, checkpoint frames embedded snapshot-then-truncate).  The
+  session is killed two ways — after the tail entry was applied but
+  not checkpointed (recovery must *replay* the tail with memoized
+  effects), and right after a checkpoint (recovery restores and the
+  remaining work runs live) — and in both cases the domain service's
+  ``op_log`` must come out byte-identical to the uninterrupted golden
+  run.  A second immediate kill-and-recover (double recovery) checks
+  idempotence.
 * **fabric_kill** — the same discipline on a threaded 2-shard
   :class:`~repro.runtime.sharded.ShardedRuntime`: the session executes
   on its owning shard's pump thread, the whole fabric is hard-stopped
@@ -43,20 +44,18 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from repro.bench.migrate import (
-    DomainCase,
-    _fresh_session,
-    _log_bytes,
-    domain_cases,
-    golden_logs,
-)
+from repro.bench.migrate import _fresh_session, _log_bytes, golden_logs
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
+from repro.domains.assembly import DomainCase, domain_cases
+from repro.middleware.platform import apply_entry
+from repro.middleware.snapshot import capture_snapshot, recover_session
+from repro.runtime.durability import ShardDurability
+from repro.runtime.wal import WriteAheadLog
 
 __all__ = [
     "OVERHEAD_GATE_PCT",
-    "apply_entry",
     "kill_recovery_bench",
     "fabric_kill_bench",
     "e1_overhead_bench",
@@ -66,44 +65,6 @@ __all__ = [
 
 #: WAL-on overhead admitted on the E1 hot path (acceptance gate, %).
 OVERHEAD_GATE_PCT = 5.0
-
-
-# -- the durable entry vocabulary -------------------------------------------
-#
-# Entries are self-describing JSON documents so the same apply function
-# runs live and during replay: ``run_model`` carries the serialized
-# application model, ``api`` a broker API invocation.  Environment
-# faults (service.inject_failure) are *not* entries — they are the
-# world failing, not session work, and must not replay.
-
-
-def apply_entry(platform: Any, signal: Any) -> Any:
-    """Apply one logged entry signal to a platform (live or replay).
-
-    Re-derives the entry's declared cross-session emissions
-    (``doc["emit"]``) after the op applies, exactly as the live fabric
-    does (:meth:`PlatformPool.submit_doc`), so a replayed entry mints
-    the same causal children the fabric routed — and logged — the
-    first time.
-    """
-    from repro.modeling.serialize import model_from_dict
-
-    doc = signal.payload
-    op = doc.get("op")
-    if op == "run_model":
-        model = model_from_dict(doc["model"], platform.dsml)
-        value = platform.run_model(model)
-    elif op == "api":
-        value = platform.broker.call_api(doc["api"], **doc.get("args", {}))
-    else:
-        raise ValueError(f"unknown durable entry op {op!r}")
-    emits = doc.get("emit") or ()
-    if emits:
-        from repro.middleware.platform import emit_event
-
-        for spec in emits:
-            emit_event(spec, signal.origin or "", signal)
-    return value
 
 
 class _PlainEntry:
@@ -132,23 +93,43 @@ def _api_steps(steps: list[Step]) -> list[dict[str, Any]]:
 # -- kill-mid-workload recovery ---------------------------------------------
 
 
-def _durable_session(case: DomainCase, wal_dir: Path) -> tuple[Any, Any, Any]:
-    """(service, dsk, DurableSession) with a fresh platform + log."""
-    from repro.middleware.snapshot import DurableSession
-    from repro.runtime.wal import WriteAheadLog
-
+def _durable_session(
+    case: DomainCase, wal_dir: Path
+) -> tuple[Any, Any, Any, ShardDurability]:
+    """(service, dsk, platform, durability) with a fresh platform + log."""
     service, dsk, platform = _fresh_session(case)
     wal = WriteAheadLog(wal_dir, fsync=False)
-    return service, dsk, DurableSession(platform, wal, session=case.name)
+    return service, dsk, platform, ShardDurability(wal)
+
+
+def _execute(
+    durability: ShardDurability, platform: Any, session: str,
+    doc: dict[str, Any],
+) -> Any:
+    """One durable entry: write-ahead ``doc``, apply it, seal."""
+    return durability.execute(
+        session, doc, lambda signal: apply_entry(platform, signal),
+        resources=platform.broker.resources,
+    )
+
+
+def _checkpoint(
+    durability: ShardDurability, platform: Any, session: str
+) -> None:
+    durability.checkpoint(session, capture_snapshot(platform).to_dict())
+
+
+def _recover(wal: WriteAheadLog, session: str, dsk: Any) -> Any:
+    """Cold recovery of ``session`` from ``wal`` + DSK."""
+    return recover_session(
+        wal, session=session, apply_entry=apply_entry, dsk=dsk
+    )
 
 
 def kill_recovery_bench(
     cases: list[DomainCase], golden: dict[str, bytes]
 ) -> dict[str, Any]:
     """Kill each domain's session mid-workload; recover exactly-once."""
-    from repro.middleware.snapshot import DurableSession
-    from repro.runtime.wal import WriteAheadLog
-
     rows: list[dict[str, Any]] = []
     for case in cases:
         wal_dir = Path(tempfile.mkdtemp(prefix=f"wal-{case.name}-"))
@@ -158,19 +139,19 @@ def kill_recovery_bench(
             # memoized effects: the service op_log already contains
             # phase 2's operations, so re-executing any of them would
             # diverge from golden.
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
-            durable.execute(_model_entry(case.phase2()), apply_entry)
-            durable.platform.stop()  # the kill: platform state is gone,
-            durable.wal.close()      # only the log + external world survive
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            _execute(durable, platform, case.name,
+                     _model_entry(case.phase1()))
+            _checkpoint(durable, platform, case.name)
+            _execute(durable, platform, case.name,
+                     _model_entry(case.phase2()))
+            platform.stop()      # the kill: platform state is gone,
+            durable.wal.close()  # only the log + external world survive
             log_at_kill = _log_bytes(service)
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
-            )
+            report = _recover(wal, case.name, dsk)
             replay_recover_ms = (time.perf_counter() - start) * 1000
             replay_identical = _log_bytes(service) == golden[case.name]
             replay_untouched = _log_bytes(service) == log_at_kill
@@ -181,15 +162,13 @@ def kill_recovery_bench(
 
             # -- double recovery: kill again immediately; a second
             # replay must also leave the op_log untouched.
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
             wal = WriteAheadLog(wal_dir, fsync=False)
-            recovered2, _report2 = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
-            )
+            report2 = _recover(wal, case.name, dsk)
             double_identical = _log_bytes(service) == golden[case.name]
-            recovered2.platform.stop()
-            recovered2.wal.close()
+            report2.platform.stop()
+            wal.close()
 
             row = {
                 "domain": case.name,
@@ -206,22 +185,22 @@ def kill_recovery_bench(
             # the recovered durable session.
             shutil.rmtree(wal_dir)
             wal_dir.mkdir()
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
-            durable.platform.stop()
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            _execute(durable, platform, case.name,
+                     _model_entry(case.phase1()))
+            _checkpoint(durable, platform, case.name)
+            platform.stop()
             durable.wal.close()
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
-            )
+            report = _recover(wal, case.name, dsk)
             clean_recover_ms = (time.perf_counter() - start) * 1000
-            recovered.execute(_model_entry(case.phase2()), apply_entry)
+            _execute(ShardDurability(wal), report.platform, case.name,
+                     _model_entry(case.phase2()))
             resume_identical = _log_bytes(service) == golden[case.name]
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
 
             row.update({
                 "resume_live_identical": resume_identical,
@@ -260,9 +239,7 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
     it on a fresh fabric from the log + DSK and the workload finishes;
     the op_log must match the uninterrupted golden run.
     """
-    from repro.middleware.snapshot import DurableSession
     from repro.runtime.sharded import ShardedRuntime
-    from repro.runtime.wal import WriteAheadLog
 
     case = next(c for c in domain_cases() if c.name == "communication")
     steps = _api_steps(
@@ -296,31 +273,28 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
             if platform.controller is not None and case.context:
                 platform.controller.context.update(case.context)
             wal = WriteAheadLog(wal_dir, fsync=False)
-            holder["durable"] = DurableSession(platform, wal, session=key)
+            holder["durable"] = ShardDurability(wal)
+            holder["platform"] = platform
+
+        def execute(doc: dict[str, Any]) -> Any:
+            return _execute(holder["durable"], holder["platform"], key, doc)
 
         runtime.submit(key, build).result(timeout=30)
         runtime.submit(
-            key,
-            lambda: holder["durable"].execute(
-                _model_entry(case.phase1()), apply_entry
-            ),
+            key, execute, _model_entry(case.phase1())
         ).result(timeout=30)
-        runtime.submit(key, lambda: holder["durable"].checkpoint()).result(
-            timeout=30
-        )
+        runtime.submit(
+            key, _checkpoint, holder["durable"], holder["platform"], key
+        ).result(timeout=30)
         for doc in steps[:cut]:
-            runtime.submit(
-                key,
-                lambda d=doc: holder["durable"].execute(d, apply_entry),
-            ).result(timeout=30)
+            runtime.submit(key, execute, doc).result(timeout=30)
 
         # The shard kill: stop the fabric, discard the platform, keep
         # only the log (flushed by stop) and the external service.
         start = time.perf_counter()
         runtime.stop()
-        durable = holder.pop("durable")
-        durable.platform.stop()
-        durable.wal.close()
+        holder.pop("platform").stop()
+        holder.pop("durable").wal.close()
         kill_ms = (time.perf_counter() - start) * 1000
 
         runtime = ShardedRuntime(shards, name="bench-wal-fabric2")
@@ -328,22 +302,18 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
 
         def recover() -> None:
             wal = WriteAheadLog(wal_dir, fsync=False)
-            recovered, report = DurableSession.recover(
-                wal, session=key, apply_entry=apply_entry, dsk=dsk
-            )
-            holder["durable"] = recovered
+            report = _recover(wal, key, dsk)
+            holder["durable"] = ShardDurability(wal)
+            holder["platform"] = report.platform
             holder["report"] = report
 
         start = time.perf_counter()
         runtime.submit(key, recover).result(timeout=30)
         recover_ms = (time.perf_counter() - start) * 1000
         for doc in steps[cut:]:
-            runtime.submit(
-                key,
-                lambda d=doc: holder["durable"].execute(d, apply_entry),
-            ).result(timeout=30)
+            runtime.submit(key, execute, doc).result(timeout=30)
         runtime.stop()
-        holder["durable"].platform.stop()
+        holder["platform"].stop()
         holder["durable"].wal.close()
 
         identical = _log_bytes(service) == golden
@@ -370,7 +340,8 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
 
     WAL-on logs every API step as a durable entry (a write-ahead
     ``entry`` frame, then one ``applied`` frame sealing the step's
-    memoized effects) through a :class:`DurableSession` with
+    memoized effects) through
+    :meth:`~repro.runtime.durability.ShardDurability.execute` with
     group-commit batching.
 
     The **gate** is measured in E1's calibrated regime —
@@ -389,8 +360,6 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     path's CPU cost.
     """
     from repro.bench.migrate import _ScenarioRunner
-    from repro.middleware.snapshot import DurableSession
-    from repro.runtime.wal import WriteAheadLog
     from repro.sim.network import CommService
 
     step_docs = _api_steps(
@@ -412,13 +381,17 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
         if wal_on:
             wal_dir = Path(tempfile.mkdtemp(prefix="wal-e1-"))
             wal = WriteAheadLog(wal_dir, fsync=False, sync_every=256)
-            durable = DurableSession(runner.platform, wal, session="e1")
+            durable = ShardDurability(wal)
         platform = runner.platform
+        resources = platform.broker.resources
+
+        def apply(signal: Any) -> Any:
+            return apply_entry(platform, signal)
 
         def run_pass() -> None:
             if durable is not None:
                 for doc in step_docs:
-                    durable.execute(doc, apply_entry)
+                    durable.execute("e1", doc, apply, resources=resources)
             else:
                 # the bare side runs the identical dispatcher over
                 # plain envelopes, so the delta isolates the durability
@@ -499,10 +472,10 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             wal = WriteAheadLog(
                 wal_dir, fsync=fsync, sync_every=sync_every
             )
-            durable = DurableSession(runner.platform, wal, session="e1")
+            durable = ShardDurability(wal)
             start = time.perf_counter()
             for doc in step_docs:
-                durable.execute(doc, apply_entry)
+                _execute(durable, runner.platform, "e1", doc)
             elapsed = time.perf_counter() - start
             profiles.append({
                 "sync_every": sync_every,
@@ -535,8 +508,6 @@ def recovery_latency_bench(
     *, tail_lengths: tuple[int, ...] = (0, 40, 160)
 ) -> dict[str, Any]:
     """Recovery wall time as a function of un-checkpointed tail length."""
-    from repro.middleware.snapshot import DurableSession
-    from repro.runtime.wal import WriteAheadLog
 
     case = next(c for c in domain_cases() if c.name == "communication")
     base_docs = _api_steps(
@@ -550,28 +521,26 @@ def recovery_latency_bench(
     for tail in tail_lengths:
         wal_dir = Path(tempfile.mkdtemp(prefix="wal-tail-"))
         try:
-            service, dsk, durable = _durable_session(case, wal_dir)
-            durable.execute(_model_entry(case.phase1()), apply_entry)
-            durable.checkpoint()
+            service, dsk, platform, durable = _durable_session(case, wal_dir)
+            _execute(durable, platform, case.name,
+                     _model_entry(case.phase1()))
+            _checkpoint(durable, platform, case.name)
             for index in range(tail):
-                durable.execute(
-                    base_docs[index % len(base_docs)], apply_entry
-                )
-            durable.platform.stop()
+                _execute(durable, platform, case.name,
+                         base_docs[index % len(base_docs)])
+            platform.stop()
             durable.wal.close()
             log_at_kill = _log_bytes(service)
 
             wal = WriteAheadLog(wal_dir, fsync=False)
             start = time.perf_counter()
-            recovered, report = DurableSession.recover(
-                wal, session=case.name, apply_entry=apply_entry, dsk=dsk
-            )
+            report = _recover(wal, case.name, dsk)
             recover_ms = (time.perf_counter() - start) * 1000
             assert _log_bytes(service) == log_at_kill, (
                 "recovery re-executed external effects"
             )
-            recovered.platform.stop()
-            recovered.wal.close()
+            report.platform.stop()
+            wal.close()
             rows.append({
                 "tail_entries": tail,
                 "recover_ms": recover_ms,

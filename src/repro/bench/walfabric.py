@@ -46,6 +46,7 @@ from repro.bench.cluster import (
     _collect_logs,
     _log_bytes,
     backend,
+    kill_and_adopt,
     step_doc,
 )
 from repro.bench.scale import build_workload
@@ -70,7 +71,7 @@ def _mixed_workload(comm_sessions: int) -> list[tuple[str, dict, list, list]]:
     """``(key, open_doc, phase_a_docs, phase_b_docs)`` per session:
     one two-phase model session per shipped domain, plus
     ``comm_sessions`` multi-step communication sessions."""
-    from repro.bench.migrate import domain_cases
+    from repro.domains.assembly import domain_cases
     from repro.modeling.serialize import model_to_dict
 
     items: list[tuple[str, dict, list, list]] = []
@@ -118,8 +119,6 @@ def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
     """SIGKILL a worker mid-workload; a standby must adopt every lost
     session from the shipped WAL + checkpoint, byte-identically."""
     from repro.runtime.cluster import ProcessCluster
-    from repro.runtime.faults import InvocationOutcome
-    from repro.runtime.ingress import IngressRejected, ShedReason
 
     workload = _mixed_workload(comm_sessions)
     golden = _inline_golden(workload)
@@ -130,9 +129,6 @@ def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
     )
     cluster.build_shipper()
     cluster.start()
-    unresolved = 0
-    untyped: list[str] = []
-    rejected = resubmitted = 0
     try:
         opens = [
             cluster.open_session(key, open_doc)
@@ -140,99 +136,26 @@ def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
         ]
         for future in opens:
             future.result(300).unwrap()
-
-        # Phase A, then a barrier: every session has shipped frames.
-        phase_a = []
-        for key, _open, docs_a, _b in workload:
-            for doc in docs_a:
-                phase_a.append(cluster.submit(key, doc))
-        for future in phase_a:
-            future.result(300).unwrap()
-
-        homes = [cluster.worker_for(key) for key in keys]
-        victim = max(set(homes), key=homes.count)
-        victim_keys = [
-            key for key in keys if cluster.worker_for(key) == victim
-        ]
-
-        # Phase B pipelined, kill the victim mid-stream.
-        phase_b: dict[str, list] = {key: [] for key in keys}
-        max_b = max(len(item[3]) for item in workload)
-        for step_index in range(max_b):
-            for key, _open, _a, docs_b in workload:
-                if step_index < len(docs_b):
-                    doc = docs_b[step_index]
-                    phase_b[key].append((doc, cluster.submit(key, doc)))
-        cluster.kill_worker(victim)
-
-        report = cluster.wait_adoption(120)
-        if report is None:
-            raise RuntimeError("no adoption ran after the kill")
-        bad = {
-            key: row for key, row in report["sessions"].items()
-            if "skipped" in row or "error" in row
-        }
-        if bad:
-            raise RuntimeError(f"standby failed to adopt: {bad}")
-        missing = sorted(set(victim_keys) - set(report["sessions"]))
-        if missing:
-            raise RuntimeError(
-                f"adoption left {missing} of the victim's sessions behind"
-            )
-
-        # Drain phase B: survivors resolve OK; the victim's unshipped
-        # in-flight steps come back as typed WORKER_DEAD rejections and
-        # are resubmitted — in order — onto the adopted route.
-        for key in keys:
-            for doc, future in phase_b[key]:
-                try:
-                    outcome = future.result(300)
-                except Exception:  # a hung/raising future: the failure mode
-                    unresolved += 1
-                    continue
-                if outcome.status == InvocationOutcome.REJECTED:
-                    error = outcome.error
-                    if (isinstance(error, IngressRejected)
-                            and error.reason == ShedReason.WORKER_DEAD):
-                        rejected += 1
-                        cluster.call(key, doc, timeout=300)
-                        resubmitted += 1
-                    else:
-                        untyped.append(repr(error))
-                elif not outcome.ok:
-                    untyped.append(repr(outcome.error))
-        if unresolved or untyped:
-            raise RuntimeError(
-                f"adoption leaked: {unresolved} unresolved future(s), "
-                f"{len(untyped)} untyped failure(s): {untyped[:3]}"
-            )
-
-        _check_logs(
-            _collect_logs(cluster, [type("S", (), {"key": key})()
-                                    for key in keys]),
-            golden, "standby adoption",
-        )
+        fault = kill_and_adopt(
+            cluster, [(key, docs_a, docs_b)
+                      for key, _open, docs_a, docs_b in workload])
+        _check_logs(_collect_logs(cluster, keys), golden, "standby adoption")
         stats = cluster.stats()
     finally:
         cluster.stop()
+    report = fault["report"]
     replayed = sum(
         row.get("replayed", 0) for row in report["sessions"].values()
     )
-    errors = [
-        err for row in report["sessions"].values()
-        for err in row.get("errors", ())
-    ]
-    if errors:
-        raise RuntimeError(f"adoption replay errors: {errors[:3]}")
     return {
         "sessions": len(keys),
         "domains": 4,
-        "victim_sessions": len(victim_keys),
+        "victim_sessions": len(fault["victim_keys"]),
         "adopted_sessions": len(report["sessions"]),
         "adoption_target": report["target"],
         "replayed_entries": replayed,
-        "rejected_worker_dead": rejected,
-        "resubmitted": resubmitted,
+        "rejected_worker_dead": fault["rejected_worker_dead"],
+        "resubmitted": fault["rejected_worker_dead"],
         "unresolved_futures": 0,
         "untyped_failures": 0,
         "deaths": stats["deaths"],
@@ -256,7 +179,7 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     built by :meth:`DurabilityPolicy.open_shard`, paired
     alternating-order sampling, median of per-pair deltas, in E1's
     calibrated op-cost regime (the same bar and methodology as the
-    PR 7 ``DurableSession`` gate; group-commit fsync stays a separately
+    ``repro bench-wal`` E1 gate; group-commit fsync stays a separately
     priced latency knob, see PR 7's ``sync_profiles``).
 
     The same sweep at ``op_cost=0`` is reported as ``structural``
@@ -485,8 +408,8 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
     re-executed on a fresh platform; :func:`verify_slice` must report
     an exact structural reproduction for all of them.
     """
-    from repro.bench.migrate import domain_cases
-    from repro.bench.wal import apply_entry
+    from repro.domains.assembly import domain_cases
+    from repro.middleware.platform import apply_entry
     from repro.domains.communication.cvm import build_cvm
     from repro.middleware.platform import PlatformPool
     from repro.middleware.snapshot import recover_session

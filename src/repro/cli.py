@@ -459,8 +459,8 @@ def _trace_replay(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
 
-    from repro.bench.migrate import domain_cases
-    from repro.bench.wal import apply_entry
+    from repro.domains.assembly import domain_cases
+    from repro.middleware.platform import apply_entry
     from repro.middleware.snapshot import recover_session
     from repro.runtime.clock import VirtualClock
     from repro.runtime.trace import TraceRecorder
@@ -592,8 +592,8 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
     import shutil
     from pathlib import Path
 
-    from repro.bench.migrate import domain_cases
-    from repro.bench.wal import apply_entry
+    from repro.domains.assembly import domain_cases
+    from repro.middleware.platform import apply_entry
     from repro.middleware.snapshot import recover_session
     from repro.runtime import walslice
     from repro.runtime.clock import VirtualClock
@@ -855,7 +855,8 @@ def cmd_bench_synthesis(args: argparse.Namespace) -> int:
 
 
 def cmd_aot_gen(args: argparse.Namespace) -> int:
-    from repro.bench.migrate import _fresh_session, domain_cases
+    from repro.bench.migrate import _fresh_session
+    from repro.domains.assembly import domain_cases
     from repro.modeling.aotgen import (
         dsk_fingerprint,
         dsk_hash,

@@ -6,10 +6,10 @@ backend for the shipped middleware stack.
 
 A :class:`DskRegistry` maps domain names to *entries* — anything with
 ``name`` / ``service()`` / ``knowledge(service)`` / ``middleware()`` /
-``context`` attributes (:class:`repro.bench.migrate.DomainCase` qualifies
-as-is).  A cold worker can therefore rebuild a full platform for any
-registered domain from a portable capture doc containing nothing but the
-session snapshot, exported service state, and the ``DSK_HASH``: the
+``context`` attributes (:class:`repro.domains.assembly.DomainCase`
+qualifies as-is).  A cold worker can therefore rebuild a full platform
+for any registered domain from a portable capture doc containing nothing
+but the session snapshot, exported service state, and the ``DSK_HASH``: the
 registry supplies the DSK, :func:`restore_platform` re-realizes the
 platform, and — with an AOT cache directory configured — the Tier-3
 module is loaded from disk keyed by the hash (``load_program`` refuses
@@ -135,8 +135,6 @@ class RegistryBackend:
             self.aot = True
         if options.get("wal_dir"):
             self.wal_dir = str(options["wal_dir"])
-        if "checkpoint_every" in options:
-            self.checkpoint_every = int(options["checkpoint_every"])
         spec = options.get("durability", self.durability_spec)
         self.enable_durability(spec)
 
@@ -153,8 +151,6 @@ class RegistryBackend:
             return None
         if policy.log_root is None and self.wal_dir:
             policy.log_root = self.wal_dir
-        if policy.checkpoint_every:
-            self.checkpoint_every = int(policy.checkpoint_every)
         self._policy = policy
         index = self.worker_id if self.worker_id >= 0 else 0
         self.durability = policy.open_shard(index, name=f"worker-{index:02d}")
@@ -484,13 +480,16 @@ def prewarm_aot_cache(registry: DskRegistry,
 def default_registry() -> DskRegistry:
     """Registry of the four shipped domains' DSK entries.
 
-    Reuses the migration benchmark's :class:`DomainCase` definitions —
-    the canonical description of each domain's service/DSK/middleware
-    triple — imported lazily to keep this module import-light.
+    The entries are :func:`repro.domains.assembly.domain_cases` — the
+    canonical description of each domain's service/DSK/middleware
+    triple — bound by module name at call time, the way a cluster
+    binds its backend spec, so the domain-independent middleware
+    never imports a domain package.
     """
-    from repro.bench.migrate import domain_cases
+    import importlib
 
-    return DskRegistry(domain_cases())
+    domains = importlib.import_module("repro.domains.assembly")
+    return DskRegistry(domains.domain_cases())
 
 
 def default_backend() -> RegistryBackend:

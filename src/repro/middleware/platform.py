@@ -25,14 +25,20 @@ from repro.middleware.ui import ModelWorkspace
 from repro.modeling.diff import diff_models
 from repro.modeling.meta import Metamodel
 from repro.modeling.model import Model, MObject
-from repro.modeling.serialize import clone_model, clone_object
+from repro.modeling.serialize import (
+    clone_model,
+    clone_object,
+    model_from_dict,
+)
 from repro.runtime.clock import Clock, WallClock
 from repro.runtime.durability import DurabilityPolicy
 from repro.runtime.events import EventBus
 from repro.runtime.metrics import MetricsRegistry, default_registry
 from repro.runtime.sharded import Shard, ShardedRuntime
 
-__all__ = ["PlatformError", "Platform", "PlatformPool", "emit_event"]
+__all__ = [
+    "PlatformError", "Platform", "PlatformPool", "apply_entry", "emit_event",
+]
 
 
 def emit_event(spec: dict, key: str, signal: Any = None) -> Any:
@@ -42,7 +48,7 @@ def emit_event(spec: dict, key: str, signal: Any = None) -> Any:
     same ``trace_id``, ``parent_seq`` = the entry's seq — else a fresh
     trace root.  Shared by the live fabric path
     (:meth:`PlatformPool.submit_doc`) and the replayer
-    (:func:`repro.bench.wal.apply_entry`), which is what makes a
+    (:func:`apply_entry`), which is what makes a
     logged emission structurally reproducible under replay.
     """
     from repro.runtime.events import Event
@@ -58,6 +64,35 @@ def emit_event(spec: dict, key: str, signal: Any = None) -> Any:
         trace_id=signal.trace_id,
         parent_seq=signal.seq,
     )
+
+
+def apply_entry(platform: "Platform", signal: Any) -> Any:
+    """Apply one logged entry signal to a platform (live or replay).
+
+    Entries are self-describing JSON documents, so the same function
+    runs live and during replay: ``run_model`` carries the serialized
+    application model, ``api`` a broker API invocation.  Environment
+    faults (``service.inject_failure``) are not entries — they are the
+    world failing, not session work, and must not replay.
+
+    Re-derives the entry's declared cross-session emissions
+    (``doc["emit"]``) after the op applies, exactly as the live fabric
+    does (:meth:`PlatformPool.submit_doc`), so a replayed entry mints
+    the same causal children the fabric routed — and logged — the
+    first time.
+    """
+    doc = signal.payload
+    op = doc.get("op")
+    if op == "run_model":
+        model = model_from_dict(doc["model"], platform.dsml)
+        value = platform.run_model(model)
+    elif op == "api":
+        value = platform.broker.call_api(doc["api"], **doc.get("args", {}))
+    else:
+        raise ValueError(f"unknown durable entry op {op!r}")
+    for spec in doc.get("emit") or ():
+        emit_event(spec, signal.origin or "", signal)
+    return value
 
 
 class PlatformError(Exception):
@@ -379,24 +414,6 @@ class Platform:
         )
 
 
-class _CoverAllLog:
-    """Log facade for shard-level checkpoint schedulers: full
-    checkpoints carry ``cover_all`` (one platform snapshot covers every
-    hosted session, so all truncation floors advance); everything else
-    passes through."""
-
-    def __init__(self, wal: Any) -> None:
-        self._wal = wal
-
-    def checkpoint(self, snapshot_doc: Any, **kwargs: Any) -> Any:
-        if not kwargs.get("delta"):
-            kwargs["cover_all"] = True
-        return self._wal.checkpoint(snapshot_doc, **kwargs)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._wal, name)
-
-
 class PlatformPool:
     """A sharded multi-session front door over N platform instances.
 
@@ -657,9 +674,9 @@ class PlatformPool:
             return self.runtime.submit(key, run, platform)
 
         def run_durable(target: Platform) -> Any:
-            # DurableSession.execute as a fabric default: write-ahead
-            # the entry frame, apply with the session's effect journal
-            # installed on the broker, seal the memoized effects.
+            # The fabric's durability bracket: write-ahead the entry
+            # frame, apply with the session's effect journal installed
+            # on the broker, seal the memoized effects.
             resources = (
                 target.broker.resources if target.broker is not None else None
             )
@@ -720,11 +737,11 @@ class PlatformPool:
     ) -> Any:
         """Live-migrate session ``key`` out of this process.
 
-        Runs the PR 5 quiesce→capture→flush sequence on the owning
-        shard (``capture(platform)`` must return the session's
-        transportable doc: snapshot + service state), ships the doc to
-        ``worker`` over the cluster protocol, and re-points routing so
-        subsequent :meth:`submit_doc` calls go remote.
+        :meth:`ShardedRuntime.migrate` out of the fabric: the owning
+        shard quiesces and runs ``capture(platform)`` (the session's
+        transportable doc: snapshot + service state), the doc is
+        restored on ``worker`` over the cluster protocol, and routing
+        re-points so subsequent :meth:`submit_doc` calls go remote.
         """
         if self._cluster is None:
             raise PlatformError(
@@ -732,10 +749,11 @@ class PlatformPool:
             )
         key = str(key)
         platform = self.platform_for(key)
-        result = self.runtime.migrate_out(
+        result = self.runtime.migrate(
             key,
+            None,
             capture=lambda: capture(platform),
-            transfer=lambda doc: self._cluster.restore_session(
+            restore=lambda doc: self._cluster.restore_session(
                 key, doc, worker=worker
             ),
             timeout=timeout,
@@ -771,10 +789,8 @@ class PlatformPool:
         from repro.runtime.sharded import RebalanceTrigger, ShardRebalancer
 
         trigger = RebalanceTrigger(
-            ShardRebalancer(self.runtime),
+            ShardRebalancer(self.runtime, capture=capture, restore=restore),
             sessions=sessions,
-            capture=capture,
-            restore=restore,
             interval=interval,
             clock=clock or WallClock(),
             queue_weight=queue_weight,
@@ -789,7 +805,7 @@ class PlatformPool:
     def build_checkpoints(
         self,
         *,
-        interval: float | None = None,
+        interval: float = 1.0,
         clock: "Clock | None" = None,
         delta: bool | None = None,
         full_every: int = 8,
@@ -812,18 +828,17 @@ class PlatformPool:
             )
         from repro.middleware.snapshot import CheckpointScheduler
 
-        policy = self.durability
-        use_delta = policy.delta_checkpoints if delta is None else delta
-        period = interval or policy.checkpoint_interval or 1.0
+        if delta is None:
+            delta = self.durability.delta_checkpoints
         schedulers = []
         for shard, platform in zip(self.runtime.shards, self.platforms):
             scheduler = CheckpointScheduler(
                 platform,
-                interval=period,
+                interval=interval,
                 clock=clock or shard.clock,
-                wal=_CoverAllLog(shard.durability.wal),
+                durability=shard.durability,
                 session=platform.name,
-                delta=use_delta,
+                delta=delta,
                 full_every=full_every,
             )
             schedulers.append(scheduler)

@@ -49,6 +49,7 @@ if TYPE_CHECKING:
     from repro.middleware.platform import Platform
     from repro.runtime.clock import Clock
     from repro.runtime.component import Component, Supervisor
+    from repro.runtime.durability import ShardDurability
     from repro.runtime.events import EventBus
     from repro.runtime.metrics import MetricsRegistry
 
@@ -60,7 +61,6 @@ __all__ = [
     "apply_snapshot",
     "restore_platform",
     "CheckpointScheduler",
-    "DurableSession",
     "RecoveryReport",
     "recover_session",
 ]
@@ -322,7 +322,7 @@ class CheckpointScheduler:
         interval: float = 1.0,
         clock: "Clock | None" = None,
         on_checkpoint: Callable[[SessionSnapshot], None] | None = None,
-        wal: Any = None,
+        durability: "ShardDurability | None" = None,
         session: str | None = None,
         apply_entry: Callable[[Any, Any], Any] | None = None,
         delta: bool = False,
@@ -334,10 +334,10 @@ class CheckpointScheduler:
         self.interval = interval
         self.clock = clock or platform.clock
         self.on_checkpoint = on_checkpoint
-        #: optional WriteAheadLog: ticks become durable checkpoint
-        #: frames (snapshot-then-truncate) and supervised recovery
-        #: upgrades to restore-latest-snapshot + replay-tail.
-        self.wal = wal
+        #: optional ShardDurability: ticks become durable checkpoint
+        #: frames in its log (snapshot-then-truncate) and supervised
+        #: recovery upgrades to restore-latest-snapshot + replay-tail.
+        self.durability = durability
         self.session = session if session is not None else platform.name
         self.apply_entry = apply_entry
         #: delta mode (PR 10): between full checkpoints, ticks write
@@ -416,9 +416,9 @@ class CheckpointScheduler:
         if use_delta:
             delta_snapshot = capture_snapshot(self.platform, dirty_only=True)
             self._ticks_since_full += 1
-            if delta_snapshot.layers and self.wal is not None:
-                self.wal.checkpoint(
-                    delta_snapshot.to_dict(), session=self.session, delta=True
+            if delta_snapshot.layers and self.durability is not None:
+                self.durability.checkpoint(
+                    self.session, delta_snapshot.to_dict(), delta=True
                 )
                 self.delta_checkpoints += 1
             elif not delta_snapshot.layers:
@@ -439,10 +439,14 @@ class CheckpointScheduler:
                 self.on_checkpoint(folded)
             return folded
         snapshot = capture_snapshot(self.platform)
-        if self.wal is not None:
+        if self.durability is not None:
             # Durable snapshot-then-truncate: the checkpoint frame
             # records the position it covers and older segments drop.
-            self.wal.checkpoint(snapshot.to_dict(), session=self.session)
+            # A platform snapshot embeds every session the platform
+            # hosts, so it covers them all.
+            self.durability.checkpoint(
+                self.session, snapshot.to_dict(), cover_all=True
+            )
         if self.delta:
             # reset the dirty baseline to this full checkpoint.
             self.platform._checkpoint_digests = {  # type: ignore[attr-defined]
@@ -465,7 +469,7 @@ class CheckpointScheduler:
 
     def _on_restarted(self, component: "Component") -> None:
         if (
-            self.wal is not None
+            self.durability is not None
             and self.apply_entry is not None
             and self.last_snapshot is not None
         ):
@@ -473,7 +477,7 @@ class CheckpointScheduler:
             # checkpoint, then replay the WAL tail with memoized
             # external effects and (trace_id, seq) dedup.
             self.last_recovery = recover_session(
-                self.wal,
+                self.durability.wal,
                 session=self.session,
                 apply_entry=self.apply_entry,
                 platform=self.platform,
@@ -671,104 +675,3 @@ def recover_session(
     report.effects_memoized = journal.replayed
     report.effects_live = journal.recorded
     return report
-
-
-class DurableSession:
-    """Write-ahead logging wrapper for one platform session.
-
-    Every unit of work enters through :meth:`execute`: the entry signal
-    is appended to the log *before* it is applied (write-ahead), the
-    broker's external operations are memoized while it runs, and an
-    ``applied`` frame seals the entry with its recorded effects.  :meth:`checkpoint`
-    embeds a full snapshot and truncates covered segments.  After a
-    crash, :func:`recover_session` (or
-    :meth:`DurableSession.recover`) rebuilds the exact pre-crash state
-    with external effects executed exactly once.
-    """
-
-    def __init__(
-        self,
-        platform: "Platform",
-        wal: Any,
-        *,
-        session: str | None = None,
-        journal: Any = None,
-    ) -> None:
-        from repro.runtime.wal import EffectJournal
-
-        self.platform = platform
-        self.wal = wal
-        self.session = session if session is not None else platform.name
-        self.journal = (
-            journal
-            if journal is not None
-            else EffectJournal(wal, session=self.session)
-        )
-        if platform.broker is not None:
-            platform.broker.resources.install_effect_journal(self.journal)
-        self.entries_logged = 0
-
-    def execute(
-        self,
-        entry_doc: dict[str, Any],
-        apply_entry: Callable[["Platform", Any], Any],
-        *,
-        topic: str = "session.entry",
-    ) -> Any:
-        """Durably log ``entry_doc`` then apply it.
-
-        ``apply_entry(platform, signal)`` receives the logged entry
-        signal (payload = ``entry_doc``) — the same callable is handed
-        to :func:`recover_session` so replay re-runs identical code.
-        """
-        # the payload aliases entry_doc: it is encoded into the log by
-        # log_call, and apply_entry receives the same dict the caller
-        # handed in.
-        journal = self.journal
-        signal = journal.log_call(topic, entry_doc)
-        self.entries_logged += 1
-        try:
-            return apply_entry(self.platform, signal)
-        finally:
-            journal.end_entry()
-
-    def checkpoint(self) -> SessionSnapshot:
-        snapshot = capture_snapshot(self.platform)
-        self.wal.checkpoint(snapshot.to_dict(), session=self.session)
-        return snapshot
-
-    def close(self) -> None:
-        """Detach from the log (drops the session from the truncation
-        floor; the platform itself is left to its owner)."""
-        self.wal.forget_session(self.session)
-        if self.platform.broker is not None:
-            self.platform.broker.resources.install_effect_journal(None)
-
-    @classmethod
-    def recover(
-        cls,
-        wal: Any,
-        *,
-        session: str,
-        apply_entry: Callable[["Platform", Any], Any],
-        dsk: "DomainKnowledge | None" = None,
-        platform: "Platform | None" = None,
-        bus: "EventBus | None" = None,
-        clock: "Clock | None" = None,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> tuple["DurableSession", RecoveryReport]:
-        """Rebuild a durable session from its log after a crash."""
-        report = recover_session(
-            wal,
-            session=session,
-            apply_entry=apply_entry,
-            platform=platform,
-            dsk=dsk,
-            bus=bus,
-            clock=clock,
-            metrics=metrics,
-        )
-        durable = cls(
-            report.platform, wal, session=session, journal=report.journal
-        )
-        return durable, report

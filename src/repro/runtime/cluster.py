@@ -533,7 +533,6 @@ class ProcessCluster:
         self.warmup = warmup  # zero-arg hook run once before spawning
         self.handles = [_WorkerHandle(self, i) for i in range(workers)]
         self.stats_ = _ClusterStats()
-        self.on_worker_death = None  # optional callback(index, lost_sessions)
         self.shipper: LogShipper | None = None
         self._adoption_event = threading.Event()
         self._routes: dict[str, int] = {}
@@ -694,15 +693,18 @@ class ProcessCluster:
                         timeout: float = 60.0):
         """Cold-restore ``key`` on ``worker`` from a captured doc (snapshot +
         DSK hash); the worker rebuilds the platform via its DSK registry and
-        disk-cached AOT modules rather than regenerating."""
+        disk-cached AOT modules rather than regenerating.
+
+        Routing re-points to ``worker`` only once the restore succeeded:
+        a failed restore leaves the session reachable where it was."""
         target = self.worker_for(key) if worker is None else worker
+        handle = self.handles[target]
+        result = handle.request("restore", key, doc).result(timeout).unwrap()
         with self._lock:
             if target == shard_index_for(key, len(self.handles)):
                 self._routes.pop(key, None)
             else:
                 self._routes[key] = target
-        handle = self.handles[target]
-        result = handle.request("restore", key, doc).result(timeout).unwrap()
         handle.sessions.add(key)
         return result
 
@@ -731,7 +733,8 @@ class ProcessCluster:
         key are held at the coordinator, the capture frame drains behind
         every in-flight operation on the source worker's FIFO, the portable
         doc is restored on the target, and held submissions are flushed to
-        the new owner in arrival order.
+        the new owner in arrival order.  If the restore fails, the source
+        keeps the session and its route, and held submissions flush there.
         """
         source = self.worker_for(key)
         if source == to_worker:
@@ -766,12 +769,6 @@ class ProcessCluster:
         if lost:
             self.stats_.lost_sessions.append(
                 {"worker": handle.index, "sessions": sorted(lost)})
-        callback = self.on_worker_death
-        if callback is not None:
-            try:
-                callback(handle.index, lost)
-            except Exception:
-                pass
         shipper = self.shipper
         if shipper is not None and not self._closed:
             try:
@@ -888,10 +885,6 @@ class ProcessCluster:
             rebalancer,
             sessions=lambda: [key for handle in self.handles
                               for key in list(handle.sessions)],
-            # ClusterRebalancer.apply migrates through the cluster's own
-            # capture/restore protocol; the trigger-level hooks are moot.
-            capture=lambda key: None,
-            restore=lambda key, snapshot: None,
             clock=clock if clock is not None else time,
             interval=interval,
             queue_weight=queue_weight,
@@ -952,8 +945,7 @@ class ClusterRebalancer(ShardRebalancer):
                 costs[key] = share
         return self.plan(costs)
 
-    def apply(self, moves, *, capture=None, restore=None,
-              timeout: float = 30.0) -> int:
+    def apply(self, moves, *, timeout: float = 30.0) -> int:
         applied = 0
         for key, to_worker in moves:
             self.cluster.migrate(key, to_worker, timeout=timeout)

@@ -1,23 +1,23 @@
 """Fabric-level durability: a policy object plus its per-shard runtime.
 
-PR7 shipped durability as a per-session opt-in wrapper
-(``DurableSession``); this module turns the same write-ahead /
-effect-journal / seal discipline into a *fabric property*.  A
-:class:`DurabilityPolicy` describes how a fabric persists its sessions
-(log root, group-commit cadence, checkpoint strategy) and a
-:class:`ShardDurability` is that policy applied to one shard: one
+Durability is a *fabric property*: a :class:`DurabilityPolicy`
+describes how a fabric persists its sessions (log root, group-commit
+cadence, checkpoint strategy) and a :class:`ShardDurability` is that
+policy applied to one shard: one
 :class:`~repro.runtime.wal.WriteAheadLog` under ``wal-shard-NN/`` plus
 one cached :class:`~repro.runtime.wal.EffectJournal` per hosted
 session.
 
-The per-entry hot path is byte-identical to ``DurableSession.execute``:
+:meth:`ShardDurability.execute` is the one durability bracket:
 ``journal.log_call`` write-aheads the entry frame, the caller applies
-it, ``journal.end_entry`` seals the memoized effects.  What changes is
-ownership — the shard owns the log and hands sessions their journals,
-so every session hosted on a durable fabric is durable without opting
-in, and migration can move a session's truncation floor and tail
-between shard logs (:meth:`ShardDurability.export_session` /
-:meth:`ShardDurability.import_session`).
+it, ``journal.end_entry`` seals the memoized effects, and
+:meth:`ShardDurability.checkpoint` writes every checkpoint frame.  The
+shard owns the log and hands sessions their journals, so every session
+hosted on a durable fabric is durable without opting in, and migration
+can move a session's truncation floor and tail between shard logs
+(:meth:`ShardDurability.export_session` /
+:meth:`ShardDurability.import_session`).  A standalone session is a
+:class:`ShardDurability` over a log of its own.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ class DurabilityPolicy:
     intra-run recovery (shard and worker death), while a caller that
     wants durability across process restarts names a real directory.
 
-    ``sync_every``/``fsync`` set the group-commit cadence,
-    ``checkpoint_interval`` is the suggested scheduler period for
-    layers that run a :class:`~repro.middleware.snapshot.CheckpointScheduler`,
-    and ``delta_checkpoints`` lets those schedulers write dirty-layer
-    deltas between full checkpoints.
+    ``sync_every``/``fsync`` set the group-commit cadence, and
+    ``delta_checkpoints`` lets the fabric's
+    :class:`~repro.middleware.snapshot.CheckpointScheduler` instances
+    write dirty-layer deltas between full checkpoints.
     """
 
     mode: str = "wal"
@@ -61,8 +60,6 @@ class DurabilityPolicy:
     sync_every: int = 64
     fsync: bool = True
     segment_max_bytes: int = 1 << 20
-    checkpoint_interval: float | None = None
-    checkpoint_every: int = 0
     delta_checkpoints: bool = True
     _ephemeral_root: Path | None = field(
         default=None, repr=False, compare=False
@@ -162,12 +159,16 @@ class ShardDurability:
         topic: str = "session.entry",
         resources: Any = None,
     ) -> Any:
-        """``DurableSession.execute`` as a shard service.
+        """Durably log ``entry_doc`` as the session's next entry, then
+        apply it.
 
         Write-aheads ``entry_doc`` as the session's next entry signal,
         installs the session's journal on ``resources`` (a duck-typed
         ``ResourceManager``) if it is not already the active one, runs
-        ``apply(signal)``, and seals the memoized effects.
+        ``apply(signal)``, and seals the memoized effects.  Hand the
+        same apply code to
+        :func:`~repro.middleware.snapshot.recover_session` so replay
+        re-runs it.
         """
         journal = self.journal(session)
         if resources is not None and resources.effect_journal is not journal:
@@ -184,8 +185,13 @@ class ShardDurability:
         snapshot_doc: dict[str, Any],
         *,
         delta: bool = False,
+        cover_all: bool = False,
     ) -> None:
-        self.wal.checkpoint(snapshot_doc, session=session, delta=delta)
+        """Embed ``snapshot_doc`` as a checkpoint frame and truncate
+        what it covers (see :meth:`WriteAheadLog.checkpoint`)."""
+        self.wal.checkpoint(
+            snapshot_doc, session=session, delta=delta, cover_all=cover_all
+        )
 
     def log_event(self, kind: str, session: str, **fields: Any) -> None:
         """Observability frame (shed, close, adoption...): best-effort

@@ -108,13 +108,9 @@ class Shard:
         )
         self.mailbox = Mailbox(self.name, on_error=self._on_task_error)
         self.task_errors: list[Exception] = []
-        #: optional per-shard write-ahead log (see
-        #: ShardedRuntime.attach_wal): fabric-routed signals append
-        #: here before dispatch.
-        self.wal: Any = None
         #: optional ShardDurability (see ShardedRuntime.attach_durability):
-        #: the fabric's DurabilityPolicy applied to this shard — owns
-        #: ``wal`` plus the per-session effect journals.
+        #: the fabric's DurabilityPolicy applied to this shard — its
+        #: write-ahead log plus the per-session effect journals.
         self.durability: Any = None
         self.started = False
 
@@ -360,42 +356,12 @@ class ShardedRuntime:
         for shard in self.shards:
             shard.stop(timeout=timeout)
         for shard in self.shards:
-            if shard.wal is not None:
-                shard.wal.sync()
+            if shard.durability is not None:
+                shard.durability.wal.sync()
         self.started = False
         return self
 
-    # -- durability (PR 7) -------------------------------------------------
-
-    def attach_wal(
-        self,
-        directory: Any,
-        *,
-        sync_every: int = 64,
-        fsync: bool = True,
-    ) -> list[Any]:
-        """Give every shard a write-ahead log under ``directory``.
-
-        Each shard logs to its own subdirectory (``shard0``, ...), so
-        appends never contend across shards and recovery is per-shard
-        parallel.  Signals routed through :meth:`route_signal` are
-        appended before dispatch.  Returns the logs, shard-ordered.
-        """
-        from pathlib import Path
-
-        from repro.runtime.wal import WriteAheadLog
-
-        root = Path(directory)
-        logs = []
-        for shard in self.shards:
-            shard.wal = WriteAheadLog(
-                root / f"shard{shard.index}",
-                name=f"{self.name}-s{shard.index}",
-                sync_every=sync_every,
-                fsync=fsync,
-            )
-            logs.append(shard.wal)
-        return logs
+    # -- durability --------------------------------------------------------
 
     def attach_durability(self, policy: Any = None) -> list[Any]:
         """Apply a :class:`~repro.runtime.durability.DurabilityPolicy`
@@ -404,9 +370,8 @@ class ShardedRuntime:
         Each shard gets a :class:`~repro.runtime.durability.ShardDurability`
         — its own ``wal-shard-NN/`` log under the policy's root plus
         per-session effect journals — so every hosted session is
-        durable without opting in.  ``shard.wal`` aliases the
-        durability log, which keeps :meth:`route_signal`'s write-ahead
-        of fabric signals on the same per-shard file.  Returns the
+        durable without opting in, and :meth:`route_signal` write-aheads
+        fabric signals into the same per-shard log.  Returns the
         shard-ordered durability runtimes (empty when the policy is
         ``"off"``).
         """
@@ -421,7 +386,6 @@ class ShardedRuntime:
                 shard.index, name=f"{self.name}-s{shard.index}"
             )
             shard.durability = durability
-            shard.wal = durability.wal
             durables.append(durability)
         return durables
 
@@ -430,10 +394,6 @@ class ShardedRuntime:
             if shard.durability is not None:
                 shard.durability.close()
                 shard.durability = None
-                shard.wal = None
-            elif shard.wal is not None:
-                shard.wal.close()
-                shard.wal = None
 
     def __enter__(self) -> "ShardedRuntime":
         return self.start()
@@ -488,14 +448,16 @@ class ShardedRuntime:
         intact either way.
         """
         target = self.shard_for(key)
-        if target.wal is not None:
+        if target.durability is not None:
             # Write-ahead: the signal frame (with its causal chain) is
             # durable before any subscriber observes it.  Tolerant
             # encoding — fabric payloads may hold non-JSON values; the
             # fabric log is for recovery *scoping* and time-travel
             # replay, while entry-level exactly-once goes through
-            # DurableSession/EffectJournal.
-            target.wal.append_entry(signal, session=str(key), strict=False)
+            # ShardDurability.execute.
+            target.durability.wal.append_entry(
+                signal, session=str(key), strict=False
+            )
         if current_shard() is target:
             target.bus.publish(signal)
             return
@@ -506,7 +468,7 @@ class ShardedRuntime:
     def migrate(
         self,
         key: str,
-        to_shard: int,
+        to_shard: int | None,
         *,
         capture: Callable[[], Any],
         restore: Callable[[Any], Any],
@@ -514,8 +476,8 @@ class ShardedRuntime:
     ) -> Any:
         """Move session ``key`` to ``to_shard`` without losing state.
 
-        Protocol (quiesce → drain → snapshot → transfer → restore →
-        re-point):
+        Protocol (quiesce → drain → snapshot → re-point → restore →
+        hand off the log tail):
 
         1. ``capture`` is posted to the *source* shard's FIFO mailbox,
            so it runs after every previously submitted task for the
@@ -530,9 +492,22 @@ class ShardedRuntime:
            simply queue behind it.)
         3. The routing override maps ``key`` to the target shard: every
            subsequent :meth:`submit` / :meth:`route_signal` lands there.
-        4. ``restore(snapshot)`` runs on the *target* shard's thread,
-           rebuilding the session against the target's bus/clock/
-           metrics; its return value is returned to the caller.
+        4. ``restore(snapshot)`` rebuilds the session at its
+           destination; its return value is returned to the caller.
+           If it raises, the previous route is put back — the source
+           still holds the session — and the error propagates.
+        5. On durable fabrics the source stops pinning log segments for
+           the session; a target shard imports its log tail (latest
+           full checkpoint + later frames) and truncation floor, so
+           recovery after the move needs only the target's log.
+
+        ``to_shard=None`` migrates the session *out* of this fabric:
+        ``restore`` runs on the calling thread and ships the state
+        elsewhere — typically over a cluster socket to a remote worker
+        (:class:`~repro.runtime.cluster.ProcessCluster`) — and the
+        local route override is dropped; the caller owns remote routing
+        from there.  Otherwise ``restore`` runs on the target shard's
+        thread, against the target's bus/clock/metrics.
 
         Causal trace chains survive because the snapshot carries model
         documents, not live signals — signals forwarded post-migration
@@ -540,102 +515,65 @@ class ShardedRuntime:
         """
         if not self.started:
             raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        if not 0 <= to_shard < len(self.shards):
+        if to_shard is not None and not 0 <= to_shard < len(self.shards):
             raise ShardedRuntimeError(
                 f"no shard {to_shard} (fabric has {len(self.shards)})"
             )
+        key = str(key)
         source = self.shard_for(key)
-        target = self.shards[to_shard]
+        target = None if to_shard is None else self.shards[to_shard]
         if source is target:
             return None
         # 1. quiesce + snapshot on the source shard thread.
-        captured = source.call(capture)
-        if self.inline:
-            self.drain()
-        snapshot = captured.result(timeout=timeout)
+        snapshot = self._call_on(source, capture, timeout=timeout)
         # 2. drain in-flight signals bound for the source shard.
         if self.channel.flush(source.index):
-            if self.inline:
-                self.drain()
-            else:
-                source.call(lambda: None).result(timeout=timeout)
-        # 3. re-point the route.  A session migrated back to its
-        # affinity shard needs no override — storing one anyway would
-        # leak a table entry per round-trip for the fabric's lifetime.
+            self._call_on(source, lambda: None, timeout=timeout)
+        # 3. re-point the route.  A session moved to its affinity shard
+        # (or out of the fabric) needs no override — storing one anyway
+        # would leak a table entry per round-trip.
         home = shard_index_for(key, len(self.shards))
         with self._routes_lock:
-            if to_shard == home:
-                self._routes.pop(str(key), None)
+            previous = self._routes.pop(key, None)
+            if to_shard is not None and to_shard != home:
+                self._routes[key] = to_shard
+        # 4. restore at the destination; a failed restore leaves the
+        # session where it was.
+        try:
+            if target is None:
+                result = restore(snapshot)
             else:
-                self._routes[str(key)] = to_shard
-        # 4. restore on the target shard thread.
-        restored = target.call(restore, snapshot)
-        if self.inline:
-            self.drain()
-        result = restored.result(timeout=timeout)
-        # 5. durable fabrics hand the session's log tail (latest full
-        # checkpoint + later frames) and truncation floor to the target
-        # shard's log, so recovery after the move needs only the
-        # target's wal — and the source stops pinning segments for a
-        # session it no longer hosts.
-        if (
-            source.durability is not None
-            and target.durability is not None
-            and source.durability is not target.durability
-        ):
-            frames = source.durability.export_session(str(key))
-            if frames:
-                target.durability.import_session(frames, session=str(key))
-            source.durability.forget(str(key))
-        self.migrations += 1
-        target.metrics.count("fabric.migrations_in", target.name)
-        return result
-
-    def migrate_out(
-        self,
-        key: str,
-        *,
-        capture: Callable[[], Any],
-        transfer: Callable[[Any], Any],
-        timeout: float = 30.0,
-    ) -> Any:
-        """Migrate session ``key`` out of this fabric entirely.
-
-        The cross-process egress half of :meth:`migrate`: the same
-        quiesce→capture→flush discipline runs on the source shard, but
-        instead of restoring on a sibling shard, ``transfer(snapshot)``
-        runs on the *calling* thread and ships the captured state
-        elsewhere — typically over a cluster socket to a remote worker
-        (:class:`~repro.runtime.cluster.ProcessCluster`).  The local
-        route override (if any) is dropped; the caller owns remote
-        routing from here on.  Returns ``transfer``'s result.
-        """
-        if not self.started:
-            raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        source = self.shard_for(key)
-        # 1. quiesce + snapshot on the source shard thread (FIFO: runs
-        # after everything already submitted for the session).
-        captured = source.call(capture)
-        if self.inline:
-            self.drain()
-        snapshot = captured.result(timeout=timeout)
-        # 2. deliver in-flight signals bound for the source shard.
-        if self.channel.flush(source.index):
-            if self.inline:
-                self.drain()
-            else:
-                source.call(lambda: None).result(timeout=timeout)
-        # 3. ship the state out; only on success forget local routing.
-        result = transfer(snapshot)
-        with self._routes_lock:
-            self._routes.pop(str(key), None)
+                result = self._call_on(target, restore, snapshot,
+                                       timeout=timeout)
+        except BaseException:
+            with self._routes_lock:
+                self._routes.pop(key, None)
+                if previous is not None:
+                    self._routes[key] = previous
+            raise
+        # 5. hand the session's log over.
         if source.durability is not None:
-            # the session now lives behind a remote log; stop pinning
-            # local segments for it.
-            source.durability.forget(str(key))
+            if target is not None and target.durability is not None:
+                frames = source.durability.export_session(key)
+                if frames:
+                    target.durability.import_session(frames, session=key)
+            source.durability.forget(key)
         self.migrations += 1
-        source.metrics.count("fabric.migrations_out", source.name)
+        if target is None:
+            source.metrics.count("fabric.migrations_out", source.name)
+        else:
+            target.metrics.count("fabric.migrations_in", target.name)
         return result
+
+    def _call_on(
+        self, shard: Shard, fn: Callable[..., Any], *args: Any,
+        timeout: float,
+    ) -> Any:
+        """Run ``fn`` on ``shard``'s thread (FIFO) and wait for it."""
+        future = shard.call(fn, *args)
+        if self.inline:
+            self.drain()
+        return future.result(timeout=timeout)
 
     def release(self, key: str) -> bool:
         """Forget session ``key``'s migration route override.
@@ -710,19 +648,26 @@ class ShardRebalancer:
     derives them from per-shard metrics — e.g. API-call counters or
     mailbox task counts), plans greedy hottest-to-coolest moves until
     the max/min shard load ratio drops under ``imbalance_threshold``,
-    and applies the moves with :meth:`ShardedRuntime.migrate`.
+    and applies the moves with :meth:`ShardedRuntime.migrate`:
+    ``capture(key)`` runs on the session's source shard and returns the
+    travelling state, ``restore(key, snapshot)`` runs on the target
+    shard.
     """
 
     def __init__(
         self,
         runtime: ShardedRuntime,
         *,
+        capture: Callable[[str], Any] | None = None,
+        restore: Callable[[str, Any], Any] | None = None,
         imbalance_threshold: float = 1.25,
         max_moves: int = 64,
     ) -> None:
         if imbalance_threshold < 1.0:
             raise ShardedRuntimeError("imbalance_threshold must be >= 1.0")
         self.runtime = runtime
+        self.capture = capture
+        self.restore = restore
         self.imbalance_threshold = imbalance_threshold
         self.max_moves = max_moves
         self.moves_applied = 0
@@ -833,19 +778,16 @@ class ShardRebalancer:
     # -- execution ---------------------------------------------------------
 
     def apply(
-        self,
-        moves: "Iterable[tuple[str, int]]",
-        *,
-        capture: Callable[[str], Any],
-        restore: Callable[[str, Any], Any],
-        timeout: float = 30.0,
+        self, moves: "Iterable[tuple[str, int]]", *, timeout: float = 30.0
     ) -> int:
-        """Execute a plan via live migration.
-
-        ``capture(key)`` runs on the session's source shard and returns
-        the travelling state; ``restore(key, snapshot)`` runs on the
-        target shard.  Returns the number of sessions moved.
-        """
+        """Execute a plan via live migration; returns the number of
+        sessions moved."""
+        capture, restore = self.capture, self.restore
+        if capture is None or restore is None:
+            raise ShardedRuntimeError(
+                "ShardRebalancer.apply needs the capture and restore "
+                "hooks it was built with"
+            )
         applied = 0
         for key, to_shard in moves:
             self.runtime.migrate(
@@ -883,8 +825,6 @@ class RebalanceTrigger:
         rebalancer: ShardRebalancer,
         *,
         sessions: Callable[[], "Iterable[str]"],
-        capture: Callable[[str], Any],
-        restore: Callable[[str, Any], Any],
         clock: Clock,
         interval: float = 1.0,
         queue_weight: float = 1e-3,
@@ -895,8 +835,6 @@ class RebalanceTrigger:
             raise ShardedRuntimeError("rebalance interval must be > 0")
         self.rebalancer = rebalancer
         self.sessions = sessions
-        self.capture = capture
-        self.restore = restore
         self.clock = clock
         self.interval = interval
         self.queue_weight = queue_weight
@@ -966,10 +904,7 @@ class RebalanceTrigger:
         self.last_plan = list(moves)
         if moves:
             self.moves_applied += self.rebalancer.apply(
-                moves,
-                capture=self.capture,
-                restore=self.restore,
-                timeout=self.timeout,
+                moves, timeout=self.timeout
             )
         return moves
 

@@ -844,7 +844,7 @@ class EffectJournal:
 
         Equivalent to ``Call(topic=..., payload=..., origin=session)``
         + ``wal.append_entry(...)`` + :meth:`begin_entry` — this is the
-        per-step front half of ``DurableSession.execute``.  The logged
+        per-step front half of ``ShardDurability.execute``.  The logged
         payload aliases ``payload``; the returned call is what
         ``apply_entry`` should receive.
         """

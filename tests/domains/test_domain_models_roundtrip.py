@@ -85,7 +85,7 @@ def _two_phase_log(case, middleware_model):
 
 
 def _migrate_cases():
-    from repro.bench.migrate import domain_cases
+    from repro.domains.assembly import domain_cases
 
     return domain_cases()
 

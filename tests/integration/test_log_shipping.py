@@ -98,12 +98,12 @@ class TestTailSince:
 # ---------------------------------------------------------------------------
 
 
-def _durable_backend(tmp_path, worker_id, **policy_kwargs):
+def _durable_backend(tmp_path, worker_id, **backend_kwargs):
     policy = DurabilityPolicy(
         mode="wal", log_root=str(tmp_path / f"wal-{worker_id}"),
-        fsync=False, **policy_kwargs,
+        fsync=False,
     )
-    backend = RegistryBackend(durability=policy)
+    backend = RegistryBackend(durability=policy, **backend_kwargs)
     backend.worker_id = worker_id
     backend.enable_durability()
     return backend

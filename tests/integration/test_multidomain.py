@@ -201,3 +201,37 @@ def test_domain_metamodels_share_nothing_with_middleware_engine():
                 if module.startswith(("repro.domains", "repro.sim")):
                     offenders.append(f"{path}: {module}")
     assert offenders == []
+
+
+def test_production_packages_do_not_import_the_benchmarks():
+    """Layering: the middleware, runtime, modeling kernel and domain
+    packages never reach into :mod:`repro.bench` — neither by an import
+    statement nor by naming a bench module in a string (an
+    ``importlib`` or ``"module:attr"`` spec).  Benchmarks depend on the
+    product, not the other way round."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for package in ("middleware", "runtime", "modeling", "domains"):
+        for path in (root / package).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                elif (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    modules = node.value.split()
+                else:
+                    continue
+                for module in modules:
+                    if module == "repro.bench" or module.startswith(
+                            ("repro.bench.", "repro.bench:")):
+                        offenders.append(
+                            f"{path.relative_to(root)}:{node.lineno}: "
+                            f"{module}")
+    assert offenders == []

@@ -184,7 +184,8 @@ def test_aot_scripts_byte_identical_to_compiled(revisions):
 def test_four_domain_op_logs_identical_under_aot():
     """Every shipped domain's two-phase session drives its service to
     the same op_log with and without the Tier-3 program installed."""
-    from repro.bench.migrate import _fresh_session, _log_bytes, domain_cases
+    from repro.bench.migrate import _fresh_session, _log_bytes
+    from repro.domains.assembly import domain_cases
 
     for case in domain_cases():
         service2, _dsk, tier2 = _fresh_session(case)

@@ -83,7 +83,7 @@ class TestRegistryBackend:
         assert "s1" not in backend.sessions
 
     def test_run_model_op(self, backend):
-        from repro.bench.migrate import domain_cases
+        from repro.domains.assembly import domain_cases
         from repro.modeling.serialize import model_to_dict
 
         case = {c.name: c for c in domain_cases()}["microgrid"]
@@ -95,7 +95,7 @@ class TestRegistryBackend:
         assert backend.describe("s1")["op_logs"]["plant0"]
 
     def test_capture_restore_all_domains(self, backend):
-        from repro.bench.migrate import domain_cases
+        from repro.domains.assembly import domain_cases
         from repro.modeling.serialize import model_to_dict
 
         for case in domain_cases():

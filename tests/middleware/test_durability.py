@@ -11,21 +11,22 @@ epoch-fenced timers, error-contained checkpoint chains).
 
 import pytest
 
-from repro.bench.wal import apply_entry
 from repro.domains.communication.cml import CmlBuilder, cml_metamodel
 from repro.domains.communication.cvm import (
     build_middleware_model,
     default_context,
 )
 from repro.middleware.loader import DomainKnowledge, load_platform
+from repro.middleware.platform import apply_entry
 from repro.middleware.snapshot import (
     CheckpointScheduler,
-    DurableSession,
+    capture_snapshot,
     recover_session,
 )
 from repro.modeling.serialize import model_to_dict
 from repro.runtime.clock import VirtualClock
 from repro.runtime.component import Supervisor
+from repro.runtime.durability import ShardDurability
 from repro.runtime.events import Call
 from repro.runtime.wal import WalError, WriteAheadLog
 
@@ -79,16 +80,28 @@ def open_wal(tmp_path, **kwargs):
     return WriteAheadLog(tmp_path / "wal", **kwargs)
 
 
+def execute(durability, platform, doc):
+    """One durable entry for ``platform``'s session: write-ahead,
+    apply with the effect journal installed, seal."""
+    return durability.execute(
+        SESSION, doc, lambda signal: apply_entry(platform, signal),
+        resources=platform.broker.resources,
+    )
+
+
+def checkpoint(durability, platform):
+    durability.checkpoint(SESSION, capture_snapshot(platform).to_dict())
+
+
 class TestDurableSession:
     def test_execute_logs_entry_before_and_seal_after(self, tmp_path):
         _service, _dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
+        execute(durable, platform, docs[0])
         kinds = [doc["k"] for _pos, doc in wal.replay()]
         assert kinds == ["entry", "applied"]
-        assert durable.entries_logged == 1
         platform.stop()
         wal.close()
 
@@ -96,11 +109,11 @@ class TestDurableSession:
         golden = golden_op_log()
         service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
-        durable.checkpoint()
-        durable.execute(docs[1], apply_entry)  # the unsnapshotted tail
+        execute(durable, platform, docs[0])
+        checkpoint(durable, platform)
+        execute(durable, platform, docs[1])  # the unsnapshotted tail
         log_at_kill = list(service.op_log)
         wal.close()
         platform.stop()  # the kill
@@ -118,11 +131,7 @@ class TestDurableSession:
         assert report.errors == []
 
         # the recovered session finishes the workload live
-        recovered = DurableSession(
-            report.platform, reopened, session=SESSION,
-            journal=report.journal,
-        )
-        recovered.execute(docs[2], apply_entry)
+        execute(ShardDurability(reopened), report.platform, docs[2])
         report.platform.stop()
         reopened.close()
         assert service.op_log == golden
@@ -130,11 +139,11 @@ class TestDurableSession:
     def test_double_recovery_is_idempotent(self, tmp_path):
         service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
-        durable.checkpoint()
-        durable.execute(docs[1], apply_entry)
+        execute(durable, platform, docs[0])
+        checkpoint(durable, platform)
+        execute(durable, platform, docs[1])
         log_at_kill = list(service.op_log)
         wal.close()
         platform.stop()
@@ -154,14 +163,15 @@ class TestDurableSession:
         recovery — redo against the restored world, not memoized."""
         service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
-        durable.checkpoint()
+        execute(durable, platform, docs[0])
+        checkpoint(durable, platform)
         # crash between the entry frame and its application: log the
         # frame the way log_call does, then die before apply/seal
-        durable.journal.log_call("session.entry", docs[1])
-        durable.journal.active = False  # the crash drops the open entry
+        journal = durable.journal(SESSION)
+        journal.log_call("session.entry", docs[1])
+        journal.active = False  # the crash drops the open entry
         log_at_kill = list(service.op_log)
         wal.close()
         platform.stop()
@@ -180,11 +190,12 @@ class TestDurableSession:
     def test_duplicate_entries_deduplicated(self, tmp_path):
         _service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
-        durable.execute(entry_docs()[0], apply_entry)
-        durable.checkpoint()
-        signal = durable.journal.log_call("session.entry", entry_docs()[1])
-        durable.journal.active = False
+        durable = ShardDurability(wal)
+        execute(durable, platform, entry_docs()[0])
+        checkpoint(durable, platform)
+        journal = durable.journal(SESSION)
+        signal = journal.log_call("session.entry", entry_docs()[1])
+        journal.active = False
         # at-least-once writer: the same signal logged twice
         wal.append_entry(signal, session=SESSION)
         wal.close()
@@ -202,17 +213,16 @@ class TestDurableSession:
     def test_failing_entry_contained_in_report(self, tmp_path):
         _service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
-        durable.execute(entry_docs()[0], apply_entry)
-        durable.checkpoint()
+        durable = ShardDurability(wal)
+        execute(durable, platform, entry_docs()[0])
+        checkpoint(durable, platform)
         bad = {"op": "no-such-op"}
         with pytest.raises(ValueError):
-            durable.execute(bad, apply_entry)
-        durable.execute(
-            {"op": "api", "api": "ncb.open_session",
-             "args": {"connection": "y1"}},
-            apply_entry,
-        )
+            execute(durable, platform, bad)
+        execute(durable, platform, {
+            "op": "api", "api": "ncb.open_session",
+            "args": {"connection": "y1"},
+        })
         wal.close()
         platform.stop()
 
@@ -239,8 +249,8 @@ class TestDurableSession:
     def test_cold_recovery_without_dsk_rejected(self, tmp_path):
         _service, _dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
-        durable.checkpoint()
+        durable = ShardDurability(wal)
+        checkpoint(durable, platform)
         wal.close()
         platform.stop()
         reopened = open_wal(tmp_path)
@@ -258,11 +268,11 @@ class TestLegacyEffectFrames:
         with the same exactly-once behaviour."""
         service, dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
-        durable.checkpoint()
-        durable.execute(docs[1], apply_entry)
+        execute(durable, platform, docs[0])
+        checkpoint(durable, platform)
+        execute(durable, platform, docs[1])
         log_at_kill = list(service.op_log)
         wal.close()
         platform.stop()
@@ -300,10 +310,10 @@ class TestCheckpointSchedulerWal:
     def test_tick_embeds_checkpoint_and_truncates(self, tmp_path):
         _service, _dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
-        durable.execute(entry_docs()[0], apply_entry)
+        durable = ShardDurability(wal)
+        execute(durable, platform, entry_docs()[0])
         scheduler = CheckpointScheduler(
-            platform, interval=1.0, wal=wal, session=SESSION
+            platform, interval=1.0, durability=durable, session=SESSION
         )
         scheduler.tick()
         kinds = [doc["k"] for _pos, doc in wal.replay()]
@@ -317,15 +327,15 @@ class TestCheckpointSchedulerWal:
         clock = VirtualClock()
         service, _dsk, platform = fresh_session(clock=clock)
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
+        durable = ShardDurability(wal)
         docs = entry_docs()
-        durable.execute(docs[0], apply_entry)
+        execute(durable, platform, docs[0])
         scheduler = CheckpointScheduler(
             platform, interval=60.0, clock=clock,
-            wal=wal, session=SESSION, apply_entry=apply_entry,
+            durability=durable, session=SESSION, apply_entry=apply_entry,
         )
         scheduler.tick()
-        durable.execute(docs[1], apply_entry)  # tail past the checkpoint
+        execute(durable, platform, docs[1])  # tail past the checkpoint
         log_before_crash = list(service.op_log)
 
         supervisor = Supervisor(clock=clock)
@@ -408,9 +418,9 @@ class TestLogCallChainRoot:
         ``Call(...)`` construction (same fields, same seq stream)."""
         _service, _dsk, platform = fresh_session()
         wal = open_wal(tmp_path)
-        durable = DurableSession(platform, wal, session=SESSION)
-        minted = durable.journal.log_call("session.entry", {"op": "x"})
-        durable.journal.active = False
+        journal = ShardDurability(wal).journal(SESSION)
+        minted = journal.log_call("session.entry", {"op": "x"})
+        journal.active = False
         built = Call(topic="session.entry", payload={"op": "x"},
                      origin=SESSION)
         assert isinstance(minted, Call)

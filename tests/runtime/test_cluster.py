@@ -7,7 +7,11 @@ import time
 
 import pytest
 
-from repro.runtime.cluster import ClusterFabric, ProcessCluster
+from repro.runtime.cluster import (
+    ClusterFabric,
+    ProcessCluster,
+    RemoteWorkerError,
+)
 from repro.runtime.faults import InvocationOutcome
 from repro.runtime.ingress import AdmissionPolicy, IngressRejected, ShedReason
 from repro.runtime.wal import (
@@ -114,6 +118,21 @@ class TestProcessCluster:
         cluster.migrate(key, source)
         assert cluster.worker_for(key) == source
         assert cluster.call(key, {"add": 1}) == {"total": 16}
+        cluster.close_session(key)
+
+    def test_failed_restore_keeps_the_session_on_its_source(self, cluster):
+        # Regression: the route used to re-point at the target before
+        # the restore, so a refused restore stranded the session.
+        key = "s-fail-restore"
+        cluster.open_session(key, {"fail_restore": True}).result(30).unwrap()
+        cluster.call(key, {"add": 3})
+        source = cluster.worker_for(key)
+        with pytest.raises(RemoteWorkerError, match="restore refused"):
+            cluster.migrate(key, 1 - source)
+        assert cluster.worker_for(key) == source
+        assert key in cluster.handles[source].sessions
+        assert key not in cluster.handles[1 - source].sessions
+        assert cluster.call(key, {"add": 4}) == {"total": 7}
         cluster.close_session(key)
 
     def test_migrate_holds_then_flushes_submissions(self, cluster):
@@ -276,6 +295,8 @@ class EchoBackend:
         return {"ops": list(state["ops"]), "meta": dict(state["meta"])}
 
     def restore(self, session, doc):
+        if doc.get("meta", {}).get("fail_restore"):
+            raise RuntimeError("restore refused")
         self.sessions[session] = {"ops": list(doc["ops"]),
                                   "meta": dict(doc.get("meta", {}))}
         return {"restored": session}

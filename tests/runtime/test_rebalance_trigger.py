@@ -1,4 +1,4 @@
-"""Load-driven rebalance trigger and cross-fabric migrate_out."""
+"""Load-driven rebalance trigger and migration out of the fabric."""
 
 import pytest
 
@@ -33,19 +33,16 @@ class _StubRebalancer:
         self.plans.append((list(sessions), queue_weight))
         return list(self.moves)
 
-    def apply(self, moves, *, capture, restore, timeout):
+    def apply(self, moves, *, timeout):
         self.applies.append(list(moves))
         return len(moves)
 
 
 class TestRebalanceTrigger:
     def _trigger(self, stub, clock, **kwargs):
-        state = {}
         return RebalanceTrigger(
             stub,
             sessions=lambda: ["a", "b"],
-            capture=lambda key: state.get(key),
-            restore=lambda key, snapshot: True,
             clock=clock,
             interval=1.0,
             **kwargs,
@@ -107,8 +104,8 @@ class TestRebalanceTrigger:
     def test_interval_validated(self):
         with pytest.raises(ShardedRuntimeError, match="interval"):
             RebalanceTrigger(
-                _StubRebalancer([]), sessions=list, capture=lambda k: None,
-                restore=lambda k, s: None, clock=VirtualClock(), interval=0,
+                _StubRebalancer([]), sessions=list, clock=VirtualClock(),
+                interval=0,
             )
 
     def test_live_metrics_plan_spreads_hot_shard(self):
@@ -123,10 +120,12 @@ class TestRebalanceTrigger:
                 index += 1
             state = {}
             trigger = RebalanceTrigger(
-                ShardRebalancer(runtime),
+                ShardRebalancer(
+                    runtime,
+                    capture=lambda key: state.setdefault(key, {"key": key}),
+                    restore=lambda key, snapshot: True,
+                ),
                 sessions=lambda: keys,
-                capture=lambda key: state.setdefault(key, {"key": key}),
-                restore=lambda key, snapshot: True,
                 clock=VirtualClock(),
             )
             moves = trigger.tick()
@@ -170,7 +169,7 @@ class TestPoolRebalancer:
 
 
 class TestMigrateOut:
-    def test_migrate_out_ships_and_forgets(self):
+    def test_migrate_to_none_ships_and_forgets(self):
         runtime = ShardedRuntime(2, name="out-test")
         runtime.start()
         shipped = []
@@ -183,10 +182,11 @@ class TestMigrateOut:
                             restore=lambda doc: True)
             assert runtime.route_overrides()  # migrate left an override
 
-            result = runtime.migrate_out(
+            result = runtime.migrate(
                 key,
+                None,
                 capture=lambda: dict(holder),
-                transfer=lambda doc: shipped.append(doc) or "sent",
+                restore=lambda doc: shipped.append(doc) or "sent",
             )
             assert result == "sent"
             assert shipped == [{"value": 41}]
@@ -202,18 +202,18 @@ class TestMigrateOut:
         finally:
             runtime.stop()
 
-    def test_migrate_out_requires_started_fabric(self):
+    def test_migrate_to_none_requires_started_fabric(self):
         runtime = ShardedRuntime(2, name="out-stopped")
         with pytest.raises(ShardedRuntimeError, match="not started"):
-            runtime.migrate_out("k", capture=dict, transfer=lambda d: d)
+            runtime.migrate("k", None, capture=dict, restore=lambda d: d)
 
-    def test_migrate_out_inline(self):
+    def test_migrate_to_none_inline(self):
         runtime = ShardedRuntime(1, name="out-inline", inline=True)
         runtime.start()
         try:
             runtime.post("k", lambda: None)
-            result = runtime.migrate_out(
-                "k", capture=lambda: {"s": 1}, transfer=lambda doc: doc
+            result = runtime.migrate(
+                "k", None, capture=lambda: {"s": 1}, restore=lambda doc: doc
             )
             assert result == {"s": 1}
         finally:

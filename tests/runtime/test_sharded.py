@@ -535,6 +535,42 @@ class TestMigration:
             runtime.stop()
 
 
+    def test_failed_restore_keeps_the_session_on_its_source(self):
+        # Regression: the route used to stay re-pointed at a target
+        # whose restore raised, stranding the session on its source.
+        runtime = ShardedRuntime(2, name="mig-fail", inline=True)
+        runtime.start()
+        try:
+            key = "session-x"
+            home = runtime.shard_for(key).index
+            away = 1 - home
+
+            def restore(snapshot):
+                if snapshot.get("fail_restore"):
+                    raise RuntimeError("restore refused")
+                return True
+
+            with pytest.raises(RuntimeError, match="restore refused"):
+                runtime.migrate(key, away, restore=restore,
+                                capture=lambda: {"fail_restore": True})
+            assert runtime.route_overrides() == {}
+            assert runtime.migrations == 0
+            where = []
+            runtime.post(key, lambda: where.append(current_shard().index))
+            runtime.drain()
+            assert where == [home]
+
+            # a failed move back home keeps the existing override too
+            runtime.migrate(key, away, capture=dict, restore=restore)
+            with pytest.raises(RuntimeError, match="restore refused"):
+                runtime.migrate(key, home, restore=restore,
+                                capture=lambda: {"fail_restore": True})
+            assert runtime.route_overrides() == {key: away}
+            assert runtime.migrations == 1
+        finally:
+            runtime.stop()
+
+
 class TestRoutePruning:
     """Regression: the migration route-override table must stay bounded
     (it used to grow one entry per migrated session, forever)."""
@@ -675,11 +711,8 @@ class TestShardRebalancer:
         runtime = ShardedRuntime(2, name="rb-apply", inline=True)
         runtime.start()
         try:
-            rebalancer = ShardRebalancer(runtime)
             keys = keys_on_shard(0, shards=2, count=4)
             sessions = {key: {"home": 0} for key in keys}
-            moves = rebalancer.plan({key: 1.0 for key in keys})
-            assert moves
 
             def capture(key):
                 return dict(sessions[key])
@@ -688,7 +721,12 @@ class TestShardRebalancer:
                 sessions[key] = dict(snap, home=current_shard().index)
                 return True
 
-            applied = rebalancer.apply(moves, capture=capture, restore=restore)
+            rebalancer = ShardRebalancer(
+                runtime, capture=capture, restore=restore
+            )
+            moves = rebalancer.plan({key: 1.0 for key in keys})
+            assert moves
+            applied = rebalancer.apply(moves)
             assert applied == len(moves)
             assert rebalancer.moves_applied == len(moves)
             for key, to_shard in moves:
