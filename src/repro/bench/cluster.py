@@ -26,16 +26,13 @@ Four sections, correctness gated before speed is reported:
   identical to each other and to the golden: frame ordering across
   sessions is free, per-session FIFO is what determinism rests on.
 
-CLI front-end: ``repro bench-cluster`` (``--quick`` shrinks the
-workload for the CI cluster-smoke job); also
-``python -m repro.bench.cluster``.
+``repro bench cluster`` writes ``BENCH_PR9.json`` (``--quick`` shrinks
+the workload for CI).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 import time
 from typing import Any
 
@@ -51,7 +48,8 @@ __all__ = [
     "kill_and_adopt",
     "fault_bench",
     "determinism_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: throughput acceptance bar at 4 worker processes vs 1.
@@ -503,54 +501,48 @@ def determinism_bench(*, sessions: int = 8, seed: int = 20260808,
 # -- report ------------------------------------------------------------------
 
 
-def write_bench_json(
-    path: str = "BENCH_PR9.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 9 cluster benchmarks and write the JSON report."""
-    throughput = throughput_bench(
-        sessions=24 if quick else 200,
-        worker_counts=(1, 2) if quick else (1, 2, 4),
-    )
-    if not quick and not throughput["meets_3x_at_4_workers"]:
-        raise AssertionError(
+def run(quick: bool = False) -> dict[str, Any]:
+    """The PR 9 report."""
+    return {
+        "bench": "PR9-process-fabric",
+        "throughput": throughput_bench(
+            sessions=24 if quick else 200,
+            worker_counts=(1, 2) if quick else (1, 2, 4),
+        ),
+        "migration": cross_process_migration_bench(),
+        "fault": fault_bench(sessions=6 if quick else 8),
+        "determinism": determinism_bench(sessions=6 if quick else 8),
+    }
+
+
+def check(report: dict[str, Any]) -> str:
+    # Correctness gates hold on any box: every cluster run's
+    # op_logs byte-identical to the inline single-process run,
+    # zero unresolved futures and zero untyped failures under a
+    # SIGKILLed worker, and seeded frame reordering changes
+    # nothing.  The >= 3x at 4 workers perf gate is noisy on
+    # shared two-core runners and is enforced on the committed
+    # full run.
+    for run in report["throughput"]["runs"]:
+        assert run["op_logs_identical"], run
+        assert run["restarts"] == 0, run
+    migration = report["migration"]
+    assert migration["all_identical"], migration["domains"]
+    assert len(migration["domains"]) == 4, migration["domains"]
+    fault = report["fault"]
+    assert fault["op_logs_identical"], fault
+    assert fault["unresolved_futures"] == 0, fault
+    assert fault["untyped_failures"] == 0, fault
+    assert fault["rejected_worker_dead"] > 0, fault
+    assert fault["deaths"] == 1 and fault["restarts"] == 1, fault
+    assert report["determinism"]["op_logs_identical"], report
+    if not report["quick"]:
+        throughput = report["throughput"]
+        assert throughput["meets_3x_at_4_workers"], (
             f"session-step throughput at 4 workers is only "
             f"{throughput['speedup_steps_4_workers_vs_1']:.2f}x the "
             f"1-worker run (acceptance bar: >= {SPEEDUP_GATE}x)"
         )
-    migration = cross_process_migration_bench()
-    fault = fault_bench(sessions=6 if quick else 8)
-    determinism = determinism_bench(sessions=6 if quick else 8)
-    results: dict[str, Any] = {
-        "bench": "PR9-process-fabric",
-        "python": sys.version.split()[0],
-        "quick": quick,
-        "throughput": throughput,
-        "migration": migration,
-        "fault": fault,
-        "determinism": determinism,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.cluster",
-        description="multi-process session fabric benchmarks "
-                    "(writes BENCH_PR9.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR9.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI cluster-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return ("cluster smoke OK "
+            f"({fault['rejected_worker_dead']} typed rejections, "
+            f"{len(migration['domains'])} domains migrated)")

@@ -21,14 +21,11 @@ calls — and reports:
 Everything runs on a :class:`~repro.runtime.clock.VirtualClock`, so
 the numbers are reproducible bit-for-bit for a given seed.
 
-``python -m repro.bench.faults`` (or ``repro bench-faults``) writes
-``BENCH_PR2.json``.
+``repro bench faults`` writes ``BENCH_PR2.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from typing import Any
 
 from repro.middleware.broker.autonomic import Symptom
@@ -48,7 +45,8 @@ __all__ = [
     "breaker_outage_demo",
     "determinism_check",
     "guard_overhead_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: Retry policy used throughout: transient faults only, exponential
@@ -398,35 +396,26 @@ def guard_overhead_bench(*, calls: int = 20000) -> dict[str, Any]:
     return rows
 
 
-def write_bench_json(path: str = "BENCH_PR2.json") -> dict[str, Any]:
-    """Run the fault benchmarks and write the JSON report."""
-    results = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The fault suite (deterministic; one size)."""
+    return {
         "bench": "PR2-fault-tolerance",
-        "python": sys.version.split()[0],
         "recovery": run_recovery_episodes(),
         "breaker_outage": breaker_outage_demo(),
         "determinism": determinism_check(),
         "guard_overhead": guard_overhead_bench(),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.faults",
-        description="fault-tolerance benchmarks (writes BENCH_PR2.json)",
+def check(report: dict[str, Any]) -> str:
+    recovery = report["recovery"]
+    assert recovery["failure_rate"] >= 0.10, recovery
+    assert recovery["unhandled_exceptions"] == 0, recovery
+    assert recovery["recovery_latency"]["count"] > 0, recovery
+    assert report["determinism"]["replay_matches"], report["determinism"]
+    assert report["breaker_outage"]["final_state"] == "closed"
+    return (
+        f"fault-injection smoke OK ({recovery['episodes']} episodes, "
+        f"{recovery['injected_faults']} faults injected, "
+        f"{recovery['unhandled_exceptions']} unhandled exceptions)"
     )
-    parser.add_argument("--output", default="BENCH_PR2.json")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

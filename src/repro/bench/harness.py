@@ -3,13 +3,18 @@
 The pytest-benchmark modules under ``benchmarks/`` use these helpers
 to replay workloads against either Broker implementation, time code
 paths consistently, and print the rows that EXPERIMENTS.md records.
+:func:`paired_overhead` is the one overhead statistic every gated
+bench block reports.
+
+This module is also the ``fabric`` suite of ``repro bench``
+(``BENCH_PR1.json``): like every suite module it exposes ``run(quick)``
+and ``check(results)``.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -29,9 +34,12 @@ __all__ = [
     "fresh_model_based_broker",
     "fresh_handcrafted_broker",
     "bus_scaling_bench",
-    "e1_quick_bench",
+    "STATISTIC",
+    "paired_overhead",
     "e1_paired_bench",
-    "write_bench_json",
+    "recorded",
+    "run",
+    "check",
 ]
 
 
@@ -41,10 +49,10 @@ def least_noise(samples: Iterable[Any], *, key: Callable[[Any], float] | None = 
     On a shared box, preemption and frequency drift only ever *inflate*
     a wall-clock sample (or a latency-keyed run summary) — they never
     make code look faster than it is — so the minimum over repeats is
-    the closest estimate of the machine-independent figure.  This is
-    the single sampling discipline every bench module shares (the PR 4
-    min-of-samples precedent); pass ``key`` to select among structured
-    run summaries instead of raw floats.
+    the closest estimate of the machine-independent figure of a
+    micro-benchmark.  Overheads (one side against another) are paired
+    instead, see :func:`paired_overhead`.  Pass ``key`` to select among
+    structured run summaries instead of raw floats.
     """
     picked = list(samples)
     if not picked:
@@ -335,78 +343,82 @@ def bus_scaling_bench(
     return rows
 
 
-def e1_quick_bench(*, repeat: int = 5) -> dict[str, Any]:
-    """A quick E1 pass: mean broker-overhead latency across the
-    communication scenarios (middleware-model load excluded)."""
-    from repro.bench.workloads import COMMUNICATION_SCENARIOS
+#: The one overhead statistic every gated bench block reports.
+STATISTIC = "median of paired ratios"
 
-    scenarios: list[dict[str, Any]] = []
-    model_total = 0.0
-    hand_total = 0.0
-    for scenario, steps in COMMUNICATION_SCENARIOS.items():
-        def timed(factory: Callable[[], Any]) -> float:
-            samples = []
-            for _ in range(repeat):
-                _broker, _service, runner = factory()
-                start = time.perf_counter()
-                runner.run(steps)
-                samples.append(time.perf_counter() - start)
-            return least_noise(samples)
 
-        model_s = timed(fresh_model_based_broker)
-        hand_s = timed(fresh_handcrafted_broker)
-        model_total += model_s
-        hand_total += hand_s
-        scenarios.append({
-            "scenario": scenario,
-            "model_ms": model_s * 1000,
-            "handcrafted_ms": hand_s * 1000,
-            "overhead_pct": 100.0 * (model_s / hand_s - 1.0),
-        })
-    mean_overhead = (
-        sum(row["overhead_pct"] for row in scenarios) / len(scenarios)
-    )
+def paired_overhead(
+    bare: Callable[[], float],
+    treated: Callable[[], float],
+    *,
+    pairs: int,
+) -> dict[str, Any]:
+    """The overhead of ``treated`` over ``bare`` from paired samples.
+
+    ``bare`` and ``treated`` each time one sample and return its cost
+    per step in seconds; the caller decides what is inside the timed
+    region.  A pair runs both back to back, so slowly varying machine
+    speed (thermal drift, noisy neighbours) inflates both sides of the
+    pair together and cancels out of that pair's ratio.  Pair order
+    alternates (bare first on even pairs, treated first on odd ones),
+    so drift *within* a pair biases alternate pairs in opposite
+    directions and cancels in the median.
+
+    The gated number is ``overhead_pct``, the median of the per-pair
+    ratios ``treated / bare - 1``; ``p25_pct`` and ``p75_pct`` bound
+    its interquartile range, the noise indicator.  The per-step times
+    are medians over the pairs.
+    """
+    if pairs < 2:
+        raise ValueError("paired_overhead() needs at least two pairs")
+    bares: list[float] = []
+    deltas: list[float] = []
+    ratios: list[float] = []
+    for index in range(pairs):
+        if index % 2 == 0:
+            base = bare()
+            cost = treated()
+        else:
+            cost = treated()
+            base = bare()
+        bares.append(base)
+        deltas.append(cost - base)
+        ratios.append(cost / base - 1.0)
+    p25, median, p75 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
-        "scenarios": scenarios,
-        "model_ms": model_total * 1000,
-        "handcrafted_ms": hand_total * 1000,
-        "mean_overhead_pct": mean_overhead,
+        "statistic": STATISTIC,
+        "pairs": pairs,
+        "overhead_pct": 100.0 * median,
+        "p25_pct": 100.0 * p25,
+        "p75_pct": 100.0 * p75,
+        "bare_us_per_step": statistics.median(bares) * 1e6,
+        "delta_us_per_step": statistics.median(deltas) * 1e6,
     }
 
 
 def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
-    """E1 overhead via per-scenario noise-floor sampling, with Tier-3.
+    """E1: model-based vs handcrafted broker overhead, both regimes.
 
-    Runs the eight communication scenarios on one warm broker pair per
-    regime and reports the summed *per-scenario floors* (minimum over
-    ``repeat`` samples, each timing ``passes`` steady passes) for each
-    side, model-based minus handcrafted.  On a shared box, timing noise
-    is strictly additive — preemption, cache eviction by neighbours,
-    frequency dips all make a sample *slower*, never faster — so the
-    minimum converges on the true cost while means and medians track
-    whatever else the machine is doing (the rationale behind
-    ``timeit``'s repeat/min idiom).  Sample order alternates per
-    scenario so monotone drift cannot systematically favour one side's
-    floor, and the per-scenario *median* of paired deltas is kept as a
-    cross-check (``median_overhead_pct``): when the box is quiet the
-    two estimators agree; when they diverge, ``delta_iqr_us`` and
-    ``hand_spread_pct`` say why.
+    One warm broker pair per regime replays the eight communication
+    scenarios; a sample times ``passes`` full sweeps on one side, and
+    :func:`paired_overhead` pairs ``repeat`` handcrafted/model samples.
 
-    Both sides run warm (an untimed full pass over every scenario
-    first): every scenario tears its sessions down, so repeats start
-    from equivalent state with route caches, metric instruments, and
-    interned topic strings filled.  E1 compares the per-request price
-    of a *running* middleware platform against the handcrafted
-    baseline — charging the model-based side its one-time cache fills
-    (which the cacheless handcrafted broker structurally cannot pay)
-    would fold platform cold-start into a steady-state number.
+    Both sides run warm (an untimed full sweep first): every scenario
+    tears its sessions down, so repeats start from equivalent state
+    with route caches, metric instruments, and interned topic strings
+    filled.  E1 compares the per-request price of a *running*
+    middleware platform against the handcrafted baseline — charging
+    the model-based side its one-time cache fills (which the cacheless
+    handcrafted broker structurally cannot pay) would fold platform
+    cold-start into a steady-state number.
 
-    Two regimes, same contract as the PR 7 bench:
+    Two regimes:
 
     * ``calibrated`` — ``CommService.DEFAULT_OP_COST``, the op-cost
       ratio fixed for E1/E3/E5 so simulated service work dominates the
       way real communication-framework calls did on the paper's
-      testbed.  This is the **gated** number (the ISSUE's <=5% bar).
+      testbed.  This is the **gated** number (``mean_overhead_pct``,
+      the key every E1 gate reads).
     * ``structural`` — ``op_cost=0``, the raw CPU price of the
       model-based dispatch machinery with nothing to hide behind.
       Diagnostic, not gated.
@@ -416,7 +428,7 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     scenario_steps = list(COMMUNICATION_SCENARIOS.values())
     n_steps = sum(len(steps) for steps in scenario_steps)
 
-    #: steady passes timed per sample — stretches the timed region so
+    #: full sweeps timed per sample — stretches the timed region so
     #: perf_counter granularity and entry/exit jitter amortize.
     passes = 3
 
@@ -429,61 +441,21 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
             model_runner.run(steps)
             hand_runner.run(steps)
 
-        def sample(runner: ScenarioRunner, steps: Sequence[Step]) -> float:
-            start = time.perf_counter()
-            for _ in range(passes):
-                runner.run(steps)
-            return (time.perf_counter() - start) / passes
+        def timer(runner: ScenarioRunner) -> Callable[[], float]:
+            def sample() -> float:
+                start = time.perf_counter()
+                for _ in range(passes):
+                    for steps in scenario_steps:
+                        runner.run(steps)
+                return (time.perf_counter() - start) / (passes * n_steps)
 
-        hand_floor = model_floor = 0.0
-        hand_med = delta_med = 0.0
-        all_deltas: list[list[float]] = []
-        all_hands: list[list[float]] = []
-        for j, steps in enumerate(scenario_steps):
-            models = [0.0] * repeat
-            hands = [0.0] * repeat
-            for i in range(repeat):
-                # The two sides of a pair run milliseconds apart, so
-                # slow drift cancels in the paired delta; alternating
-                # order keeps drift within a pair unbiased.
-                if (i + j) % 2 == 0:
-                    hands[i] = sample(hand_runner, steps)
-                    models[i] = sample(model_runner, steps)
-                else:
-                    models[i] = sample(model_runner, steps)
-                    hands[i] = sample(hand_runner, steps)
-            hand_floor += min(hands)
-            model_floor += min(models)
-            hand_med += statistics.median(hands)
-            delta_med += statistics.median(
-                m - h for m, h in zip(models, hands)
-            )
-            all_deltas.append([m - h for m, h in zip(models, hands)])
-            all_hands.append(hands)
-        delta_floor = model_floor - hand_floor
-        sweep_deltas = sorted(
-            sum(row[i] for row in all_deltas) for i in range(repeat)
-        )
-        quarter = max(1, len(sweep_deltas) // 4)
-        sweep_hands = [sum(row[i] for row in all_hands) for i in range(repeat)]
+            return sample
+
         return {
             "op_cost": op_cost,
-            "pairs_sampled": repeat,
             "timed_passes": passes,
-            "handcrafted_ms": hand_floor * 1000,
-            "model_ms": model_floor * 1000,
-            "per_step_overhead_us": delta_floor / n_steps * 1e6,
-            "overhead_pct": 100.0 * delta_floor / hand_floor,
-            # cross-check estimator: per-scenario medians of paired
-            # deltas (the PR 7 discipline).  Agrees with the floor on a
-            # quiet box; diverges upward under contention.
-            "median_overhead_pct": 100.0 * delta_med / hand_med,
-            # measurement-quality indicators: noise shows up here.
-            "delta_iqr_us": (
-                sweep_deltas[-quarter - 1] - sweep_deltas[quarter]
-            ) * 1e6,
-            "hand_spread_pct": (
-                100.0 * (max(sweep_hands) - min(sweep_hands)) / hand_floor
+            **paired_overhead(
+                timer(hand_runner), timer(model_runner), pairs=repeat
             ),
         }
 
@@ -491,6 +463,7 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     structural = sweep(op_cost=0.0)
     return {
         "aot": aot,
+        "statistic": STATISTIC,
         "steps_per_sweep": n_steps,
         "calibrated": calibrated,
         "structural": structural,
@@ -498,33 +471,37 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     }
 
 
-def write_bench_json(path: str = "BENCH_PR1.json") -> dict[str, Any]:
-    """Run the signal-fabric benchmarks and write the JSON report."""
-    results = {
+def recorded(path: str, *keys: str) -> float | None:
+    """A numeric field of a committed bench report (the trajectory
+    baseline), or None when the report or the field is absent."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc: Any = json.load(handle)
+        for key in keys:
+            doc = doc[key]
+        return float(doc)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+# -- the fabric suite (BENCH_PR1.json) ------------------------------------
+
+
+def run(quick: bool = False) -> dict[str, Any]:
+    """Bus routing scaling plus the E1 overhead pass (same size either
+    way: the suite is already CI-sized)."""
+    return {
         "bench": "PR1-signal-fabric",
-        "python": sys.version.split()[0],
         "bus_scaling": bus_scaling_bench(),
-        "e1": e1_quick_bench(),
+        "e1": e1_paired_bench(repeat=5),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.harness",
-        description="signal-fabric micro-benchmarks (writes BENCH_PR1.json)",
+def check(report: dict[str, Any]) -> str:
+    widest = report["bus_scaling"][-1]
+    e1 = report["e1"]
+    return (
+        f"fabric OK (indexed bus {widest['speedup']:.1f}x over a linear "
+        f"scan at {widest['subscribers']} subscribers, E1 overhead "
+        f"{e1['mean_overhead_pct']:.2f}%)"
     )
-    parser.add_argument("--output", default="BENCH_PR1.json")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

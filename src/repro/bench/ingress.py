@@ -32,17 +32,14 @@ A seeded VirtualClock determinism check replays one arrival pattern
 twice through an inline fabric and requires identical shed/admit
 traces.
 
-CLI front-end: ``repro bench-ingress`` (``--quick`` shrinks the
-workload for the CI ingress-smoke job); also
-``python -m repro.bench.ingress``.
+``repro bench ingress`` writes ``BENCH_PR6.json`` (``--quick`` shrinks
+the workload for CI).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import random
-import sys
 import time
 from typing import Any
 
@@ -64,7 +61,8 @@ __all__ = [
     "ingress_bench",
     "open_loop_run",
     "closed_loop_capacity",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: shard count for every threaded run (the PR 4 sweet spot: service
@@ -461,69 +459,41 @@ def ingress_bench(*, sessions: int = 320, repeats: int = 5) -> dict[str, Any]:
     }
 
 
-def write_bench_json(
-    path: str = "BENCH_PR6.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 6 ingress benchmarks and write the JSON report."""
-    results: dict[str, Any] = {
+def run(quick: bool = False) -> dict[str, Any]:
+    """The PR 6 report."""
+    return {
         "bench": "PR6-ingress-admission",
-        "python": sys.version.split()[0],
-        "quick": quick,
         "ingress": ingress_bench(
             sessions=64 if quick else 320, repeats=1 if quick else 5
         ),
     }
-    ingress = results["ingress"]
-    # Correctness gates hold even on quick CI runs; the latency and
-    # goodput gates are enforced only on committed full runs (same
-    # precedent as the PR 4/PR 5 benchmarks: smoke boxes are noisy).
-    if ingress["unhandled_exceptions"]:
-        raise AssertionError(
-            f"{ingress['unhandled_exceptions']} unhandled exception(s) "
-            f"escaped to shard error lists"
+
+
+def check(report: dict[str, Any]) -> str:
+    ingress = report["ingress"]
+    # Correctness gates hold on any box: no unhandled exceptions
+    # anywhere, admitted sessions' op_logs byte-identical to the
+    # sequential golden runs, and seeded shed decisions replay
+    # deterministically.  The p99 <= 3x and goodput >= 80% perf
+    # gates are noisy on shared runners and are enforced on the
+    # committed full run.
+    assert ingress["unhandled_exceptions"] == 0, ingress
+    assert ingress["op_log_mismatches"] == [], ingress
+    assert ingress["determinism"]["deterministic"], ingress
+    shed_on = ingress["overload_shed_on"]
+    assert shed_on["shed_entry_sessions"] > 0, shed_on
+    assert shed_on["completed_sessions"] > 0, shed_on
+    if not report["quick"]:
+        assert ingress["meets_p99_gate"], (
+            f"admitted p99 under overload is "
+            f"{ingress['p99_ratio_shed_on_vs_unloaded']:.2f}x the "
+            f"unloaded p99 (gate: <= {P99_GATE}x)"
         )
-    if ingress["op_log_mismatches"]:
-        raise AssertionError(
-            f"completed sessions diverged from the synchronous op_logs: "
-            f"{ingress['op_log_mismatches'][:5]}"
+        assert ingress["meets_goodput_gate"], (
+            f"goodput under overload is only "
+            f"{ingress['goodput_fraction_of_capacity']:.0%} of "
+            f"capacity (gate: >= {GOODPUT_GATE:.0%})"
         )
-    if not ingress["determinism"]["deterministic"]:
-        raise AssertionError("seeded shedding trace was not reproducible")
-    if not quick:
-        if not ingress["meets_p99_gate"]:
-            raise AssertionError(
-                f"admitted p99 under overload is "
-                f"{ingress['p99_ratio_shed_on_vs_unloaded']:.2f}x the "
-                f"unloaded p99 (gate: <= {P99_GATE}x)"
-            )
-        if not ingress["meets_goodput_gate"]:
-            raise AssertionError(
-                f"goodput under overload is only "
-                f"{ingress['goodput_fraction_of_capacity']:.0%} of "
-                f"capacity (gate: >= {GOODPUT_GATE:.0%})"
-            )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.ingress",
-        description="ingress admission/shedding benchmarks "
-                    "(writes BENCH_PR6.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR6.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI ingress-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return ("ingress smoke OK "
+            f"({shed_on['shed_entry_sessions']} sessions shed, "
+            f"p99 {shed_on['latency_p99_ms']:.2f} ms)")

@@ -26,19 +26,16 @@ Fidelity rules:
   under full load and completions are double-counted against futures.
 
 The report also re-runs the eight-scenario E1 overhead benchmark and
-compares it against ``BENCH_PR3.json`` — sharding must not tax the
-single-session path.
+records the ``BENCH_PR3.json`` figure beside it — sharding must not tax
+the single-session path.
 
-CLI front-end: ``repro bench-scale`` (``--quick`` shrinks the workload
-for the CI scale-smoke job); also ``python -m repro.bench.scale``.
+``repro bench scale`` writes ``BENCH_PR4.json`` (``--quick`` shrinks
+the workload for CI).
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
@@ -48,7 +45,8 @@ __all__ = [
     "build_workload",
     "run_fabric",
     "scale_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: seconds of blocking service time per op-cost unit.  With the
@@ -310,71 +308,39 @@ def scale_bench(
     }
 
 
-def _pr3_e1_baseline(directory: Path) -> float | None:
-    candidate = directory / "BENCH_PR3.json"
-    if not candidate.exists():
-        return None
-    try:
-        doc = json.loads(candidate.read_text(encoding="utf-8"))
-        return float(doc["e1"]["mean_overhead_pct"])
-    except (ValueError, KeyError, TypeError):
-        return None
+def run(quick: bool = False) -> dict[str, Any]:
+    """The PR 4 report: the scale sweep plus the E1 pass."""
+    from repro.bench.harness import e1_paired_bench, recorded
+
+    return {
+        "bench": "PR4-sharded-fabric",
+        "scale": scale_bench(
+            sessions=64 if quick else 200,
+            shard_counts=(1, 2, 4) if quick else SHARD_COUNTS,
+        ),
+        "e1": e1_paired_bench(repeat=3 if quick else 25),
+        "baseline_e1_mean_overhead_pct": recorded(
+            "BENCH_PR3.json", "e1", "mean_overhead_pct"
+        ),
+    }
 
 
-def write_bench_json(
-    path: str = "BENCH_PR4.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 4 scale benchmarks and write the JSON report."""
-    from repro.bench.harness import e1_quick_bench
-
-    scale = scale_bench(
-        sessions=64 if quick else 200,
-        shard_counts=(1, 2, 4) if quick else SHARD_COUNTS,
+def check(report: dict[str, Any]) -> str:
+    scale = report["scale"]
+    for run in scale["runs"]:
+        assert run["op_logs_identical"], run
+        assert run["channel"]["pending"] == 0, run
+    by_shards = {run["shards"]: run for run in scale["runs"]}
+    speedup = (
+        by_shards[4]["signals_per_s"] / by_shards[1]["signals_per_s"]
     )
-    if not quick and not scale["meets_2x_at_4_shards"]:
-        raise AssertionError(
+    # Shared runners are noisy and may be core-limited; the >= 2x
+    # acceptance bar is enforced on the committed full run.
+    assert speedup >= 1.3, (speedup, scale["runs"])
+    if not report["quick"]:
+        assert scale["meets_2x_at_4_shards"], (
             f"aggregate signal throughput at 4 shards is only "
             f"{scale['speedup_signals_4_shards_vs_1']:.2f}x the 1-shard "
             f"run (acceptance bar: >= 2x)"
         )
-    # Per-scenario timing takes the min over ``repeat`` samples; on a
-    # busy box 5 samples leave several points of jitter in the overhead
-    # ratio, so the committed full run uses a deeper pass.
-    e1 = e1_quick_bench(repeat=3 if quick else 25)
-    baseline = _pr3_e1_baseline(Path(path).resolve().parent)
-    results: dict[str, Any] = {
-        "bench": "PR4-sharded-fabric",
-        "python": sys.version.split()[0],
-        "quick": quick,
-        "scale": scale,
-        "e1": e1,
-        "baseline_e1_mean_overhead_pct": baseline,
-    }
-    if baseline is not None:
-        results["e1_overhead_delta_pct_points"] = (
-            e1["mean_overhead_pct"] - baseline
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.scale",
-        description="sharded-fabric scale benchmarks (writes BENCH_PR4.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR4.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI scale-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return f"scale smoke OK ({speedup:.2f}x at 4 shards)"

@@ -31,16 +31,14 @@ Exercises :mod:`repro.runtime.wal` end to end and produces
   snapshot-then-truncate knob: more frequent checkpoints buy shorter
   recovery.
 
-CLI front-end: ``repro bench-wal`` (``--quick`` shrinks repeats for
-the CI wal-smoke job); also ``python -m repro.bench.wal``.
+``repro bench wal`` writes ``BENCH_PR7.json`` (``--quick`` shrinks
+repeats for CI).
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -60,7 +58,8 @@ __all__ = [
     "fabric_kill_bench",
     "e1_overhead_bench",
     "recovery_latency_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: WAL-on overhead admitted on the E1 hot path (acceptance gate, %).
@@ -336,7 +335,9 @@ def fabric_kill_bench(*, shards: int = 2) -> dict[str, Any]:
 
 
 def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
-    """E1 scenario sweep, WAL-on vs bare, interleaved sampling.
+    """E1 scenario sweep, WAL-on vs bare, by
+    :func:`~repro.bench.harness.paired_overhead` over ``repeat`` pairs
+    (each side of a pair is one fresh, warmed session).
 
     WAL-on logs every API step as a durable entry (a write-ahead
     ``entry`` frame, then one ``applied`` frame sealing the step's
@@ -359,6 +360,7 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     since that is a pure durability/latency knob independent of the hot
     path's CPU cost.
     """
+    from repro.bench.harness import STATISTIC, paired_overhead
     from repro.bench.migrate import _ScenarioRunner
     from repro.sim.network import CommService
 
@@ -413,49 +415,15 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
         return elapsed / (passes * len(step_docs))
 
     def sweep(*, op_cost: float) -> dict[str, Any]:
-        # Paired sampling: a (bare, wal-on) pair runs back to back, and
-        # the overhead is the *median of per-pair deltas*.  CPU-speed
-        # drift (thermal, noisy container neighbours) moves slower than
-        # one pair, so it cancels out of the difference — min-of-bare
-        # vs min-of-wal samples taken seconds apart does not.
         one_session(False, op_cost=op_cost)  # global warm-up
         one_session(True, op_cost=op_cost)
-        bares, deltas = [], []
-        for i in range(repeat):
-            # Alternate pair order: monotone drift *within* a pair
-            # biases whichever side runs second, so (bare, wal) pairs
-            # alone would systematically inflate the delta.  Flipping
-            # the order every other pair makes that bias cancel in the
-            # median.
-            if i % 2 == 0:
-                bare = one_session(False, op_cost=op_cost)
-                wal_on = one_session(True, op_cost=op_cost)
-            else:
-                wal_on = one_session(True, op_cost=op_cost)
-                bare = one_session(False, op_cost=op_cost)
-            bares.append(bare)
-            deltas.append(wal_on - bare)
-        bare_step = statistics.median(bares)
-        delta_step = statistics.median(deltas)
-        spread = sorted(deltas)
-        quarter = max(1, len(spread) // 4)
         return {
             "op_cost": op_cost,
-            "pairs_sampled": repeat,
             "timed_passes_per_session": passes,
-            "bare_ms": bare_step * len(step_docs) * 1000,
-            "wal_on_ms": (
-                (bare_step + delta_step) * len(step_docs) * 1000
-            ),
-            "per_step_overhead_us": delta_step * 1e6,
-            "overhead_pct": 100.0 * delta_step / bare_step,
-            # measurement-quality indicators: the spread of per-pair
-            # deltas and of the bare samples themselves.  A noisy
-            # (shared/throttled) machine shows up here, not in the
-            # median.
-            "delta_iqr_us": (spread[-quarter - 1] - spread[quarter]) * 1e6,
-            "bare_spread_pct": (
-                100.0 * (max(bares) - min(bares)) / bare_step
+            **paired_overhead(
+                lambda: one_session(False, op_cost=op_cost),
+                lambda: one_session(True, op_cost=op_cost),
+                pairs=repeat,
             ),
         }
 
@@ -494,6 +462,7 @@ def e1_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
         "repeat": repeat,
         "calibrated": calibrated,
         "structural": structural,
+        "statistic": STATISTIC,
         "overhead_pct": overhead_pct,
         "gate_pct": OVERHEAD_GATE_PCT,
         "meets_gate": overhead_pct <= OVERHEAD_GATE_PCT,
@@ -565,14 +534,12 @@ def recovery_latency_bench(
 # -- report ------------------------------------------------------------------
 
 
-def write_bench_json(
-    output: str | Path, *, quick: bool = False
-) -> dict[str, Any]:
+def run(quick: bool = False) -> dict[str, Any]:
+    """The PR 7 report."""
     cases = domain_cases()
     golden = golden_logs(cases)
-    results: dict[str, Any] = {
+    return {
         "bench": "wal",
-        "quick": quick,
         "kill_recovery": kill_recovery_bench(cases, golden),
         "fabric_kill": fabric_kill_bench(),
         "e1_overhead": e1_overhead_bench(repeat=3 if quick else 15),
@@ -580,23 +547,27 @@ def write_bench_json(
             tail_lengths=(0, 20) if quick else (0, 40, 160)
         ),
     }
-    path = Path(output)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-    return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_PR7.json")
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def check(report: dict[str, Any]) -> str:
+    kill = report["kill_recovery"]
+    # Correctness gates hold on any box: every domain's op_log
+    # byte-identical to golden after kill+recover, replay must
+    # not re-execute external effects, and double recovery is
+    # idempotent.  The <= 5% E1 overhead gate is noisy on shared
+    # runners and is enforced on the committed full run.
+    assert kill["all_identical"], kill["domains"]
+    assert len(kill["domains"]) == 4, kill["domains"]
+    for row in kill["domains"]:
+        assert row["replay_no_reexecution"], row
+        assert row["effects_memoized"] > 0, row
+    fabric = report["fabric_kill"]
+    assert fabric["op_log_identical"], fabric
+    assert fabric["replayed_entries"] > 0, fabric
+    overhead = report["e1_overhead"]
+    assert overhead["overhead_pct"] <= 25.0, overhead["calibrated"]
+    latency = report["recovery_latency"]
+    assert latency["rows"][-1]["effects_memoized"] > 0, latency
+    return ("wal smoke OK "
+            f"(E1 overhead {overhead['overhead_pct']:.2f}%, "
+            f"recover {kill['median_recover_ms']:.1f} ms)")

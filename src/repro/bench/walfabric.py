@@ -15,26 +15,23 @@ Three sections, correctness gated before anything is reported:
 * **e1** — the E1 scenario sweep submitted through a durable
   :class:`PlatformPool` (per-shard WALs, the PR 10 default) vs the
   same pool with ``durability="off"``, paired alternating-order
-  sampling in the calibrated op-cost regime.  Gate: median overhead
-  <= 5% (the same bar and sync profile every E1 hot-path gate in this
-  repo is held to; group-commit fsync is priced separately).
+  sampling in the calibrated op-cost regime.  Gate: the median of
+  paired ratios <= 5% (the same bar, statistic and sync profile every
+  E1 hot-path gate in this repo is held to; group-commit fsync is
+  priced separately).
 * **slice** — sessions on a durable pool emit cross-shard events
   derived from their write-ahead entries (``doc["emit"]``); every
   logged multi-signal trace is reassembled from the union of
   per-shard logs and re-executed, and the replay must reproduce each
   logged sub-DAG exactly (see :mod:`repro.runtime.walslice`).
 
-CLI front-end: ``repro bench-walfabric`` (``--quick`` shrinks the
-workload for the CI walfabric-smoke job); also
-``python -m repro.bench.walfabric``.
+``repro bench walfabric`` writes ``BENCH_PR10.json`` (``--quick``
+shrinks the workload for CI).
 """
 
 from __future__ import annotations
 
-import json
 import shutil
-import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -55,7 +52,8 @@ __all__ = [
     "adoption_bench",
     "e1_pool_overhead_bench",
     "slice_replay_bench",
-    "write_bench_json",
+    "run",
+    "check",
 ]
 
 #: E1 acceptance bar, unchanged since PR 3: model-driven dispatch —
@@ -176,19 +174,20 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     path — :meth:`ShardDurability.execute` (signal minting, entry
     framing, the effect journal, the ``applied`` seal) around the
     identical broker dispatch — measured in-thread on a real shard WAL
-    built by :meth:`DurabilityPolicy.open_shard`, paired
-    alternating-order sampling, median of per-pair deltas, in E1's
-    calibrated op-cost regime (the same bar and methodology as the
-    ``repro bench-wal`` E1 gate; group-commit fsync stays a separately
-    priced latency knob, see PR 7's ``sync_profiles``).
+    built by :meth:`DurabilityPolicy.open_shard`, by
+    :func:`~repro.bench.harness.paired_overhead` in E1's calibrated
+    op-cost regime (the same bar and statistic as the ``repro bench
+    wal`` E1 gate; group-commit fsync stays a separately priced
+    latency knob, see PR 7's ``sync_profiles``).
 
     The same sweep at ``op_cost=0`` is reported as ``structural``
-    (diagnostic).  ``fabric`` reports the end-to-end wall-clock delta
-    between a durable and an undurable pool — diagnostic too, because
+    (diagnostic).  ``fabric`` reports the end-to-end overhead of a
+    durable over an undurable pool — diagnostic too, because
     pump-thread placement jitter between pool instances (tens of µs
-    per step, both signs) dwarfs the machinery cost itself; the paired
-    median is reported with its spread so the noise floor is visible.
+    per step, both signs) dwarfs the machinery cost itself; its
+    interquartile range shows the noise floor.
     """
+    from repro.bench.harness import STATISTIC, paired_overhead
     from repro.bench.migrate import _ScenarioRunner
     from repro.bench.wal import COMMUNICATION_SCENARIOS, _api_steps
     from repro.domains.communication.cvm import build_cvm
@@ -203,6 +202,7 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             for step in scenario
         ]
     )
+    steps = len(step_docs)
     passes = 3
 
     def shard_policy() -> DurabilityPolicy:
@@ -211,22 +211,8 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     # -- machinery gate: the durable shard hot path, in-thread ----------
 
     def sweep(*, op_cost: float, pairs: int) -> dict[str, Any]:
-        """Per-pair overhead ratio of durable vs bare passes.
-
-        One bare and one durable platform stay alive for the whole
-        sweep; single 71-step passes alternate between them, and each
-        adjacent (bare, durable) pass-pair yields one overhead ratio.
-        Two properties make this robust on a contended machine:
-
-        - a pair's two sides run back to back (~15 ms apart), so CPU
-          contention that is slowly varying inflates both sides of a
-          pair together and cancels out of that pair's *ratio* — unlike
-          median-bare vs median-durable over samples taken under
-          different machine speeds;
-        - pass order flips every pair, so contention ramping
-          monotonically *within* pairs biases alternate pairs in
-          opposite directions and cancels in the median.
-        """
+        """One bare and one durable platform stay alive for the whole
+        sweep; a sample is one 71-step pass on one of them."""
         bare_runner = _ScenarioRunner(op_cost=op_cost)
         bare_platform = bare_runner.platform
         durable_runner = _ScenarioRunner(op_cost=op_cost)
@@ -240,7 +226,7 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             start = time.perf_counter()
             for doc in step_docs:
                 call_api(doc["api"], **doc.get("args", {}))
-            return time.perf_counter() - start
+            return (time.perf_counter() - start) / steps
 
         def durable_pass() -> float:
             call_api = durable_platform.broker.call_api
@@ -252,66 +238,25 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             start = time.perf_counter()
             for doc in step_docs:
                 durability.execute("e1", doc, apply, resources=resources)
-            return time.perf_counter() - start
+            return (time.perf_counter() - start) / steps
 
         try:
             for _ in range(2):  # warm both dispatch paths
                 bare_pass()
                 durable_pass()
-            bares, deltas, ratios = [], [], []
-            for index in range(pairs):
-                if index % 2 == 0:
-                    bare = bare_pass()
-                    durable = durable_pass()
-                else:
-                    durable = durable_pass()
-                    bare = bare_pass()
-                bares.append(bare)
-                deltas.append(durable - bare)
-                ratios.append((durable - bare) / bare)
+            return {
+                "op_cost": op_cost,
+                **paired_overhead(bare_pass, durable_pass, pairs=pairs),
+            }
         finally:
             bare_runner.stop()
             durable_runner.stop()
             durability.wal.close()
             policy.discard_ephemeral_root()
-        steps = len(step_docs)
-        bare_step = statistics.median(bares) / steps
-        delta_step = statistics.median(deltas) / steps
-        # The gated statistic is the *lower quartile* of per-pair
-        # ratios.  Contention shifts pair ratios in one direction only
-        # — the calibrated spin absorbs a slow machine in the
-        # denominator while the machinery's real work stretches in the
-        # numerator — so the sorted ratios form a tight uncontended
-        # bulk plus a purely-positive tail, and the lower quartile
-        # tracks the bulk.  On a quiet machine the distribution is
-        # tight and p25 ~= median (both are reported).
-        ratios.sort()
-        return {
-            "op_cost": op_cost,
-            "pairs_sampled": pairs,
-            "bare_ms": bare_step * steps * 1000,
-            "wal_ms": (bare_step + delta_step) * steps * 1000,
-            "per_step_overhead_us": delta_step * 1e6,
-            "overhead_pct": 100.0 * ratios[len(ratios) // 4],
-            "median_pct": 100.0 * statistics.median(ratios),
-        }
 
-    # Best of up to three sweep attempts.  Co-tenant interference can
-    # only *inflate* the calibrated ratio: the op-cost spin is a
-    # wall-clock target that absorbs contention (the denominator stays
-    # ~fixed) while the WAL machinery's real work stretches under it —
-    # so the least-interfered attempt is the most accurate estimate,
-    # the same reasoning behind ``timeit``'s min-of-repeats.
-    attempts = []
-    for _ in range(3):
-        attempt = sweep(
-            op_cost=CommService.DEFAULT_OP_COST, pairs=max(15, repeat * 3)
-        )
-        attempts.append(attempt)
-        if attempt["overhead_pct"] <= OVERHEAD_GATE_PCT * 0.8:
-            break
-    calibrated = min(attempts, key=lambda a: a["overhead_pct"])
-    calibrated["attempts"] = len(attempts)
+    calibrated = sweep(
+        op_cost=CommService.DEFAULT_OP_COST, pairs=max(15, repeat * 3)
+    )
     structural = sweep(op_cost=0.0, pairs=max(9, repeat * 2))
 
     # -- fabric diagnostic: end-to-end through a real pool --------------
@@ -359,33 +304,23 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
             elapsed = time.perf_counter() - start
         finally:
             pool.stop()
-        return elapsed / (passes * len(sessions) * len(step_docs))
+        return elapsed / (passes * len(sessions) * steps)
 
-    fabric_pairs = max(3, repeat // 2)
     one_fabric(False)  # global warm-up
     one_fabric(True)
-    bares, deltas = [], []
-    for index in range(fabric_pairs):
-        if index % 2 == 0:
-            bare = one_fabric(False)
-            durable = one_fabric(True)
-        else:
-            durable = one_fabric(True)
-            bare = one_fabric(False)
-        bares.append(bare)
-        deltas.append(durable - bare)
     fabric = {
         "sessions": 2,
         "shards": 2,
-        "pairs_sampled": fabric_pairs,
-        "bare_ms": statistics.median(bares) * len(step_docs) * 1000,
-        "per_step_delta_us": statistics.median(deltas) * 1e6,
-        "pair_spread_us": (max(deltas) - min(deltas)) * 1e6,
+        **paired_overhead(
+            lambda: one_fabric(False), lambda: one_fabric(True),
+            pairs=max(3, repeat // 2),
+        ),
     }
 
     overhead_pct = calibrated["overhead_pct"]
     return {
-        "steps": len(step_docs),
+        "steps": steps,
+        "statistic": STATISTIC,
         "calibrated": calibrated,
         "structural": structural,
         "fabric": fabric,
@@ -550,49 +485,41 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
 # -- report ------------------------------------------------------------------
 
 
-def write_bench_json(
-    path: str = "BENCH_PR10.json", *, quick: bool = False
-) -> dict[str, Any]:
-    """Run the PR 10 durability-fabric benchmarks, write the report."""
-    adoption = adoption_bench(comm_sessions=4 if quick else 8)
-    e1 = e1_pool_overhead_bench(repeat=5 if quick else 15)
-    if not quick and not e1["meets_gate"]:
-        raise AssertionError(
+def run(quick: bool = False) -> dict[str, Any]:
+    """The PR 10 report."""
+    return {
+        "bench": "PR10-durable-fabric",
+        "adoption": adoption_bench(comm_sessions=4 if quick else 8),
+        "e1_pool_overhead": e1_pool_overhead_bench(repeat=5 if quick else 15),
+        "slice_replay": slice_replay_bench(sessions=2 if quick else 3),
+    }
+
+
+def check(report: dict[str, Any]) -> str:
+    # Correctness gates hold on any box: every lost session
+    # adopted from the shipped WAL with op_logs byte-identical
+    # to the uninterrupted inline run, zero unresolved futures,
+    # zero untyped failures, and every logged causal slice
+    # reproduced exactly on replay.  The <= 5% E1 overhead gate
+    # is noisy on shared two-core runners and is enforced on the
+    # committed full run.
+    adoption = report["adoption"]
+    assert adoption["op_logs_identical"], adoption
+    assert adoption["unresolved_futures"] == 0, adoption
+    assert adoption["untyped_failures"] == 0, adoption
+    assert adoption["adopted_sessions"] > 0, adoption
+    assert adoption["deaths"] == 1, adoption
+    assert adoption["restarts"] == 1, adoption
+    assert adoption["domains"] == 4, adoption
+    slices = report["slice_replay"]
+    assert slices["all_reproduced"], slices
+    assert slices["cross_log_traces"] > 0, slices
+    if not report["quick"]:
+        e1 = report["e1_pool_overhead"]
+        assert e1["meets_gate"], (
             f"durable-pool E1 overhead {e1['overhead_pct']:.2f}% exceeds "
             f"the {OVERHEAD_GATE_PCT}% acceptance bar"
         )
-    slice_replay = slice_replay_bench(sessions=2 if quick else 3)
-    results: dict[str, Any] = {
-        "bench": "PR10-durable-fabric",
-        "python": sys.version.split()[0],
-        "quick": quick,
-        "adoption": adoption,
-        "e1_pool_overhead": e1,
-        "slice_replay": slice_replay,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.walfabric",
-        description="durable-fabric benchmarks: standby adoption, "
-                    "pool E1 overhead, causal-slice replay "
-                    "(writes BENCH_PR10.json)",
-    )
-    parser.add_argument("--output", default="BENCH_PR10.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload (CI walfabric-smoke)")
-    args = parser.parse_args(argv)
-    results = write_bench_json(args.output, quick=args.quick)
-    print(json.dumps(results, indent=2))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return ("walfabric smoke OK "
+            f"({adoption['adopted_sessions']} sessions adopted, "
+            f"{slices['traces_checked']} slices reproduced)")

@@ -25,26 +25,10 @@ Commands:
   the signal fabric recorded.
 * ``trace`` — run ``examples/quickstart.py`` with causal signal
   tracing enabled and print the trace_id/parent_seq chains.
-* ``bench-fabric`` — run the signal-fabric micro-benchmarks and write
-  ``BENCH_PR1.json`` (also ``python -m repro.bench.harness``).
-* ``bench-faults`` — replay the E5 recovery scenarios under seeded
-  fault injection with the Broker fault layer engaged and write
-  ``BENCH_PR2.json`` (also ``python -m repro.bench.faults``).
-* ``bench-synthesis`` — compare the compiled and interpreted synthesis
-  tiers (template microbench, >=5k-object stress synthesis, E1 rerun)
-  and write ``BENCH_PR3.json`` (also ``python -m repro.bench.synthesis``).
-* ``bench-scale`` — run the sharded-fabric scale benchmark (hundreds of
-  concurrent CVM sessions at 1/2/4/8 shards, byte-identical op_logs vs
-  the inline baseline) and write ``BENCH_PR4.json`` (also
-  ``python -m repro.bench.scale``).
-* ``bench-migrate`` — run the session checkpoint/restore and
-  live-migration benchmark (all four domains, byte-identical op_logs vs
-  uninterrupted runs, migration pause and rebalance throughput) and
-  write ``BENCH_PR5.json`` (also ``python -m repro.bench.migrate``).
-* ``bench-ingress`` — run the async-ingress admission/shedding benchmark
-  (open-loop arrival at 2x the sustainable rate, shedding on vs off,
-  byte-identical op_logs for admitted sessions) and write
-  ``BENCH_PR6.json`` (also ``python -m repro.bench.ingress``).
+* ``bench NAME [--quick] [--output PATH]`` — run one experiment suite
+  (``fabric``, ``faults``, ``synthesis``, ``aot``, ``scale``,
+  ``migrate``, ``ingress``, ``wal``, ``cluster``, ``walfabric``), write
+  its ``BENCH_PR*.json`` report, then check it; a failed check exits 1.
 """
 
 from __future__ import annotations
@@ -735,421 +719,44 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def cmd_bench_fabric(args: argparse.Namespace) -> int:
-    from repro.bench.harness import write_bench_json
-
-    results = write_bench_json(args.output)
-    print(f"wrote {args.output}")
-    scaling = results["bus_scaling"]
-    print("\nbus routing scaling (per-publish, one matching subscriber):")
-    for row in scaling:
-        print(
-            f"  subscribers={row['subscribers']:<6} "
-            f"indexed={row['indexed_us']:.2f}µs "
-            f"linear-scan={row['linear_scan_us']:.2f}µs "
-            f"speedup={row['speedup']:.1f}x"
-        )
-    e1 = results["e1"]
-    print(
-        f"\nE1 broker overhead: model-based {e1['model_ms']:.3f} ms vs "
-        f"handcrafted {e1['handcrafted_ms']:.3f} ms "
-        f"({e1['mean_overhead_pct']:.1f}% mean overhead)"
-    )
-    return 0
+#: ``repro bench`` suite name -> (module under :mod:`repro.bench`,
+#: default report path).  Every suite module exposes ``run(quick)``
+#: and ``check(report)``.
+BENCH_SUITES: dict[str, tuple[str, str]] = {
+    "fabric": ("harness", "BENCH_PR1.json"),
+    "faults": ("faults", "BENCH_PR2.json"),
+    "synthesis": ("synthesis", "BENCH_PR3.json"),
+    "aot": ("aot", "BENCH_PR8.json"),
+    "scale": ("scale", "BENCH_PR4.json"),
+    "migrate": ("migrate", "BENCH_PR5.json"),
+    "ingress": ("ingress", "BENCH_PR6.json"),
+    "wal": ("wal", "BENCH_PR7.json"),
+    "cluster": ("cluster", "BENCH_PR9.json"),
+    "walfabric": ("walfabric", "BENCH_PR10.json"),
+}
 
 
-def cmd_bench_faults(args: argparse.Namespace) -> int:
-    from repro.bench.faults import write_bench_json
+def cmd_bench(args: argparse.Namespace) -> int:
+    import importlib
 
-    results = write_bench_json(args.output)
-    print(f"wrote {args.output}")
-    recovery = results["recovery"]
-    print(
-        f"\nE5 under fault injection: {recovery['episodes']} episodes, "
-        f"failure rate {recovery['failure_rate']:.0%}, "
-        f"{recovery['injected_faults']} faults injected, "
-        f"{recovery['retries']} retries, "
-        f"{recovery['unhandled_exceptions']} unhandled exceptions"
-    )
-    latency = recovery["recovery_latency"]
-    if latency:
-        print(
-            f"recovery latency: n={latency['count']} "
-            f"p50={latency['p50_us']:.0f}µs p95={latency['p95_us']:.0f}µs"
-        )
-    outage = results["breaker_outage"]
-    chain = " -> ".join(
-        transition["to"] for transition in outage["transitions"]
-    )
-    print(
-        f"breaker outage walk: closed -> {chain} "
-        f"({outage['rejected_while_open']} calls rejected while open, "
-        f"{len(outage['autonomic_requests'])} autonomic requests raised)"
-    )
-    overhead = results["guard_overhead"]
-    print(
-        f"guarded-path overhead: bare {overhead['bare_us']:.2f}µs/op, "
-        f"policy {overhead['policy_us']:.2f}µs/op, "
-        f"policy+breaker {overhead['breaker_us']:.2f}µs/op"
-    )
-    return 0
-
-
-def cmd_bench_synthesis(args: argparse.Namespace) -> int:
-    from repro.bench.synthesis import write_bench_json
-
-    path = args.output or (
-        "BENCH_PR8.json" if args.tier == "aot" else "BENCH_PR3.json"
-    )
-    results = write_bench_json(path, quick=args.quick, tier=args.tier)
-    print(f"wrote {path}")
-    micro = results["template_microbench"]
-    print(
-        f"\ntemplate evaluation: compiled {micro['compiled_us']:.2f}µs vs "
-        f"interpreted {micro['interpreted_us']:.2f}µs per render "
-        f"({micro['speedup']:.1f}x)"
-    )
-    stress = results["synthesis_stress"]
-    print(
-        f"synthesis stress ({stress['objects']} objects, "
-        f"{stress['commands']} commands): compiled {stress['compiled_ms']:.1f} ms "
-        f"vs interpreted {stress['interpreted_ms']:.1f} ms "
-        f"({stress['speedup']:.1f}x, identical scripts: "
-        f"{stress['scripts_identical']})"
-    )
-    e1 = results["e1"]
-    if args.tier == "aot":
-        equivalence = results["tier_equivalence"]
-        print(
-            f"tier equivalence: {len(equivalence['domains'])} domains, "
-            f"all identical: {equivalence['all_identical']}; edit cycle "
-            f"regenerated: "
-            f"{equivalence['edit_cycle']['regenerated_after_cycle']}"
-        )
-        calibrated = e1["calibrated"]
-        line = (
-            f"E1 overhead (Tier-3): {e1['mean_overhead_pct']:.2f}% "
-            f"calibrated floor "
-            f"({calibrated['per_step_overhead_us']:.1f}µs/step; median "
-            f"cross-check {calibrated['median_overhead_pct']:.2f}%; "
-            f"structural "
-            f"{e1['structural']['per_step_overhead_us']:.1f}µs/step); "
-            f"gate <= {results['gate_pct']}%, met: "
-            f"{results['meets_e1_gate']}"
-        )
-        baseline = results.get("baseline_e1_mean_overhead_pct")
-        if baseline is not None:
-            line += f"; BENCH_PR4 baseline was {baseline:.1f}%"
-        print(line)
-        return 0
-    line = (
-        f"E1 mean overhead: {e1['mean_overhead_pct']:.1f}% "
-        f"(model {e1['model_ms']:.3f} ms vs handcrafted "
-        f"{e1['handcrafted_ms']:.3f} ms)"
-    )
-    baseline = results.get("baseline_e1_mean_overhead_pct")
-    if baseline is not None:
-        line += f"; BENCH_PR1 baseline was {baseline:.1f}%"
-    print(line)
-    return 0
-
-
-def cmd_aot_gen(args: argparse.Namespace) -> int:
-    from repro.bench.migrate import _fresh_session
-    from repro.domains.assembly import domain_cases
-    from repro.modeling.aotgen import (
-        dsk_fingerprint,
-        dsk_hash,
-        generate_module_source,
-        read_cached_source,
-        write_cached_source,
-    )
-
-    cases = {case.name: case for case in domain_cases()}
-    if args.domain not in cases:
-        print(
-            f"unknown domain {args.domain!r} "
-            f"(choose from: {', '.join(sorted(cases))})"
-        )
+    if not __debug__:
+        print("bench checks are assert statements: run without -O",
+              file=sys.stderr)
         return 2
-    _service, _dsk, platform = _fresh_session(cases[args.domain])
+    module, default_path = BENCH_SUITES[args.name]
+    suite = importlib.import_module(f"repro.bench.{module}")
+    report = suite.run(args.quick)
+    report.update(python=sys.version.split()[0], quick=args.quick)
+    path = args.output or default_path
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {path}")
     try:
-        rules = platform.synthesis.interpreter._rules
-        actions = list(platform.broker.calls._actions)
-        dsml = platform.dsml
-        digest = dsk_hash(
-            dsk_fingerprint(rules=rules, actions=actions, dsml=dsml)
-        )
-        source = None
-        if args.cache_dir:
-            source = read_cached_source(args.cache_dir, digest)
-            if source is not None:
-                print(f"cache hit: aot-{digest}.py in {args.cache_dir}")
-        if source is None:
-            source = generate_module_source(
-                rules=rules, actions=actions, dsml=dsml,
-                domain=platform.domain,
-            )
-            if args.cache_dir:
-                write_cached_source(args.cache_dir, digest, source)
-                print(f"cached as aot-{digest}.py in {args.cache_dir}")
-    finally:
-        platform.stop()
-    if args.output == "-":
-        sys.stdout.write(source)
-        return 0
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(source)
-    print(f"wrote {args.output} ({len(source.splitlines())} lines)")
-    return 0
-
-
-def cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.bench.scale import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    scale = results["scale"]
-    print(
-        f"\nsharded fabric: {scale['sessions']} concurrent sessions, "
-        f"{scale['scenarios']} scenarios"
-    )
-    for run in scale["runs"]:
-        print(
-            f"  shards={run['shards']:<2} elapsed={run['elapsed_s']:.3f}s "
-            f"sessions/s={run['sessions_per_s']:.0f} "
-            f"signals/s={run['signals_per_s']:.0f} "
-            f"forwarded={run['channel']['forwarded']} "
-            f"op_logs_identical={run['op_logs_identical']}"
-        )
-    speedup = scale["speedup_signals_4_shards_vs_1"]
-    if speedup is not None:
-        print(
-            f"aggregate throughput at 4 shards: {speedup:.2f}x the "
-            f"1-shard run (bar: >= 2x, met: {scale['meets_2x_at_4_shards']})"
-        )
-    e1 = results["e1"]
-    line = f"E1 mean overhead: {e1['mean_overhead_pct']:.1f}%"
-    baseline = results.get("baseline_e1_mean_overhead_pct")
-    if baseline is not None:
-        line += f"; BENCH_PR3 baseline was {baseline:.1f}%"
-    print(line)
-    return 0
-
-
-def cmd_bench_migrate(args: argparse.Namespace) -> int:
-    from repro.bench.migrate import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    recovery = results["recovery"]
-    print(
-        f"\ncheckpoint/kill/restore: {len(recovery['domains'])} domains, "
-        f"op_logs identical={recovery['all_identical']}, "
-        f"median capture {recovery['median_capture_ms']:.2f} ms, "
-        f"median restore {recovery['median_restore_ms']:.2f} ms"
-    )
-    migration = results["migration"]
-    print(
-        f"live migration: op_logs identical={migration['all_identical']}, "
-        f"median pause {migration['median_pause_ms']:.2f} ms"
-    )
-    checkpoint = results["checkpoint"]
-    print(
-        f"idle-scheduler overhead on E1 steps: "
-        f"{checkpoint['overhead_pct']:.2f}% "
-        f"(gate <= {checkpoint['gate_pct']}%, met: "
-        f"{checkpoint['meets_gate']}); checkpoint cost "
-        f"{checkpoint['checkpoint_ms']:.2f} ms, "
-        f"{checkpoint['snapshot_bytes']} bytes"
-    )
-    rebalance = results["rebalance"]
-    print(
-        f"rebalance: {rebalance['moves']} moves over "
-        f"{rebalance['shards']} shards, throughput "
-        f"{rebalance['throughput_before_steps_per_s']:.0f} -> "
-        f"{rebalance['throughput_after_steps_per_s']:.0f} steps/s "
-        f"({rebalance['speedup']:.2f}x), imbalance "
-        f"{rebalance['imbalance_before']:.1f} -> "
-        f"{rebalance['imbalance_after']:.1f}"
-    )
-    return 0
-
-
-def cmd_bench_ingress(args: argparse.Namespace) -> int:
-    from repro.bench.ingress import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    ingress = results["ingress"]
-    capacity = ingress["capacity"]
-    print(
-        f"\nasync ingress: {ingress['sessions']} sessions over "
-        f"{ingress['shards']} shards, closed-loop capacity "
-        f"{capacity['capacity_steps_per_s']:.0f} steps/s"
-    )
-    unloaded = ingress["unloaded"]
-    shed_on = ingress["overload_shed_on"]
-    shed_off = ingress["overload_shed_off"]
-    print(
-        f"unloaded p99 {unloaded['latency_p99_ms']:.2f} ms; at "
-        f"{ingress['overload_factor']:.0f}x overload: shedding on "
-        f"p99 {shed_on['latency_p99_ms']:.2f} ms "
-        f"({ingress['p99_ratio_shed_on_vs_unloaded']:.2f}x), shedding off "
-        f"p99 {shed_off['latency_p99_ms']:.2f} ms "
-        f"({ingress['p99_ratio_shed_off_vs_unloaded']:.2f}x)"
-    )
-    print(
-        f"goodput with shedding: "
-        f"{ingress['goodput_fraction_of_capacity']:.0%} of capacity "
-        f"({shed_on['shed_entry_sessions']} of {shed_on['sessions']} "
-        f"sessions shed at entry, {shed_on['shed_midway_sessions']} midway)"
-    )
-    determinism = ingress["determinism"]
-    print(
-        f"seeded shed decisions deterministic: "
-        f"{determinism['deterministic']} "
-        f"({determinism['sheds']}/{determinism['arrivals']} arrivals shed); "
-        f"unhandled exceptions: {ingress['unhandled_exceptions']}; "
-        f"op_log mismatches: {len(ingress['op_log_mismatches'])}"
-    )
-    print(
-        f"gates: p99 <= 3x unloaded met={ingress['meets_p99_gate']}, "
-        f"goodput >= 80% of capacity met={ingress['meets_goodput_gate']}"
-    )
-    return 0
-
-
-def cmd_bench_wal(args: argparse.Namespace) -> int:
-    from repro.bench.wal import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    kill = results["kill_recovery"]
-    print(
-        f"\nkill-mid-workload recovery: {len(kill['domains'])} domains, "
-        f"op_logs identical={kill['all_identical']}, "
-        f"median recover {kill['median_recover_ms']:.2f} ms"
-    )
-    fabric = results["fabric_kill"]
-    print(
-        f"fabric shard kill ({fabric['shards']} shards, killed after "
-        f"{fabric['killed_after']}/{fabric['steps']} steps): "
-        f"op_log identical={fabric['op_log_identical']}, "
-        f"{fabric['effects_memoized']} effects memoized, "
-        f"recover {fabric['recover_ms']:.2f} ms"
-    )
-    e1 = results["e1_overhead"]
-    calibrated = e1["calibrated"]
-    print(
-        f"WAL-on E1 overhead: {calibrated['overhead_pct']:.2f}% "
-        f"({calibrated['per_step_overhead_us']:.1f}µs/step on "
-        f"{calibrated['bare_ms'] / e1['steps'] * 1000:.0f}µs steps; "
-        f"gate <= {e1['gate_pct']}%, met: {e1['meets_gate']}; "
-        f"structural {e1['structural']['per_step_overhead_us']:.1f}µs/step "
-        f"at op_cost=0)"
-    )
-    for profile in e1["sync_profiles"]:
-        print(
-            f"  durability pricing: sync_every={profile['sync_every']} "
-            f"fsync={profile['fsync']}: "
-            f"{profile['per_entry_us']:.0f}µs/entry"
-        )
-    latency = results["recovery_latency"]
-    print(
-        f"recovery latency: snapshot-only "
-        f"{latency['snapshot_only_ms']:.2f} ms, "
-        f"+{latency['per_tail_entry_us']:.0f}µs per tail entry"
-    )
-    return 0
-
-
-def cmd_bench_cluster(args: argparse.Namespace) -> int:
-    from repro.bench.cluster import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    throughput = results["throughput"]
-    print(
-        f"\nprocess fabric: {throughput['sessions']} interleaved sessions"
-    )
-    for run in throughput["runs"]:
-        print(
-            f"  workers={run['workers']:<2} elapsed={run['elapsed_s']:.3f}s "
-            f"steps/s={run['steps_per_s']:.0f} "
-            f"sessions/s={run['sessions_per_s']:.0f} "
-            f"op_logs_identical={run['op_logs_identical']}"
-        )
-    speedup = throughput["speedup_steps_4_workers_vs_1"]
-    if speedup is not None:
-        print(
-            f"step throughput at 4 workers: {speedup:.2f}x the 1-worker "
-            f"run (bar: >= 3x, met: {throughput['meets_3x_at_4_workers']})"
-        )
-    migration = results["migration"]
-    pauses = [row["pause_ms"] for row in migration["domains"]]
-    print(
-        f"cross-process migration: {len(migration['domains'])} domains, "
-        f"op_logs identical={migration['all_identical']}, "
-        f"pauses {min(pauses):.1f}-{max(pauses):.1f} ms"
-    )
-    fault = results["fault"]
-    print(
-        f"kill-a-worker: {fault['rejected_worker_dead']} typed "
-        f"WORKER_DEAD rejections, {fault['unresolved_futures']} unresolved "
-        f"futures, {fault['untyped_failures']} untyped failures, "
-        f"{fault['restarts']} restart(s), "
-        f"op_logs identical={fault['op_logs_identical']}"
-    )
-    determinism = results["determinism"]
-    print(
-        f"seeded frame ordering: {determinism['runs']} runs at seed "
-        f"{determinism['seed']}, "
-        f"op_logs identical={determinism['op_logs_identical']}"
-    )
-    return 0
-
-
-def cmd_bench_walfabric(args: argparse.Namespace) -> int:
-    from repro.bench.walfabric import write_bench_json
-
-    results = write_bench_json(args.output, quick=args.quick)
-    print(f"wrote {args.output}")
-    adoption = results["adoption"]
-    print(
-        f"\nstandby adoption: {adoption['victim_sessions']} of "
-        f"{adoption['sessions']} sessions lost with the killed worker, "
-        f"{adoption['adopted_sessions']} adopted onto worker "
-        f"{adoption['adoption_target']} "
-        f"({adoption['replayed_entries']} WAL entries replayed), "
-        f"{adoption['rejected_worker_dead']} typed WORKER_DEAD "
-        f"rejections resubmitted, "
-        f"{adoption['unresolved_futures']} unresolved futures, "
-        f"op_logs identical={adoption['op_logs_identical']}"
-    )
-    e1 = results["e1_pool_overhead"]
-    calibrated = e1["calibrated"]
-    structural = e1["structural"]
-    print(
-        f"durable-pool E1 overhead (calibrated, op_cost="
-        f"{calibrated['op_cost']}): {calibrated['overhead_pct']:.2f}% "
-        f"({calibrated['per_step_overhead_us']:.1f} us/step on "
-        f"{calibrated['bare_ms'] / e1['steps'] * 1000:.0f} us) "
-        f"(gate: <= {e1['gate_pct']}%, met: {e1['meets_gate']})"
-    )
-    print(
-        f"  structural (op_cost=0, diagnostic): "
-        f"{structural['overhead_pct']:.1f}%; fabric end-to-end delta "
-        f"{e1['fabric']['per_step_delta_us']:+.1f} us/step "
-        f"(pair spread {e1['fabric']['pair_spread_us']:.0f} us, "
-        f"diagnostic)"
-    )
-    slices = results["slice_replay"]
-    print(
-        f"causal-slice replay: {slices['traces_checked']} traces "
-        f"({slices['cross_log_traces']} spanning >1 shard log), "
-        f"all reproduced={slices['all_reproduced']}"
-    )
+        print(suite.check(report))
+    except AssertionError as exc:
+        print(f"{args.name} check FAILED: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -1242,125 +849,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "the logged sub-DAG")
 
     bench = sub.add_parser(
-        "bench-fabric",
-        help="run signal-fabric micro-benchmarks and write BENCH_PR1.json",
+        "bench",
+        help="run one experiment suite, write its BENCH_PR*.json report "
+             "and check it",
     )
-    bench.add_argument("--output", default="BENCH_PR1.json")
-
-    bench_faults = sub.add_parser(
-        "bench-faults",
-        help="run E5 recovery under seeded fault injection and write "
-             "BENCH_PR2.json",
+    bench.add_argument("name", choices=list(BENCH_SUITES))
+    bench.add_argument(
+        "--quick", action="store_true",
+        help="smaller workloads for CI (full-run perf gates report-only)",
     )
-    bench_faults.add_argument("--output", default="BENCH_PR2.json")
-
-    bench_synthesis = sub.add_parser(
-        "bench-synthesis",
-        help="compare compiled vs interpreted synthesis and write "
-             "BENCH_PR3.json",
-    )
-    bench_synthesis.add_argument(
+    bench.add_argument(
         "--output", default=None,
-        help="report path (default: BENCH_PR3.json, or BENCH_PR8.json "
-             "with --tier aot)",
-    )
-    bench_synthesis.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads (CI perf-smoke)",
-    )
-    bench_synthesis.add_argument(
-        "--tier", choices=("compiled", "aot"), default="compiled",
-        help="synthesis tier under test: 'compiled' (Tier-2, PR 3 "
-             "report) or 'aot' (Tier-3 generated modules, PR 8 report "
-             "with the tier-equivalence check and the gated E1 sweep)",
-    )
-
-    aot_gen = sub.add_parser(
-        "aot-gen",
-        help="emit the Tier-3 generated Python module for a domain's "
-             "DSK (deterministic: same DSK -> same source)",
-    )
-    aot_gen.add_argument(
-        "--domain", default="communication",
-        help="domain whose DSK to compile (default: communication)",
-    )
-    aot_gen.add_argument(
-        "--output", default="-",
-        help="file to write the module source to ('-' for stdout)",
-    )
-    aot_gen.add_argument(
-        "--cache-dir", default=None,
-        help="also read/write the disk module cache keyed by DSK_HASH "
-             "(the cluster workers' cold-start cache)",
-    )
-
-    bench_scale = sub.add_parser(
-        "bench-scale",
-        help="run the sharded-fabric scale benchmark and write "
-             "BENCH_PR4.json",
-    )
-    bench_scale.add_argument("--output", default="BENCH_PR4.json")
-    bench_scale.add_argument(
-        "--quick", action="store_true",
-        help="smaller workload (CI scale-smoke)",
-    )
-
-    bench_migrate = sub.add_parser(
-        "bench-migrate",
-        help="run the session checkpoint/restore and live-migration "
-             "benchmark and write BENCH_PR5.json",
-    )
-    bench_migrate.add_argument("--output", default="BENCH_PR5.json")
-    bench_migrate.add_argument(
-        "--quick", action="store_true",
-        help="fewer repeats (CI migrate-smoke)",
-    )
-
-    bench_ingress = sub.add_parser(
-        "bench-ingress",
-        help="run the async-ingress admission/shedding benchmark and "
-             "write BENCH_PR6.json",
-    )
-    bench_ingress.add_argument("--output", default="BENCH_PR6.json")
-    bench_ingress.add_argument(
-        "--quick", action="store_true",
-        help="smaller workload, perf gates report-only (CI ingress-smoke)",
-    )
-
-    bench_wal = sub.add_parser(
-        "bench-wal",
-        help="run the durable-WAL kill/recovery and overhead benchmark "
-             "and write BENCH_PR7.json",
-    )
-    bench_wal.add_argument("--output", default="BENCH_PR7.json")
-    bench_wal.add_argument(
-        "--quick", action="store_true",
-        help="fewer repeats, perf gate report-only (CI wal-smoke)",
-    )
-
-    bench_cluster = sub.add_parser(
-        "bench-cluster",
-        help="run the multi-process session-fabric benchmark and write "
-             "BENCH_PR9.json",
-    )
-    bench_cluster.add_argument("--output", default="BENCH_PR9.json")
-    bench_cluster.add_argument(
-        "--quick", action="store_true",
-        help="smaller workload, speedup gate report-only "
-             "(CI cluster-smoke)",
-    )
-
-    bench_walfabric = sub.add_parser(
-        "bench-walfabric",
-        help="run the durable-fabric benchmark (standby adoption, "
-             "durable-pool E1 overhead, causal-slice replay) and write "
-             "BENCH_PR10.json",
-    )
-    bench_walfabric.add_argument("--output", default="BENCH_PR10.json")
-    bench_walfabric.add_argument(
-        "--quick", action="store_true",
-        help="smaller workload, overhead gate report-only "
-             "(CI walfabric-smoke)",
+        help="report path (default: the suite's BENCH_PR*.json)",
     )
     return parser
 
@@ -1376,16 +876,7 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "reproduce": cmd_reproduce,
     "metrics": cmd_metrics,
     "trace": cmd_trace,
-    "bench-fabric": cmd_bench_fabric,
-    "bench-faults": cmd_bench_faults,
-    "bench-synthesis": cmd_bench_synthesis,
-    "aot-gen": cmd_aot_gen,
-    "bench-scale": cmd_bench_scale,
-    "bench-migrate": cmd_bench_migrate,
-    "bench-ingress": cmd_bench_ingress,
-    "bench-wal": cmd_bench_wal,
-    "bench-cluster": cmd_bench_cluster,
-    "bench-walfabric": cmd_bench_walfabric,
+    "bench": cmd_bench,
 }
 
 

@@ -11,10 +11,8 @@ qualifies as-is).  A cold worker can therefore rebuild a full platform
 for any registered domain from a portable capture doc containing nothing
 but the session snapshot, exported service state, and the ``DSK_HASH``: the
 registry supplies the DSK, :func:`restore_platform` re-realizes the
-platform, and — with an AOT cache directory configured — the Tier-3
-module is loaded from disk keyed by the hash (``load_program`` refuses
-ABI/hash mismatches, falling back to regeneration and ultimately Tier-2)
-instead of being regenerated per restore.
+platform, and — with ``aot`` configured — the Tier-3 module is
+regenerated from the rebuilt DSK.
 
 The shipped hash is checked against one recomputed from the rebuilt
 platform's live rules/actions/metamodel; a mismatch means the registry's
@@ -32,7 +30,6 @@ __all__ = [
     "RegistryBackend",
     "default_registry",
     "default_backend",
-    "prewarm_aot_cache",
 ]
 
 
@@ -94,18 +91,16 @@ class RegistryBackend:
     Implements the contract documented in :mod:`repro.runtime.cluster`:
     ``open`` / ``apply`` / ``capture`` / ``restore`` / ``drop`` /
     ``close`` / ``describe``, plus the optional ``configure`` hook the
-    worker calls with the coordinator's options dict (``aot`` and
-    ``aot_cache_dir`` route every platform build through the Tier-3
-    disk cache).
+    worker calls with the coordinator's options dict (``aot`` installs
+    the Tier-3 generated module on every platform build).
     """
 
     def __init__(self, registry: DskRegistry | None = None, *,
-                 aot: bool = False, aot_cache_dir: str | None = None,
+                 aot: bool = False,
                  durability: Any = None, wal_dir: str | None = None,
                  checkpoint_every: int = 8):
         self.registry = registry or default_registry()
         self.aot = aot
-        self.aot_cache_dir = aot_cache_dir
         self.worker_id = -1
         self.sessions: dict[str, _SessionHost] = {}
         # Durability (PR 10): a per-worker write-ahead log shared by the
@@ -128,11 +123,6 @@ class RegistryBackend:
         self.worker_id = worker_id
         if "aot" in options:
             self.aot = bool(options["aot"])
-        if options.get("aot_cache_dir"):
-            self.aot_cache_dir = str(options["aot_cache_dir"])
-        if options.get("prewarm_aot"):
-            prewarm_aot_cache(self.registry, self.aot_cache_dir)
-            self.aot = True
         if options.get("wal_dir"):
             self.wal_dir = str(options["wal_dir"])
         spec = options.get("durability", self.durability_spec)
@@ -175,10 +165,7 @@ class RegistryBackend:
         entry = self.registry.get(doc["domain"])
         service = entry.service()
         dsk = entry.knowledge(service)
-        platform = load_platform(
-            entry.middleware(), dsk,
-            aot=self.aot, aot_cache_dir=self.aot_cache_dir,
-        )
+        platform = load_platform(entry.middleware(), dsk, aot=self.aot)
         context = dict(getattr(entry, "context", {}) or {})
         context.update(doc.get("context") or {})
         if platform.controller is not None and context:
@@ -301,8 +288,7 @@ class RegistryBackend:
             if state is not None:
                 resource.import_state(state)
         platform = restore_platform(
-            SessionSnapshot.from_dict(doc["snapshot"]), dsk,
-            aot=self.aot, aot_cache_dir=self.aot_cache_dir,
+            SessionSnapshot.from_dict(doc["snapshot"]), dsk, aot=self.aot,
         )
         live_hash = platform_dsk_hash(platform)
         shipped = doc.get("dsk_hash")
@@ -445,36 +431,6 @@ class RegistryBackend:
                 for resource in host.dsk.resources
             },
         }
-
-
-def prewarm_aot_cache(registry: DskRegistry,
-                      cache_dir: str | None) -> dict[str, str]:
-    """Generate Tier-3 modules for every registered DSK into ``cache_dir``.
-
-    Run once at cluster boot (coordinator ``warmup`` hook, or per worker
-    via the ``prewarm_aot`` option): each domain's platform is built
-    with the AOT disk cache enabled, which persists the generated module
-    keyed by ``DSK_HASH``, so session opens and cold restores load from
-    disk instead of regenerating.  Returns ``{domain: dsk_hash}``.
-    """
-    from repro.middleware.loader import load_platform
-
-    if not cache_dir:
-        return {}
-    report: dict[str, str] = {}
-    for name in registry.names():
-        entry = registry.get(name)
-        service = entry.service()
-        dsk = entry.knowledge(service)
-        platform = load_platform(
-            entry.middleware(), dsk, aot=True, aot_cache_dir=str(cache_dir)
-        )
-        try:
-            report[name] = platform_dsk_hash(platform)
-        finally:
-            if platform.started:
-                platform.stop()
-    return report
 
 
 def default_registry() -> DskRegistry:

@@ -91,16 +91,12 @@ def load_platform(
     metrics: MetricsRegistry | None = None,
     start: bool = True,
     aot: bool = False,
-    aot_cache_dir: str | None = None,
 ) -> Platform:
     """Realize a middleware model as a running platform.
 
     ``aot=True`` additionally compiles the loaded DSK into a Tier-3
     generated module (see :mod:`repro.middleware.synthesis.aot`) once
     the platform is started; requires ``start=True``.
-    ``aot_cache_dir`` loads/persists the generated module on disk
-    keyed by ``DSK_HASH``, so cold starts with a warm cache skip
-    generation entirely (the cluster worker path).
     """
     if middleware_model.metamodel is not middleware_metamodel():
         raise LoaderError(
@@ -142,7 +138,7 @@ def load_platform(
         platform.start()
         _post_start_install(platform, root, dsk)
         if aot and platform.synthesis is not None:
-            platform.enable_aot(cache_dir=aot_cache_dir)
+            platform.enable_aot()
     elif aot:
         raise LoaderError("aot=True requires start=True")
     return platform

@@ -219,17 +219,15 @@ class Platform:
         self._require(self.synthesis, "synthesis")
         return self.synthesis.teardown_script()
 
-    def enable_aot(self, *, cache_dir: str | None = None) -> "Any":
+    def enable_aot(self) -> "Any":
         """Compile the loaded DSK into a Tier-3 generated module and
         install it (synthesis dispatch tables + broker call table);
         returns the installed ``AotProgram``.  Runtime DSK edits fall
-        back to Tier-2 and regenerate lazily after the next cycle.
-        ``cache_dir`` loads/persists the generated module on disk keyed
-        by ``DSK_HASH`` so cold starts skip generation."""
+        back to Tier-2 and regenerate lazily after the next cycle."""
         from repro.middleware.synthesis.aot import enable_aot
 
         self._require(self.synthesis, "synthesis")
-        return enable_aot(self, cache_dir=cache_dir)
+        return enable_aot(self)
 
     # -- checkpoint / restore (PR 5) -------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.modeling.serialize import (
     model_from_dict,
     model_to_dict,
 )
+from repro.runtime.clock import PeriodicTask
 from repro.runtime.external import ExternalizeError
 
 if TYPE_CHECKING:
@@ -257,7 +258,6 @@ def restore_platform(
     clock: "Clock | None" = None,
     metrics: "MetricsRegistry | None" = None,
     aot: bool = False,
-    aot_cache_dir: str | None = None,
 ) -> "Platform":
     """Rebuild a platform from a snapshot (migration / cold recovery).
 
@@ -271,10 +271,6 @@ def restore_platform(
     ``aot=True`` re-enables the Tier-3 generated module *after* the
     snapshot is applied — restore may re-install dynamic broker
     actions, so the module is compiled from the fully restored DSK.
-    ``aot_cache_dir`` serves that compile from the disk cache keyed by
-    ``DSK_HASH`` when warm — the cluster-worker cold-restore path,
-    where a worker restores from snapshot + DSK hash alone and loads
-    the pregenerated module instead of regenerating.
     """
     from repro.middleware.loader import load_platform
     from repro.middleware.metamodel import middleware_metamodel
@@ -286,7 +282,7 @@ def restore_platform(
     try:
         restored = apply_snapshot(platform, snapshot)
         if aot and restored.synthesis is not None:
-            restored.enable_aot(cache_dir=aot_cache_dir)
+            restored.enable_aot()
         return restored
     except Exception:
         # Never leak a started half-restored platform: tear it down so
@@ -302,13 +298,13 @@ def restore_platform(
 # -- periodic checkpointing -------------------------------------------------
 
 
-class CheckpointScheduler:
+class CheckpointScheduler(PeriodicTask):
     """Periodic platform checkpoints + supervised warm recovery.
 
-    On clocks with a timer queue (:class:`~repro.runtime.clock.VirtualClock`)
-    ticks self-schedule through ``clock.call_later``; on plain wall
-    clocks the owner drives :meth:`tick` explicitly (e.g. between
-    workload steps), keeping the hot path free of timer threads.
+    Ticks follow :class:`~repro.runtime.clock.PeriodicTask`: they
+    self-schedule on clocks with a timer queue; on plain wall clocks
+    the owner drives :meth:`tick` explicitly (e.g. between workload
+    steps).
 
     :meth:`attach` wires the scheduler to a supervisor: after any
     successful supervised restart the latest snapshot is re-applied to
@@ -352,59 +348,14 @@ class CheckpointScheduler:
         self.last_snapshot: SessionSnapshot | None = None
         self.last_recovery: "RecoveryReport | None" = None
         self.checkpoints_taken = 0
-        self.checkpoint_errors = 0
-        self.last_error: Exception | None = None
         self.recoveries = 0
-        self._running = False
-        #: epoch fences stale timers: stop()/start() bump it, so a
-        #: timer armed by an earlier life of the scheduler (e.g. before
-        #: a restore) fires as a no-op instead of double-arming ticks.
-        self._epoch = 0
-        self._timer: Any = None
-
-    # -- ticking -----------------------------------------------------------
-
-    def start(self) -> "CheckpointScheduler":
-        if self._running:
-            return self
-        self._running = True
-        self._epoch += 1
-        self._schedule()
-        return self
-
-    def stop(self) -> "CheckpointScheduler":
-        self._running = False
-        self._epoch += 1
-        timer, self._timer = self._timer, None
-        if timer is not None and hasattr(timer, "cancel"):
-            timer.cancel()
-        return self
 
     @property
-    def running(self) -> bool:
-        return self._running
+    def checkpoint_errors(self) -> int:
+        """Ticks that raised (the schedule kept going)."""
+        return self.errors
 
-    def _schedule(self) -> None:
-        schedule = getattr(self.clock, "call_later", None)
-        if callable(schedule):
-            epoch = self._epoch
-            self._timer = schedule(self.interval, lambda: self._fire(epoch))
-
-    def _fire(self, epoch: int | None = None) -> None:
-        if not self._running:
-            return
-        if epoch is not None and epoch != self._epoch:
-            return  # stale timer from a previous start(); do not double-arm
-        try:
-            self.tick()
-        except Exception as exc:  # noqa: BLE001 - one bad tick must not
-            # kill the schedule chain (all future checkpoints); record
-            # and keep ticking.
-            self.checkpoint_errors += 1
-            self.last_error = exc
-        finally:
-            if self._running and (epoch is None or epoch == self._epoch):
-                self._schedule()
+    # -- ticking -----------------------------------------------------------
 
     def tick(self) -> SessionSnapshot:
         """Take one checkpoint now (also the manual-drive entry point)."""

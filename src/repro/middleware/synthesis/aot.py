@@ -31,8 +31,6 @@ from repro.modeling.aotgen import (
     dsk_fingerprint,
     dsk_hash,
     generate_module_source,
-    read_cached_source,
-    write_cached_source,
     _mangle,
 )
 
@@ -64,9 +62,6 @@ class AotProgram:
     syn_classes: frozenset[str]
     broker_skipped: tuple[str, ...]
     syn_skipped: tuple[str, ...]
-    #: True when the installed source came off the disk cache rather
-    #: than being generated in-process.
-    from_cache: bool = False
 
 
 def build_program(
@@ -75,45 +70,14 @@ def build_program(
     actions: list[Any],
     dsml: Any,
     domain: str = "",
-    cache_dir: str | None = None,
 ) -> AotProgram:
-    """Generate + load in one step (the common in-process path).
-
-    With ``cache_dir``, try a disk-cached module keyed by the live
-    ``DSK_HASH`` first — :func:`load_program`'s ABI/hash revalidation
-    is the cache-integrity check, so a stale, corrupt, or truncated
-    cache entry simply misses and is regenerated and overwritten.
-    Cache write failures are non-fatal (the program still installs).
-    """
-    live_hash = ""
-    if cache_dir is not None:
-        live_hash = dsk_hash(
-            dsk_fingerprint(rules=rules, actions=actions, dsml=dsml)
-        )
-        cached = read_cached_source(cache_dir, live_hash)
-        if cached is not None:
-            try:
-                program = load_program(
-                    cached, rules=rules, actions=actions, dsml=dsml,
-                    domain=domain,
-                )
-            except AotError:
-                pass  # invalid cache entry: fall through and regenerate
-            else:
-                program.from_cache = True
-                return program
+    """Generate + load in one step (the common in-process path)."""
     source = generate_module_source(
         rules=rules, actions=actions, dsml=dsml, domain=domain
     )
-    program = load_program(
+    return load_program(
         source, rules=rules, actions=actions, dsml=dsml, domain=domain
     )
-    if cache_dir is not None:
-        try:
-            write_cached_source(cache_dir, live_hash, source)
-        except OSError:
-            pass  # cache is an optimization; never fail the install
-    return program
 
 
 def load_program(
@@ -218,17 +182,14 @@ def _bind_dispatch(
     return dispatch
 
 
-def enable_aot(platform: Any, *, cache_dir: str | None = None) -> AotProgram:
+def enable_aot(platform: Any) -> AotProgram:
     """Build + install a Tier-3 program on a started platform.
 
     Also hooks lazy regeneration: when a runtime DSK edit invalidates
     either layer's installed program (``add_rule(replace=True)`` or
     ``install_action`` drop it), the end of the next synthesis cycle
     rebuilds and reinstalls — the editing cycle itself runs on Tier-2,
-    subsequent ones return to Tier-3.  ``cache_dir`` routes every
-    (re)build through the disk cache, so cold starts — including
-    remote cluster workers restoring from a snapshot — skip generation
-    when a module for the live ``DSK_HASH`` is already cached.
+    subsequent ones return to Tier-3.
     """
     synthesis = platform.synthesis
     if synthesis is None:
@@ -241,7 +202,6 @@ def enable_aot(platform: Any, *, cache_dir: str | None = None) -> AotProgram:
             actions=list(broker.calls._actions) if broker is not None else [],
             dsml=platform.dsml,
             domain=platform.domain,
-            cache_dir=cache_dir,
         )
         synthesis.interpreter.install_aot(program)
         if broker is not None:

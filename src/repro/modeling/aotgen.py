@@ -31,8 +31,8 @@ Tier-2 semantics cannot be reproduced exactly raises
 the generated tables — the runtime falls back to Tier-2 for exactly
 those entries, so Tier-3 never changes behaviour, only cost.
 
-The emitted source is deterministic for a given DSK (``repro aot-gen``
-output is golden-file checkable) and stamped with ``DSK_HASH`` — a
+The emitted source is deterministic for a given DSK (golden-file
+checkable) and stamped with ``DSK_HASH`` — a
 stable structural hash over the rule/action/slot shape — which the
 loader in :mod:`repro.middleware.synthesis.aot` revalidates against
 the live platform before installing the tables.
@@ -44,8 +44,6 @@ import ast
 import hashlib
 import json
 import keyword
-import os
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.modeling.expr import (
@@ -61,9 +59,6 @@ __all__ = [
     "dsk_fingerprint",
     "dsk_hash",
     "generate_module_source",
-    "cache_path",
-    "read_cached_source",
-    "write_cached_source",
 ]
 
 #: Bumped whenever the generated-module contract (names, signatures,
@@ -788,8 +783,8 @@ def _compile_template_renderer(
 _MODULE_PRELUDE = '''\
 """AOT-generated Tier-3 dispatch module.  DO NOT EDIT.
 
-Generated by repro.modeling.aotgen from a loaded DSK; regenerate with
-`repro aot-gen <domain>`.  Installed by
+Generated by repro.modeling.aotgen from a loaded DSK; regenerated by
+`Platform.enable_aot()`.  Installed by
 repro.middleware.synthesis.aot.install_program after DSK_HASH and
 SLOT_LAYOUT validation.
 """
@@ -986,50 +981,3 @@ def generate_module_source(
 
 def _mangle(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name)
-
-
-# -- on-disk module cache ----------------------------------------------------
-#
-# Generated source is deterministic for a DSK, and DSK_HASH covers the
-# ABI and the full structural fingerprint — so a module cached on disk
-# keyed by the hash is safe to load anywhere the live DSK hashes the
-# same (the loader revalidates before install either way).  Cold
-# platform starts — local restarts or remote cluster workers — skip
-# generation entirely on a cache hit.
-
-
-def cache_path(cache_dir: str | os.PathLike, digest: str) -> Path:
-    """Where a generated module for ``digest`` lives under ``cache_dir``."""
-    return Path(cache_dir) / f"aot-{digest}.py"
-
-
-def read_cached_source(
-    cache_dir: str | os.PathLike, digest: str
-) -> str | None:
-    """Cached module source for ``digest``, or None on miss/unreadable.
-
-    Corrupt or truncated cache files are the loader's problem by
-    design: ``load_program`` revalidates ABI and DSK_HASH against the
-    live DSK and raises ``AotError`` on any mismatch, at which point
-    callers regenerate and overwrite.
-    """
-    try:
-        return cache_path(cache_dir, digest).read_text(encoding="utf-8")
-    except OSError:
-        return None
-
-
-def write_cached_source(
-    cache_dir: str | os.PathLike, digest: str, source: str
-) -> Path:
-    """Atomically persist generated module source keyed by ``digest``.
-
-    Write-to-temp then ``os.replace`` so a concurrent reader (another
-    worker process warming the same DSK) never sees a torn file.
-    """
-    target = cache_path(cache_dir, digest)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(source, encoding="utf-8")
-    os.replace(tmp, target)
-    return target

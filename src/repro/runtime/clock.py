@@ -14,7 +14,10 @@ import itertools
 import time
 from typing import Callable
 
-__all__ = ["Clock", "WallClock", "VirtualClock", "Timer", "TimerHandle"]
+__all__ = [
+    "Clock", "WallClock", "VirtualClock", "Timer", "TimerHandle",
+    "PeriodicTask",
+]
 
 
 class TimerHandle:
@@ -153,3 +156,70 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+class PeriodicTask:
+    """Epoch-fenced periodic :meth:`tick` on a clock's timer queue.
+
+    On clocks with a timer queue (:class:`VirtualClock`) ticks
+    self-schedule through ``clock.call_later`` every ``interval``
+    seconds; on plain wall clocks the owner drives :meth:`tick`
+    explicitly, keeping the hot path free of timer threads.
+    ``stop()``/``start()`` bump the epoch, so a timer armed by an
+    earlier life of the task fires as a no-op instead of double-arming
+    ticks.  A failing tick is counted in ``errors`` and the schedule
+    chain keeps going.  Subclasses set ``interval`` and ``clock`` and
+    implement :meth:`tick`.
+    """
+
+    interval: float
+    clock: Clock
+    errors = 0
+    last_error: Exception | None = None
+    _running = False
+    _epoch = 0
+    _timer: object = None
+
+    def tick(self) -> object:
+        raise NotImplementedError
+
+    def start(self):
+        if self._running:
+            return self
+        self._running = True
+        self._epoch += 1
+        self._schedule()
+        return self
+
+    def stop(self):
+        self._running = False
+        self._epoch += 1
+        timer, self._timer = self._timer, None
+        if timer is not None and hasattr(timer, "cancel"):
+            timer.cancel()
+        return self
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    def _schedule(self) -> None:
+        schedule = getattr(self.clock, "call_later", None)
+        if callable(schedule):
+            epoch = self._epoch
+            self._timer = schedule(self.interval, lambda: self._fire(epoch))
+
+    def _fire(self, epoch: int | None = None) -> None:
+        if not self._running:
+            return
+        if epoch is not None and epoch != self._epoch:
+            return  # stale timer from a previous start(); do not double-arm
+        try:
+            self.tick()
+        except Exception as exc:  # noqa: BLE001 - one bad tick must not
+            # kill the schedule chain; record and keep ticking.
+            self.errors += 1
+            self.last_error = exc
+        finally:
+            if self._running and (epoch is None or epoch == self._epoch):
+                self._schedule()

@@ -165,9 +165,6 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
         try:
             if op == "call":
                 reply["value"] = backend.apply(session, doc)
-            elif op == "batch":
-                reply["value"] = [backend.apply(session, item)
-                                  for item in frame.get("docs", [])]
             elif op == "open":
                 reply["value"] = backend.open(session, doc)
             elif op == "capture":
@@ -521,8 +518,7 @@ class ProcessCluster:
 
     def __init__(self, workers: int = 2, *, backend: str,
                  name: str = "cluster", options: dict | None = None,
-                 restart: bool = True, start_timeout: float = 60.0,
-                 warmup=None):
+                 restart: bool = True, start_timeout: float = 60.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.name = name
@@ -530,7 +526,6 @@ class ProcessCluster:
         self.options = dict(options or {})
         self.restart = restart
         self.start_timeout = start_timeout
-        self.warmup = warmup  # zero-arg hook run once before spawning
         self.handles = [_WorkerHandle(self, i) for i in range(workers)]
         self.stats_ = _ClusterStats()
         self.shipper: LogShipper | None = None
@@ -547,11 +542,6 @@ class ProcessCluster:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ProcessCluster":
-        if self.warmup is not None:
-            # e.g. repro.middleware.cluster.prewarm_aot_cache: populate
-            # the shared AOT disk cache once, before any worker races
-            # to generate the same modules.
-            self.warmup()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._port = self._listener.getsockname()[1]
         self._token = f"{self.name}-{os.getpid()}-{id(self):x}"
@@ -675,10 +665,6 @@ class ProcessCluster:
                 return future
         return self.handles[self.worker_for(key)].request("call", key, doc)
 
-    def submit_batch(self, key: str, docs: list) -> Future:
-        return self.handles[self.worker_for(key)].request(
-            "batch", key, None, docs=list(docs))
-
     def call(self, key: str, doc: dict, timeout: float = 60.0):
         """Blocking submit: returns the value or raises the typed error."""
         outcome = self.submit(key, doc).result(timeout)
@@ -692,8 +678,7 @@ class ProcessCluster:
                         worker: int | None = None,
                         timeout: float = 60.0):
         """Cold-restore ``key`` on ``worker`` from a captured doc (snapshot +
-        DSK hash); the worker rebuilds the platform via its DSK registry and
-        disk-cached AOT modules rather than regenerating.
+        DSK hash); the worker rebuilds the platform via its DSK registry.
 
         Routing re-points to ``worker`` only once the restore succeeded:
         a failed restore leaves the session reachable where it was."""
@@ -911,11 +896,12 @@ class _ClusterShardView:
 class ClusterRebalancer(ShardRebalancer):
     """Greedy session moves across worker processes.
 
-    Reuses :class:`ShardRebalancer`'s planner, but the load signal is
-    the coordinator's own per-worker depth (pending futures + the
-    backlog every reply frame reports) and the move primitive is
-    :meth:`ProcessCluster.migrate` — quiesce, portable capture,
-    restore, drop — instead of an in-process shard hop.
+    Reuses :class:`ShardRebalancer`'s planner, cost attribution and
+    apply loop; only the load read and the move primitive differ.  The
+    load signal is the coordinator's own per-worker depth (pending
+    futures + the backlog every reply frame reports) and the move
+    primitive is :meth:`ProcessCluster.migrate` — quiesce, portable
+    capture, restore, drop — instead of an in-process shard hop.
     """
 
     def __init__(self, cluster: ProcessCluster, *,
@@ -928,30 +914,11 @@ class ClusterRebalancer(ShardRebalancer):
     def shard_loads(self) -> list[int]:
         return [handle.depth for handle in self.cluster.handles]
 
-    def plan_from_metrics(self, sessions, *,
-                          queue_weight: float = 1.0):
-        loads = [float(handle.depth) * queue_weight
-                 for handle in self.cluster.handles]
-        homed: dict[int, list[str]] = {
-            handle.index: [] for handle in self.cluster.handles}
-        for key in sorted(set(sessions)):
-            homed[self.cluster.worker_for(key)].append(key)
-        costs: dict[str, float] = {}
-        for index, keys in homed.items():
-            if not keys:
-                continue
-            share = loads[index] / len(keys)
-            for key in keys:
-                costs[key] = share
-        return self.plan(costs)
+    def observed_loads(self, queue_weight: float) -> list[float]:
+        return [float(depth) * queue_weight for depth in self.shard_loads()]
 
-    def apply(self, moves, *, timeout: float = 30.0) -> int:
-        applied = 0
-        for key, to_worker in moves:
-            self.cluster.migrate(key, to_worker, timeout=timeout)
-            applied += 1
-        self.moves_applied += applied
-        return applied
+    def move(self, key: str, to_shard: int, *, timeout: float) -> None:
+        self.cluster.migrate(key, to_shard, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------

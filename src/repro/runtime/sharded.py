@@ -43,7 +43,7 @@ import zlib
 from concurrent.futures import Future
 from typing import Any, Callable, Iterable
 
-from repro.runtime.clock import Clock, WallClock
+from repro.runtime.clock import Clock, PeriodicTask, WallClock
 from repro.runtime.events import EventBus, Signal
 from repro.runtime.executor import Mailbox
 from repro.runtime.metrics import MetricsRegistry
@@ -707,13 +707,7 @@ class ShardRebalancer:
         cost-model experiments).
         """
         shards = self.runtime.shards
-        loads: list[float] = []
-        for shard in shards:
-            observed = sum(
-                histogram.total
-                for _name, _label, histogram in shard.metrics.histograms()
-            )
-            loads.append(observed + queue_weight * shard.mailbox.pending)
+        loads = self.observed_loads(queue_weight)
         homed: dict[int, list[str]] = {shard.index: [] for shard in shards}
         for key in sorted(set(sessions)):
             homed[self.runtime.shard_for(key).index].append(key)
@@ -725,6 +719,18 @@ class ShardRebalancer:
             for key in keys:
                 costs[key] = share
         return self.plan(costs)
+
+    def observed_loads(self, queue_weight: float) -> list[float]:
+        """Per-shard load: observed latency seconds plus
+        ``queue_weight`` per pending mailbox task."""
+        loads: list[float] = []
+        for shard in self.runtime.shards:
+            observed = sum(
+                histogram.total
+                for _name, _label, histogram in shard.metrics.histograms()
+            )
+            loads.append(observed + queue_weight * shard.mailbox.pending)
+        return loads
 
     def plan(self, session_costs: dict[str, float]) -> list[tuple[str, int]]:
         """Greedy hottest-to-coolest move plan.
@@ -782,27 +788,31 @@ class ShardRebalancer:
     ) -> int:
         """Execute a plan via live migration; returns the number of
         sessions moved."""
+        applied = 0
+        for key, to_shard in moves:
+            self.move(key, to_shard, timeout=timeout)
+            applied += 1
+        self.moves_applied += applied
+        return applied
+
+    def move(self, key: str, to_shard: int, *, timeout: float) -> None:
+        """Migrate one session (the move primitive :meth:`apply` uses)."""
         capture, restore = self.capture, self.restore
         if capture is None or restore is None:
             raise ShardedRuntimeError(
                 "ShardRebalancer.apply needs the capture and restore "
                 "hooks it was built with"
             )
-        applied = 0
-        for key, to_shard in moves:
-            self.runtime.migrate(
-                key,
-                to_shard,
-                capture=lambda k=key: capture(k),
-                restore=lambda snapshot, k=key: restore(k, snapshot),
-                timeout=timeout,
-            )
-            applied += 1
-        self.moves_applied += applied
-        return applied
+        self.runtime.migrate(
+            key,
+            to_shard,
+            capture=lambda: capture(key),
+            restore=lambda snapshot: restore(key, snapshot),
+            timeout=timeout,
+        )
 
 
-class RebalanceTrigger:
+class RebalanceTrigger(PeriodicTask):
     """Periodic load-driven rebalancing (PR 9, folded PR 5 follow-on).
 
     Every ``interval`` seconds: plan moves from *live* observed load
@@ -812,12 +822,10 @@ class RebalanceTrigger:
     No caller-supplied cost model: the metrics registry *is* the cost
     model.
 
-    Timer discipline mirrors ``CheckpointScheduler``: on clocks with a
-    timer queue (``VirtualClock``) ticks self-schedule through
-    ``clock.call_later`` with epoch fencing (``stop()``/``start()``
-    bump the epoch so a stale timer from a previous life fires as a
-    no-op); on plain wall clocks the owner drives :meth:`tick`
-    explicitly between workload steps.
+    Timer discipline is :class:`~repro.runtime.clock.PeriodicTask`'s,
+    shared with ``CheckpointScheduler``: epoch-fenced self-scheduling
+    on clocks with a timer queue; on plain wall clocks the owner drives
+    :meth:`tick` explicitly between workload steps.
     """
 
     def __init__(
@@ -842,54 +850,7 @@ class RebalanceTrigger:
         self.timeout = timeout
         self.ticks = 0
         self.moves_applied = 0
-        self.errors = 0
-        self.last_error: Exception | None = None
         self.last_plan: list[tuple[str, int]] = []
-        self._running = False
-        self._epoch = 0
-        self._timer: Any = None
-
-    # -- lifecycle --------------------------------------------------------
-
-    def start(self) -> "RebalanceTrigger":
-        if self._running:
-            return self
-        self._running = True
-        self._epoch += 1
-        self._schedule()
-        return self
-
-    def stop(self) -> "RebalanceTrigger":
-        self._running = False
-        self._epoch += 1
-        timer, self._timer = self._timer, None
-        if timer is not None and hasattr(timer, "cancel"):
-            timer.cancel()
-        return self
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def _schedule(self) -> None:
-        schedule = getattr(self.clock, "call_later", None)
-        if callable(schedule):
-            epoch = self._epoch
-            self._timer = schedule(self.interval, lambda: self._fire(epoch))
-
-    def _fire(self, epoch: int | None = None) -> None:
-        if not self._running:
-            return
-        if epoch is not None and epoch != self._epoch:
-            return  # stale timer from a previous start(); do not double-arm
-        try:
-            self.tick()
-        except Exception as exc:  # noqa: BLE001 - trigger must not die
-            self.errors += 1
-            self.last_error = exc
-        finally:
-            if self._running and (epoch is None or epoch == self._epoch):
-                self._schedule()
 
     # -- one rebalance round ----------------------------------------------
 

@@ -9,7 +9,7 @@ time during which the failure rate is elevated (up to a hard outage).
 Everything is driven by one seeded :class:`random.Random` and the
 injected clock, so a given ``(seed, scenario)`` pair replays the exact
 same fault sequence — the property that turns the paper's E5 recovery
-demonstration into a reproducible benchmark (``repro bench-faults``).
+demonstration into a reproducible benchmark (``repro bench faults``).
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.bench.harness import (
+    STATISTIC,
     Measurement,
     ResultTable,
     fresh_handcrafted_broker,
     fresh_model_based_broker,
     measure,
+    paired_overhead,
 )
 from repro.bench.loc import (
     comment_ratio,
@@ -86,6 +88,61 @@ class TestMeasurement:
         a = Measurement("a", samples=[2.0, 2.0])
         b = Measurement("b", samples=[1.0, 1.0])
         assert a.ratio_to(b) == 2.0
+
+
+class TestPairedOverhead:
+    """The one overhead statistic, driven by fake timers (no wall clock)."""
+
+    def _timers(self, bare_samples, treated_samples):
+        order = []
+        bare_iter, treated_iter = iter(bare_samples), iter(treated_samples)
+
+        def bare():
+            order.append("bare")
+            return next(bare_iter)
+
+        def treated():
+            order.append("treated")
+            return next(treated_iter)
+
+        return bare, treated, order
+
+    def test_pair_order_alternates(self):
+        bare, treated, order = self._timers([1.0] * 4, [1.0] * 4)
+        paired_overhead(bare, treated, pairs=4)
+        assert order == [
+            "bare", "treated",
+            "treated", "bare",
+            "bare", "treated",
+            "treated", "bare",
+        ]
+
+    def test_median_of_ratios_and_quartiles(self):
+        # pair ratios - 1: 0.3, 0.1, 0.4, 0.2 (deliberately unsorted)
+        bare, treated, _order = self._timers(
+            [2.0, 1.0, 1.0, 2.0], [2.6, 1.1, 1.4, 2.4]
+        )
+        result = paired_overhead(bare, treated, pairs=4)
+        assert result["statistic"] == STATISTIC == "median of paired ratios"
+        assert result["pairs"] == 4
+        assert result["overhead_pct"] == pytest.approx(25.0)
+        # inclusive quartiles of [0.1, 0.2, 0.3, 0.4]
+        assert result["p25_pct"] == pytest.approx(17.5)
+        assert result["p75_pct"] == pytest.approx(32.5)
+        # medians of the bare samples and of the per-pair deltas
+        assert result["bare_us_per_step"] == pytest.approx(1.5e6)
+        assert result["delta_us_per_step"] == pytest.approx(0.4e6)
+
+    def test_median_ignores_one_contaminated_pair(self):
+        bare, treated, _order = self._timers(
+            [1.0, 1.0, 1.0], [1.05, 3.0, 1.05]
+        )
+        result = paired_overhead(bare, treated, pairs=3)
+        assert result["overhead_pct"] == pytest.approx(5.0)
+
+    def test_needs_two_pairs(self):
+        with pytest.raises(ValueError, match="two pairs"):
+            paired_overhead(lambda: 1.0, lambda: 1.0, pairs=1)
 
 
 class TestResultTable:

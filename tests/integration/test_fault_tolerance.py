@@ -89,7 +89,7 @@ class TestBenchFaultsCli:
             "repro.bench.faults.run_recovery_episodes",
             lambda **kw: run_recovery_episodes(episodes=2, seed=1),
         )
-        assert main(["bench-faults", "--output", str(out)]) == 0
+        assert main(["bench", "faults", "--output", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "0 unhandled exceptions" in printed
         report = json.loads(out.read_text())

@@ -291,8 +291,16 @@ class TestGenerationAndValidation:
             domain=platform.domain,
         )
 
-    def test_generation_is_deterministic(self):
-        _service, _dsk, platform = _comm_session()
+    @pytest.mark.parametrize(
+        "domain", ["communication", "microgrid", "smartspace", "crowdsensing"]
+    )
+    def test_generation_is_deterministic(self, domain):
+        """Same DSK -> byte-identical module source, in every domain."""
+        from repro.bench.migrate import _fresh_session
+        from repro.domains.assembly import domain_cases
+
+        case = next(c for c in domain_cases() if c.name == domain)
+        _service, _dsk, platform = _fresh_session(case)
         try:
             parts = self._dsk_parts(platform)
             assert generate_module_source(**parts) == generate_module_source(

@@ -110,12 +110,11 @@ class TestRegistryBackend:
             backend.restore(key, doc)
             assert backend.describe(key)["op_logs"] == before
 
-    def test_configure_sets_aot_cache(self):
+    def test_configure_sets_aot(self):
         target = RegistryBackend(DskRegistry([]))
-        target.configure(3, {"aot": True, "aot_cache_dir": "/tmp/x"})
+        target.configure(3, {"aot": True})
         assert target.worker_id == 3
         assert target.aot is True
-        assert target.aot_cache_dir == "/tmp/x"
 
     def test_unknown_op_refused(self, backend):
         backend.open("s1", {"domain": "communication"})
@@ -178,47 +177,3 @@ class TestServiceStateRoundTrip:
         clone = DeviceFleet("fleet0", op_cost=0.0)
         clone.import_state(doc)
         assert clone.op_log == service.op_log
-
-
-class TestAotPrewarm:
-    """prewarm_aot_cache: populate the Tier-3 disk cache at cluster boot."""
-
-    def test_prewarm_generates_a_module_per_domain(self, tmp_path):
-        from repro.middleware.cluster import prewarm_aot_cache
-
-        registry = default_backend().registry
-        report = prewarm_aot_cache(registry, str(tmp_path))
-        assert sorted(report) == registry.names()
-        assert all(len(digest) == 64 for digest in report.values())
-        cached = list(tmp_path.iterdir())
-        assert cached, "prewarm left the cache directory empty"
-
-    def test_prewarm_is_idempotent(self, tmp_path):
-        from repro.middleware.cluster import prewarm_aot_cache
-
-        registry = default_backend().registry
-        first = prewarm_aot_cache(registry, str(tmp_path))
-        listing = sorted(path.name for path in tmp_path.iterdir())
-        second = prewarm_aot_cache(registry, str(tmp_path))
-        assert first == second
-        assert sorted(path.name for path in tmp_path.iterdir()) == listing
-
-    def test_prewarm_without_cache_dir_is_a_noop(self):
-        from repro.middleware.cluster import prewarm_aot_cache
-
-        assert prewarm_aot_cache(default_backend().registry, None) == {}
-
-    def test_configure_prewarm_option_enables_aot(self, tmp_path):
-        backend = RegistryBackend(durability="off")
-        backend.configure(0, {
-            "prewarm_aot": True, "aot_cache_dir": str(tmp_path),
-        })
-        assert backend.aot is True
-        assert list(tmp_path.iterdir())
-        # a session opened after prewarm loads from the warm cache
-        opened = backend.open("s1", {"domain": "communication",
-                                     "autonomic": False})
-        try:
-            assert len(opened["dsk_hash"]) == 64
-        finally:
-            backend.close("s1")

@@ -75,14 +75,6 @@ class TestProcessCluster:
         assert cluster.describe("s-basic")["ops"] == [5, 2]
         assert cluster.close_session("s-basic").ok
 
-    def test_batch(self, cluster):
-        cluster.open_session("s-batch", {}).result(30).unwrap()
-        values = cluster.submit_batch(
-            "s-batch", [{"add": 1}, {"add": 2}, {"add": 3}]
-        ).result(30).unwrap()
-        assert values == [{"total": 1}, {"total": 3}, {"total": 6}]
-        cluster.close_session("s-batch")
-
     def test_workload_error_is_typed_not_fatal(self, cluster):
         cluster.open_session("s-err", {}).result(30).unwrap()
         outcome = cluster.submit("s-err", {"boom": True}).result(30)
