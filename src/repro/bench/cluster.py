@@ -46,6 +46,8 @@ __all__ = [
     "throughput_bench",
     "cross_process_migration_bench",
     "kill_and_adopt",
+    "kill_and_adopt_run",
+    "comm_workload",
     "fault_bench",
     "determinism_bench",
     "run",
@@ -135,28 +137,31 @@ def _log_bytes(op_logs: dict[str, list[str]]) -> bytes:
 
 
 def inline_golden(specs: list) -> dict[str, bytes]:
-    """Deterministic in-process run of the worker backend itself.
+    """:func:`inline_op_logs` of the communication session specs."""
+    return inline_op_logs([
+        (spec.key, OPEN_DOC, [step_doc(step) for step in spec.steps])
+        for spec in specs
+    ])
 
-    Same backend class, same docs, same round-robin interleaving — no
-    processes, no sockets, no threads.  The cluster runs must reproduce
-    these op_logs byte for byte.
+
+def inline_op_logs(sessions: list) -> dict[str, bytes]:
+    """Deterministic in-process run of the worker backend itself over
+    ``(key, open_doc, docs)`` sessions: no processes, sockets or
+    threads.  A session owns its services, so its op_log does not
+    depend on interleaving; cluster runs must reproduce it exactly.
     """
     target = backend()
+    logs: dict[str, bytes] = {}
     try:
-        for spec in specs:
-            target.open(spec.key, OPEN_DOC)
-        max_steps = max(len(spec.steps) for spec in specs)
-        for step_index in range(max_steps):
-            for spec in specs:
-                if step_index < len(spec.steps):
-                    target.apply(spec.key, step_doc(spec.steps[step_index]))
-        return {
-            spec.key: _log_bytes(target.describe(spec.key)["op_logs"])
-            for spec in specs
-        }
+        for key, open_doc, docs in sessions:
+            target.open(key, open_doc)
+            for doc in docs:
+                target.apply(key, doc)
+            logs[key] = _log_bytes(target.describe(key)["op_logs"])
+        return logs
     finally:
-        for spec in specs:
-            target.close(spec.key)
+        for key in list(target.sessions):
+            target.close(key)
 
 
 def _open_all(cluster, specs, *, timeout: float = 300.0) -> None:
@@ -404,36 +409,54 @@ def kill_and_adopt(cluster, phases: list) -> dict[str, Any]:
     }
 
 
+def comm_workload(sessions: int) -> list:
+    """``(key, open_doc, phase_a_docs, phase_b_docs)`` per
+    communication session, its steps split in half."""
+    items = []
+    for spec in build_workload(sessions):
+        docs = [step_doc(step) for step in spec.steps]
+        half = len(docs) // 2
+        items.append((spec.key, OPEN_DOC, docs[:half], docs[half:]))
+    return items
+
+
+def kill_and_adopt_run(workload: list, *, workers: int,
+                       name: str) -> tuple[dict[str, Any], dict[str, Any]]:
+    """:func:`kill_and_adopt` on a fresh ``workers``-process cluster
+    with log shipping.  ``workload`` lists ``(key, open_doc,
+    phase_a_docs, phase_b_docs)``; the final op_logs must equal the
+    inline golden.  Returns the fault record and the cluster stats.
+    """
+    from repro.runtime.cluster import ProcessCluster
+
+    golden = inline_op_logs([(key, open_doc, docs_a + docs_b)
+                             for key, open_doc, docs_a, docs_b in workload])
+    cluster = ProcessCluster(
+        workers, backend="repro.bench.cluster:backend", name=name)
+    cluster.build_shipper()
+    cluster.start()
+    try:
+        opens = [cluster.open_session(key, open_doc)
+                 for key, open_doc, _a, _b in workload]
+        for future in opens:
+            future.result(300).unwrap()
+        fault = kill_and_adopt(cluster, [
+            (key, docs_a, docs_b) for key, _open, docs_a, docs_b in workload])
+        _check_logs(_collect_logs(cluster, [item[0] for item in workload]),
+                    golden, name)
+        return fault, cluster.stats()
+    finally:
+        cluster.stop()
+
+
 def fault_bench(*, sessions: int = 8) -> dict[str, Any]:
     """SIGKILL a worker mid-workload; recover to byte-identical logs.
 
     Recovery is the fabric's one worker-death path: log shipping plus
     standby adoption (:func:`kill_and_adopt`).
     """
-    from repro.runtime.cluster import ProcessCluster
-
-    specs = build_workload(sessions)
-    golden = inline_golden(specs)
-    phases = [
-        (spec.key,
-         [step_doc(step) for step in spec.steps[: len(spec.steps) // 2]],
-         [step_doc(step) for step in spec.steps[len(spec.steps) // 2:]])
-        for spec in specs
-    ]
-
-    cluster = ProcessCluster(
-        2, backend="repro.bench.cluster:backend", name="bench-fault",
-    )
-    cluster.build_shipper()
-    cluster.start()
-    try:
-        _open_all(cluster, specs)
-        fault = kill_and_adopt(cluster, phases)
-        _check_logs(_collect_logs(cluster, [spec.key for spec in specs]),
-                    golden, "fault recovery")
-        stats = cluster.stats()
-    finally:
-        cluster.stop()
+    fault, stats = kill_and_adopt_run(
+        comm_workload(sessions), workers=2, name="bench-fault")
     return {
         "sessions": sessions,
         "victim_sessions": len(fault["victim_keys"]),

@@ -11,7 +11,8 @@ Three sections, correctness gated before anything is reported:
   unacknowledged in-flight steps must surface as *typed* REJECTED
   outcomes (resubmitted exactly once), and the final op_logs must be
   byte-identical to an uninterrupted inline run — across all four
-  domains.
+  domains.  Each adopted session's replayed tail must also be smaller
+  than the checkpoint it restored (the size-driven cadence bound).
 * **e1** — the E1 scenario sweep submitted through a durable
   :class:`PlatformPool` (per-shard WALs, the PR 10 default) vs the
   same pool with ``durability="off"``, paired alternating-order
@@ -37,16 +38,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.cluster import (
-    OPEN_DOC,
-    _check_logs,
-    _collect_logs,
-    _log_bytes,
-    backend,
-    kill_and_adopt,
-    step_doc,
-)
-from repro.bench.scale import build_workload
+from repro.bench.cluster import comm_workload, kill_and_adopt_run
 
 __all__ = [
     "adoption_bench",
@@ -61,16 +53,24 @@ __all__ = [
 #: within 5% of the undurable path in the calibrated regime.
 OVERHEAD_GATE_PCT = 5.0
 
+#: steps per long adoption session: several checkpoint intervals.
+LONG_SESSION_STEPS = 600
+
 
 # -- standby adoption after SIGKILL ------------------------------------------
 
 
-def _mixed_workload(comm_sessions: int) -> list[tuple[str, dict, list, list]]:
+def _mixed_workload(comm_sessions: int,
+                    workers: int) -> list[tuple[str, dict, list, list]]:
     """``(key, open_doc, phase_a_docs, phase_b_docs)`` per session:
-    one two-phase model session per shipped domain, plus
-    ``comm_sessions`` multi-step communication sessions."""
+    one two-phase model session per shipped domain, ``comm_sessions``
+    multi-step communication sessions, and one long party-churn
+    session homed on each worker — long enough to cross several
+    checkpoints, so the victim's replay bound is a real test."""
+    from repro.bench.cluster import OPEN_DOC
     from repro.domains.assembly import domain_cases
     from repro.modeling.serialize import model_to_dict
+    from repro.runtime.sharded import shard_index_for
 
     items: list[tuple[str, dict, list, list]] = []
     for case in domain_cases():
@@ -80,78 +80,43 @@ def _mixed_workload(comm_sessions: int) -> list[tuple[str, dict, list, list]]:
             [{"op": "run_model", "model": model_to_dict(case.phase1())}],
             [{"op": "run_model", "model": model_to_dict(case.phase2())}],
         ))
-    for spec in build_workload(comm_sessions):
-        half = len(spec.steps) // 2
-        items.append((
-            spec.key,
-            OPEN_DOC,
-            [step_doc(step) for step in spec.steps[:half]],
-            [step_doc(step) for step in spec.steps[half:]],
-        ))
+    items.extend(comm_workload(comm_sessions))
+    churn = [{"op": "api", "api": ("ncb.add_party", "ncb.remove_party")[i % 2],
+              "args": {"connection": "c1", "party": f"p{i // 2 % 5}"}}
+             for i in range(LONG_SESSION_STEPS)]
+    connect = {"op": "api", "api": "ncb.open_session",
+               "args": {"connection": "c1"}}
+    # the lowest-numbered key homed on each worker
+    homes = {shard_index_for(f"long-{i}", workers): f"long-{i}"
+             for i in reversed(range(64))}
+    items += [(key, OPEN_DOC, [connect] + churn, churn[:2])
+              for key in homes.values()]
     return items
-
-
-def _inline_golden(workload: list) -> dict[str, bytes]:
-    """Uninterrupted single-process run of the same backend and docs."""
-    target = backend()
-    try:
-        for key, open_doc, _a, _b in workload:
-            target.open(key, open_doc)
-        for phase in (2, 3):
-            max_steps = max(len(item[phase]) for item in workload)
-            for step_index in range(max_steps):
-                for item in workload:
-                    docs = item[phase]
-                    if step_index < len(docs):
-                        target.apply(item[0], docs[step_index])
-        return {
-            item[0]: _log_bytes(target.describe(item[0])["op_logs"])
-            for item in workload
-        }
-    finally:
-        for item in workload:
-            target.close(item[0])
 
 
 def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
     """SIGKILL a worker mid-workload; a standby must adopt every lost
     session from the shipped WAL + checkpoint, byte-identically."""
-    from repro.runtime.cluster import ProcessCluster
-
-    workload = _mixed_workload(comm_sessions)
-    golden = _inline_golden(workload)
-    keys = [item[0] for item in workload]
-
-    cluster = ProcessCluster(
-        4, backend="repro.bench.cluster:backend", name="bench-walfabric",
-    )
-    cluster.build_shipper()
-    cluster.start()
-    try:
-        opens = [
-            cluster.open_session(key, open_doc)
-            for key, open_doc, _a, _b in workload
-        ]
-        for future in opens:
-            future.result(300).unwrap()
-        fault = kill_and_adopt(
-            cluster, [(key, docs_a, docs_b)
-                      for key, _open, docs_a, docs_b in workload])
-        _check_logs(_collect_logs(cluster, keys), golden, "standby adoption")
-        stats = cluster.stats()
-    finally:
-        cluster.stop()
+    workload = _mixed_workload(comm_sessions, workers=4)
+    fault, stats = kill_and_adopt_run(workload, workers=4,
+                                      name="bench-walfabric")
     report = fault["report"]
-    replayed = sum(
-        row.get("replayed", 0) for row in report["sessions"].values()
-    )
+    rows = report["sessions"]
+    replayed = sum(row.get("replayed", 0) for row in rows.values())
     return {
-        "sessions": len(keys),
+        "sessions": len(workload),
         "domains": 4,
         "victim_sessions": len(fault["victim_keys"]),
         "adopted_sessions": len(report["sessions"]),
         "adoption_target": report["target"],
         "replayed_entries": replayed,
+        "adopt_ms": report["adopt_ms"],
+        # per adopted session: tail replayed vs checkpoint restored
+        "replay_bytes": {
+            key: {"tail_bytes": row["tail_bytes"],
+                  "checkpoint_bytes": row["checkpoint_bytes"]}
+            for key, row in sorted(rows.items())
+        },
         "rejected_worker_dead": fault["rejected_worker_dead"],
         "resubmitted": fault["rejected_worker_dead"],
         "unresolved_futures": 0,
@@ -511,6 +476,9 @@ def check(report: dict[str, Any]) -> str:
     assert adoption["deaths"] == 1, adoption
     assert adoption["restarts"] == 1, adoption
     assert adoption["domains"] == 4, adoption
+    # the checkpoint cadence bounds replay below one checkpoint
+    for key, sizes in adoption["replay_bytes"].items():
+        assert sizes["tail_bytes"] < sizes["checkpoint_bytes"], (key, sizes)
     slices = report["slice_replay"]
     assert slices["all_reproduced"], slices
     assert slices["cross_log_traces"] > 0, slices

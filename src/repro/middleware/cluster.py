@@ -97,8 +97,7 @@ class RegistryBackend:
 
     def __init__(self, registry: DskRegistry | None = None, *,
                  aot: bool = False,
-                 durability: Any = None, wal_dir: str | None = None,
-                 checkpoint_every: int = 8):
+                 durability: Any = None, wal_dir: str | None = None):
         self.registry = registry or default_registry()
         self.aot = aot
         self.worker_id = -1
@@ -111,10 +110,8 @@ class RegistryBackend:
         # for in-process use stays on the undurable hot path.
         self.durability_spec = durability
         self.wal_dir = wal_dir
-        self.checkpoint_every = int(checkpoint_every)
         self.durability: Any = None
         self._policy: Any = None
-        self._applies: dict[str, int] = {}
         self._ship_cursor: Any = None
 
     # -- worker hooks ------------------------------------------------------
@@ -194,22 +191,22 @@ class RegistryBackend:
         if durability is None:
             return self._dispatch(host, doc)
         # Write-ahead the operation doc as the session's next entry
-        # signal, run it with the session's effect journal installed
-        # (external resource calls are memoized into the seal), and
-        # count toward the periodic full checkpoint.
+        # signal and run it with the session's effect journal installed
+        # (external resource calls are memoized into the seal).  Once
+        # the tail outweighs the last full checkpoint, a new one
+        # replaces it: checkpoint bytes stay within log bytes, and an
+        # adopting standby replays less than one checkpoint's worth.
         broker = host.platform.broker
         resources = broker.resources if broker is not None else None
-        value = durability.execute(
-            session, doc,
-            lambda _signal: self._dispatch(host, doc),
-            resources=resources,
-        )
-        count = self._applies.get(session, 0) + 1
-        if self.checkpoint_every and count >= self.checkpoint_every:
-            count = 0
-            durability.checkpoint(session, self._capture_host(host))
-        self._applies[session] = count
-        return value
+        try:
+            return durability.execute(
+                session, doc,
+                lambda _signal: self._dispatch(host, doc),
+                resources=resources,
+            )
+        finally:
+            if durability.checkpoint_due(session):
+                durability.checkpoint(session, self._capture_host(host))
 
     def _dispatch(self, host: _SessionHost, doc: dict) -> Any:
         op = doc.get("op")
@@ -266,11 +263,9 @@ class RegistryBackend:
     def _checkpoint_session(self, session: str) -> None:
         """Embed the session's portable capture doc as a WAL checkpoint
         frame — the base the shipped tail replays on top of."""
-        durability = self.durability
-        if durability is None:
-            return
-        self._applies[session] = 0
-        durability.checkpoint(session, self._capture_host(self._host(session)))
+        if self.durability is not None:
+            self.durability.checkpoint(
+                session, self._capture_host(self._host(session)))
 
     def restore(self, session: str, doc: dict) -> dict:
         from repro.middleware.snapshot import SessionSnapshot, restore_platform
@@ -320,11 +315,9 @@ class RegistryBackend:
 
     def _forget_durable(self, session: str, kind: str) -> None:
         durability = self.durability
-        if durability is None:
-            return
-        durability.log_event(kind, session)
-        durability.forget(session)
-        self._applies.pop(session, None)
+        if durability is not None:
+            durability.log_event(kind, session)
+            durability.forget(session)
 
     # -- log shipping / adoption -------------------------------------------
 
@@ -357,21 +350,29 @@ class RegistryBackend:
         squelches double-delivered entries.  Idempotent: adopting an
         already-open session is a no-op, so a second adoption attempt
         (coordinator retry, racing supervisors) cannot double-apply.
+        The report's ``tail_bytes``/``checkpoint_bytes`` are the frame
+        sizes the checkpoint cadence compares (:meth:`describe`).
         """
+        from repro.runtime.wal import encode_frame_doc
+
         if session in self.sessions:
             return {"already": True, "session": session,
                     "worker": self.worker_id}
         capture_doc = None
         tail: list[dict] = []
+        checkpoint_bytes = tail_bytes = 0
         for doc in frames or []:
             if str(doc.get("session", "")) != session:
                 continue
             kind = doc.get("k")
             if kind == "checkpoint" and not doc.get("delta"):
                 capture_doc = doc.get("snapshot")
+                checkpoint_bytes, tail_bytes = len(encode_frame_doc(doc)), 0
                 tail = []
-            elif kind == "entry":
-                tail.append(doc)
+            elif kind in ("entry", "applied"):
+                tail_bytes += len(encode_frame_doc(doc))
+                if kind == "entry":
+                    tail.append(doc)
         if capture_doc is None:
             raise ClusterBackendError(
                 f"no shipped checkpoint for session {session!r}; cannot adopt"
@@ -381,31 +382,24 @@ class RegistryBackend:
         replayed = deduplicated = 0
         errors: list[str] = []
         if tail:
-            import shutil
             import tempfile
 
             from repro.middleware.snapshot import recover_session
             from repro.runtime.wal import WriteAheadLog
 
-            scratch_dir = tempfile.mkdtemp(prefix="repro-adopt-")
-            try:
-                scratch = WriteAheadLog(scratch_dir, name="adopt",
-                                        fsync=False)
-                for doc in tail:
-                    scratch.append(doc, strict=False)
-                report = recover_session(
-                    scratch,
-                    session=session,
-                    apply_entry=lambda _platform, signal: self._dispatch(
-                        host, signal.payload),
-                    platform=host.platform,
-                )
-                scratch.close()
-                replayed = report.replayed_entries
-                deduplicated = report.deduplicated
-                errors = [f"seq={seq}: {exc}" for seq, exc in report.errors]
-            finally:
-                shutil.rmtree(scratch_dir, ignore_errors=True)
+            with tempfile.TemporaryDirectory(prefix="repro-adopt-") as tmp:
+                with WriteAheadLog(tmp, name="adopt", fsync=False) as scratch:
+                    scratch.land(tail)
+                    report = recover_session(
+                        scratch,
+                        session=session,
+                        apply_entry=lambda _platform, signal: self._dispatch(
+                            host, signal.payload),
+                        platform=host.platform,
+                    )
+            replayed = report.replayed_entries
+            deduplicated = report.deduplicated
+            errors = [f"seq={seq}: {exc}" for seq, exc in report.errors]
             broker = host.platform.broker
             if broker is not None:
                 # recover_session installed a journal bound to the
@@ -417,12 +411,18 @@ class RegistryBackend:
         self._checkpoint_session(session)
         return {"adopted": session, "worker": self.worker_id,
                 "replayed": replayed, "deduplicated": deduplicated,
+                "tail_bytes": tail_bytes, "checkpoint_bytes": checkpoint_bytes,
                 "errors": errors}
 
     # -- introspection -----------------------------------------------------
 
     def describe(self, session: str) -> dict:
+        """Domain, DSK hash and op_logs, plus the replay a standby
+        would pay to adopt the session (0 bytes without durability)."""
         host = self._host(session)
+        durability = self.durability
+        tail, checkpoint = (durability.log_bytes(session)
+                            if durability is not None else (0, 0))
         return {
             "domain": host.entry.name,
             "dsk_hash": platform_dsk_hash(host.platform),
@@ -430,6 +430,8 @@ class RegistryBackend:
                 resource.name: list(resource.op_log)
                 for resource in host.dsk.resources
             },
+            "tail_bytes": tail,
+            "checkpoint_bytes": checkpoint,
         }
 
 

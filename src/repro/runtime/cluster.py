@@ -431,10 +431,9 @@ class LogShipper:
             return log
 
     def receive(self, index: int, frames: list) -> None:
-        """Land one reply's shipped frames in worker ``index``'s copy."""
-        log = self.log_for(index)
-        for doc in frames:
-            log.append(doc, strict=False)
+        """Land one reply's shipped frames in worker ``index``'s copy
+        (:meth:`WriteAheadLog.land` truncates what checkpoints cover)."""
+        self.log_for(index).land(frames)
         self.frames_received += len(frames)
 
     # -- adoption ----------------------------------------------------------
@@ -453,7 +452,9 @@ class LogShipper:
 
     def adopt(self, dead_index: int, sessions: "set[str] | list[str]", *,
               timeout: float = 60.0) -> dict:
-        """Adopt every lost session from the dead worker's shipped log."""
+        """Adopt every lost session from the dead worker's shipped log
+        (then forgotten there: the adopter's copy covers it)."""
+        started = time.monotonic()
         target = self.adoption_target(dead_index)
         report: dict = {"worker": dead_index, "target": target,
                         "sessions": {}}
@@ -479,9 +480,11 @@ class LogShipper:
                     else:
                         self.cluster._routes[key] = target
                 handle.sessions.add(key)
+                log.forget_session(key)
                 report["sessions"][key] = outcome.value
             else:
                 report["sessions"][key] = {"error": str(outcome.error)}
+        report["adopt_ms"] = (time.monotonic() - started) * 1e3
         self.adoptions.append(report)
         return report
 

@@ -188,10 +188,27 @@ class ShardDurability:
         cover_all: bool = False,
     ) -> None:
         """Embed ``snapshot_doc`` as a checkpoint frame and truncate
-        what it covers (see :meth:`WriteAheadLog.checkpoint`)."""
+        what it covers (see :meth:`WriteAheadLog.checkpoint`); a full
+        one restarts the tail byte count of the sessions it covers."""
         self.wal.checkpoint(
             snapshot_doc, session=session, delta=delta, cover_all=cover_all
         )
+        if not delta:
+            for name, journal in self._journals.items():
+                if cover_all or name == session:
+                    journal.tail_bytes = 0
+
+    def log_bytes(self, session: str) -> tuple[int, int]:
+        """Frame bytes logged since the session's last full checkpoint,
+        and that checkpoint's size: what a standby replays to adopt it."""
+        journal = self._journals.get(session)
+        tail = journal.tail_bytes if journal is not None else 0
+        return tail, self.wal.checkpoint_bytes.get(session, 0)
+
+    def checkpoint_due(self, session: str) -> bool:
+        """The session's tail has grown to its last checkpoint's size."""
+        tail, checkpoint = self.log_bytes(session)
+        return tail >= checkpoint
 
     def log_event(self, kind: str, session: str, **fields: Any) -> None:
         """Observability frame (shed, close, adoption...): best-effort

@@ -186,6 +186,22 @@ def _encode_frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _read_frames(handle: Any, offset: int = 0) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(offset, payload)`` per whole, CRC-valid frame read from
+    ``handle`` (positioned at ``offset``), stopping at the first short
+    or corrupt one: a torn tail, or corruption the caller judges."""
+    while True:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return
+        length, crc = _HEADER.unpack(header)
+        payload = handle.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            return
+        yield offset, payload
+        offset += _HEADER.size + length
+
+
 #: Size of the ``[u32 length][u32 crc32]`` frame header in bytes —
 #: streaming readers (the cluster socket transport) read exactly this
 #: many bytes before the payload.
@@ -274,6 +290,8 @@ class WriteAheadLog:
         # session, and every session seen appending since open.
         self._checkpoint_segment: dict[str, int] = {}
         self._active_sessions: set[str] = set()
+        #: frame bytes of each session's latest full checkpoint.
+        self.checkpoint_bytes: dict[str, int] = {}
         self.appends = 0
         self.syncs = 0
         self.rotations = 0
@@ -314,22 +332,8 @@ class WriteAheadLog:
         self._file = open(path, "ab")
         self._offset = valid
         # rebuild truncation-floor bookkeeping from the surviving log.
-        for _, doc in self.replay():
-            kind = doc.get("k")
-            session = str(doc.get("session", ""))
-            if kind == "checkpoint":
-                if doc.get("delta"):
-                    # deltas ride on their full base: they must not
-                    # advance the truncation floor past it.
-                    self._active_sessions.add(session)
-                else:
-                    floor = int(doc.get("position", [self._segment, 0])[0])
-                    self._checkpoint_segment[session] = floor
-                    if doc.get("covers_all"):
-                        for active in self._active_sessions:
-                            self._checkpoint_segment[active] = floor
-            elif kind == "entry":
-                self._active_sessions.add(session)
+        for position, doc in self.replay():
+            self._track_locked(doc, position.segment)
 
     def _start_segment(self, segment: int) -> None:
         self._segment = segment
@@ -351,21 +355,11 @@ class WriteAheadLog:
         """Byte length of the longest valid frame prefix of ``path``."""
         valid = 0
         with open(path, "rb") as handle:
-            while True:
-                header = handle.read(_HEADER.size)
-                if len(header) < _HEADER.size:
-                    return valid
-                length, crc = _HEADER.unpack(header)
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    return valid
-                valid += _HEADER.size + length
+            for offset, payload in _read_frames(handle):
+                valid = offset + _HEADER.size + len(payload)
+        return valid
 
     # -- appending ----------------------------------------------------
-
-    def position(self) -> WalPosition:
-        with self._lock:
-            return WalPosition(self._segment, self._offset)
 
     def _encode(self, doc: dict[str, Any], *, strict: bool) -> bytes:
         """Serialize a frame payload (outside the lock: encoding does
@@ -395,18 +389,10 @@ class WriteAheadLog:
 
     def _append_locked(self, doc: dict[str, Any], *, strict: bool) -> WalPosition:
         payload = self._encode(doc, strict=strict)
-        if self._closed:
-            raise WalError(f"log {self.name!r} is closed")
-        if self._offset >= self.segment_max_bytes:
+        if not self._closed and self._offset >= self.segment_max_bytes:
             self._rotate_locked()
         position = WalPosition(self._segment, self._offset)
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._file.write(frame)
-        self._offset += len(frame)
-        self.appends += 1
-        self._unsynced += 1
-        if self._unsynced >= self.sync_every:
-            self._sync_locked()
+        self._write_locked(payload)
         return position
 
     def append(self, doc: dict[str, Any], *, strict: bool = True) -> WalPosition:
@@ -426,26 +412,10 @@ class WriteAheadLog:
         session: str = "",
         strict: bool = True,
     ) -> None:
-        """Write-ahead record of a signal about to be dispatched.
-
-        This and :meth:`seal_entry` are the two per-entry hot-path
-        writes: the frame is encoded outside the lock, the signal doc
-        is built inline, and no position is minted.
-        """
+        """Write-ahead record of a signal about to be dispatched
+        (encoded outside the lock; no position minted)."""
         payload = self._encode(
-            {
-                "k": "entry",
-                "session": session,
-                "sig": {
-                    "kind": signal.kind,
-                    "topic": signal.topic,
-                    "payload": signal.payload,
-                    "origin": signal.origin,
-                    "seq": signal.seq,
-                    "trace_id": signal.trace_id,
-                    "parent_seq": signal.parent_seq,
-                },
-            },
+            {"k": "entry", "session": session, "sig": signal_to_doc(signal)},
             strict=strict,
         )
         with self._lock:
@@ -537,27 +507,36 @@ class WriteAheadLog:
         with self._lock:
             if delta:
                 doc["delta"] = True
-                doc["position"] = WalPosition(
-                    self._segment, self._offset
-                ).to_list()
-                position = self._append_locked(doc, strict=True)
-                self._sync_locked()
-                self._active_sessions.add(session)
-                return position
-            if cover_all:
+            elif cover_all:
                 doc["covers_all"] = True
             doc["position"] = WalPosition(self._segment, self._offset).to_list()
-            self._rotate_locked()
+            if not delta:
+                self._rotate_locked()
             position = self._append_locked(doc, strict=True)
             self._sync_locked()
-            self._checkpoint_segment[session] = position.segment
-            self._active_sessions.add(session)
-            if cover_all:
-                for active in self._active_sessions:
-                    self._checkpoint_segment[active] = position.segment
-            if truncate:
-                self._truncate_locked()
+            self._track_locked(doc, position.segment)
+            if not delta:
+                self.checkpoint_bytes[session] = self._offset - position.offset
+                if truncate:
+                    self._truncate_locked()
             return position
+
+    def _track_locked(self, doc: dict[str, Any], segment: int) -> None:
+        """Truncation-floor bookkeeping for a frame at ``segment``."""
+        kind = doc.get("k")
+        session = str(doc.get("session", ""))
+        if kind == "checkpoint" and not doc.get("delta"):
+            self._checkpoint_segment[session] = segment
+            self._active_sessions.add(session)
+            if doc.get("covers_all"):
+                for active in self._active_sessions:
+                    self._checkpoint_segment[active] = segment
+        elif kind in ("dropped", "closed"):
+            self._forget_locked(session)
+        elif kind in ("entry", "checkpoint"):
+            # deltas ride on their full base: they must not advance
+            # the truncation floor past it.
+            self._active_sessions.add(session)
 
     def _truncation_floor(self) -> int:
         floor = self._segment
@@ -583,8 +562,12 @@ class WriteAheadLog:
     def forget_session(self, session: str) -> None:
         """Drop a closed session from the truncation floor."""
         with self._lock:
-            self._active_sessions.discard(session)
-            self._checkpoint_segment.pop(session, None)
+            self._forget_locked(session)
+
+    def _forget_locked(self, session: str) -> None:
+        self._active_sessions.discard(session)
+        self._checkpoint_segment.pop(session, None)
+        self.checkpoint_bytes.pop(session, None)
 
     # -- session hand-off ---------------------------------------------
 
@@ -614,15 +597,28 @@ class WriteAheadLog:
         """Adopt an exported tail: append the frames and register the
         session's truncation floor at this log's current head."""
         with self._lock:
-            floor_segment: int | None = None
-            for doc in frames:
-                position = self._append_locked(doc, strict=False)
-                if doc.get("k") == "checkpoint" and not doc.get("delta"):
-                    floor_segment = position.segment
+            self._land_locked(frames)
             self._active_sessions.add(session)
-            if floor_segment is not None:
-                self._checkpoint_segment[session] = floor_segment
             self._sync_locked()
+
+    def land(self, frames: list[dict[str, Any]]) -> None:
+        """Append frames shipped from another log (a standby copy).
+
+        A shipped full checkpoint advances its session's floor to the
+        segment it landed in and a shipped ``dropped``/``closed``
+        forgets the session (as in :meth:`checkpoint`); when landing
+        rotates the log, the segments below the floor are deleted.
+        """
+        with self._lock:
+            rotations = self.rotations
+            self._land_locked(frames)
+            if self.rotations != rotations:
+                self._truncate_locked()
+
+    def _land_locked(self, frames: list[dict[str, Any]]) -> None:
+        for doc in frames:
+            position = self._append_locked(doc, strict=False)
+            self._track_locked(doc, position.segment)
 
     def tail_since(
         self, start: WalPosition | None = None
@@ -664,15 +660,9 @@ class WriteAheadLog:
             with handle:
                 if offset:
                     handle.seek(offset)
-                while not (segment == end.segment and offset >= end.offset):
-                    header = handle.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
+                for offset, payload in _read_frames(handle, offset):
+                    if segment == end.segment and offset >= end.offset:
                         break
-                    length, crc = _HEADER.unpack(header)
-                    payload = handle.read(length)
-                    if len(payload) < length or zlib.crc32(payload) != crc:
-                        break
-                    offset += _HEADER.size + length
                     try:
                         doc = _loads(payload)
                     except ValueError:
@@ -702,28 +692,14 @@ class WriteAheadLog:
         for segment in segments:
             if start is not None and segment < start.segment:
                 continue
-            path = self._segment_path(segment)
-            offset = 0
-            with open(path, "rb") as handle:
-                first = True
-                while True:
-                    header = handle.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
-                        if header and segment != last:
-                            raise WalError(
-                                f"truncated frame header mid-log in "
-                                f"segment {segment}"
-                            )
-                        break
-                    length, crc = _HEADER.unpack(header)
-                    payload = handle.read(length)
-                    if len(payload) < length or zlib.crc32(payload) != crc:
-                        if segment != last:
-                            raise WalError(
-                                f"corrupt frame mid-log in segment "
-                                f"{segment} at offset {offset}"
-                            )
-                        break  # torn tail: crash mid-append
+            try:
+                handle = open(self._segment_path(segment), "rb")
+            except FileNotFoundError:
+                continue  # truncated since the listing: checkpoint-covered
+            with handle:
+                end = 0
+                for offset, payload in _read_frames(handle):
+                    end = offset + _HEADER.size + len(payload)
                     try:
                         doc = _loads(payload)
                     except ValueError as exc:
@@ -731,10 +707,7 @@ class WriteAheadLog:
                             f"undecodable frame in segment {segment} at "
                             f"offset {offset}: {exc}"
                         ) from exc
-                    position = WalPosition(segment, offset)
-                    offset += _HEADER.size + length
-                    if first:
-                        first = False
+                    if offset == 0:
                         if doc.get("k") == "header":
                             try:
                                 check_envelope(
@@ -749,9 +722,17 @@ class WriteAheadLog:
                             f"segment {segment} does not open with a "
                             f"{WAL_FORMAT!r} header frame"
                         )
+                    position = WalPosition(segment, offset)
                     if start is not None and position < start:
                         continue
                     yield position, doc
+                # a short or corrupt frame ends the final segment (torn
+                # tail: crash mid-append); anywhere else it is damage.
+                if segment != last and end < os.fstat(handle.fileno()).st_size:
+                    raise WalError(
+                        f"corrupt frame mid-log in segment {segment} at "
+                        f"offset {end}"
+                    )
 
     def close(self) -> None:
         with self._lock:
@@ -813,6 +794,9 @@ class EffectJournal:
         self._already_applied = False
         self.recorded = 0
         self.replayed = 0
+        #: frame bytes (entries and seals, effects included) logged
+        #: since the session's last full checkpoint, which resets it.
+        self.tail_bytes = 0
         # hot-path bindings: the per-entry writes go straight at the
         # log's lock and lean write (same module; see log_call).
         self._wal_lock = wal._lock
@@ -872,6 +856,7 @@ class EffectJournal:
             self._session_registered = True
         with self._wal_lock:
             self._wal_write(frame)
+        self.tail_bytes += _HEADER.size + len(frame)
         self._entry_seq = seq
         self._effects = []
         self._already_applied = False
@@ -936,6 +921,7 @@ class EffectJournal:
                 frame = self._seal_prefix + b"%d}" % entry_seq
             with self._wal_lock:
                 self._wal_write(frame)
+            self.tail_bytes += _HEADER.size + len(frame)
 
     def _replay_next(self, label: str) -> Any:
         """Pop the next recorded effect and return/raise its outcome.

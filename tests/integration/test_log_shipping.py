@@ -11,6 +11,7 @@ Three layers, cheapest first:
   session's op_logs are byte-identical to the pre-kill record.
 """
 
+import json
 import threading
 from types import SimpleNamespace
 
@@ -244,20 +245,174 @@ class TestBackendDurabilityModes:
                 backend.close("s1")
             durable.shutdown()
 
-    def test_periodic_checkpoint_honors_checkpoint_every(self, tmp_path):
-        backend = _durable_backend(tmp_path, 0, checkpoint_every=2)
-        assert backend.checkpoint_every == 2
+
+
+# ---------------------------------------------------------------------------
+# Size-driven checkpoints: the cadence rule and adoption at every kill point
+# ---------------------------------------------------------------------------
+
+
+def _comm_ops(n):
+    """``n`` deterministic communication API steps (party churn)."""
+    ops = [OPS[0]]
+    for i in range(n - 1):
+        api = "ncb.add_party" if i % 2 == 0 else "ncb.remove_party"
+        ops.append({"op": "api", "api": api,
+                    "args": {"connection": "c1", "party": f"p{i // 2 % 5}"}})
+    return ops
+
+
+def _model_ops(n):
+    """``n`` microgrid ``run_model`` steps alternating its two phases."""
+    from repro.domains.assembly import domain_cases
+    from repro.modeling.serialize import model_to_dict
+
+    (case,) = [c for c in domain_cases() if c.name == "microgrid"]
+    phases = [{"op": "run_model", "model": model_to_dict(model)}
+              for model in (case.phase1(), case.phase2())]
+    return [phases[i % 2] for i in range(n)]
+
+
+def _frame_bytes(doc):
+    from repro.runtime.wal import encode_frame_doc
+
+    return len(encode_frame_doc(doc))
+
+
+def _spy_frames(backend):
+    """Make every frame the backend writes observable in order.
+
+    A checkpoint truncates the segment holding the frames just before
+    it, so ``ship_tail`` alone would skip the entry that triggered it;
+    the spy drains the tail right before each checkpoint is written."""
+    seen = []
+    durability = backend.durability
+    checkpoint = durability.checkpoint
+
+    def spy(session, snapshot_doc, **kwargs):
+        seen.extend(backend.ship_tail())
+        return checkpoint(session, snapshot_doc, **kwargs)
+
+    durability.checkpoint = spy
+
+    def drain():
+        seen.extend(backend.ship_tail())
+        frames, seen[:] = list(seen), []
+        return frames
+
+    return drain
+
+
+class TestSizeDrivenCheckpoints:
+    def test_checkpoint_ships_exactly_when_tail_reaches_its_size(
+            self, tmp_path):
+        backend = _durable_backend(tmp_path, 0)
+        drain = _spy_frames(backend)
         backend.open("s1", OPEN_DOC)
         try:
-            backend.ship_tail()
-            for doc in OPS:  # 3 ops -> one periodic checkpoint at op 2
+            (base,) = drain()
+            assert base["k"] == "checkpoint"
+            last_checkpoint, tail = _frame_bytes(base), 0
+            checkpoints = 0
+            for doc in _comm_ops(250):
                 backend.apply("s1", doc)
-            tail = backend.ship_tail()
-            checkpoints = [doc for doc in tail if doc["k"] == "checkpoint"]
-            assert len(checkpoints) == 1
+                frames = drain()
+                for frame in frames:
+                    if frame["k"] == "checkpoint":
+                        assert tail >= last_checkpoint
+                        last_checkpoint, tail = _frame_bytes(frame), 0
+                        checkpoints += 1
+                    else:
+                        assert frame["k"] in ("entry", "applied")
+                        tail += _frame_bytes(frame)
+                # no checkpoint this step: the tail is still lighter
+                assert tail < last_checkpoint
+                shipped = [f["k"] for f in frames]
+                assert shipped[-1] == ("checkpoint" if tail == 0
+                                       else "applied")
+                described = backend.describe("s1")
+                assert described["tail_bytes"] == tail
+                assert described["checkpoint_bytes"] == last_checkpoint
+            assert checkpoints >= 2
         finally:
             backend.close("s1")
             backend.shutdown()
+
+    @pytest.mark.parametrize("ops", [_comm_ops, _model_ops],
+                             ids=["communication", "microgrid"])
+    def test_checkpoint_bytes_bounded_by_log_bytes(self, tmp_path, ops):
+        backend = _durable_backend(tmp_path, 0)
+        drain = _spy_frames(backend)
+        open_doc = ({"domain": "microgrid", "autonomic": False}
+                    if ops is _model_ops else OPEN_DOC)
+        backend.open("s1", open_doc)
+        try:
+            for doc in ops(200):
+                backend.apply("s1", doc)
+            frames = drain()
+        finally:
+            backend.close("s1")
+            backend.shutdown()
+        sizes = [_frame_bytes(f) for f in frames if f["k"] == "checkpoint"]
+        logged = sum(_frame_bytes(f) for f in frames
+                     if f["k"] in ("entry", "applied"))
+        assert len(sizes) >= 3  # the base plus periodic checkpoints
+        assert sum(sizes) <= logged + max(sizes)
+
+
+def _inline_op_logs(open_doc, ops):
+    """Undurable golden run: op_logs after each prefix of ``ops``."""
+    bare = RegistryBackend(durability="off")
+    bare.configure(0, {})
+    bare.open("s1", open_doc)
+    try:
+        logs = [bare.describe("s1")["op_logs"]]
+        for doc in ops:
+            bare.apply("s1", doc)
+            logs.append(bare.describe("s1")["op_logs"])
+        return logs
+    finally:
+        bare.close("s1")
+
+
+@pytest.mark.parametrize("domain", ["communication", "microgrid"])
+def test_adoption_at_every_kill_point_matches_inline(tmp_path, domain):
+    """Kill the worker after every k from just before one periodic
+    checkpoint through the next: a fresh backend adopting the shipped
+    prefix reproduces the inline op_logs byte for byte."""
+    open_doc = {"domain": domain, "autonomic": False}
+    source = _durable_backend(tmp_path, 0)
+    source.open("s1", open_doc)
+    shipped = source.ship_tail()
+    prefixes = [list(shipped)]
+    checkpoints_at = []
+    ops = _comm_ops(200) if domain == "communication" else _model_ops(60)
+    try:
+        for k, doc in enumerate(ops, start=1):
+            source.apply("s1", doc)
+            tail = source.ship_tail()
+            if any(frame["k"] == "checkpoint" for frame in tail):
+                checkpoints_at.append(k)
+            shipped += tail
+            prefixes.append(list(shipped))
+            if len(checkpoints_at) == 2:
+                break
+    finally:
+        source.close("s1")
+        source.shutdown()
+    assert len(checkpoints_at) == 2  # one full interval was crossed
+    golden = _inline_op_logs(open_doc, ops[:len(prefixes) - 1])
+    for k in range(checkpoints_at[0] - 1, len(prefixes)):
+        adopter = _durable_backend(tmp_path, 100 + k)
+        try:
+            report = adopter.adopt("s1", prefixes[k])
+            assert report["errors"] == []
+            assert report["tail_bytes"] < report["checkpoint_bytes"]
+            adopted = adopter.describe("s1")["op_logs"]
+            assert json.dumps(adopted) == json.dumps(golden[k]), k
+        finally:
+            adopter.close("s1")
+            adopter.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +450,52 @@ class TestLogShipper:
             assert [doc["k"] for doc in exported] == ["checkpoint", "entry"]
             assert len(shipper.log_for(1).export_session("s1")) == 1
         finally:
+            shipper.close()
+
+    def test_standby_log_truncates_behind_shipped_checkpoints(
+            self, tmp_path):
+        """The standby copy drops segments every session's shipped
+        checkpoint covers, so it stays bounded over many checkpoints;
+        adoption from the truncated copy still matches the inline run."""
+        from repro.runtime.cluster import LogShipper
+
+        shipper = LogShipper(_fake_cluster((True, 0), (True, 0)),
+                             tmp_path / "ship")
+        source = _durable_backend(tmp_path, 0)
+        adopter = _durable_backend(tmp_path, 1)
+        ops = _comm_ops(600)
+        try:
+            standby = shipper.log_for(0)
+            standby.segment_max_bytes = 4096
+            for key in ("s1", "gone"):
+                source.open(key, OPEN_DOC)
+            source.apply("gone", OPS[0])
+            source.close("gone")  # its shipped close releases its floor
+            checkpoints = largest = most_segments = 0
+            for doc in ops:
+                source.apply("s1", doc)
+                frames = source.ship_tail()
+                for frame in frames:
+                    if frame["k"] == "checkpoint":
+                        checkpoints += 1
+                        largest = max(largest, _frame_bytes(frame))
+                shipper.receive(0, frames)
+                most_segments = max(most_segments, len(standby.segments()))
+            assert checkpoints >= 6
+            assert standby.truncated_segments > 0
+            # the segment holding the floor checkpoint, a tail lighter
+            # than it, and the segment being filled
+            assert most_segments <= largest // 4096 + 3
+            assert standby.rotations > most_segments  # it did rotate past
+            report = adopter.adopt("s1", standby.export_session("s1"))
+            assert report["errors"] == []
+            golden = _inline_op_logs(OPEN_DOC, ops)[-1]
+            assert adopter.describe("s1")["op_logs"] == golden
+        finally:
+            for backend in (source, adopter):
+                for session in list(backend.sessions):
+                    backend.close(session)
+                backend.shutdown()
             shipper.close()
 
     def test_adoption_target_prefers_live_standby(self, tmp_path):
@@ -424,6 +625,9 @@ class TestStandbyAdoptionEndToEnd:
             assert row["errors"] == []
             # lost session: state reproduced exactly on the survivor
             assert cluster.describe(keys[0])["op_logs"] == golden
+            # ...and no longer pins the dead worker's standby log
+            standby = cluster.shipper.log_for(victim)
+            assert keys[0] not in standby._active_sessions
             # both sessions still serve operations after the failover
             for key in (keys[0], survivor_key):
                 cluster.call(key, {"op": "api", "api": "ncb.add_party",

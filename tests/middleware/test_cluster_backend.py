@@ -55,6 +55,40 @@ class TestRegistryBackend:
         assert list(op_logs) == ["net0"]
         assert op_logs["net0"]  # the workload left a visible trace
 
+    def test_describe_reports_adoption_replay_bytes(self, tmp_path):
+        """``describe`` shows the tail a standby would replay and the
+        checkpoint it would restore, from the cadence rule's counters."""
+        from repro.runtime.durability import DurabilityPolicy
+        from repro.runtime.wal import encode_frame_doc
+
+        durable = RegistryBackend(durability=DurabilityPolicy(
+            mode="wal", log_root=str(tmp_path), fsync=False))
+        durable.enable_durability()
+        try:
+            durable.open("s1", {"domain": "communication",
+                                "autonomic": False})
+            (base,) = durable.ship_tail()
+            opened = durable.describe("s1")
+            assert opened["tail_bytes"] == 0
+            assert opened["checkpoint_bytes"] == len(encode_frame_doc(base))
+            _comm_workload(durable, "s1")
+            tail = durable.ship_tail()
+            assert [doc["k"] for doc in tail] == ["entry", "applied"] * 2
+            worked = durable.describe("s1")
+            assert worked["tail_bytes"] == sum(
+                len(encode_frame_doc(doc)) for doc in tail)
+            assert worked["checkpoint_bytes"] == opened["checkpoint_bytes"]
+        finally:
+            durable.close("s1")
+            durable.shutdown()
+
+    def test_describe_without_durability_reports_no_replay(self, backend):
+        backend.open("s1", {"domain": "communication", "autonomic": False})
+        _comm_workload(backend, "s1")
+        described = backend.describe("s1")
+        assert (described["tail_bytes"], described["checkpoint_bytes"]) == (
+            0, 0)
+
     def test_capture_restore_resumes_exactly(self, backend):
         backend.open("s1", {"domain": "communication", "autonomic": False})
         _comm_workload(backend, "s1")

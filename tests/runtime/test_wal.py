@@ -198,6 +198,27 @@ class TestSegmentsAndTruncation:
         assert wal.truncate() == 1
         wal.close()
 
+    def test_landed_frames_truncate_on_rotation(self, tmp_path):
+        """A standby copy: a shipped full checkpoint advances its
+        session's floor, a shipped ``dropped`` releases it, and the
+        rotation that follows drops what the floor covers."""
+        wal = open_wal(tmp_path, segment_max_bytes=256)
+        entry = signal_to_doc(Signal(topic="t", payload={}, origin="lag"))
+        wal.land([{"k": "checkpoint", "session": "lag", "snapshot": {}},
+                  {"k": "entry", "session": "lag", "sig": entry}])
+        for i in range(8):
+            wal.land([{"k": "checkpoint", "session": "s",
+                       "snapshot": {"pad": "x" * 256, "i": i}}])
+        assert wal.truncated_segments == 0  # pinned by "lag"
+        wal.land([{"k": "dropped", "session": "lag"}])
+        wal.land([{"k": "checkpoint", "session": "s",
+                   "snapshot": {"pad": "x" * 256, "i": 8}}])
+        assert wal.truncated_segments > 0
+        assert [d["snapshot"]["i"] for d in frames(wal)
+                if d["k"] == "checkpoint"][0] >= 7
+        assert wal.export_session("s")[0]["snapshot"]["i"] == 8
+        wal.close()
+
     def test_floor_bookkeeping_survives_reopen(self, tmp_path):
         wal = open_wal(tmp_path)
         laggard = Signal(topic="t", payload={}, origin="lag")
