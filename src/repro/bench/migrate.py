@@ -12,8 +12,10 @@ benchmark interrupts the session between the phases three ways:
   session from nothing but the snapshot and the domain's DSK;
 * **live migration** — the session runs on a 2-shard threaded
   :class:`~repro.runtime.sharded.ShardedRuntime` and is migrated to
-  the other shard between the phases (quiesce → snapshot → transfer →
-  restore → re-route), measuring the migration pause;
+  the other shard once its first step settles (hold → capture →
+  restore → re-point → release → flush), measuring the migration
+  pause, then back and forth while a producer thread keeps submitting
+  its remaining steps;
 * **rebalancing** — sessions packed onto one shard of a 4-shard fabric
   are spread by :class:`~repro.runtime.sharded.ShardRebalancer` and
   throughput is compared before/after.
@@ -34,6 +36,7 @@ repeats for CI).
 from __future__ import annotations
 
 import statistics
+import threading
 import time
 from typing import Any
 
@@ -53,32 +56,45 @@ __all__ = [
 #: checkpoint overhead admitted on the E1 hot path with an idle
 #: scheduler attached (acceptance gate, percent).
 OVERHEAD_GATE_PCT = 5.0
+#: moves of each session while its producer thread submits steps
+LIVE_MOVES = 3
 
 
 def _fresh_session(case: DomainCase) -> tuple[Any, Any, Any]:
     """(service, dsk, started platform) for one session of ``case``."""
-    from repro.middleware.loader import load_platform
-
     service = case.service()
     dsk = case.knowledge(service)
+    return service, dsk, _load(case, dsk)
+
+
+def _load(case: DomainCase, dsk: Any) -> Any:
+    from repro.middleware.loader import load_platform
+
     platform = load_platform(case.middleware(), dsk)
     if platform.controller is not None and case.context:
         platform.controller.context.update(case.context)
-    return service, dsk, platform
+    return platform
 
 
 def _log_bytes(service: Any) -> bytes:
     return "\n".join(service.op_log).encode("utf-8")
 
 
-def golden_logs(cases: list[DomainCase]) -> dict[str, bytes]:
-    """Uninterrupted two-phase runs: the per-domain golden op_logs."""
+def _phases(case: DomainCase, steps: int) -> list[Any]:
+    """``steps`` session steps: the two phase models, alternating."""
+    models = [case.phase1(), case.phase2()]
+    return [models[i % 2] for i in range(steps)]
+
+
+def golden_logs(cases: list[DomainCase], steps: int = 2) -> dict[str, bytes]:
+    """Uninterrupted runs of :func:`_phases`: the per-domain golden
+    op_logs."""
     golden: dict[str, bytes] = {}
     for case in cases:
         service, _dsk, platform = _fresh_session(case)
         try:
-            platform.run_model(case.phase1())
-            platform.run_model(case.phase2())
+            for model in _phases(case, steps):
+                platform.run_model(model)
         finally:
             platform.stop()
         golden[case.name] = _log_bytes(service)
@@ -150,83 +166,120 @@ def recovery_bench(
 # -- live migration ----------------------------------------------------------
 
 
+class _Migratable:
+    """Migration hooks: capture stops ``self.platform`` and returns its
+    snapshot doc; restore rebuilds it over ``self.dsk``."""
+
+    __slots__ = ()
+
+    def capture(self) -> dict[str, Any]:
+        snapshot = self.platform.checkpoint()
+        self.platform.stop()
+        return snapshot.to_dict()
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        from repro.middleware.snapshot import SessionSnapshot, restore_platform
+
+        self.platform = restore_platform(SessionSnapshot.from_dict(doc),
+                                         self.dsk)
+
+
+class _HostedSession(_Migratable):
+    """One domain session hosted on a shard of a ShardedRuntime.  A
+    ``step`` that runs on a shard not hosting the session raises, so
+    work a move strands on the wrong shard cannot pass unseen."""
+
+    def __init__(self, case: DomainCase) -> None:
+        self.case = case
+        self.service = case.service()
+        self.dsk = case.knowledge(self.service)
+        self.platform: Any = None
+        self.shard = -1
+
+    def build(self) -> None:
+        from repro.runtime.sharded import current_shard
+
+        self.platform = _load(self.case, self.dsk)
+        self.shard = current_shard().index
+
+    def step(self, model: Any) -> None:
+        from repro.runtime.sharded import current_shard
+
+        if current_shard().index != self.shard:
+            raise RuntimeError("step ran on a shard not hosting the session")
+        self.platform.run_model(model)
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        from repro.runtime.sharded import current_shard
+
+        super().restore(doc)
+        self.shard = current_shard().index
+
+    def stop(self) -> None:
+        if self.platform is not None and self.platform.started:
+            self.platform.stop()
+
+
 def migration_bench(
     cases: list[DomainCase],
-    golden: dict[str, bytes],
     *,
     repeats: int = 3,
+    steps: int = 24,
 ) -> dict[str, Any]:
-    """Live-migrate each domain's session between the workload phases."""
-    from repro.middleware.snapshot import SessionSnapshot, restore_platform
+    """Live-migrate each domain's session under live traffic.
+
+    The session runs ``steps`` steps (:func:`_phases`).  Once the first
+    settles, one timed move (the pause); then :data:`LIVE_MOVES` more
+    while a producer thread keeps submitting the rest.  Every run must leave an
+    op_log byte-identical to the same steps run uninterrupted, with no
+    step failed.
+    """
     from repro.runtime.sharded import ShardedRuntime
 
+    golden = golden_logs(cases, steps)
     rows: list[dict[str, Any]] = []
     all_pauses: list[float] = []
     for case in cases:
+        sequence = _phases(case, steps)
         pauses: list[float] = []
         for _ in range(repeats):
             runtime = ShardedRuntime(2, name=f"bench-migrate-{case.name}")
-            runtime.start()
-            service = case.service()
-            dsk = case.knowledge(service)
+            session = _HostedSession(case)
             key = f"{case.name}-session"
-            holder: dict[str, Any] = {}
+            futures: list[Any] = []
+
+            def move() -> None:
+                runtime.migrate(key, 1 - runtime.shard_for(key).index,
+                                capture=session.capture,
+                                restore=session.restore)
+
+            def produce() -> None:
+                for model in sequence[1:]:
+                    futures.append(runtime.submit(key, session.step, model))
+                    time.sleep(0.002)
+
+            runtime.start()
             try:
-                def build() -> None:
-                    from repro.middleware.loader import load_platform
-
-                    platform = load_platform(case.middleware(), dsk)
-                    if platform.controller is not None and case.context:
-                        platform.controller.context.update(case.context)
-                    holder["platform"] = platform
-
-                runtime.post(key, build)
-                runtime.post(
-                    key, lambda: holder["platform"].run_model(case.phase1())
-                )
-
-                source = runtime.shard_for(key)
-                target = 1 - source.index
-
-                def capture() -> dict[str, Any]:
-                    # Runs on the source shard thread: the quiesce point.
-                    snapshot = holder["platform"].checkpoint()
-                    holder["platform"].stop()
-                    return snapshot.to_dict()
-
-                def restore(doc: dict[str, Any]) -> bool:
-                    # Runs on the target shard thread.
-                    holder["platform"] = restore_platform(
-                        SessionSnapshot.from_dict(doc), dsk
-                    )
-                    return True
-
-                # Settle phase 1 first so the timed region is the
-                # migration itself, not the queued workload.
-                source.call(lambda: None).result(timeout=60)
+                runtime.post(key, session.build)
+                runtime.submit(key, session.step, sequence[0]).result(60)
                 start = time.perf_counter()
-                runtime.migrate(key, target, capture=capture, restore=restore)
-                pause = time.perf_counter() - start
-
-                if runtime.shard_for(key).index != target:
-                    raise AssertionError(
-                        f"domain {case.name!r}: route override did not "
-                        f"re-point {key!r} to shard {target}"
-                    )
-                runtime.post(
-                    key, lambda: holder["platform"].run_model(case.phase2())
-                )
+                move()
+                pauses.append(time.perf_counter() - start)
+                producer = threading.Thread(target=produce)
+                producer.start()
+                for _ in range(LIVE_MOVES):
+                    move()
+                producer.join()
+                failed = sum(f.exception(60) is not None for f in futures)
             finally:
                 runtime.stop()
-            platform = holder.get("platform")
-            if platform is not None and platform.started:
-                platform.stop()
-            if _log_bytes(service) != golden[case.name]:
+                session.stop()
+            if failed or _log_bytes(session.service) != golden[case.name]:
                 raise AssertionError(
                     f"domain {case.name!r}: op_log after live migration "
-                    f"diverged from the uninterrupted run"
+                    f"diverged from the uninterrupted run ({failed} of "
+                    f"{steps} steps failed)"
                 )
-            pauses.append(pause)
         all_pauses.extend(pauses)
         rows.append({
             "domain": case.name,
@@ -237,6 +290,8 @@ def migration_bench(
         "domains": rows,
         "all_identical": True,
         "repeats": repeats,
+        "steps": steps,
+        "moves_under_traffic": LIVE_MOVES,
         "median_pause_ms": statistics.median(all_pauses) * 1000,
     }
 
@@ -244,7 +299,7 @@ def migration_bench(
 # -- checkpoint overhead on the hot path ------------------------------------
 
 
-class _ScenarioRunner:
+class _ScenarioRunner(_Migratable):
     """Drives one E1 scenario against a full CVM platform's broker."""
 
     __slots__ = ("service", "dsk", "platform")
@@ -391,7 +446,6 @@ def rebalance_bench(
     blocking per-op cost (the paper's service-dominated regime), so
     spreading sessions buys real parallelism.
     """
-    from repro.middleware.snapshot import SessionSnapshot, restore_platform
     from repro.runtime.sharded import ShardedRuntime, ShardRebalancer
 
     runtime = ShardedRuntime(shards, name="bench-rebalance")
@@ -409,11 +463,10 @@ def rebalance_bench(
         key: COMMUNICATION_SCENARIOS[scenario_names[i % len(scenario_names)]]
         for i, key in enumerate(keys)
     }
-    holders: dict[str, dict[str, Any]] = {key: {} for key in keys}
+    runners: dict[str, _ScenarioRunner] = {}
 
     def build(key: str) -> None:
-        runner = _ScenarioRunner(blocking=True)
-        holders[key]["runner"] = runner
+        runners[key] = _ScenarioRunner(blocking=True)
 
     def run_workload() -> float:
         start = time.perf_counter()
@@ -426,9 +479,7 @@ def rebalance_bench(
                 for _ in range(rounds):
                     runtime.post(
                         key,
-                        lambda k=key, s=steps[step_index]: holders[k][
-                            "runner"
-                        ].run_step(s),
+                        lambda k=key, s=steps[step_index]: runners[k].run_step(s),
                     )
         for shard in runtime.shards:
             shard.call(lambda: None).result(timeout=120)
@@ -441,21 +492,10 @@ def rebalance_bench(
         for shard in runtime.shards:
             shard.call(lambda: None).result(timeout=120)
 
-        def capture(key: str) -> dict[str, Any]:
-            runner = holders[key]["runner"]
-            snapshot = runner.platform.checkpoint()
-            runner.platform.stop()
-            return snapshot.to_dict()
-
-        def restore(key: str, doc: dict[str, Any]) -> bool:
-            runner = holders[key]["runner"]
-            runner.platform = restore_platform(
-                SessionSnapshot.from_dict(doc), runner.dsk
-            )
-            return True
-
         rebalancer = ShardRebalancer(
-            runtime, capture=capture, restore=restore
+            runtime,
+            capture=lambda key: runners[key].capture(),
+            restore=lambda key, doc: runners[key].restore(doc),
         )
         elapsed_before = run_workload()
         loads_before = rebalancer.shard_loads()
@@ -469,9 +509,8 @@ def rebalance_bench(
         imbalance_after = rebalancer.imbalance(loads_after)
     finally:
         runtime.stop()
-        for holder in holders.values():
-            runner = holder.get("runner")
-            if runner is not None and runner.platform.started:
+        for runner in runners.values():
+            if runner.platform.started:
                 runner.platform.stop()
 
     steps_total = rounds * sum(len(steps) for steps in assigned.values())
@@ -481,7 +520,7 @@ def rebalance_bench(
         "rounds": rounds,
         "steps_per_phase": steps_total,
         "moves": len(moves),
-        "migrations": runtime.migrations,
+        "migrations": runtime.stats()["migrations"],
         "throughput_before_steps_per_s": steps_total / elapsed_before,
         "throughput_after_steps_per_s": steps_total / elapsed_after,
         "speedup": elapsed_before / elapsed_after,
@@ -506,7 +545,7 @@ def run(quick: bool = False) -> dict[str, Any]:
             cases, golden, capture_repeats=3 if quick else 10
         ),
         "migration": migration_bench(
-            cases, golden, repeats=1 if quick else 3
+            cases, repeats=1 if quick else 3, steps=12 if quick else 24
         ),
         # Each hot-path sample is ~2 ms, so even quick mode keeps a
         # deep pair count here (the sub-bench is cheap — platform

@@ -15,6 +15,7 @@ procedures, classifiers, actions) "at runtime with immediate effect".
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable
 
 from repro.middleware.broker.layer import BrokerLayer
@@ -34,7 +35,7 @@ from repro.runtime.clock import Clock, WallClock
 from repro.runtime.durability import DurabilityPolicy
 from repro.runtime.events import EventBus
 from repro.runtime.metrics import MetricsRegistry, default_registry
-from repro.runtime.sharded import Shard, ShardedRuntime
+from repro.runtime.sharded import Shard, ShardedRuntime, current_shard
 
 __all__ = [
     "PlatformError", "Platform", "PlatformPool", "apply_entry", "emit_event",
@@ -412,6 +413,19 @@ class Platform:
         )
 
 
+class _ClusterOwner:
+    """The pool router's owner for sessions moved out to one worker of a
+    :class:`~repro.runtime.cluster.ProcessCluster`: not a shard of the
+    pool's fabric (``index`` None), with a lock ordering the pool's
+    submissions to that worker."""
+
+    index = None
+    durability = None
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+
+
 class PlatformPool:
     """A sharded multi-session front door over N platform instances.
 
@@ -464,11 +478,11 @@ class PlatformPool:
             factory(shard) for shard in self.runtime.shards
         ]
         self._ingress_tiers: list[Any] = []
-        #: attached process cluster (PR 9) + session keys migrated out
-        #: to remote workers: key -> worker index.
+        #: attached process cluster; sessions moved out to its workers
+        #: route to the owner of their worker index.
         self._cluster: Any = None
+        self._cluster_owners: dict[int, _ClusterOwner] = {}
         self._apply_doc: "Callable[[Platform, str, dict], Any] | None" = None
-        self._remote: dict[str, int] = {}
         self._rebalancer: Any = None
         self._checkpointers: list[Any] = []
         self.started = False
@@ -520,12 +534,23 @@ class PlatformPool:
 
     def platform_for(self, key: str) -> Platform:
         """The platform owning session ``key`` (affinity-stable)."""
-        return self.platforms[self.shard_for(key).index]
+        return self._platform_on(self.shard_for(key), key)
+
+    def _platform_on(self, owner: Any, key: str) -> Platform:
+        if isinstance(owner, _ClusterOwner):
+            raise PlatformError(
+                f"pool {self.name!r}: session {key!r} was moved out to a "
+                f"worker process"
+            )
+        return self.platforms[owner.index]
 
     def submit(self, key: str, fn: "Callable[[Platform], Any]"):
         """Run ``fn(platform)`` on the shard owning ``key``; a Future."""
-        platform = self.platform_for(key)
-        return self.runtime.submit(key, fn, platform)
+        def send(shard: Any) -> Any:
+            platform = self._platform_on(shard, key)
+            return shard.call(fn, platform)
+
+        return self.runtime.dispatch(str(key), send)
 
     def close_session(self, key: str) -> bool:
         """Release per-session fabric state for a closed session.
@@ -534,19 +559,19 @@ class PlatformPool:
         :meth:`build_ingress` are resolved first as typed ``REJECTED``
         outcomes (``ShedReason.SESSION_CLOSED``) — closing a session
         must never leave a waiter hanging on a queue nobody will pump,
-        nor dispatch its backlog into the released session.  Then the
-        migration route override installed by
-        :meth:`ShardedRuntime.migrate` (if any) is pruned so the
+        nor dispatch its backlog into the released session.  A session
+        moved out to a worker closes there.  Then the migration route
+        override installed by a move (if any) is pruned so the
         routing table stays bounded over millions of session
         lifetimes.  Returns True when an override was dropped.
         """
         for tier in self._ingress_tiers:
             tier.close_session(key)
         key = str(key)
-        worker = self._remote.pop(key, None)
-        if worker is not None and self._cluster is not None:
+        owner = self.shard_for(key)
+        if isinstance(owner, _ClusterOwner):
             self._cluster.close_session(key)
-        durability = self.runtime.shard_for(key).durability
+        durability = owner.durability
         if durability is not None:
             # typed close frame, then drop the session from the
             # truncation floor — a closed session must not pin segments
@@ -554,7 +579,7 @@ class PlatformPool:
             # entry frames, and the close frame marks intent).
             durability.log_event("closed", key)
             durability.forget(key)
-        return self.runtime.release(key)
+        return self.runtime.router.forget(key)
 
     # -- ingress (PR 6) ---------------------------------------------------
 
@@ -623,11 +648,15 @@ class PlatformPool:
         runs in-process on the owning shard.
         """
         self._cluster = cluster
+        self._cluster_owners = {}
         self._apply_doc = apply
 
     def remote_worker_for(self, key: str) -> int | None:
         """Worker index hosting ``key``, or None when local."""
-        return self._remote.get(str(key))
+        if isinstance(self.shard_for(str(key)), _ClusterOwner):
+            # the cluster's router: its own moves may have re-homed it
+            return self._cluster.worker_for(str(key))
+        return None
 
     def submit_doc(self, key: str, doc: dict) -> Any:
         """Submit one doc-encoded step for ``key``, local or remote.
@@ -644,50 +673,33 @@ class PlatformPool:
                 f"pool {self.name!r}: attach_cluster() before submit_doc()"
             )
         key = str(key)
-        if self._cluster is not None and key in self._remote:
-            return self._cluster.submit(key, doc)
         from repro.runtime.faults import InvocationOutcome
 
-        shard = self.shard_for(key)
-        platform = self.platforms[shard.index]
         apply = self._apply_doc
-        durability = shard.durability
 
-        if durability is None:
-
-            def run(target: Platform) -> Any:
-                try:
-                    value = apply(target, key, doc)
-                    self._route_emits(key, doc, None)
-                except Exception as exc:  # noqa: BLE001 - typed outcome
-                    return InvocationOutcome(
-                        status=InvocationOutcome.FAILED, label=key,
-                        error=exc, attempts=1, elapsed=0.0,
-                    )
-                return InvocationOutcome(
-                    status=InvocationOutcome.OK, label=key,
-                    value=value, attempts=1, elapsed=0.0,
-                )
-
-            return self.runtime.submit(key, run, platform)
-
-        def run_durable(target: Platform) -> Any:
-            # The fabric's durability bracket: write-ahead the entry
-            # frame, apply with the session's effect journal installed
-            # on the broker, seal the memoized effects.
-            resources = (
-                target.broker.resources if target.broker is not None else None
-            )
+        def run() -> Any:
+            # the platform and log of the shard the router picked
+            shard = current_shard()
+            platform = self.platforms[shard.index]
 
             def applied(signal: Any) -> Any:
-                value = apply(target, key, doc)
+                value = apply(platform, key, doc)
                 self._route_emits(key, doc, signal)
                 return value
 
             try:
-                value = durability.execute(
-                    key, doc, applied, resources=resources
-                )
+                if shard.durability is None:
+                    value = applied(None)
+                else:
+                    # The fabric's durability bracket: write-ahead the
+                    # entry frame, apply with the session's effect
+                    # journal installed on the broker, seal the
+                    # memoized effects.
+                    broker = platform.broker
+                    value = shard.durability.execute(
+                        key, doc, applied,
+                        resources=broker.resources if broker is not None else None,
+                    )
             except Exception as exc:  # noqa: BLE001 - typed outcome
                 return InvocationOutcome(
                     status=InvocationOutcome.FAILED, label=key,
@@ -698,7 +710,12 @@ class PlatformPool:
                 value=value, attempts=1, elapsed=0.0,
             )
 
-        return self.runtime.submit(key, run_durable, platform)
+        def send(owner: Any) -> Any:
+            if isinstance(owner, _ClusterOwner):
+                return self._cluster.submit(key, doc)
+            return owner.call(run)
+
+        return self.runtime.dispatch(key, send)
 
     def _route_emits(self, key: str, doc: dict, signal: Any) -> None:
         """Route the step's declared cross-session emissions.
@@ -733,31 +750,28 @@ class PlatformPool:
         capture: "Callable[[Platform], dict]",
         timeout: float = 30.0,
     ) -> Any:
-        """Live-migrate session ``key`` out of this process.
+        """Live-migrate session ``key`` out of this process: one
+        :meth:`ShardedRuntime.transfer` whose target is ``worker``.
 
-        :meth:`ShardedRuntime.migrate` out of the fabric: the owning
-        shard quiesces and runs ``capture(platform)`` (the session's
-        transportable doc: snapshot + service state), the doc is
-        restored on ``worker`` over the cluster protocol, and routing
-        re-points so subsequent :meth:`submit_doc` calls go remote.
+        The owning shard runs ``capture(platform)`` (the session's
+        transportable doc: snapshot + service state), ``worker``
+        restores it, and routing re-points so :meth:`submit_doc` goes
+        remote.
         """
         if self._cluster is None:
             raise PlatformError(
                 f"pool {self.name!r}: attach_cluster() before migrate_to_worker()"
             )
         key = str(key)
-        platform = self.platform_for(key)
-        result = self.runtime.migrate(
+        return self.runtime.transfer(
             key,
-            None,
-            capture=lambda: capture(platform),
-            restore=lambda doc: self._cluster.restore_session(
-                key, doc, worker=worker
+            self._cluster_owners.setdefault(worker, _ClusterOwner()),
+            capture=lambda: capture(self.platforms[current_shard().index]),
+            restore=lambda _owner, doc: self._cluster.restore_session(
+                key, doc, worker=worker, timeout=timeout
             ),
             timeout=timeout,
         )
-        self._remote[key] = worker
-        return result
 
     # -- load-driven rebalancing (PR 9, folded PR 5 follow-on) ------------
 
@@ -873,13 +887,13 @@ class PlatformPool:
 
         key = str(key)
         shard = self.shard_for(key)
+        platform = self._platform_on(shard, key)
         durability = shard.durability
         if durability is None:
             raise PlatformError(
                 f"pool {self.name!r}: durability is off; nothing to "
                 f"recover {key!r} from"
             )
-        platform = self.platforms[shard.index]
         return recover_session(
             durability.wal,
             session=key,

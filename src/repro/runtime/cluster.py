@@ -49,8 +49,8 @@ from repro.runtime.faults import InvocationOutcome
 from repro.runtime.ingress import IngressRejected, IngressTier, ShedReason
 from repro.runtime.sharded import (
     RebalanceTrigger,
+    SessionRouter,
     ShardRebalancer,
-    shard_index_for,
 )
 from repro.runtime.wal import (
     FRAME_HEADER_SIZE,
@@ -255,7 +255,9 @@ class _WorkerHandle:
         self.sessions: set[str] = set()
         self.reported_backlog = 0
         self._sock: socket.socket | None = None
-        self._lock = threading.Lock()
+        #: guards the socket and the pending table; the cluster's router
+        #: also holds it to order submissions against a session hold.
+        self.lock = threading.Lock()
         self._req_seq = 0
         self._pending: dict[int, tuple[str, float, Future]] = {}
         self._ready = threading.Event()
@@ -263,7 +265,7 @@ class _WorkerHandle:
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self, sock: socket.socket, pid: int) -> None:
-        with self._lock:
+        with self.lock:
             self.generation += 1
             generation = self.generation
             self._sock = sock
@@ -280,32 +282,35 @@ class _WorkerHandle:
     @property
     def depth(self) -> int:
         """Outstanding work attributed to this worker (backpressure feed)."""
-        with self._lock:
+        with self.lock:
             return len(self._pending) + self.reported_backlog
 
     # -- request/response --------------------------------------------------
 
     def request(self, op: str, session: str, doc=None, **extra) -> Future:
+        with self.lock:
+            return self.request_locked(op, session, doc, **extra)
+
+    def request_locked(self, op: str, session: str, doc=None,
+                       **extra) -> Future:
+        """:meth:`request` for a caller that holds ``self.lock``."""
         future: Future = Future()
         future.set_running_or_notify_cancel()
         started = time.monotonic()
-        with self._lock:
-            if not self.alive or self._sock is None:
-                future.set_result(_dead_outcome(session, started))
-                return future
-            self._req_seq += 1
-            request_id = self._req_seq
-            self._pending[request_id] = (session, started, future)
-            sock = self._sock
-            frame = {"k": "req", "id": request_id, "op": op, "session": session}
-            if doc is not None:
-                frame["doc"] = doc
-            frame.update(extra)
-            try:
-                sock.sendall(encode_frame_doc(frame, lenient=True))
-            except OSError as exc:
-                self._die_locked(exc)
-                return future
+        if not self.alive or self._sock is None:
+            future.set_result(_dead_outcome(session, started))
+            return future
+        self._req_seq += 1
+        request_id = self._req_seq
+        self._pending[request_id] = (session, started, future)
+        frame = {"k": "req", "id": request_id, "op": op, "session": session}
+        if doc is not None:
+            frame["doc"] = doc
+        frame.update(extra)
+        try:
+            self._sock.sendall(encode_frame_doc(frame, lenient=True))
+        except OSError as exc:
+            self._die_locked(exc)
         return future
 
     def _reader(self, sock: socket.socket, generation: int) -> None:
@@ -314,14 +319,14 @@ class _WorkerHandle:
                 frame = _read_frame(sock)
                 self._resolve(frame, generation)
         except (ConnectionError, OSError, WalError) as exc:
-            with self._lock:
+            with self.lock:
                 if self.generation == generation and self.alive:
                     self._die_locked(exc)
                     return
         # stale reader for a superseded socket: nothing to do
 
     def _resolve(self, frame: dict, generation: int) -> None:
-        with self._lock:
+        with self.lock:
             if self.generation != generation:
                 return
             self.reported_backlog = int(frame.get("backlog", 0))
@@ -359,7 +364,7 @@ class _WorkerHandle:
     # -- death -------------------------------------------------------------
 
     def _die_locked(self, exc: BaseException) -> None:
-        """Caller holds ``self._lock``."""
+        """Caller holds ``self.lock``."""
         self.alive = False
         self._ready.clear()
         self._sock = None
@@ -473,12 +478,7 @@ class LogShipper:
             outcome = handle.request(
                 "adopt", key, None, frames=frames).result(timeout)
             if outcome.status == InvocationOutcome.OK:
-                with self.cluster._lock:
-                    if target == shard_index_for(
-                            key, len(self.cluster.handles)):
-                        self.cluster._routes.pop(key, None)
-                    else:
-                        self.cluster._routes[key] = target
+                self.cluster.router.point(key, handle)
                 handle.sessions.add(key)
                 log.forget_session(key)
                 report["sessions"][key] = outcome.value
@@ -505,7 +505,6 @@ class LogShipper:
 
 @dataclass
 class _ClusterStats:
-    migrations: int = 0
     deaths: int = 0
     restarts: int = 0
     lost_sessions: list = field(default_factory=list)
@@ -533,9 +532,7 @@ class ProcessCluster:
         self.stats_ = _ClusterStats()
         self.shipper: LogShipper | None = None
         self._adoption_event = threading.Event()
-        self._routes: dict[str, int] = {}
-        self._held: dict[str, list] = {}
-        self._lock = threading.Lock()
+        self.router = SessionRouter(self.handles)
         self._listener: socket.socket | None = None
         self._port = 0
         self._token = ""
@@ -631,11 +628,7 @@ class ProcessCluster:
     # -- routing -----------------------------------------------------------
 
     def worker_for(self, key: str) -> int:
-        with self._lock:
-            override = self._routes.get(key)
-        if override is not None:
-            return override
-        return shard_index_for(key, len(self.handles))
+        return self.router.owner(key).index
 
     def backlogs(self) -> list[int]:
         return [handle.depth for handle in self.handles]
@@ -645,12 +638,8 @@ class ProcessCluster:
     def open_session(self, key: str, doc: dict | None = None, *,
                      worker: int | None = None) -> Future:
         if worker is not None:
-            with self._lock:
-                if worker == shard_index_for(key, len(self.handles)):
-                    self._routes.pop(key, None)
-                else:
-                    self._routes[key] = worker
-        handle = self.handles[self.worker_for(key)]
+            self.router.point(key, self.handles[worker])
+        handle = self.router.owner(key)
         handle.sessions.add(key)
         return handle.request("open", key, doc or {})
 
@@ -659,14 +648,8 @@ class ProcessCluster:
         always resolves with an :class:`InvocationOutcome` — REJECTED with
         ``ShedReason.WORKER_DEAD`` if the worker is (or dies while) serving it.
         """
-        with self._lock:
-            held = self._held.get(key)
-            if held is not None:  # live migration in progress for this key
-                future: Future = Future()
-                future.set_running_or_notify_cancel()
-                held.append((doc, future))
-                return future
-        return self.handles[self.worker_for(key)].request("call", key, doc)
+        return self.router.dispatch(
+            key, lambda handle: handle.request_locked("call", key, doc))
 
     def call(self, key: str, doc: dict, timeout: float = 60.0):
         """Blocking submit: returns the value or raises the typed error."""
@@ -674,8 +657,8 @@ class ProcessCluster:
         return outcome.unwrap()
 
     def capture(self, key: str, timeout: float = 60.0) -> dict:
-        handle = self.handles[self.worker_for(key)]
-        return handle.request("capture", key).result(timeout).unwrap()
+        return self.router.owner(key).request(
+            "capture", key).result(timeout).unwrap()
 
     def restore_session(self, key: str, doc: dict, *,
                         worker: int | None = None,
@@ -685,28 +668,23 @@ class ProcessCluster:
 
         Routing re-points to ``worker`` only once the restore succeeded:
         a failed restore leaves the session reachable where it was."""
-        target = self.worker_for(key) if worker is None else worker
-        handle = self.handles[target]
+        handle = (self.router.owner(key) if worker is None
+                  else self.handles[worker])
         result = handle.request("restore", key, doc).result(timeout).unwrap()
-        with self._lock:
-            if target == shard_index_for(key, len(self.handles)):
-                self._routes.pop(key, None)
-            else:
-                self._routes[key] = target
+        self.router.point(key, handle)
         handle.sessions.add(key)
         return result
 
     def close_session(self, key: str, timeout: float = 60.0):
-        handle = self.handles[self.worker_for(key)]
+        handle = self.router.owner(key)
         outcome = handle.request("close", key).result(timeout)
         handle.sessions.discard(key)
-        with self._lock:
-            self._routes.pop(key, None)
+        self.router.forget(key)
         return outcome
 
     def describe(self, key: str, timeout: float = 60.0) -> dict:
-        handle = self.handles[self.worker_for(key)]
-        return handle.request("describe", key).result(timeout).unwrap()
+        return self.router.owner(key).request(
+            "describe", key).result(timeout).unwrap()
 
     def ping(self, index: int, timeout: float = 10.0) -> dict:
         return self.handles[index].request("ping", "").result(timeout).unwrap()
@@ -714,40 +692,26 @@ class ProcessCluster:
     # -- live migration ----------------------------------------------------
 
     def migrate(self, key: str, to_worker: int, *, timeout: float = 30.0):
-        """Live-migrate ``key`` across the process boundary.
+        """Live-migrate ``key`` to worker ``to_worker``: one
+        :meth:`SessionRouter.transfer` over worker requests (capture
+        behind the source's queued operations, restore on the target,
+        drop at the source).  Returns the captured doc, or None when
+        ``key`` already lives on ``to_worker``."""
 
-        Quiesce -> capture -> restore -> drop, per the thread-fabric
-        sequence in :meth:`ShardedRuntime.migrate`: new submissions for the
-        key are held at the coordinator, the capture frame drains behind
-        every in-flight operation on the source worker's FIFO, the portable
-        doc is restored on the target, and held submissions are flushed to
-        the new owner in arrival order.  If the restore fails, the source
-        keeps the session and its route, and held submissions flush there.
-        """
-        source = self.worker_for(key)
-        if source == to_worker:
-            return None
-        with self._lock:
-            if key in self._held:
-                raise ClusterError(f"migration already in progress for {key!r}")
-            self._held[key] = []
-        try:
-            source_handle = self.handles[source]
-            snapshot = source_handle.request("capture", key).result(timeout).unwrap()
-            self.restore_session(key, snapshot, worker=to_worker,
-                                 timeout=timeout)
-            source_handle.request("drop", key).result(timeout)
-            source_handle.sessions.discard(key)
-            self.stats_.migrations += 1
-        finally:
-            with self._lock:
-                held = self._held.pop(key, [])
-            owner = self.handles[self.worker_for(key)]
-            for doc, future in held:
-                inner = owner.request("call", key, doc)
-                inner.add_done_callback(
-                    lambda f, fut=future: fut.set_result(f.result()))
-        return snapshot
+        def restore(target: _WorkerHandle, doc: dict) -> dict:
+            target.request("restore", key, doc).result(timeout).unwrap()
+            target.sessions.add(key)
+            return doc
+
+        def release(source: _WorkerHandle, _target: _WorkerHandle) -> None:
+            source.request("drop", key).result(timeout)
+            source.sessions.discard(key)
+
+        return self.router.transfer(
+            key, self.handles[to_worker],
+            capture=lambda source: source.request(
+                "capture", key).result(timeout).unwrap(),
+            restore=restore, release=release)
 
     # -- supervision -------------------------------------------------------
 
@@ -823,13 +787,12 @@ class ProcessCluster:
             "workers": len(self.handles),
             "alive": sum(1 for h in self.handles if h.alive),
             "backlogs": self.backlogs(),
-            "migrations": self.stats_.migrations,
+            **self.router.stats(),
             "deaths": self.stats_.deaths,
             "restarts": self.stats_.restarts,
             "lost_sessions": list(self.stats_.lost_sessions),
             "adoptions": (len(self.shipper.adoptions)
                           if self.shipper is not None else 0),
-            "routes": dict(self._routes),
         }
 
     # -- ingress adapter ---------------------------------------------------
@@ -881,36 +844,20 @@ class ProcessCluster:
         )
 
 
-class _ClusterShardView:
-    """The sliver of the sharded-runtime surface the greedy planner
-    reads: ``shards`` (for the count) and ``shard_for(key).index``."""
-
-    def __init__(self, cluster: ProcessCluster):
-        self.cluster = cluster
-
-    @property
-    def shards(self):
-        return self.cluster.handles
-
-    def shard_for(self, key: str):
-        return self.cluster.handles[self.cluster.worker_for(key)]
-
-
 class ClusterRebalancer(ShardRebalancer):
     """Greedy session moves across worker processes.
 
     Reuses :class:`ShardRebalancer`'s planner, cost attribution and
-    apply loop; only the load read and the move primitive differ.  The
-    load signal is the coordinator's own per-worker depth (pending
-    futures + the backlog every reply frame reports) and the move
-    primitive is :meth:`ProcessCluster.migrate` — quiesce, portable
-    capture, restore, drop — instead of an in-process shard hop.
+    apply loop; only the load read differs.  The load signal is the
+    coordinator's own per-worker depth (pending futures + the backlog
+    every reply frame reports), and the loop's ``migrate`` is
+    :meth:`ProcessCluster.migrate` — quiesce, portable capture,
+    restore, drop — instead of an in-process shard hop.
     """
 
     def __init__(self, cluster: ProcessCluster, *,
                  imbalance_threshold: float = 1.25, max_moves: int = 64):
-        super().__init__(_ClusterShardView(cluster),
-                         imbalance_threshold=imbalance_threshold,
+        super().__init__(cluster, imbalance_threshold=imbalance_threshold,
                          max_moves=max_moves)
         self.cluster = cluster
 
@@ -919,9 +866,6 @@ class ClusterRebalancer(ShardRebalancer):
 
     def observed_loads(self, queue_weight: float) -> list[float]:
         return [float(depth) * queue_weight for depth in self.shard_loads()]
-
-    def move(self, key: str, to_shard: int, *, timeout: float) -> None:
-        self.cluster.migrate(key, to_shard, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ it, ``journal.end_entry`` seals the memoized effects, and
 shard owns the log and hands sessions their journals, so every session
 hosted on a durable fabric is durable without opting in, and migration
 can move a session's truncation floor and tail between shard logs
-(:meth:`ShardDurability.export_session` /
-:meth:`ShardDurability.import_session`).  A standalone session is a
-:class:`ShardDurability` over a log of its own.
+(:meth:`WriteAheadLog.export_session` / ``import_session``).  A
+standalone session is a :class:`ShardDurability` over a log of its own.
 """
 
 from __future__ import annotations
@@ -221,19 +220,6 @@ class ShardDurability:
         """Drop a closed session: truncation floor and cached journal."""
         self.wal.forget_session(session)
         self._journals.pop(session, None)
-
-    # -- migration hand-off -------------------------------------------
-
-    def export_session(self, session: str) -> list[dict[str, Any]]:
-        """The session's tail (latest full checkpoint + later frames),
-        ready for :meth:`import_session` on the target shard.  The
-        session stays registered here until :meth:`forget`."""
-        return self.wal.export_session(session)
-
-    def import_session(
-        self, frames: list[dict[str, Any]], *, session: str
-    ) -> None:
-        self.wal.import_session(frames, session=session)
 
     def sessions(self) -> list[str]:
         return sorted(self._journals)

@@ -105,6 +105,9 @@ class ShedReason:
     #: outcomes until the supervisor restarts the worker and the
     #: session is restored (see repro.runtime.cluster).
     WORKER_DEAD = "worker_dead"
+    #: the session was moved out of the fabric this tier fronts (a pool
+    #: session moved to a worker process); submit to its new host.
+    SESSION_MOVED = "session_moved"
 
 
 class IngressRejected(FaultError):
@@ -198,7 +201,7 @@ class IngressRequest:
     def __init__(
         self,
         key: str,
-        shard: int,
+        shard: int | None,
         run: Callable[[], Any],
         priority: str,
         entry: bool,
@@ -361,21 +364,7 @@ class IngressTier:
             else:
                 self.shed += 1
         if reason is not None:
-            self.metrics.count("ingress.shed", reason)
-            on_shed = self.on_shed
-            if on_shed is not None:
-                on_shed(key, reason)
-            request.future.set_result(
-                InvocationOutcome(
-                    status=InvocationOutcome.REJECTED,
-                    label=key,
-                    error=IngressRejected(
-                        reason, session=key, priority=priority
-                    ),
-                    attempts=0,
-                    elapsed=0.0,
-                )
-            )
+            self._reject(request, reason)
             return request.future
         self.metrics.count("ingress.admitted", priority)
         notify = self.on_work
@@ -396,6 +385,8 @@ class IngressTier:
         """The shed decision; None admits.  Caller holds the lock."""
         if self._closed:
             return ShedReason.CLOSED
+        if request.shard is None:
+            return ShedReason.SESSION_MOVED
         policy = self.policy
         queue = self._queues.get(request.key)
         if queue is not None and len(queue) >= policy.session_queue_limit:
@@ -427,6 +418,7 @@ class IngressTier:
         number of requests handed off.
         """
         batches: dict[int, list[IngressRequest]] = {}
+        moved: list[IngressRequest] = []
         cap = self.policy.max_inflight_per_shard
         with self._lock:
             stalled: dict[str, list[str]] = {p: [] for p in PRIORITIES}
@@ -444,6 +436,10 @@ class IngressTier:
                     # dispatching to the submit-time shard would break
                     # the one-shard-per-session ordering contract.
                     owner = self.runtime.shard_for(key).index
+                    if owner is None:
+                        # moved out of the fabric while queued
+                        moved.extend(self._queues.pop(key))
+                        continue
                     if owner != head.shard:
                         head.shard = owner
                     taken = batches.get(head.shard)
@@ -467,6 +463,10 @@ class IngressTier:
                     self._ready[priority].extendleft(
                         reversed(stalled[priority])
                     )
+            self._queued -= len(moved)
+            self.shed += len(moved)
+        for request in moved:
+            self._reject(request, ShedReason.SESSION_MOVED)
         handed = 0
         for index, requests in sorted(batches.items()):
             handed += len(requests)
@@ -557,25 +557,27 @@ class IngressTier:
             self.shed += len(victims)
             # The key may still sit in a ready deque; pump() skips keys
             # with no queue, so no further bookkeeping is needed.
-        on_shed = self.on_shed
         for request in victims:
-            self.metrics.count("ingress.shed", ShedReason.SESSION_CLOSED)
-            if on_shed is not None:
-                on_shed(key, ShedReason.SESSION_CLOSED)
-            request.future.set_result(
-                InvocationOutcome(
-                    status=InvocationOutcome.REJECTED,
-                    label=key,
-                    error=IngressRejected(
-                        ShedReason.SESSION_CLOSED,
-                        session=key,
-                        priority=request.priority,
-                    ),
-                    attempts=0,
-                    elapsed=0.0,
-                )
-            )
+            self._reject(request, ShedReason.SESSION_CLOSED)
         return len(victims)
+
+    def _reject(self, request: IngressRequest, reason: str) -> None:
+        """Resolve a shed request as a typed ``REJECTED`` outcome."""
+        self.metrics.count("ingress.shed", reason)
+        on_shed = self.on_shed
+        if on_shed is not None:
+            on_shed(request.key, reason)
+        request.future.set_result(
+            InvocationOutcome(
+                status=InvocationOutcome.REJECTED,
+                label=request.key,
+                error=IngressRejected(
+                    reason, session=request.key, priority=request.priority
+                ),
+                attempts=0,
+                elapsed=0.0,
+            )
+        )
 
     def stats(self) -> dict[str, Any]:
         with self._lock:

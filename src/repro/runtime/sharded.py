@@ -16,9 +16,9 @@ dedicated pump thread — so everything *inside* a shard remains
 single-threaded and lock-free, exactly the hot path PR 3 optimized.
 Concurrency exists only *between* shards:
 
-* work enters through :meth:`ShardedRuntime.submit`, which hashes the
-  session key to its owning shard and posts the task to that shard's
-  mailbox (strict FIFO per shard, so per-session ordering holds);
+* work enters through :meth:`ShardedRuntime.submit`, which the
+  :class:`SessionRouter` posts to the owning shard's mailbox (strict
+  FIFO per shard, so per-session ordering holds, moves included);
 * signals that must cross shards go through the batched
   :class:`ForwardingChannel`, which buffers per destination and
   flushes with :meth:`EventBus.publish_batch` on the *destination*
@@ -41,7 +41,8 @@ from __future__ import annotations
 import threading
 import zlib
 from concurrent.futures import Future
-from typing import Any, Callable, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.runtime.clock import Clock, PeriodicTask, WallClock
 from repro.runtime.events import EventBus, Signal
@@ -54,6 +55,7 @@ __all__ = [
     "current_shard",
     "Shard",
     "ForwardingChannel",
+    "SessionRouter",
     "ShardedRuntime",
     "ShardRebalancer",
     "RebalanceTrigger",
@@ -107,6 +109,8 @@ class Shard:
             name=f"{self.name}.bus", clock=self.clock, metrics=self.metrics
         )
         self.mailbox = Mailbox(self.name, on_error=self._on_task_error)
+        #: orders routed submissions against holds (SessionRouter)
+        self.lock = threading.Lock()
         self.task_errors: list[Exception] = []
         #: optional ShardDurability (see ShardedRuntime.attach_durability):
         #: the fabric's DurabilityPolicy applied to this shard — its
@@ -283,6 +287,175 @@ class ForwardingChannel:
         }
 
 
+class SessionRouter:
+    """Session-key routing and the one session-transfer protocol,
+    owned by :class:`ShardedRuntime` (over shards) and
+    :class:`~repro.runtime.cluster.ProcessCluster` (over worker handles).
+
+    An owner is any object with an ``index`` and a ``lock`` that orders
+    what enters its FIFO; lock order is owner, then router.  A route may
+    point at an owner outside :attr:`owners` — a session moved out of
+    the fabric — whose ``index`` is None.  ``_epoch`` counts route
+    writes, so a dispatch that resolved an owner before a re-point
+    resolves again.
+    """
+
+    def __init__(self, owners: Sequence[Any]) -> None:
+        self.owners = list(owners)
+        #: session-key -> owner overrides written by moves.  Read
+        #: lock-free on the hot path (CPython dict reads are atomic;
+        #: the common case is an empty dict), written under ``_lock``.
+        self._routes: dict[str, Any] = {}
+        self._held: dict[str, list[tuple[Callable[[Any], Any], Future]]] = {}
+        self._lock = threading.Lock()
+        self._epoch = 0
+        self.migrations = 0
+
+    def owner(self, key: str) -> Any:
+        """The owner of ``key``: its route override, else its affinity
+        owner."""
+        if self._routes:
+            owner = self._routes.get(str(key))
+            if owner is not None:
+                return owner
+        return self.owners[shard_index_for(key, len(self.owners))]
+
+    def point(self, key: str, owner: Any) -> None:
+        """Route ``key`` to ``owner``.  The affinity owner needs no
+        override, so pointing a key home drops its entry."""
+        with self._lock:
+            if owner is self.owners[shard_index_for(key, len(self.owners))]:
+                self._routes.pop(key, None)
+            else:
+                self._routes[key] = owner
+            self._epoch += 1
+
+    def forget(self, key: str) -> bool:
+        """Drop ``key``'s override; True if one existed."""
+        with self._lock:
+            self._epoch += 1
+            return self._routes.pop(key, None) is not None
+
+    def dispatch(self, key: str, send: Callable[[Any], Any]) -> Any:
+        """Enqueue one submission: ``send(owner)`` under the owner's lock,
+        or, while ``key`` is held, a Future resolved once the flush has
+        sent it.  A hold starts under the source's lock, so a submission
+        lands on the source's FIFO ahead of the capture or waits."""
+        while True:
+            owner = self._lock_owner(key)
+            try:
+                if key not in self._held:
+                    return send(owner)
+                with self._lock:
+                    held = self._held.get(key)
+                    if held is not None:
+                        future: Future = Future()
+                        future.set_running_or_notify_cancel()
+                        held.append((send, future))
+                        return future
+                # flushed since: a re-point moved the key, resolve again
+            finally:
+                owner.lock.release()
+
+    def _lock_owner(self, key: str) -> Any:
+        """``key``'s owner with its lock taken, resolved again if a
+        route write landed before the lock was."""
+        while True:
+            epoch = self._epoch
+            owner = self.owner(key)
+            owner.lock.acquire()
+            if epoch == self._epoch:
+                return owner
+            owner.lock.release()
+
+    def transfer(
+        self,
+        key: str,
+        target: Any,
+        *,
+        capture: Callable[[Any], Any],
+        restore: Callable[[Any, Any], Any],
+        release: Callable[[Any, Any], None],
+    ) -> Any:
+        """Move ``key`` to ``target``: the one session-transfer protocol.
+
+        1. Hold new submissions for ``key`` (:meth:`dispatch` queues them).
+        2. ``capture(source)`` runs behind the source's FIFO.
+        3. ``restore(target, snapshot)`` rebuilds the session there.
+        4. The route re-points to ``target``.
+        5. ``release(source, target)`` lets the source let go.
+        6. The held submissions flush to the owner in arrival order.
+
+        If a step before the re-point fails, the route stays unchanged
+        and held work flushes back to the source.  Transports differ
+        only in how they run capture, restore and release.  Returns
+        restore's result, or None when ``key`` already lives on
+        ``target``.
+        """
+        source = self._lock_owner(key)
+        try:
+            if source is target:
+                return None
+            with self._lock:
+                if key in self._held:
+                    raise ShardedRuntimeError(
+                        f"a move of session {key!r} is already in progress"
+                    )
+                self._held[key] = []
+        finally:
+            source.lock.release()
+        try:
+            snapshot = capture(source)
+            result = restore(target, snapshot)
+            self.point(key, target)
+            release(source, target)
+            with self._lock:
+                self.migrations += 1
+            return result
+        finally:
+            self._flush(key)
+
+    def _flush(self, key: str) -> None:
+        """Enqueue ``key``'s held work on its owner, in arrival order."""
+        owner = self._lock_owner(key)
+        try:
+            with self._lock:
+                held = self._held.pop(key)
+            for send, future in held:
+                try:
+                    inner = send(owner)
+                except BaseException as exc:  # noqa: BLE001 - to future
+                    future.set_exception(exc)
+                    continue
+                if isinstance(inner, Future):
+                    inner.add_done_callback(partial(_copy_result, future))
+                else:
+                    future.set_result(inner)
+        finally:
+            owner.lock.release()
+
+    def overrides(self) -> dict[str, Any]:
+        """A copy of the route overrides (key -> owner index)."""
+        with self._lock:
+            return {key: owner.index for key, owner in self._routes.items()}
+
+    def stats(self) -> dict[str, Any]:
+        """The migrations counter and the hold gauge."""
+        with self._lock:
+            queued = sum(len(held) for held in self._held.values())
+            return {"migrations": self.migrations,
+                    "held": {"sessions": len(self._held), "queued": queued},
+                    "route_overrides": len(self._routes)}
+
+
+def _copy_result(outer: Future, done: Future) -> None:
+    error = done.exception()
+    if error is not None:
+        outer.set_exception(error)
+    else:
+        outer.set_result(done.result())
+
+
 class ShardedRuntime:
     """N worker shards plus the cross-shard forwarding channel.
 
@@ -316,13 +489,7 @@ class ShardedRuntime:
             for index in range(shards)
         ]
         self.channel = ForwardingChannel(self, batch_size=batch_size)
-        #: session-key -> shard-index overrides written by migration.
-        #: Read lock-free on the hot path (CPython dict reads are
-        #: atomic; the common case is an empty dict), written under
-        #: ``_routes_lock``.
-        self._routes: dict[str, int] = {}
-        self._routes_lock = threading.Lock()
-        self.migrations = 0
+        self.router = SessionRouter(self.shards)
         self.started = False
 
     # -- lifecycle --------------------------------------------------------
@@ -414,27 +581,27 @@ class ShardedRuntime:
     # -- routing ----------------------------------------------------------
 
     def shard_for(self, key: str) -> Shard:
-        """The shard owning session ``key``: the migration override if
-        one exists, otherwise stable CRC-32 affinity."""
-        if self._routes:
-            index = self._routes.get(str(key))
-            if index is not None:
-                return self.shards[index]
-        return self.shards[shard_index_for(key, len(self.shards))]
+        """The shard owning session ``key`` (:meth:`SessionRouter.owner`)."""
+        return self.router.owner(key)
+
+    def dispatch(self, key: str, send: Callable[[Shard], Any]) -> Any:
+        """``send(owner)`` for one submission, through the router's
+        hold (:meth:`SessionRouter.dispatch`)."""
+        if not self.started:
+            raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
+        return self.router.dispatch(key, send)
 
     def submit(
         self, key: str, fn: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Future:
         """Run ``fn`` on the shard owning ``key``; FIFO per shard."""
-        if not self.started:
-            raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        return self.shard_for(key).call(fn, *args, **kwargs)
+        return self.dispatch(
+            str(key), lambda shard: shard.call(fn, *args, **kwargs)
+        )
 
     def post(self, key: str, task: Callable[[], None]) -> None:
         """Fire-and-forget variant of :meth:`submit`."""
-        if not self.started:
-            raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        self.shard_for(key).post(task)
+        self.dispatch(str(key), lambda shard: shard.post(task))
 
     def route_signal(
         self, signal: Signal, *, key: str, origin: str | None = None
@@ -448,6 +615,10 @@ class ShardedRuntime:
         intact either way.
         """
         target = self.shard_for(key)
+        if target.index is None:
+            raise ShardedRuntimeError(
+                f"session {key!r} was moved out of fabric {self.name!r}"
+            )
         if target.durability is not None:
             # Write-ahead: the signal frame (with its causal chain) is
             # durable before any subscriber observes it.  Tolerant
@@ -463,51 +634,25 @@ class ShardedRuntime:
             return
         self.channel.forward(signal, to_shard=target.index, origin=origin)
 
-    # -- live migration (PR 5) ---------------------------------------------
+    # -- live migration ----------------------------------------------------
 
     def migrate(
         self,
         key: str,
-        to_shard: int | None,
+        to_shard: int,
         *,
-        capture: Callable[[], Any],
-        restore: Callable[[Any], Any],
+        capture: Callable[[], Any] | None = None,
+        restore: Callable[[Any], Any] | None = None,
         timeout: float = 30.0,
     ) -> Any:
         """Move session ``key`` to ``to_shard`` without losing state.
 
-        Protocol (quiesce → drain → snapshot → re-point → restore →
-        hand off the log tail):
-
-        1. ``capture`` is posted to the *source* shard's FIFO mailbox,
-           so it runs after every previously submitted task for the
-           session — the capture itself is the quiesce point, and its
-           return value is the state that travels (typically a
-           :class:`~repro.middleware.snapshot.SessionSnapshot`).
-        2. Cross-shard signals already buffered for the source are
-           flushed and delivered on the source bus *before* the
-           re-point, so nothing is silently redirected mid-flight.
-           (Producers must not target the session concurrently with
-           the migration itself; FIFO submits through :meth:`submit`
-           simply queue behind it.)
-        3. The routing override maps ``key`` to the target shard: every
-           subsequent :meth:`submit` / :meth:`route_signal` lands there.
-        4. ``restore(snapshot)`` rebuilds the session at its
-           destination; its return value is returned to the caller.
-           If it raises, the previous route is put back — the source
-           still holds the session — and the error propagates.
-        5. On durable fabrics the source stops pinning log segments for
-           the session; a target shard imports its log tail (latest
-           full checkpoint + later frames) and truncation floor, so
-           recovery after the move needs only the target's log.
-
-        ``to_shard=None`` migrates the session *out* of this fabric:
-        ``restore`` runs on the calling thread and ships the state
-        elsewhere — typically over a cluster socket to a remote worker
-        (:class:`~repro.runtime.cluster.ProcessCluster`) — and the
-        local route override is dropped; the caller owns remote routing
-        from there.  Otherwise ``restore`` runs on the target shard's
-        thread, against the target's bus/clock/metrics.
+        ``capture()`` returns the state that travels (typically a
+        :class:`~repro.middleware.snapshot.SessionSnapshot`);
+        ``restore(snapshot)`` rebuilds the session on the target
+        shard's thread, against the target's bus/clock/metrics, and its
+        result is returned (see :meth:`transfer`).  If it raises, the
+        session stays on its source and the error propagates.
 
         Causal trace chains survive because the snapshot carries model
         documents, not live signals — signals forwarded post-migration
@@ -515,55 +660,61 @@ class ShardedRuntime:
         """
         if not self.started:
             raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        if to_shard is not None and not 0 <= to_shard < len(self.shards):
+        if capture is None or restore is None:
+            raise ShardedRuntimeError(
+                f"fabric {self.name!r}: migrate needs capture and restore hooks"
+            )
+        if not 0 <= to_shard < len(self.shards):
             raise ShardedRuntimeError(
                 f"no shard {to_shard} (fabric has {len(self.shards)})"
             )
-        key = str(key)
-        source = self.shard_for(key)
-        target = None if to_shard is None else self.shards[to_shard]
-        if source is target:
-            return None
-        # 1. quiesce + snapshot on the source shard thread.
-        snapshot = self._call_on(source, capture, timeout=timeout)
-        # 2. drain in-flight signals bound for the source shard.
-        if self.channel.flush(source.index):
-            self._call_on(source, lambda: None, timeout=timeout)
-        # 3. re-point the route.  A session moved to its affinity shard
-        # (or out of the fabric) needs no override — storing one anyway
-        # would leak a table entry per round-trip.
-        home = shard_index_for(key, len(self.shards))
-        with self._routes_lock:
-            previous = self._routes.pop(key, None)
-            if to_shard is not None and to_shard != home:
-                self._routes[key] = to_shard
-        # 4. restore at the destination; a failed restore leaves the
-        # session where it was.
-        try:
-            if target is None:
-                result = restore(snapshot)
-            else:
-                result = self._call_on(target, restore, snapshot,
-                                       timeout=timeout)
-        except BaseException:
-            with self._routes_lock:
-                self._routes.pop(key, None)
-                if previous is not None:
-                    self._routes[key] = previous
-            raise
-        # 5. hand the session's log over.
-        if source.durability is not None:
-            if target is not None and target.durability is not None:
-                frames = source.durability.export_session(key)
+        return self.transfer(
+            str(key), self.shards[to_shard], capture=capture,
+            restore=lambda target, snapshot: self._call_on(
+                target, restore, snapshot, timeout=timeout
+            ),
+            timeout=timeout,
+        )
+
+    def transfer(
+        self,
+        key: str,
+        target: Any,
+        *,
+        capture: Callable[[], Any],
+        restore: Callable[[Any, Any], Any],
+        timeout: float,
+    ) -> Any:
+        """One :meth:`SessionRouter.transfer` from a shard of this
+        fabric, over the thread transport: ``capture`` runs on the
+        source's thread behind the session's queued tasks, then the
+        cross-shard signals buffered for the source reach its bus; the
+        release hands the session's log tail (latest full checkpoint +
+        later frames) to a durable target and the source forgets it.
+        """
+
+        def capture_on(source: Shard) -> Any:
+            if source.index is None:
+                raise ShardedRuntimeError(
+                    f"session {key!r} was moved out of fabric {self.name!r}"
+                )
+            snapshot = self._call_on(source, capture, timeout=timeout)
+            if self.channel.flush(source.index):
+                self._call_on(source, lambda: None, timeout=timeout)
+            return snapshot
+
+        def hand_off(source: Shard, target: Any) -> None:
+            if source.durability is None:
+                return
+            if target.durability is not None:
+                frames = source.durability.wal.export_session(key)
                 if frames:
-                    target.durability.import_session(frames, session=key)
+                    target.durability.wal.import_session(frames, session=key)
             source.durability.forget(key)
-        self.migrations += 1
-        if target is None:
-            source.metrics.count("fabric.migrations_out", source.name)
-        else:
-            target.metrics.count("fabric.migrations_in", target.name)
-        return result
+
+        return self.router.transfer(
+            key, target, capture=capture_on, restore=restore, release=hand_off
+        )
 
     def _call_on(
         self, shard: Shard, fn: Callable[..., Any], *args: Any,
@@ -574,22 +725,6 @@ class ShardedRuntime:
         if self.inline:
             self.drain()
         return future.result(timeout=timeout)
-
-    def release(self, key: str) -> bool:
-        """Forget session ``key``'s migration route override.
-
-        Callers that close sessions must release them, otherwise every
-        migrated-then-closed session leaks one ``_routes`` entry for
-        the fabric's lifetime.  Safe to call for never-migrated keys;
-        returns True when an override was actually dropped.
-        """
-        with self._routes_lock:
-            return self._routes.pop(str(key), None) is not None
-
-    def route_overrides(self) -> dict[str, int]:
-        """A copy of the migration routing overlay (key -> shard)."""
-        with self._routes_lock:
-            return dict(self._routes)
 
     def drain(self) -> int:
         """Inline mode: run queued tasks (and flushed batches) to
@@ -628,8 +763,7 @@ class ShardedRuntime:
             "published": sum(s.bus.published for s in self.shards),
             "delivered": sum(s.bus.delivered for s in self.shards),
             "channel": self.channel.stats(),
-            "migrations": self.migrations,
-            "route_overrides": len(self._routes),
+            **self.router.stats(),
         }
 
     def __repr__(self) -> str:
@@ -648,10 +782,12 @@ class ShardRebalancer:
     derives them from per-shard metrics — e.g. API-call counters or
     mailbox task counts), plans greedy hottest-to-coolest moves until
     the max/min shard load ratio drops under ``imbalance_threshold``,
-    and applies the moves with :meth:`ShardedRuntime.migrate`:
+    and applies the moves with the fabric's ``migrate``
+    (:meth:`ShardedRuntime.migrate`):
     ``capture(key)`` runs on the session's source shard and returns the
     travelling state, ``restore(key, snapshot)`` runs on the target
-    shard.
+    shard.  Planning reads only the fabric's ``router``, so the same
+    planner serves :class:`~repro.runtime.cluster.ProcessCluster`.
     """
 
     def __init__(
@@ -706,11 +842,13 @@ class ShardRebalancer:
         :meth:`plan` path remains for callers with exact costs (tests,
         cost-model experiments).
         """
-        shards = self.runtime.shards
+        router = self.runtime.router
         loads = self.observed_loads(queue_weight)
-        homed: dict[int, list[str]] = {shard.index: [] for shard in shards}
+        homed: dict[int, list[str]] = {i: [] for i in range(len(router.owners))}
         for key in sorted(set(sessions)):
-            homed[self.runtime.shard_for(key).index].append(key)
+            index = router.owner(key).index
+            if index is not None:  # moved out of the fabric: not planned
+                homed[index].append(key)
         costs: dict[str, float] = {}
         for index, keys in homed.items():
             if not keys:
@@ -742,13 +880,16 @@ class ShardRebalancer:
         above the imbalance threshold.  Deterministic: ties break on
         session key.
         """
-        shards = len(self.runtime.shards)
+        router = self.runtime.router
+        shards = len(router.owners)
         if shards < 2 or not session_costs:
             return []
         loads = [0.0] * shards
         by_shard: dict[int, list[str]] = {i: [] for i in range(shards)}
         for key in sorted(session_costs):
-            index = self.runtime.shard_for(key).index
+            index = router.owner(key).index
+            if index is None:  # moved out of the fabric: not planned
+                continue
             loads[index] += session_costs[key]
             by_shard[index].append(key)
         moves: list[tuple[str, int]] = []
@@ -788,28 +929,17 @@ class ShardRebalancer:
     ) -> int:
         """Execute a plan via live migration; returns the number of
         sessions moved."""
+        capture, restore = self.capture, self.restore
         applied = 0
         for key, to_shard in moves:
-            self.move(key, to_shard, timeout=timeout)
+            hooks = {} if capture is None or restore is None else {
+                "capture": lambda k=key: capture(k),
+                "restore": lambda snapshot, k=key: restore(k, snapshot),
+            }
+            self.runtime.migrate(key, to_shard, timeout=timeout, **hooks)
             applied += 1
         self.moves_applied += applied
         return applied
-
-    def move(self, key: str, to_shard: int, *, timeout: float) -> None:
-        """Migrate one session (the move primitive :meth:`apply` uses)."""
-        capture, restore = self.capture, self.restore
-        if capture is None or restore is None:
-            raise ShardedRuntimeError(
-                "ShardRebalancer.apply needs the capture and restore "
-                "hooks it was built with"
-            )
-        self.runtime.migrate(
-            key,
-            to_shard,
-            capture=lambda: capture(key),
-            restore=lambda snapshot: restore(key, snapshot),
-            timeout=timeout,
-        )
 
 
 class RebalanceTrigger(PeriodicTask):

@@ -12,7 +12,6 @@ Three layers, cheapest first:
 """
 
 import json
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -421,13 +420,12 @@ def test_adoption_at_every_kill_point_matches_inline(tmp_path, domain):
 
 
 def _fake_cluster(*handles):
-    return SimpleNamespace(
-        handles=[SimpleNamespace(index=i, alive=alive, depth=depth,
-                                 sessions=set())
-                 for i, (alive, depth) in enumerate(handles)],
-        _lock=threading.Lock(),
-        _routes={},
-    )
+    from repro.runtime.sharded import SessionRouter
+
+    handles = [SimpleNamespace(index=i, alive=alive, depth=depth,
+                               sessions=set())
+               for i, (alive, depth) in enumerate(handles)]
+    return SimpleNamespace(handles=handles, router=SessionRouter(handles))
 
 
 class TestLogShipper:
@@ -549,7 +547,8 @@ class TestClusterRebalancerPlanning:
         from repro.runtime.cluster import ClusterRebalancer
 
         cluster = _fake_cluster((True, 4), (True, 0))
-        cluster.worker_for = lambda key: 0  # everything homed hot
+        for key in ("a", "b"):  # everything homed hot
+            cluster.router.point(key, cluster.handles[0])
         rebalancer = ClusterRebalancer(cluster)
         moves = rebalancer.plan_from_metrics(["a", "b"])
         assert moves  # hot worker sheds to the idle one
@@ -559,7 +558,8 @@ class TestClusterRebalancerPlanning:
         from repro.runtime.cluster import ClusterRebalancer
 
         cluster = _fake_cluster((True, 2), (True, 2))
-        cluster.worker_for = lambda key: {"a": 0, "b": 1}[key]
+        for index, key in enumerate(("a", "b")):
+            cluster.router.point(key, cluster.handles[index])
         rebalancer = ClusterRebalancer(cluster)
         assert rebalancer.plan_from_metrics(["a", "b"]) == []
 

@@ -221,9 +221,9 @@ class TestIngressIntegration:
                 capture=lambda: "state",
                 restore=lambda snapshot: snapshot,
             )
-            assert pool.runtime.route_overrides() == {key: away}
+            assert pool.runtime.router.overrides() == {key: away}
             assert pool.close_session(key) is True
-            assert pool.runtime.route_overrides() == {}
+            assert pool.runtime.router.overrides() == {}
             # Idempotent for never-migrated (or already closed) keys.
             assert pool.close_session(key) is False
 

@@ -1,4 +1,4 @@
-"""Load-driven rebalance trigger and migration out of the fabric."""
+"""Load-driven rebalance trigger."""
 
 import pytest
 
@@ -166,55 +166,3 @@ class TestPoolRebalancer:
         assert not trigger.running  # pool.stop() fences the timer
         clock.advance(5.0)
         assert trigger.ticks == 1
-
-
-class TestMigrateOut:
-    def test_migrate_to_none_ships_and_forgets(self):
-        runtime = ShardedRuntime(2, name="out-test")
-        runtime.start()
-        shipped = []
-        try:
-            key = "session-x"
-            holder = {"value": 0}
-            runtime.post(key, lambda: holder.__setitem__("value", 41))
-            runtime.migrate(key, 1 - runtime.shard_for(key).index,
-                            capture=lambda: dict(holder),
-                            restore=lambda doc: True)
-            assert runtime.route_overrides()  # migrate left an override
-
-            result = runtime.migrate(
-                key,
-                None,
-                capture=lambda: dict(holder),
-                restore=lambda doc: shipped.append(doc) or "sent",
-            )
-            assert result == "sent"
-            assert shipped == [{"value": 41}]
-            assert runtime.route_overrides() == {}  # override dropped
-            assert runtime.migrations == 2
-            merged = runtime.merged_metrics()
-            counts = {
-                (name, label): value
-                for name, label, value in merged.counters()
-                if name == "fabric.migrations_out"
-            }
-            assert sum(counts.values()) == 1
-        finally:
-            runtime.stop()
-
-    def test_migrate_to_none_requires_started_fabric(self):
-        runtime = ShardedRuntime(2, name="out-stopped")
-        with pytest.raises(ShardedRuntimeError, match="not started"):
-            runtime.migrate("k", None, capture=dict, restore=lambda d: d)
-
-    def test_migrate_to_none_inline(self):
-        runtime = ShardedRuntime(1, name="out-inline", inline=True)
-        runtime.start()
-        try:
-            runtime.post("k", lambda: None)
-            result = runtime.migrate(
-                "k", None, capture=lambda: {"s": 1}, restore=lambda doc: doc
-            )
-            assert result == {"s": 1}
-        finally:
-            runtime.stop()

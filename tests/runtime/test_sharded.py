@@ -439,8 +439,7 @@ class TestMigration:
             assert result == "ok"
             assert landed == state
             assert runtime.shard_for(key).index == target
-            assert runtime.route_overrides() == {key: target}
-            assert runtime.migrations == 1
+            assert runtime.router.overrides() == {key: target}
             assert runtime.stats()["migrations"] == 1
             assert runtime.stats()["route_overrides"] == 1
         finally:
@@ -458,8 +457,8 @@ class TestMigration:
                 restore=lambda snap: "moved",
             )
             assert result is None
-            assert runtime.route_overrides() == {}
-            assert runtime.migrations == 0
+            assert runtime.router.overrides() == {}
+            assert runtime.stats()["migrations"] == 0
         finally:
             runtime.stop()
 
@@ -553,8 +552,8 @@ class TestMigration:
             with pytest.raises(RuntimeError, match="restore refused"):
                 runtime.migrate(key, away, restore=restore,
                                 capture=lambda: {"fail_restore": True})
-            assert runtime.route_overrides() == {}
-            assert runtime.migrations == 0
+            assert runtime.router.overrides() == {}
+            assert runtime.stats()["migrations"] == 0
             where = []
             runtime.post(key, lambda: where.append(current_shard().index))
             runtime.drain()
@@ -565,8 +564,8 @@ class TestMigration:
             with pytest.raises(RuntimeError, match="restore refused"):
                 runtime.migrate(key, home, restore=restore,
                                 capture=lambda: {"fail_restore": True})
-            assert runtime.route_overrides() == {key: away}
-            assert runtime.migrations == 1
+            assert runtime.router.overrides() == {key: away}
+            assert runtime.stats()["migrations"] == 1
         finally:
             runtime.stop()
 
@@ -583,11 +582,11 @@ class TestRoutePruning:
             home = runtime.shard_for(key).index
             away = 1 - home
             runtime.migrate(key, away, capture=dict, restore=lambda s: s)
-            assert runtime.route_overrides() == {key: away}
+            assert runtime.router.overrides() == {key: away}
             # Migrating back to the affinity shard must *remove* the
             # entry, not overwrite it with the affinity index.
             runtime.migrate(key, home, capture=dict, restore=lambda s: s)
-            assert runtime.route_overrides() == {}
+            assert runtime.router.overrides() == {}
             assert runtime.stats()["route_overrides"] == 0
             assert runtime.shard_for(key).index == home
         finally:
@@ -600,13 +599,13 @@ class TestRoutePruning:
             key = "session-x"
             away = 1 - runtime.shard_for(key).index
             runtime.migrate(key, away, capture=dict, restore=lambda s: s)
-            assert runtime.release(key) is True
-            assert runtime.route_overrides() == {}
+            assert runtime.router.forget(key) is True
+            assert runtime.router.overrides() == {}
             # Routing falls back to CRC affinity after release.
             assert runtime.shard_for(key).index == 1 - away
             # Idempotent, and safe for never-migrated keys.
-            assert runtime.release(key) is False
-            assert runtime.release("never-migrated") is False
+            assert runtime.router.forget(key) is False
+            assert runtime.router.forget("never-migrated") is False
         finally:
             runtime.stop()
 
@@ -624,8 +623,8 @@ class TestRoutePruning:
                         key, home, capture=dict, restore=lambda s: s
                     )  # migrated back home
                 else:
-                    runtime.release(key)  # closed
-            assert runtime.route_overrides() == {}
+                    runtime.router.forget(key)  # closed
+            assert runtime.router.overrides() == {}
         finally:
             runtime.stop()
 
@@ -732,5 +731,22 @@ class TestShardRebalancer:
             for key, to_shard in moves:
                 assert sessions[key]["home"] == to_shard
                 assert runtime.shard_for(key).index == to_shard
+        finally:
+            runtime.stop()
+
+    def test_apply_without_hooks_is_refused(self):
+        from repro.runtime.sharded import ShardRebalancer
+
+        runtime = ShardedRuntime(2, name="rb-nohooks", inline=True)
+        runtime.start()
+        try:
+            rebalancer = ShardRebalancer(runtime)
+            keys = keys_on_shard(0, shards=2, count=4)
+            moves = rebalancer.plan({key: 1.0 for key in keys})
+            assert moves
+            with pytest.raises(ShardedRuntimeError, match="hooks"):
+                rebalancer.apply(moves)
+            assert rebalancer.moves_applied == 0
+            assert runtime.router.overrides() == {}
         finally:
             runtime.stop()
