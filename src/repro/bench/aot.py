@@ -3,9 +3,10 @@
 The PR 3 template microbench and stress synthesis, plus:
 
 * ``tier_equivalence`` — every shipped domain's op_log must be
-  byte-identical between Tier-2 and Tier-3, and a runtime DSK edit must
-  drop and regenerate the installed program;
-* the E1 sweep with the Tier-3 broker call table installed, gated at
+  byte-identical between a platform stripped to Tier-2 and a default
+  (generated-module) platform, and a runtime DSK edit must drop and
+  regenerate the installed program;
+* the E1 sweep (whose brokers run the generated call table), gated at
   ``AOT_E1_GATE_PCT`` in the calibrated regime on full runs.
 
 ``repro bench aot`` writes ``BENCH_PR8.json``.
@@ -22,26 +23,29 @@ __all__ = ["AOT_E1_GATE_PCT", "tier_equivalence", "run", "check"]
 AOT_E1_GATE_PCT = 5.0
 
 
-def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
+def tier_equivalence() -> dict[str, Any]:
     """Tier-3 vs Tier-2 op_log equality across all four domains.
 
-    Each domain runs its two-phase session twice — once on Tier-2
-    (PR 3's compiled closures) and once with the AOT program installed
-    — and the external services' op_logs must be byte-identical:
-    Tier-3 may only change cost, never behaviour.  With ``edit_cycle``
-    the communication domain additionally replaces a rule mid-session:
-    the edit drops the installed program (that synthesis cycle falls
-    back to Tier-2), the end of the next cycle regenerates it, and the
-    op_log must still match the pure Tier-2 run.
+    Each domain runs its two-phase session twice — once on a platform
+    whose generated tables were removed (PR 3's compiled closures) and
+    once on a default platform, which must have the generated program
+    installed — and the external services' op_logs must be
+    byte-identical: Tier-3 may only change cost, never behaviour.  The
+    communication domain additionally replaces a rule mid-session: the
+    edit drops the installed program (that synthesis cycle falls back
+    to Tier-2), the end of the cycle regenerates it, and the op_log
+    must still match the Tier-2 run.
     """
     from repro.bench.migrate import _fresh_session, _log_bytes
     from repro.domains.assembly import domain_cases
+    from repro.middleware.synthesis.aot import remove_generated
 
     domains: list[dict[str, Any]] = []
-    edit_result: dict[str, Any] | None = None
+    edit_result: dict[str, Any] = {}
     for case in domain_cases():
         service2, _dsk, tier2 = _fresh_session(case)
         try:
+            remove_generated(tier2)
             tier2.run_model(case.phase1())
             tier2.run_model(case.phase2())
         finally:
@@ -52,7 +56,11 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
 
         service3, _dsk, tier3 = _fresh_session(case)
         try:
-            program = tier3.enable_aot()
+            program = tier3.synthesis.interpreter._aot
+            if program is None or tier3.broker._aot_calls is None:
+                raise RuntimeError(
+                    f"{case.name}: default platform runs no generated program"
+                )
             tier3.run_model(case.phase1())
             tier3.run_model(case.phase2())
         finally:
@@ -67,10 +75,9 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
             "identical": _log_bytes(service3) == golden,
         })
 
-        if edit_cycle and case.name == "communication":
+        if case.name == "communication":
             service_e, _dsk, edited = _fresh_session(case)
             try:
-                edited.enable_aot()
                 interpreter = edited.synthesis.interpreter
                 edited.run_model(case.phase1())
                 # Replace a live rule: semantics are unchanged (the
@@ -94,10 +101,9 @@ def tier_equivalence(*, edit_cycle: bool = True) -> dict[str, Any]:
         "edit_cycle": edit_result,
         "all_identical": (
             all(row["identical"] for row in domains)
-            and (edit_result is None
-                 or (edit_result["identical"]
-                     and edit_result["dropped_on_edit"]
-                     and edit_result["regenerated_after_cycle"]))
+            and edit_result["identical"]
+            and edit_result["dropped_on_edit"]
+            and edit_result["regenerated_after_cycle"]
         ),
     }
 
@@ -106,7 +112,7 @@ def run(quick: bool = False) -> dict[str, Any]:
     from repro.bench.harness import e1_paired_bench, recorded
     from repro.bench.synthesis import tier_benches
 
-    e1 = e1_paired_bench(repeat=3 if quick else 25, aot=True)
+    e1 = e1_paired_bench(repeat=3 if quick else 25)
     return {
         "bench": "PR8-aot-synthesis",
         **tier_benches(quick),

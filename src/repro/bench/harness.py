@@ -103,7 +103,6 @@ def fresh_model_based_broker(
     *,
     lean: bool = False,
     autonomic: bool | None = None,
-    aot: bool = False,
     op_cost: float | None = None,
 ) -> tuple[BrokerLayer, CommService, ScenarioRunner]:
     """A model-based Broker layer loaded from the CVM middleware model.
@@ -111,10 +110,8 @@ def fresh_model_based_broker(
     Only the Broker layer is loaded (the E1 experiment compares Broker
     implementations below an identical upper stack).  Autonomic
     recovery is disabled by default so both Brokers execute recovery
-    through the same explicit API step.  ``aot=True`` generates and
-    installs the Tier-3 broker dispatch tables (no synthesis layer is
-    running here, so the program is built directly from the broker's
-    installed action table).
+    through the same explicit API step.  The broker runs its generated
+    (Tier-3) call table, like every loaded platform.
     """
     from repro.domains.communication.cml import cml_metamodel
     from repro.domains.communication.cvm import build_middleware_model
@@ -138,16 +135,6 @@ def fresh_model_based_broker(
     broker.autonomic.enabled = autonomic
     # Start only the broker (upper layers are not under test here).
     broker.start()
-    if aot:
-        from repro.middleware.synthesis.aot import build_program
-
-        program = build_program(
-            rules={},  # broker-only stack: no synthesis dispatch needed
-            actions=list(broker.calls._actions),
-            dsml=knowledge.dsml,
-            domain="communication",
-        )
-        broker.install_aot(program.broker_calls)
 
     def lookup(connection: str) -> str:
         return broker.state.get(f"session:{connection}")
@@ -396,7 +383,7 @@ def paired_overhead(
     }
 
 
-def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
+def e1_paired_bench(*, repeat: int = 15) -> dict[str, Any]:
     """E1: model-based vs handcrafted broker overhead, both regimes.
 
     One warm broker pair per regime replays the eight communication
@@ -433,9 +420,7 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     passes = 3
 
     def sweep(*, op_cost: float) -> dict[str, Any]:
-        _b, _s, model_runner = fresh_model_based_broker(
-            aot=aot, op_cost=op_cost
-        )
+        _b, _s, model_runner = fresh_model_based_broker(op_cost=op_cost)
         _hb, _hs, hand_runner = fresh_handcrafted_broker(op_cost=op_cost)
         for steps in scenario_steps:  # untimed warm-up, both sides
             model_runner.run(steps)
@@ -462,7 +447,6 @@ def e1_paired_bench(*, repeat: int = 15, aot: bool = False) -> dict[str, Any]:
     calibrated = sweep(op_cost=CommService.DEFAULT_OP_COST)
     structural = sweep(op_cost=0.0)
     return {
-        "aot": aot,
         "statistic": STATISTIC,
         "steps_per_sweep": n_steps,
         "calibrated": calibrated,

@@ -77,13 +77,12 @@ class BrokerLayer(Component):
         self._dynamic_actions: list[BrokerAction] = []
         #: Tier-3 generated call table (exact API -> fn) or None;
         #: dropped — all calls fall back to table dispatch — whenever
-        #: an action is installed at runtime.
+        #: an action is installed.
         self._aot_calls: dict[str, Any] | None = None
-        #: pre-resolved per-label instruments for the two per-signal
-        #: counters, valid for single-writer registries only (see
-        #: MetricsRegistry.counter); the registry is fixed at
+        #: pre-resolved per-topic instruments for the forwarded-events
+        #: counter, valid for single-writer registries only (see
+        #: MetricsRegistry.live_counter); the registry is fixed at
         #: construction, so no invalidation is needed.
-        self._api_counters: dict[str, Any] = {}
         self._fwd_counters: dict[str, Any] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -126,41 +125,30 @@ class BrokerLayer(Component):
     # -- the layer interface (BrokerPort) -------------------------------------
 
     def call_api(self, api: str, **args: Any) -> Any:
-        """Handle a call from the Controller layer."""
+        """Handle a call from the Controller layer.
+
+        An API in the generated call table runs its generated function,
+        which has the action table's exact dispatch and step semantics
+        minus the per-call env dict construction; any other API
+        dispatches through the table.  Both sit inside the same
+        counter, latency histogram and transactional bracket.
+        """
         self.require_running()
-        aot = self._aot_calls
-        if aot is not None and "_transactional" not in args:
-            # Tier-3 fast path: a generated per-API function with the
-            # exact dispatch/step semantics of the action table, minus
-            # per-call env dict construction.  Documented tier property:
-            # the per-call latency histogram sample is skipped (the
-            # call counter still ticks).  Transactional calls take the
-            # slow path for its snapshot/rollback bracket.
-            fn = aot.get(api)
-            if fn is not None:
-                self.api_calls += 1
-                metrics = self.metrics
-                if metrics.enabled:
-                    if metrics.thread_safe:
-                        metrics.count("broker.call_api", api)
-                    else:
-                        counter = self._api_counters.get(api)
-                        if counter is None:
-                            counter = self._api_counters[api] = (
-                                metrics.live_counter("broker.call_api", api)
-                            )
-                        counter.value += 1
-                self.calls.dispatched += 1
-                return fn(self.resources, self.state, self.state._values, args)
         self.api_calls += 1
         self.metrics.count("broker.call_api", api)
         snapshot_taken = False
         if self._snapshots_enabled and args.pop("_transactional", False):
             self.state.snapshot()
             snapshot_taken = True
+        generated = self._aot_calls.get(api) if self._aot_calls else None
         try:
             with self.metrics.time("broker.call_api", api, clock=self.clock):
-                result = self.calls.dispatch(api, **args)
+                if generated is None:
+                    result = self.calls.dispatch(api, **args)
+                else:
+                    self.calls.dispatched += 1
+                    state = self.state
+                    result = generated(self.resources, state, state._values, args)
         except Exception:
             # Any failure inside a transactional call rolls state back
             # (resource faults included, not just dispatch errors).
@@ -200,8 +188,9 @@ class BrokerLayer(Component):
         if self.running:
             self._dynamic_actions.append(registered)
         # The new action may displace a generated winner (priority,
-        # wildcard overlap): drop the Tier-3 table; the synthesis-cycle
-        # refresh hook regenerates it from the updated action list.
+        # wildcard overlap) and changes the DSK_HASH: drop the Tier-3
+        # table; the synthesis-cycle refresh hook regenerates it from
+        # the updated action list.
         self._aot_calls = None
         return registered
 

@@ -10,9 +10,8 @@ A :class:`DskRegistry` maps domain names to *entries* — anything with
 qualifies as-is).  A cold worker can therefore rebuild a full platform
 for any registered domain from a portable capture doc containing nothing
 but the session snapshot, exported service state, and the ``DSK_HASH``: the
-registry supplies the DSK, :func:`restore_platform` re-realizes the
-platform, and — with ``aot`` configured — the Tier-3 module is
-regenerated from the rebuilt DSK.
+registry supplies the DSK, and :func:`restore_platform` re-realizes the
+platform with the worker's shared generated module installed.
 
 The shipped hash is checked against one recomputed from the rebuilt
 platform's live rules/actions/metamodel; a mismatch means the registry's
@@ -38,10 +37,15 @@ class ClusterBackendError(RuntimeError):
 
 
 def platform_dsk_hash(platform: Any) -> str:
-    """``DSK_HASH`` of a started platform's live knowledge."""
+    """``DSK_HASH`` of a started platform's live knowledge: the installed
+    generated program's (``load_program`` checked it against the live
+    DSK), recomputed only after a runtime DSK edit dropped its tables."""
     from repro.modeling.aotgen import dsk_fingerprint, dsk_hash
 
+    program = platform.synthesis.interpreter._aot
     broker = platform.broker
+    if program is not None and (broker is None or broker._aot_calls is not None):
+        return program.dsk_hash
     return dsk_hash(dsk_fingerprint(
         rules=platform.synthesis.interpreter._rules,
         actions=list(broker.calls._actions) if broker is not None else [],
@@ -91,15 +95,12 @@ class RegistryBackend:
     Implements the contract documented in :mod:`repro.runtime.cluster`:
     ``open`` / ``apply`` / ``capture`` / ``restore`` / ``drop`` /
     ``close`` / ``describe``, plus the optional ``configure`` hook the
-    worker calls with the coordinator's options dict (``aot`` installs
-    the Tier-3 generated module on every platform build).
+    worker calls with the coordinator's options dict.
     """
 
     def __init__(self, registry: DskRegistry | None = None, *,
-                 aot: bool = False,
                  durability: Any = None, wal_dir: str | None = None):
         self.registry = registry or default_registry()
-        self.aot = aot
         self.worker_id = -1
         self.sessions: dict[str, _SessionHost] = {}
         # Durability (PR 10): a per-worker write-ahead log shared by the
@@ -118,8 +119,6 @@ class RegistryBackend:
 
     def configure(self, worker_id: int, options: dict) -> None:
         self.worker_id = worker_id
-        if "aot" in options:
-            self.aot = bool(options["aot"])
         if options.get("wal_dir"):
             self.wal_dir = str(options["wal_dir"])
         spec = options.get("durability", self.durability_spec)
@@ -162,7 +161,7 @@ class RegistryBackend:
         entry = self.registry.get(doc["domain"])
         service = entry.service()
         dsk = entry.knowledge(service)
-        platform = load_platform(entry.middleware(), dsk, aot=self.aot)
+        platform = load_platform(entry.middleware(), dsk)
         context = dict(getattr(entry, "context", {}) or {})
         context.update(doc.get("context") or {})
         if platform.controller is not None and context:
@@ -283,7 +282,7 @@ class RegistryBackend:
             if state is not None:
                 resource.import_state(state)
         platform = restore_platform(
-            SessionSnapshot.from_dict(doc["snapshot"]), dsk, aot=self.aot,
+            SessionSnapshot.from_dict(doc["snapshot"]), dsk
         )
         live_hash = platform_dsk_hash(platform)
         shipped = doc.get("dsk_hash")

@@ -30,6 +30,7 @@ from repro.middleware.controller.policy import Policy
 from repro.middleware.controller.procedure import Procedure
 from repro.middleware.metamodel import loads_json_attr, middleware_metamodel
 from repro.middleware.platform import Platform
+from repro.middleware.synthesis.aot import install_generated
 from repro.middleware.synthesis.engine import SynthesisEngine
 from repro.middleware.synthesis.interpreter import EntityRule
 from repro.middleware.ui import ModelWorkspace
@@ -90,13 +91,12 @@ def load_platform(
     clock: Clock | None = None,
     metrics: MetricsRegistry | None = None,
     start: bool = True,
-    aot: bool = False,
 ) -> Platform:
     """Realize a middleware model as a running platform.
 
-    ``aot=True`` additionally compiles the loaded DSK into a Tier-3
-    generated module (see :mod:`repro.middleware.synthesis.aot`) once
-    the platform is started; requires ``start=True``.
+    Every platform runs its DSK's generated (Tier-3) module: the
+    synthesis dispatch and broker call tables are installed once the
+    layers hold their DSK (see :mod:`repro.middleware.synthesis.aot`).
     """
     if middleware_model.metamodel is not middleware_metamodel():
         raise LoaderError(
@@ -134,13 +134,10 @@ def load_platform(
         metrics=metrics,
     )
     _realize_layer_components(platform, root, dsk, bus, clock)
+    install_generated(platform)
     if start:
         platform.start()
         _post_start_install(platform, root, dsk)
-        if aot and platform.synthesis is not None:
-            platform.enable_aot()
-    elif aot:
-        raise LoaderError("aot=True requires start=True")
     return platform
 
 

@@ -35,7 +35,12 @@ from repro.runtime.clock import Clock, WallClock
 from repro.runtime.durability import DurabilityPolicy
 from repro.runtime.events import EventBus
 from repro.runtime.metrics import MetricsRegistry, default_registry
-from repro.runtime.sharded import Shard, ShardedRuntime, current_shard
+from repro.runtime.sharded import (
+    Shard,
+    ShardedRuntime,
+    ShardedRuntimeError,
+    current_shard,
+)
 
 __all__ = [
     "PlatformError", "Platform", "PlatformPool", "apply_entry", "emit_event",
@@ -219,16 +224,6 @@ class Platform:
     def teardown_model(self) -> SynthesisResult:
         self._require(self.synthesis, "synthesis")
         return self.synthesis.teardown_script()
-
-    def enable_aot(self) -> "Any":
-        """Compile the loaded DSK into a Tier-3 generated module and
-        install it (synthesis dispatch tables + broker call table);
-        returns the installed ``AotProgram``.  Runtime DSK edits fall
-        back to Tier-2 and regenerate lazily after the next cycle."""
-        from repro.middleware.synthesis.aot import enable_aot
-
-        self._require(self.synthesis, "synthesis")
-        return enable_aot(self)
 
     # -- checkpoint / restore (PR 5) -------------------------------------------
 
@@ -688,6 +683,7 @@ class PlatformPool:
                 return value
 
             try:
+                self._check_emit_targets(key, doc)
                 if shard.durability is None:
                     value = applied(None)
                 else:
@@ -716,6 +712,18 @@ class PlatformPool:
             return owner.call(run)
 
         return self.runtime.dispatch(key, send)
+
+    def _check_emit_targets(self, key: str, doc: dict) -> None:
+        """Refuse a step before it applies when one of its ``emit``
+        targets was moved out of the fabric: ``route_signal`` could not
+        deliver there, and the step must not fail after its effect."""
+        for spec in doc.get("emit") or ():
+            target = str(spec.get("key", key))
+            if self.runtime.shard_for(target).index is None:
+                raise ShardedRuntimeError(
+                    f"emit target session {target!r} was moved out of "
+                    f"fabric {self.runtime.name!r}"
+                )
 
     def _route_emits(self, key: str, doc: dict, signal: Any) -> None:
         """Route the step's declared cross-session emissions.

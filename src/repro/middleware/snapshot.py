@@ -257,7 +257,6 @@ def restore_platform(
     bus: "EventBus | None" = None,
     clock: "Clock | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    aot: bool = False,
 ) -> "Platform":
     """Rebuild a platform from a snapshot (migration / cold recovery).
 
@@ -268,12 +267,13 @@ def restore_platform(
     resource instances, Python-implemented actions); it must be the
     same DSK the source session was loaded with.
 
-    ``aot=True`` re-enables the Tier-3 generated module *after* the
-    snapshot is applied — restore may re-install dynamic broker
-    actions, so the module is compiled from the fully restored DSK.
+    The generated (Tier-3) tables are reinstalled *after* the snapshot
+    is applied when restore re-installed dynamic broker actions, so
+    they always match the fully restored DSK.
     """
     from repro.middleware.loader import load_platform
     from repro.middleware.metamodel import middleware_metamodel
+    from repro.middleware.synthesis.aot import install_generated
 
     model = model_from_dict(snapshot.middleware_model, middleware_metamodel())
     platform = load_platform(
@@ -281,8 +281,7 @@ def restore_platform(
     )
     try:
         restored = apply_snapshot(platform, snapshot)
-        if aot and restored.synthesis is not None:
-            restored.enable_aot()
+        install_generated(restored)
         return restored
     except Exception:
         # Never leak a started half-restored platform: tear it down so

@@ -79,7 +79,7 @@ class SynthesisEngine(Component):
         #: optional negotiation hook: (new_model) -> new_model (possibly
         #: adjusted after negotiating with remote parties).
         self.negotiator: Callable[[Model], Model] | None = None
-        #: Tier-3 regeneration hook (set by synthesis.aot.enable_aot):
+        #: Tier-3 regeneration hook (set by synthesis.aot.install_generated):
         #: called after each completed cycle so a DSK edit that dropped
         #: the installed program is rebuilt once the edit has settled.
         self.aot_refresh: Callable[[], None] | None = None

@@ -205,7 +205,7 @@ class ChangeInterpreter:
         #: across rule replacement (same structure -> same semantics).
         self._plans = _TemplatePlanCache()
         #: installed Tier-3 program (synthesis.aot.AotProgram) or None;
-        #: dropped — falling back to Tier-2 — on any rule edit.
+        #: dropped — falling back to Tier-2 — whenever a rule is added.
         self._aot: Any = None
         #: event topic pattern -> callback(topic, payload) for events
         #: from the Controller layer (failure recovery hooks).
@@ -228,11 +228,10 @@ class ChangeInterpreter:
         self._rules[rule.class_name] = rule
         # The structural plan cache needs no invalidation (new templates
         # lower under their own structural keys), but any installed
-        # Tier-3 program was generated from the previous rule set:
-        # drop it so edited entities run on Tier-2 until the next
-        # completed synthesis cycle regenerates the module.
-        if existing is not None:
-            self._aot = None
+        # Tier-3 program was generated from the previous rule set (its
+        # DSK_HASH no longer matches): drop it so the edited cycle runs
+        # on Tier-2 until its end regenerates the module.
+        self._aot = None
         return rule
 
     def install_aot(self, program: Any) -> None:

@@ -41,10 +41,17 @@ the live platform before installing the tables.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import keyword
+import sys
 from typing import Any, Iterable, Mapping
+
+# CPython's built-in SHA-256.  Every process that loads a platform
+# hashes its DSK; hashlib would also load the OpenSSL bindings there.
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 from repro.modeling.expr import (
     _SAFE_CONSTANTS,
@@ -292,11 +299,6 @@ def compile_expr_source(source: str, resolver: NameResolver) -> str:
 # -- structural hashing ------------------------------------------------------
 
 
-def _canonical(value: Any) -> Any:
-    """JSON-stable projection of spec payloads (dicts sorted by dumps)."""
-    return json.loads(json.dumps(value, sort_keys=True, default=repr))
-
-
 def _slot_layout(dsml: Any, class_names: Iterable[str]) -> dict[str, list]:
     """Deterministic slot layout for the classes Tier-3 compiles.
 
@@ -348,7 +350,8 @@ def dsk_fingerprint(
     actions: Iterable[Any] = (),
     dsml: Any = None,
 ) -> dict[str, Any]:
-    """Canonical structural description of a loaded DSK.
+    """Structural description of a loaded DSK (:func:`dsk_hash` encodes
+    it canonically).
 
     Covers everything the generated module's behaviour depends on: per
     class the LTS shape (states, initial, transitions in declaration
@@ -371,7 +374,7 @@ def dsk_fingerprint(
             "transitions": [
                 [
                     t.source, t.label, t.target, t.guard, t.priority,
-                    _canonical([dict(template) for template in t.actions]),
+                    [dict(template) for template in t.actions],
                 ]
                 for t in lts._transitions
             ],
@@ -382,7 +385,7 @@ def dsk_fingerprint(
         if callable(action.implementation):
             steps = "<callable>"
         else:
-            steps = _canonical([dict(step) for step in action.implementation])
+            steps = [dict(step) for step in action.implementation]
         action_docs.append(
             [action.name, action.pattern, action.priority, action.guard, steps]
         )
@@ -395,11 +398,12 @@ def dsk_fingerprint(
 
 
 def dsk_hash(fingerprint: Mapping[str, Any]) -> str:
-    """SHA-256 over the canonical JSON encoding of a fingerprint."""
+    """SHA-256 over the canonical JSON encoding of a fingerprint (sorted
+    keys; values JSON cannot encode by their ``repr``)."""
     blob = json.dumps(
-        fingerprint, sort_keys=True, separators=(",", ":")
+        fingerprint, sort_keys=True, separators=(",", ":"), default=repr
     ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # -- broker codegen ----------------------------------------------------------
@@ -783,10 +787,10 @@ def _compile_template_renderer(
 _MODULE_PRELUDE = '''\
 """AOT-generated Tier-3 dispatch module.  DO NOT EDIT.
 
-Generated by repro.modeling.aotgen from a loaded DSK; regenerated by
-`Platform.enable_aot()`.  Installed by
-repro.middleware.synthesis.aot.install_program after DSK_HASH and
-SLOT_LAYOUT validation.
+Generated by repro.modeling.aotgen from a loaded DSK, once per DSK
+shape per process.  Installed on each platform by
+repro.middleware.synthesis.aot.install_generated after DSK_HASH
+validation.
 """
 
 from repro.middleware.synthesis.scripts import Command

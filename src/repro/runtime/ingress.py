@@ -414,8 +414,11 @@ class IngressTier:
         Collects in strict priority order (all dispatchable interactive
         heads before any batch head), round-robin across sessions
         within a class, honoring the per-shard in-flight cap; then
-        posts **one** batch task per destination shard.  Returns the
-        number of requests handed off.
+        posts **one** batch task per destination shard.  A request
+        whose session a move holds goes through the router instead
+        (:meth:`SessionRouter.dispatch`): it waits for the flush and
+        runs on the new owner, in order.  Returns the number of
+        requests handed off.
         """
         batches: dict[int, list[IngressRequest]] = {}
         moved: list[IngressRequest] = []
@@ -468,16 +471,43 @@ class IngressTier:
         for request in moved:
             self._reject(request, ShedReason.SESSION_MOVED)
         handed = 0
+        held: list[IngressRequest] = []
+        # The thread fabric's router; a ClusterFabric has none, since
+        # its ports submit through the cluster, whose router holds moves.
+        router = getattr(self.runtime, "router", None)
         for index, requests in sorted(batches.items()):
             handed += len(requests)
             shard = self.runtime.shards[index]
-            shard.post(lambda s=shard, r=requests: self._deliver(s, r))
+            # A hold starts under its source's lock, so under this lock
+            # a session routed here and not held stays so until the
+            # batch is posted; any other request waits for its move.
+            with shard.lock if router is not None else contextlib.nullcontext():
+                batch: list[IngressRequest] = []
+                for request in requests:
+                    settled = router is None or router.settled(request.key, shard)
+                    (batch if settled else held).append(request)
+                if batch:
+                    shard.post(lambda r=batch: self._deliver(r))
             self.metrics.count("ingress.handoff_batches", shard.name)
             self.metrics.count("ingress.handoff_requests", shard.name, len(requests))
+        for request in held:
+            self.runtime.dispatch(
+                request.key, lambda owner, r=request: self._deliver_on(owner, r)
+            )
         self.dispatched += handed
         return handed
 
-    def _deliver(self, shard: Any, requests: list[IngressRequest]) -> None:
+    def _deliver_on(self, owner: Any, request: IngressRequest) -> None:
+        """Post a request released by a move to its session's owner."""
+        if owner.index is None:  # the move took it out of the fabric
+            with self._lock:
+                self._inflight[request.shard] -= 1
+                self.shed += 1
+            self._reject(request, ShedReason.SESSION_MOVED)
+            return
+        owner.post(lambda: self._deliver([request]))
+
+    def _deliver(self, requests: list[IngressRequest]) -> None:
         """Run a handed-off batch on its shard thread, FIFO."""
         clock = self.clock
         for request in requests:
@@ -512,7 +542,9 @@ class IngressTier:
             self.metrics.count("ingress.completed", outcome.status)
             future.set_result(outcome)
         with self._lock:
-            self._inflight[shard.index] -= len(requests)
+            for request in requests:
+                # the shard pump charged, wherever the request ran
+                self._inflight[request.shard] -= 1
             self.completed += len(requests)
         notify = self.on_work
         if notify is not None:

@@ -357,6 +357,13 @@ class SessionRouter:
             finally:
                 owner.lock.release()
 
+    def settled(self, key: str, owner: Any) -> bool:
+        """Whether ``key`` routes to ``owner`` and no move holds it.
+        Asked under ``owner.lock``, the answer stands until the lock is
+        released: a hold starts under its source's lock, and a move
+        re-points the route only while it holds the key."""
+        return key not in self._held and self.owner(key) is owner
+
     def _lock_owner(self, key: str) -> Any:
         """``key``'s owner with its lock taken, resolved again if a
         route write landed before the lock was."""

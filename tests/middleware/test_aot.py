@@ -2,20 +2,26 @@
 
 The AOT tier (PR 8) compiles a loaded DSK into a real Python module —
 flat dispatch tables, per-API call functions, slot-indexed feature
-reads.  These tests pin the contract inherited from the compiled tier
-(PR 3): Tier-3 may only change *cost*, never behaviour.  Coverage:
+reads — and every loaded platform runs it.  These tests pin the
+contract inherited from the compiled tier (PR 3): Tier-3 may only
+change *cost*, never behaviour.  The Tier-2 reference side is a
+platform stripped by ``remove_generated``; the other side must have
+its program installed.  Coverage:
 
 * property: random multi-revision editing sessions emit byte-identical
   control scripts on Tier-2 and Tier-3;
 * full-stack op_log equality across all four shipped domains;
+* every platform-building path installs the tables, and platforms of
+  one DSK shape share one code object;
 * the runtime-edit lifecycle: a DSK edit drops the installed program
-  (that cycle falls back to Tier-2), the next completed cycle
-  regenerates it, and the service trace never diverges;
+  (that cycle falls back to Tier-2), the end of the cycle regenerates
+  it, and the service trace never diverges;
 * generation determinism and DSK-hash validation in the loader;
-* the broker fast path: parity with the action-table path, including
-  error propagation and counter semantics;
+* the broker's generated path: parity with the action-table path,
+  including error propagation, counters, the latency histogram and
+  transactional rollback;
 * checkpoint/restore: ``externalize()`` documents match between tiers
-  and ``restore_platform(aot=True)`` resumes on Tier-3.
+  and ``restore_platform`` resumes on Tier-3.
 """
 
 from __future__ import annotations
@@ -31,12 +37,13 @@ from repro.domains.communication.cvm import (
     build_middleware_model,
     default_context,
 )
-from repro.middleware.loader import DomainKnowledge, LoaderError, load_platform
+from repro.middleware.loader import DomainKnowledge, load_platform
 from repro.middleware.snapshot import restore_platform
 from repro.middleware.synthesis.aot import (
     AotError,
     build_program,
     load_program,
+    remove_generated,
 )
 from repro.middleware.synthesis.interpreter import ChangeInterpreter, EntityRule
 from repro.middleware.synthesis.scripts import script_to_json
@@ -190,6 +197,7 @@ def test_four_domain_op_logs_identical_under_aot():
     for case in domain_cases():
         service2, _dsk, tier2 = _fresh_session(case)
         try:
+            remove_generated(tier2)
             tier2.run_model(case.phase1())
             tier2.run_model(case.phase2())
         finally:
@@ -199,8 +207,10 @@ def test_four_domain_op_logs_identical_under_aot():
 
         service3, _dsk, tier3 = _fresh_session(case)
         try:
-            program = tier3.enable_aot()
+            program = tier3.synthesis.interpreter._aot
+            assert program is not None, case.name
             assert program.broker_calls, case.name
+            assert tier3.broker._aot_calls == program.broker_calls
             tier3.run_model(case.phase1())
             tier3.run_model(case.phase2())
         finally:
@@ -208,13 +218,126 @@ def test_four_domain_op_logs_identical_under_aot():
         assert _log_bytes(service3) == golden, case.name
 
 
+# -- every platform runs shared generated code -------------------------------
+
+def _generated_code(platform):
+    """A code object of ``platform``'s generated module, after checking
+    that every table its layers have is installed.  Programs exec'd
+    from one module code object share it and its nested functions'."""
+    synthesis, broker = platform.synthesis, platform.broker
+    program = None
+    if synthesis is not None:
+        program = synthesis.interpreter._aot
+        assert program is not None, platform.name
+        assert synthesis.aot_refresh is not None
+    if broker is None:
+        return program.code
+    calls = broker._aot_calls
+    assert calls, platform.name
+    if program is not None:
+        assert program.broker_calls == calls
+    return calls[min(calls)].__code__
+
+
+class TestEveryPlatformRunsGeneratedCode:
+    def test_loader_restore_and_broker_only_platforms(self):
+        from repro.bench.harness import fresh_model_based_broker
+
+        service, dsk, first = _comm_session()
+        _service, _dsk, second = _comm_session()
+        try:
+            first.run_model(_conference())
+            code = _generated_code(first)
+            assert _generated_code(second) is code
+            restored = restore_platform(first.checkpoint(), dsk)
+            try:
+                assert _generated_code(restored) is code
+            finally:
+                restored.stop()
+        finally:
+            first.stop()
+            second.stop()
+        # E1's broker: the same model with only the broker started
+        broker = fresh_model_based_broker()[0]
+        assert broker._aot_calls[min(broker._aot_calls)].__code__ is code
+
+    def test_layer_suppressed_platforms(self):
+        """2SVM's central node has synthesis and no broker; its object
+        nodes have a broker and no synthesis."""
+        from repro.domains.smartspace.ssvm import TwoSVM
+
+        deployment = TwoSVM(["n0", "n1"])
+        try:
+            assert deployment.central.broker is None
+            _generated_code(deployment.central)
+            n0, n1 = (deployment.nodes[n] for n in ("n0", "n1"))
+            assert n0.synthesis is None
+            assert _generated_code(n0) is _generated_code(n1)
+        finally:
+            deployment.stop()
+
+    def test_worker_open_restore_and_adopt(self, tmp_path):
+        from repro.middleware.cluster import RegistryBackend
+        from repro.runtime.durability import DurabilityPolicy
+
+        backends = []
+        for worker in (0, 1):
+            backend = RegistryBackend(durability=DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path / f"wal-{worker}"),
+                fsync=False,
+            ))
+            backend.worker_id = worker
+            backend.enable_durability()
+            backends.append(backend)
+        source, adopter = backends
+        doc = {"domain": "communication", "autonomic": False}
+        try:
+            source.open("s1", doc)
+            source.open("s2", doc)
+            source.apply("s1", {"op": "api", "api": "ncb.open_session",
+                                "args": {"connection": "c1"}})
+            source.restore("s3", source.capture("s1"))
+            adopter.adopt("s1", source.ship_tail())
+            codes = {_generated_code(host.platform)
+                     for backend in backends
+                     for host in backend.sessions.values()}
+            assert len(codes) == 1
+            assert sorted(adopter.sessions) == ["s1"]
+        finally:
+            for backend in backends:
+                for session in list(backend.sessions):
+                    backend.close(session)
+                backend.shutdown()
+
+    def test_an_edited_dsk_gets_new_code(self):
+        from repro.middleware.broker.actions import BrokerAction
+
+        _service, _dsk, edited = _comm_session()
+        _service, _dsk, untouched = _comm_session()
+        try:
+            code = _generated_code(untouched)
+            edited.broker.install_action(BrokerAction(
+                name="custom.noop", pattern="custom.noop",
+                implementation=[{"set": "custom:flag", "expr": "1"}],
+            ))
+            edited.run_model(_conference())  # the cycle's end regenerates
+            assert _generated_code(edited) is not code
+            assert "custom.noop" in edited.broker._aot_calls
+            assert _generated_code(untouched) is code
+        finally:
+            edited.stop()
+            untouched.stop()
+
+
 # -- runtime-edit lifecycle --------------------------------------------------
 
-def _comm_session():
+def _comm_session(*, generated=True):
     service = CommService("net0", op_cost=0.0)
     dsk = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
     platform = load_platform(build_middleware_model(), dsk)
     platform.controller.context.update(default_context())
+    if not generated:
+        remove_generated(platform)
     return service, dsk, platform
 
 
@@ -235,7 +358,6 @@ class TestRuntimeEditLifecycle:
     def test_rule_edit_falls_back_then_regenerates(self):
         service, _dsk, platform = _comm_session()
         try:
-            platform.enable_aot()
             interpreter = platform.synthesis.interpreter
             platform.run_model(_conference())
             assert interpreter._aot is not None
@@ -250,7 +372,7 @@ class TestRuntimeEditLifecycle:
         finally:
             platform.stop()
 
-        golden_service, _dsk, reference = _comm_session()
+        golden_service, _dsk, reference = _comm_session(generated=False)
         try:
             reference.run_model(_conference())
             reference.run_model(_conference(extended=True))
@@ -263,7 +385,6 @@ class TestRuntimeEditLifecycle:
 
         _service, _dsk, platform = _comm_session()
         try:
-            platform.enable_aot()
             broker = platform.broker
             assert broker._aot_calls is not None
             broker.install_action(
@@ -355,30 +476,22 @@ class TestGenerationAndValidation:
         finally:
             platform.stop()
 
-    def test_load_platform_aot_requires_start(self):
-        service = CommService("net0", op_cost=0.0)
-        dsk = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
-        with pytest.raises(LoaderError, match="aot"):
-            load_platform(build_middleware_model(), dsk, start=False, aot=True)
 
-
-# -- broker fast-path parity -------------------------------------------------
+# -- the broker's generated path ---------------------------------------------
 
 class TestBrokerFastPath:
     def test_call_api_results_and_counters_match_tier2(self):
         results = {}
-        for aot in (True, False):
-            service, _dsk, platform = _comm_session()
+        for generated in (True, False):
+            service, _dsk, platform = _comm_session(generated=generated)
             try:
-                if aot:
-                    platform.enable_aot()
                 broker = platform.broker
                 session = broker.call_api("ncb.open_session", connection="c1")
                 broker.call_api(
                     "ncb.add_party", connection="c1", party="alice"
                 )
                 broker.call_api("ncb.close_session", connection="c1")
-                results[aot] = (
+                results[generated] = (
                     session,
                     broker.api_calls,
                     broker.metrics.counter_value("broker.call_api"),
@@ -390,35 +503,92 @@ class TestBrokerFastPath:
 
     def test_errors_propagate_identically(self):
         errors = {}
-        for aot in (True, False):
-            _service, _dsk, platform = _comm_session()
+        for generated in (True, False):
+            _service, _dsk, platform = _comm_session(generated=generated)
             try:
-                if aot:
-                    platform.enable_aot()
                 # close_session on a connection that was never opened:
                 # the step expression dereferences missing state.
                 with pytest.raises(Exception) as info:
                     platform.broker.call_api(
                         "ncb.close_session", connection="ghost"
                     )
-                errors[aot] = type(info.value).__name__
+                errors[generated] = type(info.value).__name__
             finally:
                 platform.stop()
         assert errors[True] == errors[False]
 
-    def test_transactional_calls_take_the_slow_path(self):
-        """``_transactional`` needs the action table's snapshot and
-        rollback bracket, which generated functions do not carry."""
+    def test_transactional_calls_run_the_generated_function(self):
         _service, _dsk, platform = _comm_session()
         try:
-            platform.enable_aot()
             broker = platform.broker
+            assert "ncb.open_session" in broker._aot_calls
+            broker.calls.dispatch = None  # the action table must not run
             before = broker.calls.dispatched
             broker.call_api(
                 "ncb.open_session", connection="c1", _transactional=True
             )
             assert broker.calls.dispatched == before + 1
             assert broker.state.get("session:c1")
+            assert broker.state.snapshot_count == 0
+        finally:
+            platform.stop()
+
+    def test_failed_transactional_call_rolls_back_on_generated_path(self):
+        from repro.middleware.broker.actions import BrokerAction
+        from repro.middleware.broker.layer import BrokerLayer
+        from repro.middleware.broker.resource import CallableResource
+
+        layer = BrokerLayer("broker")
+        layer.configure({})
+        layer.install_resource(CallableResource("dev0", {"ping": lambda: 1}))
+        layer.install_action(BrokerAction(
+            name="mutate-fail", pattern="api.bad",
+            implementation=[
+                {"set": "v", "expr": "2"},
+                {"resource": "ghost", "operation": "x"},
+            ],
+        ))
+        program = build_program(
+            rules={}, actions=list(layer.calls._actions), dsml=None
+        )
+        assert "api.bad" in program.broker_calls
+        layer.install_aot(program.broker_calls)
+        layer.start()
+        try:
+            layer.state.set("v", 1)
+            with pytest.raises(Exception):
+                layer.call_api("api.bad", _transactional=True)
+            assert layer.state.get("v") == 1  # rolled back
+            assert layer.state.snapshot_count == 0
+            with pytest.raises(Exception):
+                layer.call_api("api.bad")
+            assert layer.state.get("v") == 2  # no bracket, no rollback
+        finally:
+            layer.stop()
+
+    def test_latency_histogram_counts_every_call(self):
+        from repro.runtime.metrics import MetricsRegistry
+
+        service = CommService("net0", op_cost=0.0)
+        platform = load_platform(
+            build_middleware_model(),
+            DomainKnowledge(dsml=cml_metamodel(), resources=[service]),
+            metrics=MetricsRegistry(),
+        )
+        try:
+            broker = platform.broker
+            assert broker._aot_calls
+            broker.call_api("ncb.open_session", connection="c1")
+            for party in ("alice", "bob", "carol"):
+                broker.call_api("ncb.add_party", connection="c1", party=party)
+            sampled = sum(
+                histogram.count
+                for name, _api, histogram in broker.metrics.histograms()
+                if name == "broker.call_api"
+            )
+            assert sampled == broker.api_calls == 4
+            assert broker.metrics.histogram(
+                "broker.call_api", "ncb.add_party").count == 3
         finally:
             platform.stop()
 
@@ -432,11 +602,9 @@ class TestCheckpointRestore:
         snapshot JSON is not compared byte-for-byte because model ids
         come from a process-global sequence."""
         docs = {}
-        for aot in (True, False):
-            _service, _dsk, platform = _comm_session()
+        for generated in (True, False):
+            _service, _dsk, platform = _comm_session(generated=generated)
             try:
-                if aot:
-                    platform.enable_aot()
                 platform.run_model(_conference())
                 text = json.dumps(
                     [
@@ -445,20 +613,19 @@ class TestCheckpointRestore:
                     ],
                     sort_keys=True,
                 )
-                docs[aot] = re.sub(r"#\d+", "#N", text)
+                docs[generated] = re.sub(r"#\d+", "#N", text)
             finally:
                 platform.stop()
         assert docs[True] == docs[False]
 
     def test_restore_resumes_on_tier3(self):
         service, dsk, platform = _comm_session()
-        platform.enable_aot()
         platform.run_model(_conference())
         snapshot = platform.checkpoint()
         platform.stop()
 
         service.op_log.clear()
-        restored = restore_platform(snapshot, dsk, aot=True)
+        restored = restore_platform(snapshot, dsk)
         try:
             assert restored.synthesis.interpreter._aot is not None
             assert restored.broker._aot_calls

@@ -144,11 +144,44 @@ class TestRegistryBackend:
             backend.restore(key, doc)
             assert backend.describe(key)["op_logs"] == before
 
-    def test_configure_sets_aot(self):
+    def test_configure_sets_worker_id(self):
         target = RegistryBackend(DskRegistry([]))
-        target.configure(3, {"aot": True})
+        target.configure(3, {"durability": "off"})
         assert target.worker_id == 3
-        assert target.aot is True
+        assert target.durability is None
+
+    def test_dsk_hash_tracks_edits_and_regeneration(self, backend):
+        from repro.domains.assembly import domain_cases
+        from repro.middleware.broker.actions import BrokerAction
+        from repro.modeling.aotgen import dsk_fingerprint, dsk_hash
+        from repro.modeling.serialize import model_to_dict
+
+        backend.open("s1", {"domain": "communication"})
+        platform = backend.sessions["s1"].platform
+
+        interpreter = platform.synthesis.interpreter
+
+        def recomputed():
+            return dsk_hash(dsk_fingerprint(
+                rules=interpreter._rules,
+                actions=list(platform.broker.calls._actions),
+                dsml=platform.dsml,
+            ))
+
+        before = interpreter._aot.dsk_hash
+        assert platform_dsk_hash(platform) == recomputed() == before
+        platform.broker.install_action(BrokerAction(
+            name="custom.noop", pattern="custom.noop",
+            implementation=[{"set": "custom:flag", "expr": "1"}],
+        ))
+        assert platform.broker._aot_calls is None  # the edit dropped it
+        edited = platform_dsk_hash(platform)
+        assert edited == recomputed() != before
+        case = next(c for c in domain_cases() if c.name == "communication")
+        backend.apply("s1", {"op": "run_model",
+                             "model": model_to_dict(case.phase1())})
+        assert interpreter._aot.dsk_hash == edited  # regenerated
+        assert platform_dsk_hash(platform) == recomputed()
 
     def test_unknown_op_refused(self, backend):
         backend.open("s1", {"domain": "communication"})

@@ -136,50 +136,75 @@ class TestThreadFabricHold:
             runtime.stop()
 
     def test_pool_op_log_matches_the_unmigrated_golden(self):
-        from repro.middleware.snapshot import SessionSnapshot
-
-        def steps():
-            yield {"api": "ncb.open_session", "args": {"connection": KEY}}
-            for party in ("alice", "bob", "carol", "dave"):
-                yield {"api": "ncb.add_party",
-                       "args": {"connection": KEY, "party": party}}
-
-        def run(migrate):
-            pool, services = cvm_pool("golden" if not migrate else "moved")
-            with pool:
-                docs = steps()
-                futures = [pool.submit_doc(KEY, next(docs)),
-                           pool.submit_doc(KEY, next(docs))]
-                source = pool.shard_for(KEY).index
-                if migrate:
-                    def capture():
-                        # a racing producer's step lands mid-move
-                        futures.append(pool.submit_doc(KEY, next(docs)))
-                        index = current_shard().index
-                        return {
-                            "snapshot":
-                                pool.platforms[index].checkpoint().to_dict(),
-                            "service": services[index].export_state(),
-                        }
-
-                    def restore(doc):
-                        index = current_shard().index
-                        pool.platforms[index].restore_from(
-                            SessionSnapshot.from_dict(doc["snapshot"]))
-                        services[index].import_state(doc["service"])
-
-                    pool.runtime.migrate(KEY, 1 - source, capture=capture,
-                                         restore=restore)
-                futures.extend(pool.submit_doc(KEY, doc) for doc in docs)
-                pool.drain()
-                assert all(f.result(timeout=5).ok for f in futures)
-                owner = pool.shard_for(KEY).index
-                assert owner == (1 - source if migrate else source)
-                return list(services[owner].op_log)
-
-        golden = run(migrate=False)
+        golden = run_cvm_session("golden", submit_doc, migrate=False)
         assert len(golden) >= 5
-        assert run(migrate=True) == golden
+        assert run_cvm_session("moved", submit_doc, migrate=True) == golden
+
+    def test_ingress_step_pumped_during_capture_reaches_the_target(self):
+        """Ingress hands batches to shard mailboxes itself; a step it
+        pumps while the session is held must still wait for the flush
+        and run on the new owner."""
+        golden = run_cvm_session("ingress-golden", ingress_step,
+                                 migrate=False)
+        assert run_cvm_session("ingress-moved", ingress_step,
+                               migrate=True) == golden
+
+
+def submit_doc(pool, doc):
+    return pool.submit_doc(KEY, doc)
+
+
+def ingress_step(pool, doc):
+    if not pool._ingress_tiers:
+        pool.build_ingress(watch_breakers=False)
+    tier = pool._ingress_tiers[0]
+    future = tier.submit(
+        KEY, lambda platform: platform.broker.call_api(doc["api"], **doc["args"]))
+    tier.pump()
+    return future
+
+
+def run_cvm_session(name, submit, *, migrate):
+    """Five CVM steps on an inline pool, the third submitted by a racing
+    producer from inside ``capture`` when ``migrate`` moves the session
+    between shards; returns the owning service's op_log."""
+    from repro.middleware.snapshot import SessionSnapshot
+
+    def steps():
+        yield {"api": "ncb.open_session", "args": {"connection": KEY}}
+        for party in ("alice", "bob", "carol", "dave"):
+            yield {"api": "ncb.add_party",
+                   "args": {"connection": KEY, "party": party}}
+
+    pool, services = cvm_pool(name)
+    with pool:
+        docs = steps()
+        futures = [submit(pool, next(docs)), submit(pool, next(docs))]
+        source = pool.shard_for(KEY).index
+        if migrate:
+            def capture():
+                # a racing producer's step lands mid-move
+                futures.append(submit(pool, next(docs)))
+                index = current_shard().index
+                return {
+                    "snapshot": pool.platforms[index].checkpoint().to_dict(),
+                    "service": services[index].export_state(),
+                }
+
+            def restore(doc):
+                index = current_shard().index
+                pool.platforms[index].restore_from(
+                    SessionSnapshot.from_dict(doc["snapshot"]))
+                services[index].import_state(doc["service"])
+
+            pool.runtime.migrate(KEY, 1 - source, capture=capture,
+                                 restore=restore)
+        futures.extend(submit(pool, doc) for doc in docs)
+        pool.drain()
+        assert all(f.result(timeout=5).ok for f in futures)
+        owner = pool.shard_for(KEY).index
+        assert owner == (1 - source if migrate else source)
+        return list(services[owner].op_log)
 
 
 def cvm_pool(name):
@@ -518,6 +543,8 @@ class TestMovedOutSession:
             assert outcome.status == outcome.FAILED
             assert isinstance(outcome.error, ShardedRuntimeError)
             assert "moved out" in str(outcome.error)
+            # refused before it applied: the sender's op_log did not grow
+            assert all("sender" not in p.sessions for p in pool.platforms)
         finally:
             pool.stop()
 
