@@ -129,8 +129,24 @@ def _participants_contained(obj: MObject, _ctx: dict) -> bool:
     schema = obj.container
     if schema is None:
         return False
-    persons = set(p.id for p in schema.get("persons"))
-    return all(p.id in persons for p in obj.get("participants"))
+    # A participant held in the schema's persons list passes without
+    # building the schema's id set: validating every connection must
+    # stay linear in the model, not quadratic.  Any other participant
+    # still passes when its id names one of the schema's persons.
+    persons: set[str] | None = None
+    for participant in obj.get("participants"):
+        reference = participant.containing_reference
+        if (
+            participant.container is schema
+            and reference is not None
+            and reference.name == "persons"
+        ):
+            continue
+        if persons is None:
+            persons = {p.id for p in schema.get("persons")}
+        if participant.id not in persons:
+            return False
+    return True
 
 
 class CmlBuilder:

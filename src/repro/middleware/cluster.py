@@ -43,13 +43,20 @@ def platform_dsk_hash(platform: Any) -> str:
     from repro.modeling.aotgen import dsk_fingerprint, dsk_hash
 
     program = platform.synthesis.interpreter._aot
-    broker = platform.broker
-    if program is not None and (broker is None or broker._aot_calls is not None):
+    broker, controller = platform.broker, platform.controller
+    if (
+        program is not None
+        and (broker is None or broker._aot_calls is not None)
+        and (controller is None or controller._aot_actions is not None)
+    ):
         return program.dsk_hash
     return dsk_hash(dsk_fingerprint(
         rules=platform.synthesis.interpreter._rules,
         actions=list(broker.calls._actions) if broker is not None else [],
         dsml=platform.dsml,
+        controller_actions=(
+            list(controller.actions._actions) if controller is not None else []
+        ),
     ))
 
 

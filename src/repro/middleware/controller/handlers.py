@@ -19,10 +19,10 @@ account domain policies and context information."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.middleware.controller.intent import IntentError, IntentModelGenerator
-from repro.middleware.controller.policy import PolicyEngine
+from repro.middleware.controller.policy import PolicyDecision, PolicyEngine
 from repro.middleware.controller.stackmachine import (
     BrokerCallRecord,
     BrokerPort,
@@ -38,6 +38,7 @@ __all__ = [
     "HandlerError",
     "Action",
     "ActionHandler",
+    "Candidate",
     "IntentModelHandler",
     "CommandClassifier",
     "EventHandler",
@@ -106,16 +107,24 @@ class Action:
         return value
 
 
+#: one Case-1 candidate: the action and its generated function — an
+#: ``Action.run`` compiled by the Tier-3 generator — or None on the
+#: reflective path, which runs ``Action.run`` itself.
+Candidate = tuple[Action, "Callable[..., Any] | None"]
+
+
 class ActionHandler:
     """Case 1: select and execute a predefined action for a command.
 
     Among matching actions the policy decision picks the best by
-    attribute score; ties resolve to registration order.
+    attribute score; ties resolve to registration order.  The table
+    exists before the broker port is bound (``broker`` may start as
+    None and is set when the owning layer starts).
     """
 
     def __init__(
         self,
-        broker: BrokerPort,
+        broker: BrokerPort | None,
         policies: PolicyEngine,
     ) -> None:
         self.broker = broker
@@ -127,7 +136,7 @@ class ActionHandler:
         if any(a.name == action.name for a in self._actions):
             raise HandlerError(f"duplicate action {action.name!r}")
         self._actions.append(action)
-        return self
+        return action
 
     def add(
         self,
@@ -140,31 +149,41 @@ class ActionHandler:
         self.register(action)
         return action
 
-    def select(self, command: Command) -> Action | None:
+    def candidates(self, command: Command) -> list[Candidate]:
+        """The reflective pattern scan: every action whose pattern
+        matches the operation and whose guard holds, in registration
+        order."""
         env = self.policies.context.snapshot()
         env.update(command.args)
-        matching = [a for a in self._actions if a.matches(command.operation, env)]
-        if not matching:
-            return None
-        decision = self.policies.decide(command.classifier or command.operation)
+        return [
+            (action, None)
+            for action in self._actions
+            if action.matches(command.operation, env)
+        ]
+
+    @staticmethod
+    def select(
+        candidates: Sequence[Candidate], decision: PolicyDecision
+    ) -> Candidate | None:
+        """The best-scoring candidate (first on ties), or None."""
+        if len(candidates) < 2:
+            return candidates[0] if candidates else None
         return max(
-            matching,
-            key=lambda a: decision.score(a.attributes, a.name),
+            candidates,
+            key=lambda c: decision.score(c[0].attributes, c[0].name),
         )
 
-    def can_handle(self, command: Command) -> bool:
-        return self.select(command) is not None
-
-    def handle(self, command: Command) -> ExecutionResult:
-        action = self.select(command)
-        if action is None:
-            raise HandlerError(
-                f"no action matches operation {command.operation!r}"
-            )
+    def execute(
+        self, choice: Candidate, command: Command, context: dict[str, Any]
+    ) -> ExecutionResult:
+        """Run the selected action against ``context`` (a snapshot).
+        Step failures are captured in the result; a malformed action
+        (:class:`HandlerError`) propagates."""
+        action, generated = choice
+        run = action.run if generated is None else generated
         result = ExecutionResult()
-        context = self.policies.context.snapshot()
         try:
-            result.value = action.run(command, self.broker, context, result)
+            result.value = run(command, self.broker, context, result)
         except HandlerError:
             raise
         except Exception as exc:  # noqa: BLE001 - surfaced in result
@@ -172,6 +191,23 @@ class ActionHandler:
             result.error = f"{type(exc).__name__}: {exc}"
         self.executed += 1
         return result
+
+    def can_handle(self, command: Command) -> bool:
+        return bool(self.candidates(command))
+
+    def handle(self, command: Command) -> ExecutionResult:
+        """Select and execute standalone (the Controller layer drives
+        :meth:`candidates`, :meth:`select` and :meth:`execute` itself,
+        sharing one policy decision with classification)."""
+        choice = self.select(
+            self.candidates(command),
+            self.policies.decide(command.classifier or command.operation),
+        )
+        if choice is None:
+            raise HandlerError(
+                f"no action matches operation {command.operation!r}"
+            )
+        return self.execute(choice, command, self.policies.context.snapshot())
 
     @property
     def action_count(self) -> int:
@@ -251,25 +287,26 @@ class CommandClassifier:
 
     def __init__(
         self,
-        policies: PolicyEngine,
         *,
         default_case: str = CASE_ACTIONS,
         overrides: Mapping[str, str] | None = None,
     ) -> None:
         if default_case not in (self.CASE_ACTIONS, self.CASE_INTENT):
             raise HandlerError(f"bad default case {default_case!r}")
-        self.policies = policies
         self.default_case = default_case
         self.overrides = dict(overrides or {})
 
     def classify(
         self,
         command: Command,
+        decision: PolicyDecision,
         *,
         action_available: bool,
-        intent_available: bool,
+        intent_available: Callable[[], bool],
     ) -> str:
-        decision = self.policies.decide(command.classifier or command.operation)
+        """The case for ``command`` under the policy ``decision`` taken
+        for it.  ``intent_available`` is asked only when the choice
+        falls on Case 2 (the taxonomy walk is wasted on Case 1)."""
         chosen: str | None = decision.force_case
         if chosen is None:
             chosen = self._override_for(command.operation)
@@ -281,16 +318,17 @@ class CommandClassifier:
         # Fall through to whichever side can actually serve the command.
         if chosen == self.CASE_ACTIONS and not action_available:
             chosen = self.CASE_INTENT
-        if chosen == self.CASE_INTENT and not intent_available:
-            chosen = self.CASE_ACTIONS
-        if (chosen == self.CASE_ACTIONS and not action_available) or (
-            chosen == self.CASE_INTENT and not intent_available
-        ):
-            raise HandlerError(
-                f"command {command.operation!r}: no handler available "
-                f"(actions={action_available}, intent={intent_available})"
-            )
-        return chosen
+        if chosen != self.CASE_INTENT:
+            return chosen
+        intent = intent_available()
+        if intent:
+            return chosen
+        if action_available:
+            return self.CASE_ACTIONS
+        raise HandlerError(
+            f"command {command.operation!r}: no handler available "
+            f"(actions={action_available}, intent={intent})"
+        )
 
     def _override_for(self, operation: str) -> str | None:
         exact = self.overrides.get(operation)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.modeling.expr import Expression, ExpressionError
+from repro.modeling.expr import Expression, ExpressionError, compile_expression
 
 __all__ = [
     "PolicyError",
@@ -130,16 +130,17 @@ class Policy:
                 f"policy {self.name!r}: force_case must be actions|intent"
             )
         try:
-            self._compiled = Expression(self.condition)
+            self._compiled = compile_expression(self.condition)
         except ExpressionError as exc:
             raise PolicyError(f"policy {self.name!r}: {exc}") from exc
 
     def active(self, context: Mapping[str, Any]) -> bool:
         assert self._compiled is not None
         try:
-            return bool(self._compiled.evaluate(context))
+            return bool(self._compiled.evaluate_fast(context))
         except ExpressionError:
-            # A policy referencing absent context keys is simply inactive.
+            # A policy referencing absent context keys, or whose
+            # condition fails to evaluate, is simply inactive.
             return False
 
     def concerns(self, classifier: str) -> bool:

@@ -95,8 +95,9 @@ def load_platform(
     """Realize a middleware model as a running platform.
 
     Every platform runs its DSK's generated (Tier-3) module: the
-    synthesis dispatch and broker call tables are installed once the
-    layers hold their DSK (see :mod:`repro.middleware.synthesis.aot`).
+    synthesis dispatch, Case-1 action and broker call tables are
+    installed once the layers hold their DSK (see
+    :mod:`repro.middleware.synthesis.aot`).
     """
     if middleware_model.metamodel is not middleware_metamodel():
         raise LoaderError(
@@ -137,7 +138,6 @@ def load_platform(
     install_generated(platform)
     if start:
         platform.start()
-        _post_start_install(platform, root, dsk)
     return platform
 
 
@@ -342,7 +342,25 @@ def _load_controller(
                 priority=int(policy_def.get("priority")),
             )
         )
+    # Case-1 actions go in before the generated module is built: model
+    # actions first, then the DSK's Python-implemented ones.
+    for action_def in layer_def.get("actions"):
+        controller.install_action(_action_from_def(action_def))
+    for action in dsk.controller_actions:
+        controller.install_action(action)
     return controller
+
+
+def _action_from_def(action_def: MObject) -> Action:
+    return Action(
+        name=str(action_def.get("name")),
+        pattern=str(action_def.get("pattern")),
+        implementation=[
+            _controller_step_dict(s) for s in action_def.get("steps")
+        ],
+        guard=action_def.get("guard") or None,
+        attributes=loads_json_attr(action_def.get("attributesJson"), {}),
+    )
 
 
 def _procedure_from_def(procedure_def: MObject) -> Procedure:
@@ -423,32 +441,6 @@ def _load_ui(
     if dsk.parser is not None:
         ui.set_parser(dsk.parser)
     return ui
-
-
-def _post_start_install(
-    platform: Platform, root: MObject, dsk: DomainKnowledge
-) -> None:
-    """Install pieces that need started layers (Case 1 action tables
-    exist only after the Controller's broker port is live)."""
-    controller = platform.controller
-    if controller is None:
-        return
-    layer_def = root.get("controller")
-    if layer_def is not None:
-        for action_def in layer_def.get("actions"):
-            controller.install_action(
-                Action(
-                    name=str(action_def.get("name")),
-                    pattern=str(action_def.get("pattern")),
-                    implementation=[
-                        _controller_step_dict(s) for s in action_def.get("steps")
-                    ],
-                    guard=action_def.get("guard") or None,
-                    attributes=loads_json_attr(action_def.get("attributesJson"), {}),
-                )
-            )
-    for action in dsk.controller_actions:
-        controller.install_action(action)
 
 
 def _controller_step_dict(step_def: MObject) -> dict[str, Any]:

@@ -252,14 +252,16 @@ class Platform:
         ``PolicyDef``, ``ProcedureDef``, ``DSCDef``,
         ``ControllerActionDef``, ``BrokerActionDef``, ``SymptomDef``,
         ``ChangePlanDef``.  Returns a human-readable list of applied
-        changes; unsupported structural edits raise.
+        changes; unsupported structural edits raise.  The generated
+        tables an addition dropped are rebuilt once, at the end of the
+        batch (also when the batch fails part-way).
         """
         from repro.middleware import loader as _loader
         from repro.middleware.broker.actions import BrokerAction
         from repro.middleware.broker.autonomic import ChangePlan, Symptom
-        from repro.middleware.controller.handlers import Action
         from repro.middleware.controller.policy import Policy
         from repro.middleware.metamodel import loads_json_attr
+        from repro.middleware.synthesis.aot import install_generated
 
         changes = diff_models(self.middleware_model, edited)
         applied: list[str] = []
@@ -267,22 +269,26 @@ class Platform:
         added_ids = {
             c.object_id for c in changes if c.kind == "add"
         }
-        for change in changes:
-            if change.kind != "add" or change.new_object is None:
-                raise PlatformError(
-                    f"unsupported runtime middleware change: {change}; only "
-                    f"additions are applied reflectively (restart for the rest)"
+        try:
+            for change in changes:
+                if change.kind != "add" or change.new_object is None:
+                    raise PlatformError(
+                        f"unsupported runtime middleware change: {change}; "
+                        f"only additions are applied reflectively (restart "
+                        f"for the rest)"
+                    )
+                element = change.new_object
+                container = element.container
+                if container is not None and container.id in added_ids:
+                    continue  # travels with its added parent (subtree root)
+                self._apply_addition(
+                    element, applied, live_index,
+                    Policy=Policy, BrokerAction=BrokerAction,
+                    Symptom=Symptom, ChangePlan=ChangePlan,
+                    loader=_loader, loads_json_attr=loads_json_attr,
                 )
-            element = change.new_object
-            container = element.container
-            if container is not None and container.id in added_ids:
-                continue  # travels with its added parent (subtree root)
-            self._apply_addition(
-                element, applied, live_index,
-                Policy=Policy, Action=Action, BrokerAction=BrokerAction,
-                Symptom=Symptom, ChangePlan=ChangePlan,
-                loader=_loader, loads_json_attr=loads_json_attr,
-            )
+        finally:
+            install_generated(self)
         return applied
 
     def _apply_addition(
@@ -318,17 +324,7 @@ class Platform:
             self.controller.repository.add(loader._procedure_from_def(element))
             self.controller.generator.invalidate()
         elif cls == "ControllerActionDef" and self.controller is not None:
-            self.controller.install_action(
-                ns["Action"](
-                    name=str(element.get("name")),
-                    pattern=str(element.get("pattern")),
-                    implementation=[
-                        loader._controller_step_dict(s) for s in element.get("steps")
-                    ],
-                    guard=element.get("guard") or None,
-                    attributes=ns["loads_json_attr"](element.get("attributesJson"), {}),
-                )
-            )
+            self.controller.install_action(loader._action_from_def(element))
         elif cls == "BrokerActionDef" and self.broker is not None:
             self.broker.install_action(
                 ns["BrokerAction"](

@@ -13,13 +13,15 @@ this module turns that source into installed dispatch tables:
   against a live fingerprint), binds its own ``_TBL_*`` feature
   tables, and maps dispatch entries onto the *live*
   :class:`~repro.modeling.lts.Transition` objects so the generated path
-  mutates the very same execution state Tier-2 would;
+  mutates the very same execution state Tier-2 would (Case-1 entries
+  likewise onto the live controller ``Action`` objects);
 * :func:`install_generated` installs a program on a platform — the
   loader and :func:`~repro.middleware.snapshot.restore_platform` call
-  it for every platform they build — and hooks lazy regeneration into
-  the synthesis cycle: a runtime DSK edit (rule added or replaced,
-  broker action installed) drops the stale tables, the edited cycle
-  runs on Tier-2, and the end of that cycle regenerates.
+  it for every platform they build, ``Platform.apply_reflection`` at
+  the end of every edit batch — and hooks lazy regeneration into the
+  synthesis cycle: a runtime DSK edit (rule added or replaced, broker
+  or controller action installed) drops the stale tables, the edited
+  cycle runs on Tier-2, and the end of that cycle regenerates.
 
 The generated module is the only dispatch mode.  Tier-2 (PR 3's cached
 closures) serves the entries the generator refuses (``AotUnsupported``)
@@ -33,7 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.modeling.aotgen import (
     ABI_VERSION,
@@ -75,8 +77,11 @@ class AotProgram:
     #: class -> many-valued attr names touched for Tier-2 env parity
     syn_many: dict[str, tuple[str, ...]]
     syn_classes: frozenset[str]
+    #: exact operation -> registration-ordered (live Action, fn) pairs
+    ctl_actions: dict[str, tuple[tuple[Any, Callable[..., Any]], ...]]
     broker_skipped: tuple[str, ...]
     syn_skipped: tuple[str, ...]
+    ctl_skipped: tuple[str, ...]
 
 
 #: (DSK hash, domain) -> module code: generation and compile() run once
@@ -92,24 +97,27 @@ def build_program(
     actions: list[Any],
     dsml: Any,
     domain: str = "",
+    controller_actions: Sequence[Any] = (),
 ) -> AotProgram:
     """Load the generated module for a live DSK, generating and
     compiling it only the first time this process sees its shape."""
-    live_hash = dsk_hash(
-        dsk_fingerprint(rules=rules, actions=actions, dsml=dsml)
-    )
+    live_hash = dsk_hash(dsk_fingerprint(
+        rules=rules, actions=actions, dsml=dsml,
+        controller_actions=controller_actions,
+    ))
     with _SHARED_LOCK:
         code = _SHARED.get((live_hash, domain))
         if code is None:
             source = generate_module_source(
-                rules=rules, actions=actions, dsml=dsml, domain=domain
+                rules=rules, actions=actions, dsml=dsml, domain=domain,
+                controller_actions=controller_actions,
             )
             code = _SHARED[live_hash, domain] = compile(
                 source, f"<aot:{domain or 'dsk'}>", "exec"
             )
             if len(_SHARED) > _SHARED_LIMIT:
                 del _SHARED[next(iter(_SHARED))]
-    return _load(code, live_hash, rules, dsml)
+    return _load(code, live_hash, rules, dsml, controller_actions)
 
 
 def load_program(
@@ -119,27 +127,34 @@ def load_program(
     actions: list[Any],
     dsml: Any,
     domain: str = "",
+    controller_actions: Sequence[Any] = (),
 ) -> AotProgram:
     """Execute generated source and bind it to the live DSK.
 
     Validation is structural, not trust-based: the module's baked
     ``DSK_HASH`` must equal a hash recomputed from the live rules,
-    action table, and metamodel slot layout — a module generated from
-    any other DSK shape (or an edited one) is refused, which is what
-    makes pregenerated modules safe to ship to remote workers.
+    broker and controller action tables, and metamodel slot layout — a
+    module generated from any other DSK shape (or an edited one) is
+    refused, which is what makes pregenerated modules safe to ship to
+    remote workers.
     """
     try:
         code = compile(source, f"<aot:{domain or 'dsk'}>", "exec")
     except SyntaxError as exc:
         raise AotError(f"generated module failed to compile: {exc}") from exc
-    live_hash = dsk_hash(
-        dsk_fingerprint(rules=rules, actions=actions, dsml=dsml)
-    )
-    return _load(code, live_hash, rules, dsml)
+    live_hash = dsk_hash(dsk_fingerprint(
+        rules=rules, actions=actions, dsml=dsml,
+        controller_actions=controller_actions,
+    ))
+    return _load(code, live_hash, rules, dsml, controller_actions)
 
 
 def _load(
-    code: CodeType, live_hash: str, rules: Mapping[str, Any], dsml: Any
+    code: CodeType,
+    live_hash: str,
+    rules: Mapping[str, Any],
+    dsml: Any,
+    controller_actions: Sequence[Any],
 ) -> AotProgram:
     """Exec ``code`` into a fresh namespace, check its ABI and baked
     ``DSK_HASH`` against ``live_hash``, and bind it to the live DSK."""
@@ -176,9 +191,38 @@ def _load(
             for name, attrs in namespace.get("SYN_MANY_ATTRS", {}).items()
         },
         syn_classes=syn_classes,
+        ctl_actions=_bind_controller(namespace, controller_actions),
         broker_skipped=tuple(namespace.get("BROKER_SKIPPED", ())),
         syn_skipped=tuple(namespace.get("SYN_SKIPPED", ())),
+        ctl_skipped=tuple(namespace.get("CTL_SKIPPED", ())),
     )
+
+
+def _bind_controller(
+    namespace: Mapping[str, Any], actions: Sequence[Any]
+) -> dict[str, tuple[tuple[Any, Callable[..., Any]], ...]]:
+    """Pair each generated Case-1 entry with its live Action.
+
+    An operation's entries list, in registration order, every action
+    whose pattern matches it; the live table must yield the same names
+    and attributes in the same order, or the module is refused.
+    """
+    from repro.runtime.topics import TopicMatcher
+
+    table: dict[str, tuple[tuple[Any, Callable[..., Any]], ...]] = {}
+    for operation, entries in namespace.get("CTL_ACTIONS", {}).items():
+        live = [a for a in actions if TopicMatcher.matches(a.pattern, operation)]
+        if [(a.name, a.attributes) for a in live] != [
+            (name, attributes) for name, attributes, _fn in entries
+        ]:
+            raise AotError(
+                f"controller operation {operation!r}: module and live "
+                f"action table disagree"
+            )
+        table[operation] = tuple(
+            (action, fn) for action, (_n, _at, fn) in zip(live, entries)
+        )
+    return table
 
 
 def _bind_dispatch(
@@ -227,15 +271,22 @@ def _bind_dispatch(
 def install_generated(platform: Any) -> None:
     """Install the generated tables on ``platform`` unless they are
     current: the synthesis dispatch when it has a synthesis layer, the
-    broker call table when it has a broker.
+    broker call table when it has a broker, the Case-1 action table
+    when it has a controller.
 
-    With a synthesis layer the platform also gets the lazy regeneration
-    hook: when a runtime DSK edit drops either table, the end of the
-    next synthesis cycle calls this again and reinstalls both.
+    The loader calls this once the layers hold their DSK, and
+    ``Platform.apply_reflection`` at the end of every edit batch.  With
+    a synthesis layer the platform also gets the lazy regeneration
+    hook: when a runtime DSK edit drops a table, the end of the next
+    synthesis cycle calls this again and reinstalls them all.
     """
-    synthesis, broker = platform.synthesis, platform.broker
-    if (synthesis is None or synthesis.interpreter._aot is not None) and (
-        broker is None or broker._aot_calls is not None
+    synthesis, broker, controller = (
+        platform.synthesis, platform.broker, platform.controller
+    )
+    if (
+        (synthesis is None or synthesis.interpreter._aot is not None)
+        and (broker is None or broker._aot_calls is not None)
+        and (controller is None or controller._aot_actions is not None)
     ):
         return
     program = build_program(
@@ -243,20 +294,27 @@ def install_generated(platform: Any) -> None:
         actions=list(broker.calls._actions) if broker is not None else [],
         dsml=platform.dsml,
         domain=platform.domain,
+        controller_actions=(
+            list(controller.actions._actions) if controller is not None else []
+        ),
     )
     if synthesis is not None:
         synthesis.interpreter.install_aot(program)
         synthesis.aot_refresh = lambda: install_generated(platform)
     if broker is not None:
         broker.install_aot(program.broker_calls)
+    if controller is not None:
+        controller.install_aot(program.ctl_actions)
 
 
 def remove_generated(platform: Any) -> None:
-    """Strip both generated tables and the regeneration hook, leaving
-    ``platform`` on Tier-2 for good: the reference side of the
-    tier-equivalence checks in tests and ``repro bench aot``."""
+    """Strip every generated table and the regeneration hook, leaving
+    ``platform`` on the reflective paths for good: the reference side
+    of the tier-equivalence checks in tests and ``repro bench aot``."""
     if platform.synthesis is not None:
         platform.synthesis.interpreter.install_aot(None)
         platform.synthesis.aot_refresh = None
     if platform.broker is not None:
         platform.broker.install_aot(None)
+    if platform.controller is not None:
+        platform.controller.install_aot(None)

@@ -11,9 +11,10 @@ flat slot-indexed storage plus generated artifacts instead of
 reflective interpretation.
 
 This module turns a loaded DSK (the live
-:class:`~repro.middleware.synthesis.interpreter.EntityRule` set and
-:class:`~repro.middleware.broker.actions.BrokerActionTable`) into the
-*source text* of a plain Python module:
+:class:`~repro.middleware.synthesis.interpreter.EntityRule` set, the
+:class:`~repro.middleware.broker.actions.BrokerActionTable` and the
+Controller's Case-1 :class:`~repro.middleware.controller.handlers.Action`
+list) into the *source text* of a plain Python module:
 
 * LTS transitions -> a direct dispatch table
   ``SYN_DISPATCH[(class_name, state, label)] = ((guard_fn|None,
@@ -23,13 +24,27 @@ This module turns a loaded DSK (the live
   feature reads pre-resolved to flat slot-store indices;
 * guards and step expressions -> plain compiled Python functions;
 * broker call actions -> one function per exact API string,
-  ``BROKER_APIS[api] = fn(resources, state, values, args)``.
+  ``BROKER_APIS[api] = fn(resources, state, values, args)``;
+* Case-1 controller actions -> per exact operation, every action that
+  can match it in registration order, ``CTL_ACTIONS[operation] =
+  ((name, attributes, fn), ...)``; ``fn(command, broker, context,
+  result)`` is ``Action.run`` compiled: it builds each step's call
+  arguments, calls ``broker.call_api`` and records the call in
+  ``result``.  Selection among the candidates (policy scores), the
+  classification and the error capture stay with the Controller at
+  runtime, so policy edits need no regeneration.
 
 Generation is *conservative*: any expression or spec shape whose
 Tier-2 semantics cannot be reproduced exactly raises
-:class:`AotUnsupported` internally and excludes that class/API from
-the generated tables — the runtime falls back to Tier-2 for exactly
-those entries, so Tier-3 never changes behaviour, only cost.
+:class:`AotUnsupported` internally and excludes that class/API/
+operation from the generated tables (listed in ``SYN_SKIPPED``,
+``BROKER_SKIPPED``, ``CTL_SKIPPED``) — the runtime falls back to
+Tier-2 (the reflective Case-1 scan, for the controller) for exactly
+those entries, so Tier-3 never changes behaviour, only cost.  An
+operation is refused when any action that matches it has a guard, a
+wildcard pattern, a Python implementation, a step without an ``api``,
+a non-string argument key, a non-scalar literal argument, or an
+expression the compiler refuses.
 
 The emitted source is deterministic for a given DSK (golden-file
 checkable) and stamped with ``DSK_HASH`` — a
@@ -44,7 +59,7 @@ import ast
 import json
 import keyword
 import sys
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 # CPython's built-in SHA-256.  Every process that loads a platform
 # hashes its DSK; hashlib would also load the OpenSSL bindings there.
@@ -70,7 +85,7 @@ __all__ = [
 
 #: Bumped whenever the generated-module contract (names, signatures,
 #: table shapes) changes; the loader refuses modules from another ABI.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 
 class AotUnsupported(Exception):
@@ -349,6 +364,7 @@ def dsk_fingerprint(
     rules: Mapping[str, Any] | None = None,
     actions: Iterable[Any] = (),
     dsml: Any = None,
+    controller_actions: Iterable[Any] = (),
 ) -> dict[str, Any]:
     """Structural description of a loaded DSK (:func:`dsk_hash` encodes
     it canonically).
@@ -357,8 +373,10 @@ def dsk_fingerprint(
     class the LTS shape (states, initial, transitions in declaration
     order with guards/priorities/action templates), the broker action
     table in registration order (pattern, guard, priority, declarative
-    steps), and the slot layout of every rule class.  Runtime edits to
-    any of these change the hash and invalidate installed modules.
+    steps), the Controller's Case-1 actions in registration order
+    (pattern, guard, attributes, declarative steps), and the slot
+    layout of every rule class.  Runtime edits to any of these change
+    the hash and invalidate installed modules.
     """
     rule_docs: dict[str, Any] = {}
     for class_name in sorted(rules or {}):
@@ -379,22 +397,30 @@ def dsk_fingerprint(
                 for t in lts._transitions
             ],
         }
-    action_docs = []
-    for action in actions:
-        steps: Any
-        if callable(action.implementation):
-            steps = "<callable>"
-        else:
-            steps = [dict(step) for step in action.implementation]
-        action_docs.append(
-            [action.name, action.pattern, action.priority, action.guard, steps]
-        )
+    action_docs = [
+        [action.name, action.pattern, action.priority, action.guard,
+         _steps_doc(action.implementation)]
+        for action in actions
+    ]
     return {
         "abi": ABI_VERSION,
         "rules": rule_docs,
         "broker": action_docs,
+        "controller": [
+            [
+                action.name, action.pattern, action.guard,
+                action.attributes, _steps_doc(action.implementation),
+            ]
+            for action in controller_actions
+        ],
         "slots": _slot_layout(dsml, rules or {}),
     }
+
+
+def _steps_doc(implementation: Any) -> Any:
+    if callable(implementation):
+        return "<callable>"
+    return [dict(step) for step in implementation]
 
 
 def dsk_hash(fingerprint: Mapping[str, Any]) -> str:
@@ -496,6 +522,19 @@ def _wrap_expr(
     )
 
 
+def _assign_step_expr(
+    out: _Emitter, target: str, expr_source: str, original: str, *, indent: int
+) -> None:
+    """:func:`_wrap_expr` for step expressions of broker and controller
+    actions.  A bare name compiles to a resolver lookup, which raises
+    nothing but ExpressionError, so it is assigned without the
+    wrapper."""
+    if original.isidentifier():
+        out.emit(f"{target} = {expr_source}", indent=indent)
+    else:
+        _wrap_expr(out, target, expr_source, original, indent=indent)
+
+
 def _compile_broker_action(action: Any, out: _Emitter, fn_name: str) -> None:
     """Emit one ``def fn(resources, state, _values, _a)`` broker body."""
     steps = action.implementation
@@ -557,7 +596,7 @@ def _compile_broker_action(action: Any, out: _Emitter, fn_name: str) -> None:
                 expr_text, _BrokerResolver(results, tainted)
             )
             local = f"_x{emitted}_{len(arg_items)}"
-            _wrap_expr(out, local, expr, str(expr_text), indent=1)
+            _assign_step_expr(out, local, expr, str(expr_text), indent=1)
             arg_items.append((key, local))
         # Emit plain keyword arguments where the key allows it (skips
         # the ``**{...}`` build-then-unpack dict); non-identifier keys
@@ -633,6 +672,128 @@ def _compilable_broker_apis(actions: list[Any]) -> dict[str, Any]:
         best = min(candidates, key=lambda e: (-e[1].priority, e[0]))
         table[api] = best[1]
     return table
+
+
+# -- controller codegen ------------------------------------------------------
+#
+# A Case-1 action step (``Action.run``) evaluates its ``args_expr``
+# against an env built as: the context snapshot, overlaid by the
+# command args, with "command" bound to the Command; each named step
+# result is added after its call and never dropped.  The generated
+# function resolves names in that order with no env dict: step results
+# become locals, "command" the Command, and every other name reads the
+# command args, then the context snapshot, then the safe constants.
+# The action's candidates and score-based selection stay in the
+# Controller, which runs the function it selected.
+
+
+class _ControllerResolver(NameResolver):
+    def __init__(self, results: frozenset[str], source: str) -> None:
+        #: step-result names bound *before* the step being compiled
+        self.results = results
+        self.source = source
+
+    def resolve(self, name: str) -> str | None:
+        if name in self.results:
+            return _result_local(name)
+        if name == "command":
+            return "_cmd"
+        return (
+            f"(_a[{name!r}] if {name!r} in _a "
+            f"else _ctl_lookup(_ctx, {name!r}, {self.source!r}))"
+        )
+
+
+def _literal_arg(action: Any, value: Any) -> str:
+    """Source for a literal step argument.  Tier-2 passes the step's
+    own object on every call, so only immutable scalars whose repr
+    round-trips are baked."""
+    if (
+        isinstance(value, (str, int, float, type(None)))
+        and _literal_roundtrip(value) == value
+    ):
+        return repr(value)
+    raise AotUnsupported(f"action {action.name!r}: literal arg {value!r}")
+
+
+def _compile_controller_action(action: Any, out: _Emitter, fn_name: str) -> None:
+    """Emit one ``def fn(_cmd, broker, _ctx, _res)`` body: ``Action.run``
+    compiled, with its signature and contract (returns the last call's
+    value, appends a ``BrokerCallRecord`` per call to ``_res``)."""
+    if action.guard is not None:
+        raise AotUnsupported(f"action {action.name!r}: guarded")
+    steps = action.implementation
+    if callable(steps):
+        raise AotUnsupported(f"action {action.name!r}: Python implementation")
+    out.emit(f"def {fn_name}(_cmd, broker, _ctx, _res):")
+    if not steps:
+        out.emit("return None", indent=1)
+        return
+    out.emit("_a = _cmd.args", indent=1)
+    out.emit("_calls = _res.broker_calls", indent=1)
+    results: frozenset[str] = frozenset()
+    for position, step in enumerate(steps):
+        step = dict(step)
+        api = step.get("api")
+        if not api or not isinstance(api, str):
+            raise AotUnsupported(f"action {action.name!r}: step api {api!r}")
+        # Tier-2 builds call_args as the literal args overlaid by the
+        # evaluated args_expr (dict order: literal keys first, replaced
+        # in place); expressions evaluate in args_expr order.
+        literals = dict(step.get("args", {}))
+        exprs = dict(step.get("args_expr", {}))
+        if not all(isinstance(key, str) for key in [*literals, *exprs]):
+            raise AotUnsupported(f"action {action.name!r}: non-string arg key")
+        call_args: dict[str, str] = {}
+        for key, value in literals.items():
+            call_args[key] = _literal_arg(action, value)
+        for index, (key, expr_text) in enumerate(exprs.items()):
+            expr = compile_expr_source(
+                str(expr_text), _ControllerResolver(results, str(expr_text))
+            )
+            local = f"_x{position}_{index}"
+            _assign_step_expr(out, local, expr, str(expr_text), indent=1)
+            call_args[key] = local
+        if all(k.isidentifier() and not keyword.iskeyword(k) for k in call_args):
+            call = "".join(f", {k}={v}" for k, v in call_args.items())
+        else:
+            call = ", **{" + ", ".join(
+                f"{k!r}: {v}" for k, v in call_args.items()
+            ) + "}"
+        out.emit(f"_value = broker.call_api({api!r}{call})", indent=1)
+        # BrokerCallRecord.of: args sorted by key (keys are unique).
+        record = "".join(f"({k!r}, {call_args[k]})," for k in sorted(call_args))
+        out.emit(
+            f"_calls.append(BrokerCallRecord({api!r}, ({record}), _value))",
+            indent=1,
+        )
+        store = step.get("result")
+        if store:
+            out.emit(f"{_result_local(str(store))} = _value", indent=1)
+            results = results | {str(store)}
+    out.emit("return _value", indent=1)
+
+
+def _controller_operations(actions: list[Any]) -> tuple[dict[str, list[Any]], list[str]]:
+    """(exact operation -> every action that can match it, in
+    registration order; operations refused because one of those
+    actions is a wildcard).  Only exact patterns name operations."""
+    from repro.runtime.topics import TopicMatcher
+
+    operations = sorted(
+        {a.pattern for a in actions if not TopicMatcher.is_wildcard(a.pattern)}
+    )
+    table: dict[str, list[Any]] = {}
+    refused: list[str] = []
+    for operation in operations:
+        candidates = [
+            a for a in actions if TopicMatcher.matches(a.pattern, operation)
+        ]
+        if any(TopicMatcher.is_wildcard(a.pattern) for a in candidates):
+            refused.append(operation)
+        else:
+            table[operation] = candidates
+    return table, refused
 
 
 # -- synthesis codegen -------------------------------------------------------
@@ -793,6 +954,7 @@ repro.middleware.synthesis.aot.install_generated after DSK_HASH
 validation.
 """
 
+from repro.middleware.controller.stackmachine import BrokerCallRecord
 from repro.middleware.synthesis.scripts import Command
 from repro.modeling.expr import ExpressionError, _attr_access as _attr
 from repro.modeling.model import _MISSING
@@ -816,6 +978,22 @@ def _lookup(_a, _values, name):
         return _CONSTANTS[name]
     except KeyError:
         raise ExpressionError("unknown name %r" % (name,)) from None
+
+
+def _ctl_lookup(_ctx, name, source):
+    """Case-1 step name resolution past the command args: the context
+    snapshot, then safe constants; unknown names raise like the
+    interpreter, naming the expression."""
+    try:
+        return _ctx[name]
+    except KeyError:
+        pass
+    try:
+        return _CONSTANTS[name]
+    except KeyError:
+        raise ExpressionError(
+            "unknown name %r in %r" % (name, source)
+        ) from None
 
 
 def _slot(obj, index, name, default, table):
@@ -842,15 +1020,21 @@ def generate_module_source(
     actions: list[Any],
     dsml: Any,
     domain: str = "",
+    controller_actions: Sequence[Any] = (),
 ) -> str:
     """Emit the complete Tier-3 module source for a loaded DSK.
 
     ``rules`` maps class name -> EntityRule (the interpreter's live
     rule set); ``actions`` is the broker action table's registration-
-    ordered action list; ``dsml`` the domain metamodel (slot layouts).
-    Output is deterministic: same DSK -> byte-identical source.
+    ordered action list; ``dsml`` the domain metamodel (slot layouts);
+    ``controller_actions`` the Controller's registration-ordered
+    Case-1 actions.  Output is deterministic: same DSK ->
+    byte-identical source.
     """
-    fingerprint = dsk_fingerprint(rules=rules, actions=actions, dsml=dsml)
+    fingerprint = dsk_fingerprint(
+        rules=rules, actions=actions, dsml=dsml,
+        controller_actions=controller_actions,
+    )
     digest = dsk_hash(fingerprint)
     out = _Emitter()
     out.block(_MODULE_PRELUDE)
@@ -883,6 +1067,38 @@ def generate_module_source(
     out.emit("}")
     out.emit()
     out.emit(f"BROKER_SKIPPED = {sorted(skipped_apis)!r}")
+    out.emit()
+
+    # -- controller Case-1 table (sorted for deterministic output) -----
+    operations, skipped_ops = _controller_operations(list(controller_actions))
+    ctl_rows: list[str] = []
+    for position, operation in enumerate(sorted(operations)):
+        attempt = _Emitter()
+        entries: list[str] = []
+        try:
+            for index, action in enumerate(operations[operation]):
+                fn_name = f"_ctl_{position}_{index}_{_mangle(operation)}"
+                _compile_controller_action(action, attempt, fn_name)
+                attempt.emit()
+                attributes = dict(action.attributes)
+                if _literal_roundtrip(attributes) != attributes:
+                    raise AotUnsupported(
+                        f"action {action.name!r}: attributes {attributes!r}"
+                    )
+                entries.append(f"({action.name!r}, {attributes!r}, {fn_name})")
+        except AotUnsupported:
+            skipped_ops.append(operation)
+            continue
+        out.block(attempt.text().rstrip("\n"))
+        out.emit()
+        ctl_rows.append(f"{operation!r}: ({', '.join(entries)},),")
+    out.emit()
+    out.emit("CTL_ACTIONS = {")
+    for row in ctl_rows:
+        out.emit(row, indent=1)
+    out.emit("}")
+    out.emit()
+    out.emit(f"CTL_SKIPPED = {sorted(skipped_ops)!r}")
     out.emit()
 
     # -- synthesis dispatch tables -------------------------------------
@@ -981,6 +1197,15 @@ def generate_module_source(
     # _slot_layout already builds it with sorted, deterministic order.
     out.emit(f"SLOT_LAYOUT = {fingerprint['slots']!r}")
     return out.text()
+
+
+def _literal_roundtrip(value: Any) -> Any:
+    """``value`` rebuilt from its repr, or a sentinel when the repr is
+    not a Python literal."""
+    try:
+        return ast.literal_eval(repr(value))
+    except (ValueError, SyntaxError):
+        return _DYNAMIC
 
 
 def _mangle(name: str) -> str:

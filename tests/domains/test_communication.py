@@ -79,6 +79,24 @@ class TestCml:
         b2.schema.connections.append(connection)
         assert not validate_model(b2.build(), cml_constraints()).ok
 
+    def test_participant_matched_by_id_passes(self):
+        """A participant held outside the schema still passes when its
+        id names one of the schema's persons: ids decide, as they do
+        for the schema's own persons."""
+        from repro.modeling.serialize import clone_model
+
+        builder, people = standup_builder()
+        model = builder.build()
+        twin = next(
+            p for p in clone_model(model).objects_by_class("Person")
+            if p.id == people["bob"].id
+        )
+        connection = people["connection"]
+        connection.participants.remove(people["bob"])
+        connection.participants.append(twin)
+        assert twin.container is not people["bob"].container
+        assert validate_model(model, cml_constraints()).ok
+
 
 class TestCmlParser:
     def test_parse_full_scenario(self):

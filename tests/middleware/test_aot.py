@@ -47,7 +47,12 @@ from repro.middleware.synthesis.aot import (
 )
 from repro.middleware.synthesis.interpreter import ChangeInterpreter, EntityRule
 from repro.middleware.synthesis.scripts import script_to_json
-from repro.modeling.aotgen import dsk_fingerprint, dsk_hash, generate_module_source
+from repro.modeling.aotgen import (
+    ABI_VERSION,
+    dsk_fingerprint,
+    dsk_hash,
+    generate_module_source,
+)
 from repro.modeling.diff import diff_models
 from repro.modeling.lts import LTS
 from repro.modeling.meta import Metamodel
@@ -190,32 +195,25 @@ def test_aot_scripts_byte_identical_to_compiled(revisions):
 
 def test_four_domain_op_logs_identical_under_aot():
     """Every shipped domain's two-phase session drives its service to
-    the same op_log with and without the Tier-3 program installed."""
-    from repro.bench.migrate import _fresh_session, _log_bytes
+    the same op_log with and without the Tier-3 program installed, and
+    its Controller does the same per script: broker trace, each
+    command's case and result status/error, and the
+    ``controller.command``/``controller.case`` counters."""
+    from repro.bench.aot import controlled_session
     from repro.domains.assembly import domain_cases
 
     for case in domain_cases():
-        service2, _dsk, tier2 = _fresh_session(case)
-        try:
-            remove_generated(tier2)
-            tier2.run_model(case.phase1())
-            tier2.run_model(case.phase2())
-        finally:
-            tier2.stop()
-        golden = _log_bytes(service2)
-        assert golden, f"{case.name}: empty golden op_log"
-
-        service3, _dsk, tier3 = _fresh_session(case)
-        try:
-            program = tier3.synthesis.interpreter._aot
-            assert program is not None, case.name
-            assert program.broker_calls, case.name
-            assert tier3.broker._aot_calls == program.broker_calls
-            tier3.run_model(case.phase1())
-            tier3.run_model(case.phase2())
-        finally:
-            tier3.stop()
-        assert _log_bytes(service3) == golden, case.name
+        models = [case.phase1(), case.phase2()]
+        reference, _none = controlled_session(case, models, generated=False)
+        assert reference["op_log"], f"{case.name}: empty golden op_log"
+        assert reference["counters"], case.name
+        record, program = controlled_session(case, models, generated=True)
+        assert program is not None, case.name
+        assert program.broker_calls, case.name
+        assert program.ctl_actions and not program.ctl_skipped, case.name
+        assert record["op_log"] == reference["op_log"], case.name
+        assert record["scripts"] == reference["scripts"], case.name
+        assert record["counters"] == reference["counters"], case.name
 
 
 # -- every platform runs shared generated code -------------------------------
@@ -224,12 +222,22 @@ def _generated_code(platform):
     """A code object of ``platform``'s generated module, after checking
     that every table its layers have is installed.  Programs exec'd
     from one module code object share it and its nested functions'."""
-    synthesis, broker = platform.synthesis, platform.broker
+    synthesis, broker, controller = (
+        platform.synthesis, platform.broker, platform.controller
+    )
     program = None
     if synthesis is not None:
         program = synthesis.interpreter._aot
         assert program is not None, platform.name
         assert synthesis.aot_refresh is not None
+    if controller is not None:
+        table = controller._aot_actions
+        assert table is not None, platform.name
+        assert set(table) == {
+            a.pattern for a in controller.actions._actions
+        }, platform.name
+        if program is not None:
+            assert table == program.ctl_actions
     if broker is None:
         return program.code
     calls = broker._aot_calls
@@ -469,7 +477,7 @@ class TestGenerationAndValidation:
         try:
             parts = self._dsk_parts(platform)
             source = generate_module_source(**parts).replace(
-                "ABI = 1", "ABI = 99", 1
+                f"ABI = {ABI_VERSION}", "ABI = 99", 1
             )
             with pytest.raises(AotError, match="ABI mismatch"):
                 load_program(source, **parts)
@@ -633,3 +641,307 @@ class TestCheckpointRestore:
         finally:
             restored.stop()
         assert any("open_session" in line for line in service.op_log)
+
+
+# -- the controller's generated Case-1 path -----------------------------------
+
+class _RecordingBroker:
+    """A BrokerPort that records calls; ``fail.api`` raises."""
+
+    def __init__(self):
+        self.calls = []
+
+    def call_api(self, api, **args):
+        self.calls.append((api, args))
+        if api == "fail.api":
+            raise RuntimeError("backend down")
+        return {"api": api, "n": len(self.calls), "text": "t"}
+
+
+def _controller_with(actions, context=None):
+    """A started standalone ControllerLayer over a recording broker,
+    its generated Case-1 table built from ``actions`` and installed."""
+    from repro.middleware.controller.layer import ControllerLayer
+
+    broker = _RecordingBroker()
+    layer = ControllerLayer("ctl")
+    for action in actions:
+        layer.install_action(action)
+    layer.configure({})
+    layer.wire("broker", broker)
+    layer.start()
+    layer.context.update(context or {})
+    program = build_program(
+        rules={}, actions=[], dsml=None,
+        controller_actions=list(layer.actions._actions),
+    )
+    layer.install_aot(program.ctl_actions)
+    return layer, broker, program
+
+
+def _run_both_paths(layer, broker, commands):
+    """Each command's (case, status, error, value, trace) and the broker
+    calls, on the generated table and then on the reflective scan."""
+    runs = []
+    table = layer._aot_actions
+    for generated in (table, None):
+        layer.install_aot(generated)
+        broker.calls.clear()
+        outcomes = []
+        for command in commands:
+            outcome = layer.execute_command(command)
+            result = outcome.result
+            outcomes.append((
+                outcome.case, result.status, result.error, result.value,
+                result.call_trace(),
+            ))
+        runs.append((outcomes, list(broker.calls)))
+    layer.install_aot(table)
+    return runs
+
+
+class TestControllerGeneratedPath:
+    def test_args_expr_errors_identical_on_both_paths(self):
+        from repro.middleware.controller.handlers import Action
+        from repro.middleware.synthesis.scripts import Command
+
+        layer, broker, program = _controller_with([
+            Action("unknown-name", "op.unknown",
+                   [{"api": "a.x", "args_expr": {"v": "ghost + 1"}}]),
+            Action("divide", "op.divide",
+                   [{"api": "a.x", "args_expr": {"v": "1 / zero"}}]),
+            Action("after-call", "op.after",
+                   [{"api": "a.first", "result": "first"},
+                    {"api": "a.second", "args_expr": {"v": "first['missing']"}}]),
+            Action("broker-fails", "op.fails",
+                   [{"api": "a.ok"}, {"api": "fail.api", "args": {"k": 1}}]),
+        ])
+        assert set(program.ctl_actions) == {
+            "op.unknown", "op.divide", "op.after", "op.fails"
+        }
+        commands = [
+            Command("op.unknown"),
+            Command("op.divide", args={"zero": 0}),
+            Command("op.after"),
+            Command("op.fails"),
+        ]
+        generated, reflective = _run_both_paths(layer, broker, commands)
+        assert generated == reflective
+        errors = [row[2] for row in generated[0]]
+        assert all(row[1] == "error" for row in generated[0])
+        assert errors[0] == "ExpressionError: unknown name 'ghost' in 'ghost + 1'"
+        assert errors[1].startswith("ExpressionError: error evaluating '1 / zero'")
+        assert errors[3] == "RuntimeError: backend down"
+        layer.stop()
+
+    def test_name_resolution_matches_action_run(self):
+        """Step results, then ``command``, then command args, then the
+        context snapshot, then safe constants — as Action.run's env."""
+        from repro.middleware.controller.handlers import Action
+        from repro.middleware.synthesis.scripts import Command
+
+        layer, broker, _program = _controller_with([
+            Action("resolve", "op.resolve", [
+                {"api": "a.first", "args": {"lit": 3, "v": "overridden"},
+                 "args_expr": {"v": "x", "ctx": "y", "op": "command.operation",
+                               "const": "None"},
+                 "result": "x"},
+                {"api": "a.second",
+                 "args_expr": {"prev": "x['api']", "count": "len(x)",
+                               "weird key": "sorted(x)"}},
+            ]),
+        ], context={"x": "from-context", "y": 7})
+        commands = [
+            Command("op.resolve", args={"x": "from-args"}),
+            Command("op.resolve"),
+        ]
+        generated, reflective = _run_both_paths(layer, broker, commands)
+        assert generated == reflective
+        first_call = generated[1][0]
+        assert first_call == ("a.first", {
+            "lit": 3, "v": "from-args", "ctx": 7, "op": "op.resolve",
+            "const": None,
+        })
+        assert generated[1][2][1]["v"] == "from-context"
+        assert generated[1][1][1] == {
+            "prev": "a.first", "count": 3, "weird key": ["api", "n", "text"],
+        }
+        layer.stop()
+
+    def test_policy_scores_select_among_generated_candidates(self):
+        from repro.middleware.controller.handlers import Action
+        from repro.middleware.controller.policy import Policy
+        from repro.middleware.synthesis.scripts import Command
+
+        layer, broker, program = _controller_with([
+            Action("cheap", "op.pick", [{"api": "a.cheap"}],
+                   attributes={"cost": 1.0}),
+            Action("fast", "op.pick", [{"api": "a.fast"}],
+                   attributes={"cost": 5.0, "speed": 9.0}),
+        ])
+        assert [a.name for a, _fn in program.ctl_actions["op.pick"]] == [
+            "cheap", "fast",
+        ]
+        layer.policies.add(Policy(
+            name="speed-first", condition="mode == 'fast'",
+            weights={"speed": 1.0},
+        ))
+        layer.policies.add(Policy(name="frugal", weights={"cost": -1.0}))
+        for mode, api in (("eco", "a.cheap"), ("fast", "a.fast")):
+            layer.context.set("mode", mode)
+            generated, reflective = _run_both_paths(
+                layer, broker, [Command("op.pick")]
+            )
+            assert generated == reflective
+            assert [call[0] for call in generated[1]] == [api]
+        layer.stop()
+
+    def test_refused_operations_take_the_reflective_scan(self):
+        from repro.middleware.controller.handlers import Action
+        from repro.middleware.synthesis.scripts import Command
+
+        layer, broker, program = _controller_with([
+            Action("plain", "op.plain", [{"api": "a.plain"}]),
+            Action("guarded", "op.guarded", [{"api": "a.g"}], guard="on"),
+            Action("callable", "op.callable",
+                   lambda command, brk, context: brk.call_api("a.c")),
+            Action("shadowed", "op.wild.x", [{"api": "a.x"}]),
+            Action("wild", "op.wild.*", [{"api": "a.w"}]),
+            Action("bad-expr", "op.bad", [{"api": "a.b",
+                                           "args_expr": {"v": "open(1)"}}]),
+            Action("object-arg", "op.object", [{"api": "a.o",
+                                                "args": {"v": [1, 2]}}]),
+        ], context={"on": True})
+        assert set(program.ctl_actions) == {"op.plain"}
+        assert program.ctl_skipped == (
+            "op.bad", "op.callable", "op.guarded", "op.object", "op.wild.x",
+        )
+        commands = [Command(op) for op in (
+            "op.plain", "op.guarded", "op.callable", "op.wild.x",
+            "op.wild.y", "op.object",
+        )]
+        generated, reflective = _run_both_paths(layer, broker, commands)
+        assert generated == reflective
+        assert [api for api, _args in generated[1]] == [
+            "a.plain", "a.g", "a.c", "a.x", "a.w", "a.o",
+        ]
+        layer.stop()
+
+    def test_install_action_drops_the_table_and_the_cycle_regenerates(self):
+        from repro.middleware.controller.handlers import Action
+
+        _service, _dsk, platform = _comm_session()
+        try:
+            controller = platform.controller
+            assert controller._aot_actions
+            controller.install_action(Action(
+                "act-custom", "comm.custom", [{"api": "ncb.open_session",
+                                               "args_expr": {"connection": "c"}}],
+            ))
+            assert controller._aot_actions is None
+            platform.run_model(_conference())  # the cycle's end regenerates
+            assert "comm.custom" in controller._aot_actions
+            assert (controller._aot_actions
+                    == platform.synthesis.interpreter._aot.ctl_actions)
+        finally:
+            platform.stop()
+
+    def test_controller_action_def_regenerates_at_batch_end(self):
+        from repro.middleware.metamodel import dumps_json_attr
+        from repro.middleware.synthesis.scripts import Command, ControlScript
+
+        service, _dsk, platform = _comm_session()
+        try:
+            before = platform.synthesis.interpreter._aot
+            edited = platform.reflect()
+            controller_def = edited.objects_by_class("ControllerLayerDef")[0]
+            action = edited.create(
+                "ControllerActionDef", name="act-open-twice",
+                pattern="comm.session.open_twice",
+            )
+            step = edited.create("ControllerStepDef", api="ncb.open_session")
+            step.argsExprJson = dumps_json_attr({"connection": "connection"})
+            action.steps.append(step)
+            controller_def.actions.append(action)
+            platform.apply_reflection(edited)
+            # No synthesis cycle ran: the batch end regenerated.
+            table = platform.controller._aot_actions
+            assert "comm.session.open_twice" in table
+            assert platform.synthesis.interpreter._aot is not before
+            _action, fn = table["comm.session.open_twice"][0]
+            assert fn is not None
+            outcome = platform.run_script(ControlScript(commands=[
+                Command("comm.session.open_twice", args={"connection": "c9"}),
+            ]))
+            assert outcome.ok
+            assert outcome.broker_trace() == ["ncb.open_session(connection='c9')"]
+            assert any("open_session" in line for line in service.op_log)
+        finally:
+            platform.stop()
+
+    def test_broker_action_def_regenerates_on_a_broker_only_platform(self):
+        from repro.domains.assembly import assemble_middleware_model
+        from repro.domains.communication import dsk as comm_dsk
+
+        service = CommService("net0", op_cost=0.0)
+        platform = load_platform(
+            assemble_middleware_model(
+                "ncb-only", "communication", comm_dsk,
+                with_ui=False, with_synthesis=False, with_controller=False,
+            ),
+            DomainKnowledge(dsml=cml_metamodel(), resources=[service]),
+        )
+        try:
+            assert platform.synthesis is None and platform.controller is None
+            before = platform.broker._aot_calls
+            assert before
+            edited = platform.reflect()
+            broker_def = edited.objects_by_class("BrokerLayerDef")[0]
+            action = edited.create(
+                "BrokerActionDef", name="custom-flag", pattern="custom.flag",
+            )
+            action.steps.append(
+                edited.create("StepDef", setKey="custom:flag", expr="1")
+            )
+            broker_def.actions.append(action)
+            platform.apply_reflection(edited)
+            calls = platform.broker._aot_calls
+            assert calls is not None and "custom.flag" in calls
+            assert calls is not before
+            platform.broker.call_api("custom.flag")
+            assert platform.broker.state.get("custom:flag") == 1
+        finally:
+            platform.stop()
+
+    def test_command_histogram_counts_every_command(self):
+        from repro.runtime.metrics import MetricsRegistry
+
+        service = CommService("net0", op_cost=0.0)
+        platform = load_platform(
+            build_middleware_model(),
+            DomainKnowledge(dsml=cml_metamodel(), resources=[service]),
+            metrics=MetricsRegistry(),
+        )
+        try:
+            controller = platform.controller
+            controller.context.update(default_context())
+            assert controller._aot_actions
+            platform.run_model(_conference(extended=True))
+            platform.run_model(_conference())
+            metrics = platform.metrics
+            commands = controller.commands_executed
+            assert commands > 0
+            assert controller.actions.executed == commands  # all Case 1
+            sampled = sum(
+                histogram.count
+                for name, _op, histogram in metrics.histograms()
+                if name == "controller.command"
+            )
+            counted = sum(
+                value for name, _op, value in metrics.counters()
+                if name == "controller.command"
+            )
+            assert sampled == counted == commands
+            assert metrics.counter_value("controller.case", "actions") == commands
+        finally:
+            platform.stop()

@@ -166,6 +166,7 @@ class TestRegistryBackend:
                 rules=interpreter._rules,
                 actions=list(platform.broker.calls._actions),
                 dsml=platform.dsml,
+                controller_actions=list(platform.controller.actions._actions),
             ))
 
         before = interpreter._aot.dsk_hash

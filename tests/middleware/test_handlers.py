@@ -82,6 +82,24 @@ class TestActionHandler:
         handler.handle(Command("op"))
         assert broker.calls[0][0] == "fast.api"
 
+    def test_register_returns_the_action(self, broker, policies):
+        handler = ActionHandler(broker, policies)
+        action = Action(name="a", pattern="op", implementation=[])
+        assert handler.register(action) is action
+        assert handler.add("b", "op", []).name == "b"
+
+    def test_one_selection_from_given_candidates(self, broker, policies):
+        policies.add(Policy(name="w", weights={"speed": 1.0}))
+        handler = ActionHandler(broker, policies)
+        slow = handler.add("slow", "op", [], attributes={"speed": 1.0})
+        fast = handler.add("fast", "op", [], attributes={"speed": 9.0})
+        tie = handler.add("tie", "op", [], attributes={"speed": 9.0})
+        candidates = handler.candidates(Command("op"))
+        assert [action for action, _fn in candidates] == [slow, fast, tie]
+        decision = policies.decide("op")
+        assert handler.select(candidates, decision)[0] is fast  # first on ties
+        assert handler.select([], decision) is None
+
     def test_duplicate_action_rejected(self, broker, policies):
         handler = ActionHandler(broker, policies)
         handler.add("a", "op", [])
@@ -151,58 +169,89 @@ class TestIntentModelHandler:
             world.handle(Command("nothing.here"))
 
 
+def _classify(classifier, policies, command, *, actions, intent):
+    """Classify under the decision the Controller takes for ``command``."""
+    return classifier.classify(
+        command,
+        policies.decide(command.classifier or command.operation),
+        action_available=actions,
+        intent_available=lambda: intent,
+    )
+
+
 class TestCommandClassifier:
     def test_default_prefers_actions_when_available(self, policies):
-        classifier = CommandClassifier(policies)
-        case = classifier.classify(
-            Command("op"), action_available=True, intent_available=True
+        classifier = CommandClassifier()
+        case = _classify(
+            classifier, policies, Command("op"), actions=True, intent=True
         )
         assert case == "actions"
 
     def test_falls_through_to_available_side(self, policies):
-        classifier = CommandClassifier(policies)
-        assert classifier.classify(
-            Command("op"), action_available=False, intent_available=True
+        classifier = CommandClassifier()
+        assert _classify(
+            classifier, policies, Command("op"), actions=False, intent=True
         ) == "intent"
-        assert classifier.classify(
-            Command("op"), action_available=True, intent_available=False
+        assert _classify(
+            classifier, policies, Command("op"), actions=True, intent=False
         ) == "actions"
 
     def test_policy_forces_case(self, policies):
         policies.add(Policy(name="f", force_case="intent"))
-        classifier = CommandClassifier(policies)
-        case = classifier.classify(
-            Command("op"), action_available=True, intent_available=True
+        classifier = CommandClassifier()
+        case = _classify(
+            classifier, policies, Command("op"), actions=True, intent=True
         )
         assert case == "intent"
 
     def test_override_pattern(self, policies):
-        classifier = CommandClassifier(
-            policies, overrides={"special.*": "intent"}
-        )
-        assert classifier.classify(
-            Command("special.op"), action_available=True, intent_available=True
+        classifier = CommandClassifier(overrides={"special.*": "intent"})
+        assert _classify(
+            classifier, policies, Command("special.op"),
+            actions=True, intent=True,
         ) == "intent"
-        assert classifier.classify(
-            Command("plain.op"), action_available=True, intent_available=True
+        assert _classify(
+            classifier, policies, Command("plain.op"),
+            actions=True, intent=True,
         ) == "actions"
 
     def test_nothing_available_raises(self, policies):
-        classifier = CommandClassifier(policies)
+        classifier = CommandClassifier()
         with pytest.raises(HandlerError, match="no handler"):
-            classifier.classify(
-                Command("op"), action_available=False, intent_available=False
+            _classify(
+                classifier, policies, Command("op"),
+                actions=False, intent=False,
             )
 
     def test_intent_default(self, policies):
-        classifier = CommandClassifier(policies, default_case="intent")
-        assert classifier.classify(
-            Command("op"), action_available=True, intent_available=True
+        classifier = CommandClassifier(default_case="intent")
+        assert _classify(
+            classifier, policies, Command("op"), actions=True, intent=True
         ) == "intent"
 
     def test_bad_default_rejected(self, policies):
         with pytest.raises(HandlerError):
-            CommandClassifier(policies, default_case="magic")
+            CommandClassifier(default_case="magic")
+
+    def test_intent_availability_asked_only_for_case_2(self, policies):
+        asked = []
+
+        def intent_available():
+            asked.append(True)
+            return True
+
+        classifier = CommandClassifier()
+        decision = policies.decide("op")
+        assert classifier.classify(
+            Command("op"), decision,
+            action_available=True, intent_available=intent_available,
+        ) == "actions"
+        assert asked == []
+        assert classifier.classify(
+            Command("op"), decision,
+            action_available=False, intent_available=intent_available,
+        ) == "intent"
+        assert asked == [True]
 
 
 class TestEventHandler:

@@ -61,6 +61,41 @@ class TestPolicy:
         p = Policy(name="p", condition="missing_key == 1")
         assert not p.active({})
 
+    def test_absent_context_key_is_inactive(self):
+        p = Policy(name="p", condition="battery < 30")
+        assert not p.active({"load": 0.5})
+        assert p.active({"battery": 10})
+
+    def test_raising_condition_handled_alike_by_both_evaluators(self):
+        """Policy.active runs the compiled evaluator; a condition that
+        raises fails the same way under the reference AST walker, so
+        the policy is inactive either way."""
+        from repro.modeling.expr import ExpressionError, compile_expression
+
+        for condition, context in [
+            ("1 / zero > 0", {"zero": 0}),
+            ("ghost == 1", {}),
+            ("limits['cap'] > 1", {"limits": {}}),
+            ("len(count) > 1", {"count": 3}),
+        ]:
+            expression = compile_expression(condition)
+            messages = []
+            for evaluate in (expression.evaluate, expression.evaluate_fast):
+                with pytest.raises(ExpressionError) as info:
+                    evaluate(context)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1], condition
+            assert not Policy(name="p", condition=condition).active(context)
+
+    def test_active_runs_the_compiled_evaluator(self, monkeypatch):
+        from repro.modeling.expr import Expression
+
+        def walker(self, context=None):
+            raise AssertionError("reference AST walker on the hot path")
+
+        monkeypatch.setattr(Expression, "evaluate", walker)
+        assert Policy(name="p", condition="load > 0.5").active({"load": 0.9})
+
     def test_bad_condition_rejected(self):
         with pytest.raises(PolicyError):
             Policy(name="p", condition="import os")
