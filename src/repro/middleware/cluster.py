@@ -327,19 +327,20 @@ class RegistryBackend:
 
     # -- log shipping / adoption -------------------------------------------
 
-    def ship_tail(self) -> list:
-        """WAL frames appended since the last call.
+    def ship_tail(self) -> list[bytes]:
+        """Whole WAL frames appended since the last call, byte for byte
+        as on disk (CRC-checked, not decoded; segment headers skipped).
 
-        The worker loop piggybacks these on every reply
-        (``reply["ship"]``), so by the time a caller's future resolves
-        the coordinator's warm copy already holds the op's entry and
-        seal.  Seek-based (:meth:`WriteAheadLog.tail_since`): the
-        cursor pays for new frames only.
+        The worker loop sends these as one raw batch right after every
+        reply, so by the time a caller's future resolves the
+        coordinator's warm copy already holds the op's entry and seal.
+        Seek-based (:meth:`WriteAheadLog.tail_frames`): the cursor reads
+        the new bytes only and lists no directory.
         """
         durability = self.durability
         if durability is None:
             return []
-        cursor, frames = durability.wal.tail_since(self._ship_cursor)
+        cursor, frames = durability.wal.tail_frames(self._ship_cursor)
         self._ship_cursor = cursor
         return frames
 
@@ -365,7 +366,7 @@ class RegistryBackend:
             return {"already": True, "session": session,
                     "worker": self.worker_id}
         capture_doc = None
-        tail: list[dict] = []
+        tail: list[bytes] = []  # entry frames, encoded for the scratch log
         checkpoint_bytes = tail_bytes = 0
         for doc in frames or []:
             if str(doc.get("session", "")) != session:
@@ -376,9 +377,10 @@ class RegistryBackend:
                 checkpoint_bytes, tail_bytes = len(encode_frame_doc(doc)), 0
                 tail = []
             elif kind in ("entry", "applied"):
-                tail_bytes += len(encode_frame_doc(doc))
+                frame = encode_frame_doc(doc)
+                tail_bytes += len(frame)
                 if kind == "entry":
-                    tail.append(doc)
+                    tail.append(frame)
         if capture_doc is None:
             raise ClusterBackendError(
                 f"no shipped checkpoint for session {session!r}; cannot adopt"

@@ -41,6 +41,7 @@ import socket
 import tempfile
 import threading
 import time
+import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +59,9 @@ from repro.runtime.wal import (
     WriteAheadLog,
     decode_frame_header,
     decode_frame_payload,
+    encode_frame,
     encode_frame_doc,
+    split_frames,
 )
 
 __all__ = [
@@ -104,11 +107,23 @@ def _read_exactly(sock: socket.socket, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _read_frame(sock: socket.socket) -> dict:
+def _read_payload(sock: socket.socket) -> tuple[bytes, int]:
     header = _read_exactly(sock, FRAME_HEADER_SIZE)
     length, crc = decode_frame_header(header)
-    payload = _read_exactly(sock, length)
-    return decode_frame_payload(payload, crc)
+    return _read_exactly(sock, length), crc
+
+
+def _read_frame(sock: socket.socket) -> dict:
+    return decode_frame_payload(*_read_payload(sock))
+
+
+def _read_batch(sock: socket.socket) -> list[bytes]:
+    """A shipped batch: one raw transport frame holding WAL frames back
+    to back, CRC-checked as a whole and split (not decoded)."""
+    payload, crc = _read_payload(sock)
+    if zlib.crc32(payload) != crc:
+        raise WalError("shipped batch CRC mismatch")
+    return split_frames(payload)
 
 
 def _send_frame(sock: socket.socket, doc: dict) -> None:
@@ -193,22 +208,28 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
         except BaseException as exc:  # workload errors never kill the worker
             reply = {"k": "res", "id": frame.get("id"), "ok": False,
                      "error": {"type": type(exc).__name__, "message": str(exc)}}
-        # Log shipping (PR 10): piggyback the backend's new WAL frames
-        # on this reply.  The entry for this very op was write-aheaded
-        # before its effects ran and sealed after, so a resolved future
-        # implies its frames are in the coordinator's warm copy.
+        # Log shipping: the backend's new WAL frames follow this reply
+        # as one raw transport frame, byte for byte as on disk, and
+        # ``reply["ship"]`` says how many.  The entry for this very op
+        # was write-aheaded before its effects ran and sealed after, so
+        # a resolved future implies its frames are in the coordinator's
+        # warm copy.
         ship = getattr(backend, "ship_tail", None)
+        frames: list[bytes] = []
         if ship is not None:
             try:
                 frames = ship()
             except Exception:
                 frames = []
             if frames:
-                reply["ship"] = frames
+                reply["ship"] = len(frames)
         reply["backlog"] = inbox.qsize()
+        data = encode_frame_doc(reply, lenient=True)
+        if frames:
+            data += encode_frame(b"".join(frames))
         with send_lock:
             try:
-                _send_frame(sock, reply)
+                sock.sendall(data)
             except OSError:
                 break
         if op == "stop":
@@ -317,7 +338,8 @@ class _WorkerHandle:
         try:
             while True:
                 frame = _read_frame(sock)
-                self._resolve(frame, generation)
+                batch = _read_batch(sock) if frame.get("ship") else None
+                self._resolve(frame, generation, batch)
         except (ConnectionError, OSError, WalError) as exc:
             with self.lock:
                 if self.generation == generation and self.alive:
@@ -325,23 +347,20 @@ class _WorkerHandle:
                     return
         # stale reader for a superseded socket: nothing to do
 
-    def _resolve(self, frame: dict, generation: int) -> None:
+    def _resolve(self, frame: dict, generation: int,
+                 batch: list[bytes] | None) -> None:
         with self.lock:
             if self.generation != generation:
                 return
             self.reported_backlog = int(frame.get("backlog", 0))
             entry = self._pending.pop(frame.get("id"), None)
-        ship = frame.get("ship")
-        if ship:
-            # Append to the warm copy *before* resolving the future:
-            # once a caller observes an op's outcome, the op's WAL
-            # frames are already adoptable.
+        if batch:
+            # Land in the warm copy *before* resolving the future: once
+            # a caller observes an op's outcome, the op's WAL frames are
+            # already adoptable (a refused batch is counted there).
             shipper = self.cluster.shipper
             if shipper is not None:
-                try:
-                    shipper.receive(self.index, ship)
-                except Exception:
-                    pass
+                shipper.receive(self.index, batch)
         if entry is None:
             return
         session, started, future = entry
@@ -393,12 +412,14 @@ class _WorkerHandle:
 
 
 class LogShipper:
-    """Warm standby copies of each worker's write-ahead log (PR 10).
+    """Warm standby copies of each worker's write-ahead log.
 
-    Durable workers piggyback their freshly appended WAL frames on
-    every reply (``reply["ship"]``); the coordinator lands them here in
-    one standby :class:`WriteAheadLog` per worker — same CRC frame
-    protocol end to end — *before* the caller's future resolves.  On
+    Durable workers send their freshly appended WAL frames right after
+    every reply, byte for byte as on disk; the coordinator lands them
+    here unchanged in one standby :class:`WriteAheadLog` per worker —
+    same CRC frame protocol end to end — *before* the caller's future
+    resolves.  A batch the standby refuses lands nothing and is counted
+    per worker (:meth:`stats`), beside the frames and bytes landed.  On
     ``WORKER_DEAD``, :meth:`adopt` replays each lost session's shipped
     tail (latest checkpoint frame + later entries) into a surviving
     worker through the backend's idempotent ``adopt`` op, re-pointing
@@ -419,7 +440,8 @@ class LogShipper:
             self._ephemeral = None
         self.directory = Path(directory)
         self.standby = standby
-        self.frames_received = 0
+        #: per worker: frames and bytes landed, batches refused.
+        self.landed: dict[int, dict] = {}
         self.adoptions: list[dict] = []
         self._logs: dict[int, WriteAheadLog] = {}
         self._lock = threading.Lock()
@@ -435,11 +457,41 @@ class LogShipper:
                 )
             return log
 
-    def receive(self, index: int, frames: list) -> None:
-        """Land one reply's shipped frames in worker ``index``'s copy
-        (:meth:`WriteAheadLog.land` truncates what checkpoints cover)."""
-        self.log_for(index).land(frames)
-        self.frames_received += len(frames)
+    def receive(self, index: int, frames: list[bytes]) -> bool:
+        """Land one reply's shipped frames, one item per whole frame, in
+        worker ``index``'s copy (:meth:`WriteAheadLog.land` checks every
+        CRC and truncates what checkpoints cover).
+
+        A batch that fails to land — a bad frame, a failed write — lands
+        nothing and is counted as refused with its error; returns
+        whether the batch landed.
+        """
+        error = None
+        try:
+            self.log_for(index).land(frames)
+        except Exception as exc:  # the reader thread must keep running
+            error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            counts = self.landed.setdefault(
+                index, {"frames": 0, "bytes": 0, "refused": 0})
+            if error is None:
+                counts["frames"] += len(frames)
+                counts["bytes"] += sum(map(len, frames))
+            else:
+                counts["refused"] += 1
+                counts["last_error"] = error
+        return error is None
+
+    @property
+    def frames_received(self) -> int:
+        return sum(counts["frames"] for counts in self.stats().values())
+
+    def stats(self) -> dict:
+        """Per worker index: frames and bytes landed, batches refused
+        (and the last refusal's error)."""
+        with self._lock:
+            return {index: dict(counts)
+                    for index, counts in sorted(self.landed.items())}
 
     # -- adoption ----------------------------------------------------------
 
@@ -793,6 +845,8 @@ class ProcessCluster:
             "lost_sessions": list(self.stats_.lost_sessions),
             "adoptions": (len(self.shipper.adoptions)
                           if self.shipper is not None else 0),
+            "shipping": (self.shipper.stats()
+                         if self.shipper is not None else {}),
         }
 
     # -- ingress adapter ---------------------------------------------------

@@ -42,6 +42,17 @@ resume from the store" discipline:
   replay-tail with delivery deduplicated by ``(trace_id, seq)`` —
   exactly-once end to end.
 
+* Log shipping moves bytes, not documents.  The log lists its
+  directory once, at open, and then keeps its live segment indexes in
+  memory where it starts, rotates and truncates segments.
+  :meth:`WriteAheadLog.tail_frames` is the shipping cursor: it seeks to
+  the last shipped position and returns the whole frames appended
+  since, exactly as they sit on disk (CRC-checked, never decoded).
+  :meth:`WriteAheadLog.land` writes such frames into a standby copy
+  unchanged, after checking every CRC again; the doc-shaped callers
+  (:meth:`WriteAheadLog.import_session`, adoption's scratch log) encode
+  at their own edge and land through the same routine.
+
 Binary frame format (all integers big-endian)::
 
     [u32 length][u32 crc32-of-payload][payload: UTF-8 JSON, length bytes]
@@ -54,6 +65,7 @@ means corruption rather than interruption.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import struct
@@ -104,9 +116,12 @@ __all__ = [
     "signal_to_doc",
     "signal_from_doc",
     "FRAME_HEADER_SIZE",
+    "encode_frame",
     "encode_frame_doc",
+    "decode_frame",
     "decode_frame_header",
     "decode_frame_payload",
+    "split_frames",
 ]
 
 #: envelope identifying WAL segment headers (serialize.py discipline).
@@ -182,24 +197,25 @@ def signal_from_doc(doc: dict[str, Any]) -> Signal:
     )
 
 
-def _encode_frame(payload: bytes) -> bytes:
+def encode_frame(payload: bytes) -> bytes:
+    """Frame raw payload bytes: ``[u32 length][u32 crc32][payload]``."""
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _read_frames(handle: Any, offset: int = 0) -> Iterator[tuple[int, bytes]]:
-    """Yield ``(offset, payload)`` per whole, CRC-valid frame read from
-    ``handle`` (positioned at ``offset``), stopping at the first short
-    or corrupt one: a torn tail, or corruption the caller judges."""
-    while True:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
+def _frame_spans(data: bytes) -> Iterator[tuple[int, int]]:
+    """Yield ``(start, end)`` per whole, CRC-valid frame of ``data``,
+    stopping at the first short or corrupt one: a torn tail, or
+    corruption the caller judges (the last end falls short of
+    ``len(data)``)."""
+    view = memoryview(data)
+    start, size = 0, len(data)
+    while size - start >= _HEADER.size:
+        length, crc = _HEADER.unpack_from(data, start)
+        end = start + _HEADER.size + length
+        if end > size or zlib.crc32(view[start + _HEADER.size:end]) != crc:
             return
-        length, crc = _HEADER.unpack(header)
-        payload = handle.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return
-        yield offset, payload
-        offset += _HEADER.size + length
+        yield start, end
+        start = end
 
 
 #: Size of the ``[u32 length][u32 crc32]`` frame header in bytes —
@@ -222,7 +238,7 @@ def encode_frame_doc(doc: Any, *, lenient: bool = False) -> bytes:
         payload = _dumps_lenient(doc) if lenient else _dumps(doc)
     except (TypeError, ValueError) as exc:
         raise WalError(f"unserializable frame: {exc}") from exc
-    return _encode_frame(payload)
+    return encode_frame(payload)
 
 
 def decode_frame_header(header: bytes) -> tuple[int, int]:
@@ -245,6 +261,38 @@ def decode_frame_payload(payload: bytes, expected_crc: int) -> Any:
         raise WalError(f"undecodable frame payload: {exc}") from exc
 
 
+def decode_frame(frame: bytes) -> Any:
+    """CRC-verify and decode one whole frame (header included)."""
+    if len(frame) < _HEADER.size:
+        raise WalError(f"short frame: {len(frame)} bytes")
+    length, crc = _HEADER.unpack_from(frame)
+    if len(frame) - _HEADER.size != length:
+        raise WalError(
+            f"frame holds {len(frame) - _HEADER.size} payload bytes, "
+            f"its header says {length}"
+        )
+    return decode_frame_payload(frame[_HEADER.size:], crc)
+
+
+def split_frames(blob: bytes) -> list[bytes]:
+    """Cut back-to-back frames apart by their length fields alone.
+
+    Nothing is checked or decoded: a blob that does not end on a frame
+    boundary yields its ragged remainder as a last, short frame, which
+    :func:`decode_frame` (and so :meth:`WriteAheadLog.land`) refuses.
+    """
+    frames = []
+    offset, size = 0, len(blob)
+    while offset < size:
+        if size - offset < _HEADER.size:
+            frames.append(blob[offset:])
+            break
+        end = offset + _HEADER.size + _HEADER.unpack_from(blob, offset)[0]
+        frames.append(blob[offset:end])
+        offset = end
+    return frames
+
+
 class WriteAheadLog:
     """Append-only segmented log of JSON frames for one shard.
 
@@ -260,6 +308,10 @@ class WriteAheadLog:
 
     Thread safety: all mutating calls serialize on one lock, so shard
     pump threads and an ingress producer can share a log.
+
+    The directory is listed once, at open; from then on the log keeps
+    its live segment indexes in memory (:meth:`segments`), so the
+    shipping cursor, replay and truncation never list it again.
     """
 
     def __init__(
@@ -286,6 +338,8 @@ class WriteAheadLog:
         self._offset = 0
         self._unsynced = 0
         self._closed = False
+        #: live segment indexes, ascending (see :meth:`segments`).
+        self._segments: list[int] = []
         # truncation floor bookkeeping: last checkpointed segment per
         # session, and every session seen appending since open.
         self._checkpoint_segment: dict[str, int] = {}
@@ -305,7 +359,12 @@ class WriteAheadLog:
         return self.directory / f"{self.name}-{segment:08d}.log"
 
     def segments(self) -> list[int]:
-        """Existing segment indexes, ascending."""
+        """Live segment indexes, ascending: listed from the directory
+        at open, then kept where segments start and are truncated."""
+        with self._lock:
+            return list(self._segments)
+
+    def _list_directory(self) -> list[int]:
         prefix = f"{self.name}-"
         found = []
         for path in self.directory.glob(f"{self.name}-*.log"):
@@ -315,10 +374,11 @@ class WriteAheadLog:
         return sorted(found)
 
     def _open_latest(self) -> None:
-        existing = self.segments()
+        existing = self._list_directory()
         if not existing:
             self._start_segment(0)
             return
+        self._segments = existing
         self._segment = existing[-1]
         path = self._segment_path(self._segment)
         valid = self._scan_valid_length(path)
@@ -338,6 +398,7 @@ class WriteAheadLog:
     def _start_segment(self, segment: int) -> None:
         self._segment = segment
         self._file = open(self._segment_path(segment), "ab")
+        self._segments.append(segment)
         self._offset = 0
         header = {
             "format": WAL_FORMAT,
@@ -346,7 +407,7 @@ class WriteAheadLog:
             "segment": segment,
             "log": self.name,
         }
-        frame = _encode_frame(_dumps(header))
+        frame = encode_frame(_dumps(header))
         self._file.write(frame)
         self._offset = len(frame)
         self._sync_locked()
@@ -354,9 +415,8 @@ class WriteAheadLog:
     def _scan_valid_length(self, path: Path) -> int:
         """Byte length of the longest valid frame prefix of ``path``."""
         valid = 0
-        with open(path, "rb") as handle:
-            for offset, payload in _read_frames(handle):
-                valid = offset + _HEADER.size + len(payload)
+        for _start, valid in _frame_spans(path.read_bytes()):
+            pass
         return valid
 
     # -- appending ----------------------------------------------------
@@ -546,11 +606,10 @@ class WriteAheadLog:
 
     def _truncate_locked(self) -> int:
         floor = self._truncation_floor()
-        dropped = 0
-        for segment in self.segments():
-            if segment < floor:
-                self._segment_path(segment).unlink()
-                dropped += 1
+        dropped = bisect.bisect_left(self._segments, floor)
+        for segment in self._segments[:dropped]:
+            self._segment_path(segment).unlink(missing_ok=True)
+        del self._segments[:dropped]
         self.truncated_segments += dropped
         return dropped
 
@@ -596,18 +655,26 @@ class WriteAheadLog:
     ) -> None:
         """Adopt an exported tail: append the frames and register the
         session's truncation floor at this log's current head."""
+        encoded = [
+            encode_frame(self._encode(doc, strict=False)) for doc in frames
+        ]
         with self._lock:
-            self._land_locked(frames)
+            self._land_locked(encoded)
             self._active_sessions.add(session)
             self._sync_locked()
 
-    def land(self, frames: list[dict[str, Any]]) -> None:
-        """Append frames shipped from another log (a standby copy).
+    def land(self, frames: list[bytes]) -> None:
+        """Append whole frames shipped from another log (a standby
+        copy), byte for byte.
 
-        A shipped full checkpoint advances its session's floor to the
-        segment it landed in and a shipped ``dropped``/``closed``
-        forgets the session (as in :meth:`checkpoint`); when landing
-        rotates the log, the segments below the floor are deleted.
+        Every frame's CRC is checked, and its payload decoded for the
+        truncation-floor bookkeeping, before any is written: a batch
+        holding a short, corrupt or undecodable frame raises
+        :class:`WalError` and lands nothing.  A landed full checkpoint
+        advances its session's floor to the segment it landed in and a
+        landed ``dropped``/``closed`` forgets the session (as in
+        :meth:`checkpoint`); when landing rotates the log, the segments
+        below the floor are deleted.
         """
         with self._lock:
             rotations = self.rotations
@@ -615,22 +682,35 @@ class WriteAheadLog:
             if self.rotations != rotations:
                 self._truncate_locked()
 
-    def _land_locked(self, frames: list[dict[str, Any]]) -> None:
-        for doc in frames:
-            position = self._append_locked(doc, strict=False)
-            self._track_locked(doc, position.segment)
+    def _land_locked(self, frames: list[bytes]) -> None:
+        """The one landing routine: verify all, then write each frame
+        unchanged (:meth:`_write_locked`'s steps, minus the framing)."""
+        docs = [decode_frame(frame) for frame in frames]
+        if self._closed:
+            raise WalError(f"log {self.name!r} is closed")
+        for frame, doc in zip(frames, docs):
+            if self._offset >= self.segment_max_bytes:
+                self._rotate_locked()
+            self._file.write(frame)
+            self._offset += len(frame)
+            self.appends += 1
+            self._unsynced += 1
+            if self._unsynced >= self.sync_every:
+                self._sync_locked()
+            self._track_locked(doc, self._segment)
 
-    def tail_since(
+    def tail_frames(
         self, start: WalPosition | None = None
-    ) -> tuple[WalPosition, list[dict[str, Any]]]:
-        """Seek-based tail read for log shipping: every frame appended
-        at/after ``start``, plus the cursor to pass next call.
+    ) -> tuple[WalPosition, list[bytes]]:
+        """Log shipping's cursor: every whole frame appended at/after
+        ``start``, byte for byte as on disk, plus the cursor to pass
+        next call.
 
-        Unlike :meth:`replay`, which scans each segment from the top to
-        mint positions, this seeks straight to ``start``'s byte offset,
-        so a per-operation shipping cursor pays O(new frames) rather
-        than O(segment).  Header frames are skipped.  A torn tail ends
-        the read (those bytes ship once the frame completes), and a
+        Seeks straight to ``start`` and reads each segment's new bytes
+        with one call; the segments come from the in-memory list, so no
+        directory is listed.  Segment header frames (each segment's
+        first) are skipped.  Every frame's CRC is checked and nothing is
+        decoded: the read ends at the first short or corrupt frame.  A
         segment truncated since ``start`` is skipped — its frames are
         covered by the checkpoint that truncated it, which itself
         shipped.
@@ -638,38 +718,37 @@ class WriteAheadLog:
         with self._lock:
             if self._file is not None:
                 self._file.flush()
-            segments = self.segments()
             end = WalPosition(self._segment, self._offset)
-        docs: list[dict[str, Any]] = []
+            first = 0 if start is None else bisect.bisect_left(
+                self._segments, start.segment
+            )
+            segments = self._segments[first:]
+        frames: list[bytes] = []
         for segment in segments:
-            if segment > end.segment:
-                break
-            if start is not None and segment < start.segment:
-                continue
             offset = (
                 start.offset
                 if start is not None and segment == start.segment
                 else 0
             )
-            if segment == end.segment and offset >= end.offset:
-                continue
+            size = -1
+            if segment == end.segment:
+                if offset >= end.offset:
+                    break
+                size = end.offset - offset
             try:
                 handle = open(self._segment_path(segment), "rb")
             except FileNotFoundError:
                 continue
             with handle:
-                if offset:
-                    handle.seek(offset)
-                for offset, payload in _read_frames(handle, offset):
-                    if segment == end.segment and offset >= end.offset:
-                        break
-                    try:
-                        doc = _loads(payload)
-                    except ValueError:
-                        break
-                    if doc.get("k") != "header":
-                        docs.append(doc)
-        return end, docs
+                handle.seek(offset)
+                data = handle.read(size)
+            last = 0
+            for frame_start, last in _frame_spans(data):
+                if offset or frame_start:  # a segment opens with its header
+                    frames.append(data[frame_start:last])
+            if last < len(data):
+                break
+        return end, frames
 
     # -- reading ------------------------------------------------------
 
@@ -687,52 +766,50 @@ class WriteAheadLog:
         with self._lock:
             if self._file is not None:
                 self._file.flush()
-            segments = self.segments()
+            segments = list(self._segments)
         last = segments[-1] if segments else -1
         for segment in segments:
             if start is not None and segment < start.segment:
                 continue
             try:
-                handle = open(self._segment_path(segment), "rb")
+                data = self._segment_path(segment).read_bytes()
             except FileNotFoundError:
-                continue  # truncated since the listing: checkpoint-covered
-            with handle:
-                end = 0
-                for offset, payload in _read_frames(handle):
-                    end = offset + _HEADER.size + len(payload)
-                    try:
-                        doc = _loads(payload)
-                    except ValueError as exc:
-                        raise WalError(
-                            f"undecodable frame in segment {segment} at "
-                            f"offset {offset}: {exc}"
-                        ) from exc
-                    if offset == 0:
-                        if doc.get("k") == "header":
-                            try:
-                                check_envelope(
-                                    doc,
-                                    expected_format=WAL_FORMAT,
-                                    max_version=WAL_VERSION,
-                                )
-                            except SerializationError as exc:
-                                raise WalError(str(exc)) from exc
-                            continue
-                        raise WalError(
-                            f"segment {segment} does not open with a "
-                            f"{WAL_FORMAT!r} header frame"
-                        )
-                    position = WalPosition(segment, offset)
-                    if start is not None and position < start:
-                        continue
-                    yield position, doc
-                # a short or corrupt frame ends the final segment (torn
-                # tail: crash mid-append); anywhere else it is damage.
-                if segment != last and end < os.fstat(handle.fileno()).st_size:
+                continue  # truncated since the snapshot: checkpoint-covered
+            end = 0
+            for offset, end in _frame_spans(data):
+                try:
+                    doc = _loads(data[offset + _HEADER.size:end])
+                except ValueError as exc:
                     raise WalError(
-                        f"corrupt frame mid-log in segment {segment} at "
-                        f"offset {end}"
+                        f"undecodable frame in segment {segment} at "
+                        f"offset {offset}: {exc}"
+                    ) from exc
+                if offset == 0:
+                    if doc.get("k") == "header":
+                        try:
+                            check_envelope(
+                                doc,
+                                expected_format=WAL_FORMAT,
+                                max_version=WAL_VERSION,
+                            )
+                        except SerializationError as exc:
+                            raise WalError(str(exc)) from exc
+                        continue
+                    raise WalError(
+                        f"segment {segment} does not open with a "
+                        f"{WAL_FORMAT!r} header frame"
                     )
+                position = WalPosition(segment, offset)
+                if start is not None and position < start:
+                    continue
+                yield position, doc
+            # a short or corrupt frame ends the final segment (torn
+            # tail: crash mid-append); anywhere else it is damage.
+            if segment != last and end < len(data):
+                raise WalError(
+                    f"corrupt frame mid-log in segment {segment} at "
+                    f"offset {end}"
+                )
 
     def close(self) -> None:
         with self._lock:

@@ -2,8 +2,9 @@
 
 Three layers, cheapest first:
 
-- ``WriteAheadLog.tail_since`` — the seek-based shipping cursor — under
-  rotation and a corrupted shipped segment;
+- ``WriteAheadLog.tail_frames`` — the seek-based shipping cursor, which
+  returns whole frames as bytes — under rotation and a corrupted shipped
+  segment;
 - ``RegistryBackend.ship_tail`` / ``adopt`` driven entirely in-process,
   so the failure properties (truncated tails, crash mid-ship, double
   adoption, duplicate delivery) are deterministic;
@@ -22,7 +23,12 @@ from repro.middleware.cluster import (
     default_backend,
 )
 from repro.runtime.durability import DurabilityPolicy
-from repro.runtime.wal import WriteAheadLog
+from repro.runtime.wal import (
+    WriteAheadLog,
+    decode_frame,
+    encode_frame_doc,
+    split_frames,
+)
 
 OPEN_DOC = {"domain": "communication", "autonomic": False}
 
@@ -35,12 +41,21 @@ OPS = [
 ]
 
 
+def _ship(backend):
+    """The backend's shipped tail, decoded (adoption consumes docs)."""
+    return [decode_frame(frame) for frame in backend.ship_tail()]
+
+
+def _seqs(frames):
+    return [decode_frame(frame)["sig"]["seq"] for frame in frames]
+
+
 # ---------------------------------------------------------------------------
-# tail_since: the shipping cursor
+# tail_frames: the shipping cursor
 # ---------------------------------------------------------------------------
 
 
-class TestTailSince:
+class TestShipCursor:
     def _docs(self, n, start=0):
         return [{"k": "entry", "session": "s",
                  "sig": {"kind": "call", "topic": "t", "payload": {"i": i},
@@ -53,13 +68,13 @@ class TestTailSince:
         try:
             for doc in self._docs(3):
                 wal.append(doc)
-            cursor, frames = wal.tail_since(None)
-            assert [f["sig"]["seq"] for f in frames] == [0, 1, 2]
-            assert wal.tail_since(cursor)[1] == []
+            cursor, frames = wal.tail_frames(None)
+            assert _seqs(frames) == [0, 1, 2]
+            assert wal.tail_frames(cursor)[1] == []
             for doc in self._docs(2, start=10):
                 wal.append(doc)
-            cursor, frames = wal.tail_since(cursor)
-            assert [f["sig"]["seq"] for f in frames] == [10, 11]
+            cursor, frames = wal.tail_frames(cursor)
+            assert _seqs(frames) == [10, 11]
         finally:
             wal.close()
 
@@ -67,12 +82,12 @@ class TestTailSince:
         wal = WriteAheadLog(tmp_path, name="ship", fsync=False,
                             segment_max_bytes=256)
         try:
-            cursor, _ = wal.tail_since(None)
+            cursor, _ = wal.tail_frames(None)
             for doc in self._docs(20):
                 wal.append(doc)
             assert len(wal.segments()) > 1  # rotation actually happened
-            _, frames = wal.tail_since(cursor)
-            assert [f["sig"]["seq"] for f in frames] == list(range(20))
+            _, frames = wal.tail_frames(cursor)
+            assert _seqs(frames) == list(range(20))
         finally:
             wal.close()
 
@@ -87,8 +102,8 @@ class TestTailSince:
             with open(path, "r+b") as handle:
                 handle.seek(positions[-1].offset + 8)  # inside last frame
                 handle.write(b"\xff")
-            _, frames = wal.tail_since(None)
-            assert [f["sig"]["seq"] for f in frames] == [0, 1]
+            _, frames = wal.tail_frames(None)
+            assert _seqs(frames) == [0, 1]
         finally:
             wal.close()
 
@@ -117,10 +132,10 @@ def shipped(tmp_path):
     adopter = _durable_backend(tmp_path, 1)
     try:
         source.open("s1", OPEN_DOC)
-        frames = source.ship_tail()
+        frames = _ship(source)
         for doc in OPS:
             source.apply("s1", doc)
-        frames += source.ship_tail()
+        frames += _ship(source)
         golden = source.describe("s1")["op_logs"]
         yield SimpleNamespace(source=source, adopter=adopter,
                               frames=frames, golden=golden)
@@ -143,7 +158,7 @@ class TestShipAdopt:
         assert shipped.frames  # the worked tail shipped something
         assert shipped.source.ship_tail() == []  # nothing new since
         shipped.source.apply("s1", OPS[1])
-        tail = shipped.source.ship_tail()
+        tail = _ship(shipped.source)
         kinds = [doc["k"] for doc in tail]
         assert "entry" in kinds and "applied" in kinds
         assert all(doc["session"] == "s1" for doc in tail)
@@ -210,7 +225,7 @@ class TestShipAdopt:
         """Adopt re-checkpoints into the adopter's own WAL, so the
         adopter's shipped copy covers the session from here on."""
         shipped.adopter.adopt("s1", shipped.frames)
-        tail = shipped.adopter.ship_tail()
+        tail = _ship(shipped.adopter)
         assert any(doc["k"] == "checkpoint" and doc["session"] == "s1"
                    for doc in tail)
 
@@ -273,8 +288,6 @@ def _model_ops(n):
 
 
 def _frame_bytes(doc):
-    from repro.runtime.wal import encode_frame_doc
-
     return len(encode_frame_doc(doc))
 
 
@@ -289,13 +302,13 @@ def _spy_frames(backend):
     checkpoint = durability.checkpoint
 
     def spy(session, snapshot_doc, **kwargs):
-        seen.extend(backend.ship_tail())
+        seen.extend(_ship(backend))
         return checkpoint(session, snapshot_doc, **kwargs)
 
     durability.checkpoint = spy
 
     def drain():
-        seen.extend(backend.ship_tail())
+        seen.extend(_ship(backend))
         frames, seen[:] = list(seen), []
         return frames
 
@@ -382,14 +395,14 @@ def test_adoption_at_every_kill_point_matches_inline(tmp_path, domain):
     open_doc = {"domain": domain, "autonomic": False}
     source = _durable_backend(tmp_path, 0)
     source.open("s1", open_doc)
-    shipped = source.ship_tail()
+    shipped = _ship(source)
     prefixes = [list(shipped)]
     checkpoints_at = []
     ops = _comm_ops(200) if domain == "communication" else _model_ops(60)
     try:
         for k, doc in enumerate(ops, start=1):
             source.apply("s1", doc)
-            tail = source.ship_tail()
+            tail = _ship(source)
             if any(frame["k"] == "checkpoint" for frame in tail):
                 checkpoints_at.append(k)
             shipped += tail
@@ -419,6 +432,33 @@ def test_adoption_at_every_kill_point_matches_inline(tmp_path, domain):
 # ---------------------------------------------------------------------------
 
 
+_ENTRY = {"k": "entry", "session": "s1",
+          "sig": {"kind": "call", "topic": "t", "payload": {},
+                  "origin": "o", "seq": 1, "trace_id": 1,
+                  "parent_seq": None}}
+
+
+def _shipped_frames(directory, *docs):
+    """``docs`` written to a source log and read back by its shipping
+    cursor: the frames a worker sends, byte for byte."""
+    wal = WriteAheadLog(directory, name="source", fsync=False)
+    try:
+        for doc in docs:
+            wal.append(doc)
+        return wal.tail_frames(None)[1]
+    finally:
+        wal.close()
+
+
+def _segment_frames(wal):
+    """Every non-header frame of ``wal``'s live segments, read raw."""
+    wal.sync()
+    frames = []
+    for segment in wal.segments():
+        frames += split_frames(wal._segment_path(segment).read_bytes())[1:]
+    return frames
+
+
 def _fake_cluster(*handles):
     from repro.runtime.sharded import SessionRouter
 
@@ -435,19 +475,116 @@ class TestLogShipper:
         shipper = LogShipper(_fake_cluster((True, 0), (True, 0)),
                              tmp_path / "ship")
         try:
-            checkpoint = {"k": "checkpoint", "session": "s1",
-                          "snapshot": {"domain": "d"}}
-            entry = {"k": "entry", "session": "s1",
-                     "sig": {"kind": "call", "topic": "t", "payload": {},
-                             "origin": "o", "seq": 1, "trace_id": 1,
-                             "parent_seq": None}}
-            shipper.receive(0, [checkpoint, entry])
-            shipper.receive(1, [checkpoint])
+            checkpoint, entry = _shipped_frames(
+                tmp_path / "source",
+                {"k": "checkpoint", "session": "s1",
+                 "snapshot": {"domain": "d"}},
+                _ENTRY)
+            assert shipper.receive(0, [checkpoint, entry])
+            assert shipper.receive(1, [checkpoint])
             assert shipper.frames_received == 3
             exported = shipper.log_for(0).export_session("s1")
             assert [doc["k"] for doc in exported] == ["checkpoint", "entry"]
             assert len(shipper.log_for(1).export_session("s1")) == 1
         finally:
+            shipper.close()
+
+    def test_refused_batch_lands_nothing_and_is_counted(self, tmp_path):
+        """The standby re-checks every CRC: a batch holding one bad
+        frame lands none of its frames and is counted as refused, and
+        the next good batch lands."""
+        from repro.runtime.cluster import LogShipper
+
+        shipper = LogShipper(_fake_cluster((True, 0)), tmp_path / "ship")
+        try:
+            checkpoint, entry = _shipped_frames(
+                tmp_path / "source",
+                {"k": "checkpoint", "session": "s1",
+                 "snapshot": {"domain": "d"}},
+                _ENTRY)
+            standby = shipper.log_for(0)
+            flipped = entry[:-2] + bytes([entry[-2] ^ 0xFF]) + entry[-1:]
+            ragged = split_frames(checkpoint + entry[:-3])
+            for bad in ([checkpoint, flipped], ragged):
+                assert not shipper.receive(0, bad)
+            assert standby.appends == 0
+            assert standby.export_session("s1") == []
+            counts = shipper.stats()[0]
+            assert (counts["frames"], counts["bytes"], counts["refused"]) \
+                == (0, 0, 2)
+            assert "WalError" in counts["last_error"]
+            assert shipper.receive(0, [checkpoint, entry])
+            counts = shipper.stats()[0]
+            assert (counts["frames"], counts["bytes"], counts["refused"]) \
+                == (2, len(checkpoint) + len(entry), 2)
+            assert [doc["k"] for doc in standby.export_session("s1")] == [
+                "checkpoint", "entry"]
+        finally:
+            shipper.close()
+
+    def test_concurrent_receives_count_every_frame(self, tmp_path):
+        """Reader threads of several workers land at once; the
+        per-worker counters lose no update."""
+        import sys
+        import threading
+
+        from repro.runtime.cluster import LogShipper
+
+        shipper = LogShipper(_fake_cluster((True, 0), (True, 0)),
+                             tmp_path / "ship")
+        frames = _shipped_frames(tmp_path / "source", *[_ENTRY] * 4)
+
+        def land(index):
+            for _ in range(50):
+                assert shipper.receive(index, frames)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=land, args=(i % 2,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            shipper.close()
+        per_worker = 4 * 50 * len(frames)
+        assert shipper.stats() == {
+            index: {"frames": per_worker,
+                    "bytes": per_worker * len(frames[0]), "refused": 0}
+            for index in (0, 1)}
+        assert shipper.frames_received == 2 * per_worker
+
+    def test_standby_frames_are_the_workers_bytes(self, tmp_path):
+        """Shipping copies bytes: every frame in the standby copy is
+        the frame the worker wrote, byte for byte, and the worker's
+        live log is a suffix of the standby's."""
+        from repro.runtime.cluster import LogShipper
+
+        shipper = LogShipper(_fake_cluster((True, 0)), tmp_path / "ship")
+        source = _durable_backend(tmp_path, 0)
+        try:
+            source.open("s1", OPEN_DOC)
+            sent = source.ship_tail()
+            assert shipper.receive(0, sent)
+            for doc in _comm_ops(250):
+                source.apply("s1", doc)
+                frames = source.ship_tail()
+                assert shipper.receive(0, frames)
+                sent += frames
+            kinds = [decode_frame(frame)["k"] for frame in sent]
+            assert kinds.count("checkpoint") >= 2  # the worker truncated
+            worker = _segment_frames(source.durability.wal)
+            standby = _segment_frames(shipper.log_for(0))
+            assert standby == sent
+            assert worker and standby[-len(worker):] == worker
+            assert len(worker) < len(standby)
+        finally:
+            source.close("s1")
+            source.shutdown()
             shipper.close()
 
     def test_standby_log_truncates_behind_shipped_checkpoints(
@@ -474,10 +611,10 @@ class TestLogShipper:
                 source.apply("s1", doc)
                 frames = source.ship_tail()
                 for frame in frames:
-                    if frame["k"] == "checkpoint":
+                    if decode_frame(frame)["k"] == "checkpoint":
                         checkpoints += 1
-                        largest = max(largest, _frame_bytes(frame))
-                shipper.receive(0, frames)
+                        largest = max(largest, len(frame))
+                assert shipper.receive(0, frames)
                 most_segments = max(most_segments, len(standby.segments()))
             assert checkpoints >= 6
             assert standby.truncated_segments > 0
@@ -523,15 +660,12 @@ class TestLogShipper:
         assert shipper.adoptions == [report]
         shipper.close()
 
-    def test_ephemeral_directory_reclaimed_on_close(self):
+    def test_ephemeral_directory_reclaimed_on_close(self, tmp_path):
         from repro.runtime.cluster import LogShipper
 
         shipper = LogShipper(_fake_cluster((True, 0)))
         directory = shipper.directory
-        shipper.receive(0, [{"k": "entry", "session": "s",
-                             "sig": {"kind": "call", "topic": "t",
-                                     "payload": {}, "origin": "o", "seq": 1,
-                                     "trace_id": 1, "parent_seq": None}}])
+        assert shipper.receive(0, _shipped_frames(tmp_path, _ENTRY))
         assert directory.exists()
         shipper.close()
         assert not directory.exists()
@@ -636,5 +770,10 @@ class TestStandbyAdoptionEndToEnd:
             stats = cluster.stats()
             assert stats["deaths"] == 1
             assert stats["adoptions"] == 1
+            shipping = stats["shipping"]
+            assert sorted(shipping) == [0, 1]
+            for counts in shipping.values():
+                assert counts["refused"] == 0
+                assert counts["frames"] > 0 and counts["bytes"] > 0
         finally:
             cluster.stop()

@@ -287,6 +287,7 @@ class TestEveryPlatformRunsGeneratedCode:
     def test_worker_open_restore_and_adopt(self, tmp_path):
         from repro.middleware.cluster import RegistryBackend
         from repro.runtime.durability import DurabilityPolicy
+        from repro.runtime.wal import decode_frame
 
         backends = []
         for worker in (0, 1):
@@ -305,7 +306,8 @@ class TestEveryPlatformRunsGeneratedCode:
             source.apply("s1", {"op": "api", "api": "ncb.open_session",
                                 "args": {"connection": "c1"}})
             source.restore("s3", source.capture("s1"))
-            adopter.adopt("s1", source.ship_tail())
+            adopter.adopt("s1", [decode_frame(frame)
+                                 for frame in source.ship_tail()])
             codes = {_generated_code(host.platform)
                      for backend in backends
                      for host in backend.sessions.values()}

@@ -59,7 +59,7 @@ class TestRegistryBackend:
         """``describe`` shows the tail a standby would replay and the
         checkpoint it would restore, from the cadence rule's counters."""
         from repro.runtime.durability import DurabilityPolicy
-        from repro.runtime.wal import encode_frame_doc
+        from repro.runtime.wal import decode_frame
 
         durable = RegistryBackend(durability=DurabilityPolicy(
             mode="wal", log_root=str(tmp_path), fsync=False))
@@ -70,13 +70,13 @@ class TestRegistryBackend:
             (base,) = durable.ship_tail()
             opened = durable.describe("s1")
             assert opened["tail_bytes"] == 0
-            assert opened["checkpoint_bytes"] == len(encode_frame_doc(base))
+            assert opened["checkpoint_bytes"] == len(base)
             _comm_workload(durable, "s1")
             tail = durable.ship_tail()
-            assert [doc["k"] for doc in tail] == ["entry", "applied"] * 2
+            assert ([decode_frame(frame)["k"] for frame in tail]
+                    == ["entry", "applied"] * 2)
             worked = durable.describe("s1")
-            assert worked["tail_bytes"] == sum(
-                len(encode_frame_doc(doc)) for doc in tail)
+            assert worked["tail_bytes"] == sum(len(frame) for frame in tail)
             assert worked["checkpoint_bytes"] == opened["checkpoint_bytes"]
         finally:
             durable.close("s1")

@@ -22,6 +22,7 @@ from repro.runtime.wal import (
     WalPosition,
     WalReplayDivergence,
     WriteAheadLog,
+    encode_frame_doc,
     signal_from_doc,
     signal_to_doc,
 )
@@ -203,16 +204,20 @@ class TestSegmentsAndTruncation:
         session's floor, a shipped ``dropped`` releases it, and the
         rotation that follows drops what the floor covers."""
         wal = open_wal(tmp_path, segment_max_bytes=256)
+
+        def land(*docs):
+            wal.land([encode_frame_doc(doc) for doc in docs])
+
         entry = signal_to_doc(Signal(topic="t", payload={}, origin="lag"))
-        wal.land([{"k": "checkpoint", "session": "lag", "snapshot": {}},
-                  {"k": "entry", "session": "lag", "sig": entry}])
+        land({"k": "checkpoint", "session": "lag", "snapshot": {}},
+             {"k": "entry", "session": "lag", "sig": entry})
         for i in range(8):
-            wal.land([{"k": "checkpoint", "session": "s",
-                       "snapshot": {"pad": "x" * 256, "i": i}}])
+            land({"k": "checkpoint", "session": "s",
+                  "snapshot": {"pad": "x" * 256, "i": i}})
         assert wal.truncated_segments == 0  # pinned by "lag"
-        wal.land([{"k": "dropped", "session": "lag"}])
-        wal.land([{"k": "checkpoint", "session": "s",
-                   "snapshot": {"pad": "x" * 256, "i": 8}}])
+        land({"k": "dropped", "session": "lag"})
+        land({"k": "checkpoint", "session": "s",
+              "snapshot": {"pad": "x" * 256, "i": 8}})
         assert wal.truncated_segments > 0
         assert [d["snapshot"]["i"] for d in frames(wal)
                 if d["k"] == "checkpoint"][0] >= 7

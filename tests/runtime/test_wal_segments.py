@@ -1,0 +1,167 @@
+"""Segment bookkeeping of the write-ahead log.
+
+The log lists its directory once, at open, and afterwards keeps its
+live segment indexes in memory.  Two properties pin that down:
+
+- the cost property, counted rather than timed: shipping, landing,
+  checkpointing, replay and truncation list no directory after open;
+- the correctness property, generated: across random sequences of
+  appends, checkpoints of every kind, landings, forgets, rotations and
+  reopens, :meth:`WriteAheadLog.segments` equals the directory listing,
+  and a reopened log replays the docs it held before closing.
+"""
+
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.runtime.events import Signal
+from repro.runtime.wal import WriteAheadLog, encode_frame_doc, signal_to_doc
+
+
+def _listed(wal):
+    """Segment indexes as the directory lists them (the oracle)."""
+    prefix = f"{wal.name}-"
+    return sorted(
+        int(name[len(prefix):-4])
+        for name in os.listdir(wal.directory)
+        if name.startswith(prefix) and name.endswith(".log")
+    )
+
+
+def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
+    wal = WriteAheadLog(tmp_path / "worker", name="w", fsync=False)
+    standby = WriteAheadLog(tmp_path / "standby", name="s", fsync=False)
+    # a session that never checkpoints pins the truncation floor, so
+    # every full checkpoint's rotation leaves one more live segment.
+    wal.append_entry(Signal(topic="t", origin="lag"), session="lag")
+    sessions = [f"s{i}" for i in range(32)]
+    for session in sessions:
+        wal.checkpoint({"session": session}, session=session)
+    assert len(wal.segments()) > len(sessions)
+
+    listings: list[str] = []
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            listings.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for owner, attr in ((Path, "glob"), (Path, "rglob"), (Path, "iterdir"),
+                        (os, "scandir"), (os, "listdir")):
+        counting(owner, attr)
+
+    cursor = None
+    for cycle in range(24):
+        session = sessions[cycle % len(sessions)]
+        signal = Signal(topic="t", payload={"cycle": cycle}, origin=session)
+        wal.append_entry(signal, session=session)
+        wal.seal_entry(session=session, entry_seq=signal.seq)
+        cursor, frames = wal.tail_frames(cursor)
+        standby.land(frames)
+        wal.checkpoint({"cycle": cycle}, session=session,
+                       delta=cycle % 2 == 1)
+        cursor, frames = wal.tail_frames(cursor)
+        standby.land(frames)
+    wal.checkpoint({"all": True}, session="shard", cover_all=True)
+    cursor, frames = wal.tail_frames(cursor)
+    standby.land(frames)
+    assert [doc for _position, doc in wal.replay()]
+    standby.truncate()
+    standby.import_session(
+        [{"k": "checkpoint", "session": "moved", "snapshot": {}}],
+        session="moved")
+    assert listings == []
+    monkeypatch.undo()
+
+    assert wal.truncated_segments > len(sessions)  # cover_all released
+    assert wal.segments() == _listed(wal)
+    assert standby.segments() == _listed(standby)
+    wal.close()
+    standby.close()
+
+
+_SESSIONS = st.sampled_from(["a", "b", "c"])
+
+
+class SegmentBookkeeping(RuleBasedStateMachine):
+    """Random log traffic over small segments; the in-memory segment
+    list must track the directory through every step."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="repro-wal-segments-")
+        self.wal = self._open()
+
+    def _open(self) -> WriteAheadLog:
+        return WriteAheadLog(Path(self.root) / "log", name="w",
+                             fsync=False, segment_max_bytes=256)
+
+    @rule(session=_SESSIONS, pad=st.integers(0, 96))
+    def append(self, session, pad):
+        signal = Signal(topic="t", payload={"pad": "x" * pad},
+                        origin=session)
+        self.wal.append_entry(signal, session=session)
+        self.wal.seal_entry(session=session, entry_seq=signal.seq)
+
+    @rule(session=_SESSIONS,
+          kind=st.sampled_from(["full", "delta", "cover_all"]),
+          truncate=st.booleans())
+    def checkpoint(self, session, kind, truncate):
+        self.wal.checkpoint({"pad": "y" * 64}, session=session,
+                            truncate=truncate, delta=kind == "delta",
+                            cover_all=kind == "cover_all")
+
+    @rule(session=_SESSIONS,
+          kinds=st.lists(st.sampled_from(["entry", "checkpoint", "dropped"]),
+                         min_size=1, max_size=4))
+    def land(self, session, kinds):
+        docs = []
+        for kind in kinds:
+            doc = {"k": kind, "session": session}
+            if kind == "entry":
+                doc["sig"] = signal_to_doc(Signal(topic="t", origin=session))
+            elif kind == "checkpoint":
+                doc["snapshot"] = {"pad": "z" * 64}
+            docs.append(doc)
+        self.wal.land([encode_frame_doc(doc) for doc in docs])
+
+    @rule(session=_SESSIONS)
+    def forget_session(self, session):
+        self.wal.forget_session(session)
+
+    @rule()
+    def rotate(self):
+        self.wal.rotate()
+
+    @rule()
+    def truncate(self):
+        self.wal.truncate()
+
+    @rule()
+    def reopen(self):
+        before = [doc for _position, doc in self.wal.replay()]
+        self.wal.close()
+        self.wal = self._open()
+        assert [doc for _position, doc in self.wal.replay()] == before
+
+    @invariant()
+    def segments_match_the_directory(self):
+        assert self.wal.segments() == _listed(self.wal)
+
+    def teardown(self):
+        self.wal.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+
+SegmentBookkeeping.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+TestSegmentBookkeeping = SegmentBookkeeping.TestCase
