@@ -29,10 +29,6 @@ from repro.bench.repo_factory import (
     build_generator,
     build_repository,
 )
-from repro.bench.synthesis import (
-    synthesis_stress,
-    template_microbench,
-)
 from repro.bench.workloads import (
     COMMUNICATION_SCENARIOS,
     adaptation_wiring,
@@ -46,7 +42,6 @@ __all__ = [
     "GuardedScenarioRunner", "build_faulty_broker",
     "run_recovery_episodes", "breaker_outage_demo",
     "guard_overhead_bench",
-    "template_microbench", "synthesis_stress",
     "COMMUNICATION_SCENARIOS", "scenario_names",
     "adaptation_wiring", "adaptation_wiring_reliable",
     "count_source_loc", "count_module_loc", "count_callable_loc",

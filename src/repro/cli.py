@@ -725,7 +725,6 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
 BENCH_SUITES: dict[str, tuple[str, str]] = {
     "fabric": ("harness", "BENCH_PR1.json"),
     "faults": ("faults", "BENCH_PR2.json"),
-    "synthesis": ("synthesis", "BENCH_PR3.json"),
     "aot": ("aot", "BENCH_PR8.json"),
     "scale": ("scale", "BENCH_PR4.json"),
     "migrate": ("migrate", "BENCH_PR5.json"),

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 
 from repro.middleware.broker.resource import ResourceManager
 from repro.middleware.broker.state import StateManager
-from repro.modeling.expr import compile_expression
+from repro.modeling.expr import compile_expression, evaluate
 from repro.runtime.topics import TopicMatcher
 
 __all__ = [
@@ -67,52 +67,28 @@ def _guard_evaluator(source: str) -> Callable[[Mapping[str, Any]], Any]:
         return broken
 
 
-class _CompiledStep:
-    """One declarative step pre-parsed into bound evaluators, so
-    ``BrokerAction.run`` stops re-reading the step mapping (and
-    re-resolving its expression strings) on every dispatch."""
-
-    __slots__ = (
-        "kind", "state_key", "expr_fn", "resource", "resource_fn",
-        "operation", "args", "args_fns", "result", "state", "state_fn",
-    )
-
-    def __init__(self, action_name: str, step: Mapping[str, Any]) -> None:
-        if "set" in step:
-            self.kind = "set"
-            self.state_key = str(step["set"])
-            self.expr_fn = compile_expression(str(step["expr"])).evaluate_fast
-            return
-        if "compute" in step:
-            self.kind = "compute"
-            self.expr_fn = compile_expression(str(step["compute"])).evaluate_fast
-            self.result = step.get("result")
-            return
-        self.kind = "invoke"
-        self.resource = step.get("resource")
-        self.resource_fn = (
-            compile_expression(str(step["resource_expr"])).evaluate_fast
-            if self.resource is None and "resource_expr" in step
-            else None
-        )
-        self.operation = step.get("operation")
-        if (self.resource is None and self.resource_fn is None) or not self.operation:
+def _check_step(action_name: str, step: Mapping[str, Any]) -> None:
+    """Refuse a malformed declarative step and compile (into the shared
+    expression cache) every expression it will evaluate."""
+    if "set" in step:
+        sources = [step["expr"]]
+    elif "compute" in step:
+        sources = [step["compute"]]
+    else:
+        resource = step.get("resource")
+        operation = step.get("operation")
+        if (resource is None and "resource_expr" not in step) or not operation:
             raise BrokerActionError(
                 f"action {action_name!r}: step needs resource+operation "
                 f"or set+expr: {dict(step)!r}"
             )
-        self.args = dict(step.get("args", {}))
-        self.args_fns = [
-            (key, compile_expression(str(expr)).evaluate_fast)
-            for key, expr in dict(step.get("args_expr", {})).items()
-        ]
-        self.result = step.get("result")
-        self.state = step.get("state")
-        self.state_fn = (
-            compile_expression(str(step["state_expr"])).evaluate_fast
-            if self.state is None and "state_expr" in step
-            else None
-        )
+        sources = list(dict(step.get("args_expr", {})).values())
+        if resource is None:
+            sources.append(step["resource_expr"])
+        if step.get("state") is None and "state_expr" in step:
+            sources.append(step["state_expr"])
+    for source in sources:
+        compile_expression(str(source))
 
 
 @dataclass
@@ -130,10 +106,11 @@ class BrokerAction:
     A step may instead update state only: ``{"set": "key",
     "expr": "..."} ``.
 
-    The topic predicate, the guard, and declarative steps are compiled
-    once per action (the step plan is re-derived if the
-    ``implementation`` list is *replaced*; in-place mutation of a live
-    step list is not supported).
+    The topic predicate and the guard are compiled once per action.
+    Declarative steps are read per run, like the Controller's
+    ``Action.run``: every step is checked before the first one runs,
+    and expressions evaluate through the shared compiled-expression
+    cache.
     """
 
     name: str
@@ -149,8 +126,6 @@ class BrokerAction:
         self._guard_fn = (
             _guard_evaluator(str(self.guard)) if self.guard is not None else None
         )
-        self._plan: list[_CompiledStep] | None = None
-        self._plan_source: Any = None
 
     def matches(self, api: str, env: Mapping[str, Any]) -> bool:
         if not self._topic_match(api):
@@ -162,51 +137,42 @@ class BrokerAction:
                 return False
         return True
 
-    def _steps(self) -> list[_CompiledStep]:
-        steps = self.implementation
-        if self._plan is None or self._plan_source is not steps:
-            self._plan = [_CompiledStep(self.name, step) for step in steps]
-            self._plan_source = steps
-        return self._plan
-
     def run(self, context: ActionContext) -> Any:
         if callable(self.implementation):
             return self.implementation(context)
+        steps = self.implementation
+        for step in steps:
+            _check_step(self.name, step)
         env = context.env()
         value: Any = None
-        for step in self._steps():
-            kind = step.kind
-            if kind == "set":
-                context.state.set(step.state_key, step.expr_fn(env))
+        for step in steps:
+            if "set" in step:
+                context.state.set(
+                    str(step["set"]), evaluate(str(step["expr"]), env)
+                )
                 env = context.env()
                 continue
-            if kind == "compute":
+            if "compute" in step:
                 # Pure transformation step: evaluate an expression over
                 # the step environment; becomes the action value.
-                value = step.expr_fn(env)
-                if step.result:
-                    env[step.result] = value
+                value = evaluate(str(step["compute"]), env)
+                if step.get("result"):
+                    env[step["result"]] = value
                 continue
-            resource_name = (
-                step.resource
-                if step.resource is not None
-                else str(step.resource_fn(env))
-            )
-            if step.args_fns:
-                call_args = dict(step.args)
-                for key, fn in step.args_fns:
-                    call_args[key] = fn(env)
-            else:
-                call_args = step.args
+            resource_name = step.get("resource")
+            if resource_name is None:
+                resource_name = str(evaluate(str(step["resource_expr"]), env))
+            call_args = dict(step.get("args", {}))
+            for key, expr in dict(step.get("args_expr", {})).items():
+                call_args[key] = evaluate(str(expr), env)
             value = context.resources.invoke(
-                resource_name, step.operation, **call_args
+                resource_name, step["operation"], **call_args
             )
-            if step.result:
-                env[step.result] = value
-            state_key = (
-                step.state if step.state is not None
-                else (step.state_fn(env) if step.state_fn is not None else None)
-            )
+            if step.get("result"):
+                env[step["result"]] = value
+            state_key = step.get("state")
+            if state_key is None and "state_expr" in step:
+                state_key = evaluate(str(step["state_expr"]), env)
             if state_key:
                 context.state.set(str(state_key), value)
                 env = context.env()

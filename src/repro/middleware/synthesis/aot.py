@@ -13,21 +13,25 @@ this module turns that source into installed dispatch tables:
   against a live fingerprint), binds its own ``_TBL_*`` feature
   tables, and maps dispatch entries onto the *live*
   :class:`~repro.modeling.lts.Transition` objects so the generated path
-  mutates the very same execution state Tier-2 would (Case-1 entries
-  likewise onto the live controller ``Action`` objects);
+  mutates the very same execution state the reference path would
+  (Case-1 entries likewise onto the live controller ``Action``
+  objects);
 * :func:`install_generated` installs a program on a platform — the
   loader and :func:`~repro.middleware.snapshot.restore_platform` call
   it for every platform they build, ``Platform.apply_reflection`` at
-  the end of every edit batch — and hooks lazy regeneration into the
+  the end of every edit batch — and hooks regeneration into the
   synthesis cycle: a runtime DSK edit (rule added or replaced, broker
-  or controller action installed) drops the stale tables, the edited
-  cycle runs on Tier-2, and the end of that cycle regenerates.
+  or controller action installed) drops the stale tables, and the
+  next synthesis cycle or teardown regenerates them before it
+  interprets.
 
-The generated module is the only dispatch mode.  Tier-2 (PR 3's cached
-closures) serves the entries the generator refuses (``AotUnsupported``)
-and the cycle after a runtime DSK edit; :func:`remove_generated` strips
-the tables to build the Tier-2 reference that tier-equivalence checks
-compare against.
+The generated module is the only compiled dispatch mode.  The
+reference path (templates and steps read per call, expressions
+through the cached compiled evaluator) serves the entries the
+generator refuses (``AotUnsupported``) and, on a platform without a
+synthesis layer, calls after a direct ``install_action``;
+:func:`remove_generated` strips the tables to build the reference
+side that tier-equivalence checks compare against.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class AotProgram:
     broker_calls: dict[str, Callable[..., Any]]
     #: (class, state, label) -> priority-ordered dispatch entries
     syn_dispatch: dict[tuple[str, str, str], tuple[_DispatchEntry, ...]]
-    #: class -> many-valued attr names touched for Tier-2 env parity
+    #: class -> many-valued attr names touched for reference env parity
     syn_many: dict[str, tuple[str, ...]]
     syn_classes: frozenset[str]
     #: exact operation -> registration-ordered (live Action, fn) pairs
@@ -276,9 +280,10 @@ def install_generated(platform: Any) -> None:
 
     The loader calls this once the layers hold their DSK, and
     ``Platform.apply_reflection`` at the end of every edit batch.  With
-    a synthesis layer the platform also gets the lazy regeneration
-    hook: when a runtime DSK edit drops a table, the end of the next
-    synthesis cycle calls this again and reinstalls them all.
+    a synthesis layer the platform also gets the regeneration hook:
+    when a runtime DSK edit drops a table, the start of the next
+    synthesis cycle or teardown calls this again and reinstalls them
+    all.
     """
     synthesis, broker, controller = (
         platform.synthesis, platform.broker, platform.controller

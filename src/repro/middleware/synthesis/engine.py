@@ -67,21 +67,21 @@ class SynthesisEngine(Component):
         metamodel: Metamodel,
         constraints: ConstraintRegistry | None = None,
         strict: bool = False,
-        compiled: bool = True,
         **kwargs: Any,
     ) -> None:
         super().__init__(name, **kwargs)
         self.metamodel = metamodel
         self.constraints = constraints if constraints is not None else ConstraintRegistry()
         self.comparator = ModelComparator(metamodel)
-        self.interpreter = ChangeInterpreter(strict=strict, compiled=compiled)
+        self.interpreter = ChangeInterpreter(strict=strict)
         self.dispatcher = Dispatcher()
         #: optional negotiation hook: (new_model) -> new_model (possibly
         #: adjusted after negotiating with remote parties).
         self.negotiator: Callable[[Model], Model] | None = None
         #: Tier-3 regeneration hook (set by synthesis.aot.install_generated):
-        #: called after each completed cycle so a DSK edit that dropped
-        #: the installed program is rebuilt once the edit has settled.
+        #: called at the start of each cycle and teardown, so a DSK edit
+        #: that dropped the installed program is rebuilt before the
+        #: next change list is interpreted.
         self.aot_refresh: Callable[[], None] | None = None
         self.cycles = 0
         self.rejected = 0
@@ -120,6 +120,11 @@ class SynthesisEngine(Component):
         if self.negotiator is not None:
             new_model = self.negotiator(new_model)
         self.metrics.count("synthesis.cycle", new_model.name)
+        if self.aot_refresh is not None:
+            # A DSK edit since the last cycle dropped the generated
+            # module: rebuild it so this cycle runs generated code.
+            # No-op while the installed program is current.
+            self.aot_refresh()
         with self.metrics.time("synthesis.cycle", new_model.name, clock=self.clock):
             changes = self.comparator.compare(
                 self.dispatcher.runtime_model, new_model
@@ -132,12 +137,6 @@ class SynthesisEngine(Component):
         script.source_model = new_model.name
         self.dispatcher.promote(new_model)
         self.cycles += 1
-        if self.aot_refresh is not None:
-            # Lazy Tier-3 regeneration: the cycle that carried a DSK
-            # edit ran (partly) on Tier-2; rebuild the generated module
-            # now that the edit has settled so later cycles return to
-            # Tier-3.  No-op while the installed program is current.
-            self.aot_refresh()
         if submit and not script.empty:
             downward = self.port_or_none("downward")
             if downward is not None:
@@ -150,6 +149,8 @@ class SynthesisEngine(Component):
         """Synthesize the script that tears the running model down
         (compare runtime model against empty)."""
         self.require_running()
+        if self.aot_refresh is not None:
+            self.aot_refresh()
         empty = self.comparator.empty_model()
         changes = self.comparator.compare(self.dispatcher.runtime_model, empty)
         script = self.interpreter.interpret(

@@ -25,14 +25,12 @@ Command template format (a dict)::
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from repro.middleware.synthesis.scripts import Command, ControlScript
 from repro.modeling.diff import Change, ChangeList
 from repro.modeling.lts import LTS, LTSError, LTSExecution
-from repro.modeling.expr import compile_expression
+from repro.modeling.expr import ExpressionError, compile_expression, evaluate
 from repro.runtime.events import Event, EventDeliveryError
 from repro.runtime.topics import TopicMatcher
 
@@ -43,14 +41,32 @@ class InterpreterError(Exception):
     """Raised on unhandled changes in strict mode or bad rules."""
 
 
-def _interp(source: str, env: Mapping[str, Any]) -> Any:
-    """Reference-tier evaluation: cached parse, interpreted AST walk."""
-    return compile_expression(source).evaluate(env)
-
-
 #: Sentinel returned by the Tier-3 fast path to defer one change to
-#: the Tier-2 interpreter (shape not covered by the generated module).
+#: the reference path (shape not covered by the generated module).
 _AOT_MISS = object()
+
+
+def _check_template(class_name: str, template: Any) -> None:
+    """Refuse a command template the reference render would fail on:
+    no ``operation``, or an expression that does not parse."""
+    if not isinstance(template, Mapping) or not template.get("operation"):
+        raise InterpreterError(
+            f"rule {class_name!r}: command template missing operation: "
+            f"{template!r}"
+        )
+    sources = [
+        template[key] for key in ("when", "foreach") if key in template
+    ]
+    sources.extend(dict(template.get("args_expr", {})).values())
+    if template.get("target") is None and "target_expr" in template:
+        sources.append(template["target_expr"])
+    for source in sources:
+        try:
+            compile_expression(str(source))
+        except ExpressionError as exc:
+            raise InterpreterError(
+                f"rule {class_name!r}: bad template expression: {exc}"
+            ) from exc
 
 
 class EntityRule:
@@ -74,6 +90,9 @@ class EntityRule:
                 f"rule {class_name!r}: on_unmatched must be ignore|error"
             )
         lts.check()
+        for transition in lts._transitions:
+            for template in transition.actions:
+                _check_template(class_name, template)
         self.class_name = class_name
         self.lts = lts
         self.on_unmatched = on_unmatched
@@ -82,130 +101,17 @@ class EntityRule:
         return f"EntityRule({self.class_name!r}, lts={self.lts.name!r})"
 
 
-class _CompiledTemplate:
-    """A command template lowered into compiled evaluators.
-
-    Built once per ``(rule, transition, template)`` and reused across
-    every change the template fires for, so the hot path never parses
-    or AST-walks an expression string again.
-    """
-
-    __slots__ = (
-        "template", "operation", "args", "classifier", "target", "guard",
-        "when_fn", "args_fns", "target_fn", "foreach_fn",
-    )
-
-    def __init__(self, template: Mapping[str, Any]) -> None:
-        operation = template.get("operation")
-        if not operation:
-            raise InterpreterError(
-                f"command template missing operation: {template!r}"
-            )
-        self.template = template
-        self.operation = str(operation)
-        self.args = dict(template.get("args", {}))
-        self.classifier = template.get("classifier")
-        self.target = template.get("target")
-        self.guard = template.get("guard")
-        self.when_fn = (
-            compile_expression(str(template["when"])).evaluate_fast
-            if "when" in template
-            else None
-        )
-        self.args_fns = tuple(
-            (key, compile_expression(str(expr)).evaluate_fast)
-            for key, expr in dict(template.get("args_expr", {})).items()
-        )
-        self.target_fn = (
-            compile_expression(str(template["target_expr"])).evaluate_fast
-            if self.target is None and "target_expr" in template
-            else None
-        )
-        self.foreach_fn = (
-            compile_expression(str(template["foreach"])).evaluate_fast
-            if "foreach" in template
-            else None
-        )
-
-    def render(self, env: dict[str, Any]) -> Command | None:
-        if self.when_fn is not None and not self.when_fn(env):
-            return None
-        args = dict(self.args)
-        for key, fn in self.args_fns:
-            args[key] = fn(env)
-        target = self.target
-        if target is None and self.target_fn is not None:
-            target = str(self.target_fn(env))
-        return Command(
-            operation=self.operation,
-            args=args,
-            classifier=self.classifier,
-            target=target,
-            guard=self.guard,
-        )
-
-
-class _TemplatePlanCache:
-    """Compiled-template cache keyed by template *structure*.
-
-    PR3 keyed plans ``{id(template) -> plan}`` per class: identity
-    keying confuses two structurally different templates whenever an id
-    is reused, and entries for replaced rules pinned dead templates
-    alive without bound.  Keys are now the canonical JSON of the
-    template dict — structurally equal templates share one compiled
-    plan, structurally different ones can never collide — inside an
-    LRU bound.  An identity memo in front keeps the common case (the
-    same template object firing change after change) at one dict hit
-    instead of a JSON encode.
-    """
-
-    __slots__ = ("max_entries", "_by_structure", "_by_id")
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        self.max_entries = max_entries
-        self._by_structure: OrderedDict[str, _CompiledTemplate] = OrderedDict()
-        #: id(template) -> (template, plan); the stored reference keeps
-        #: the id valid, the identity check rejects lookups for a
-        #: different object that was never memoized under this id.
-        self._by_id: dict[int, tuple[Any, _CompiledTemplate]] = {}
-
-    def lookup(self, template: Mapping[str, Any]) -> _CompiledTemplate:
-        memo = self._by_id.get(id(template))
-        if memo is not None and memo[0] is template:
-            return memo[1]
-        key = json.dumps(template, sort_keys=True, default=repr)
-        cache = self._by_structure
-        compiled = cache.get(key)
-        if compiled is None:
-            compiled = _CompiledTemplate(template)
-            cache[key] = compiled
-            if len(cache) > self.max_entries:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-        if len(self._by_id) >= self.max_entries:
-            self._by_id.clear()  # memo only: rebuilt on demand
-        self._by_id[id(template)] = (template, compiled)
-        return compiled
-
-    def __len__(self) -> int:
-        return len(self._by_structure)
-
-
 class ChangeInterpreter:
     """Stateful interpreter mapping change lists to control scripts."""
 
-    def __init__(self, *, strict: bool = False, compiled: bool = True) -> None:
+    def __init__(self, *, strict: bool = False) -> None:
         #: class name -> rule; subclass matching is by exact class name
         #: of the change (DSMLs are flat enough for exact matching).
         self._rules: dict[str, EntityRule] = {}
         #: object id -> live LTS execution for that entity.
         self._executions: dict[str, LTSExecution] = {}
-        #: structural-hash-keyed LRU of compiled template plans; safe
-        #: across rule replacement (same structure -> same semantics).
-        self._plans = _TemplatePlanCache()
         #: installed Tier-3 program (synthesis.aot.AotProgram) or None;
-        #: dropped — falling back to Tier-2 — whenever a rule is added.
+        #: dropped whenever a rule is added (the next cycle regenerates).
         self._aot: Any = None
         #: event topic pattern -> callback(topic, payload) for events
         #: from the Controller layer (failure recovery hooks).
@@ -213,9 +119,6 @@ class ChangeInterpreter:
             tuple[str, Callable[[str, dict[str, Any]], None]]
         ] = []
         self.strict = strict
-        #: when False, templates are re-evaluated from their source
-        #: strings per change (the reference/authoring tier).
-        self.compiled = compiled
         self.changes_processed = 0
         self.commands_emitted = 0
 
@@ -226,11 +129,9 @@ class ChangeInterpreter:
         if existing is not None and not replace:
             raise InterpreterError(f"duplicate rule for class {rule.class_name!r}")
         self._rules[rule.class_name] = rule
-        # The structural plan cache needs no invalidation (new templates
-        # lower under their own structural keys), but any installed
-        # Tier-3 program was generated from the previous rule set (its
-        # DSK_HASH no longer matches): drop it so the edited cycle runs
-        # on Tier-2 until its end regenerates the module.
+        # Any installed Tier-3 program was generated from the previous
+        # rule set (its DSK_HASH no longer matches): drop it; the next
+        # synthesis cycle regenerates the module before it interprets.
         self._aot = None
         return rule
 
@@ -277,7 +178,6 @@ class ChangeInterpreter:
         label = self._label_for(change)
         if (
             self._aot is not None
-            and self.compiled
             and not env_base
             and change.class_name in self._aot.syn_classes
         ):
@@ -295,34 +195,18 @@ class ChangeInterpreter:
                     f"from state {execution.state!r} (change: {change})"
                 )
             return []
-        if self.compiled:
-            for template in actions:
-                compiled = self._plans.lookup(template)
-                if compiled.foreach_fn is not None:
-                    for item in compiled.foreach_fn(env):
-                        item_env = dict(env)
-                        item_env["item"] = item
-                        command = compiled.render(item_env)
-                        if command is not None:
-                            commands.append(command)
-                else:
-                    command = compiled.render(env)
+        for template in actions:
+            if "foreach" in template:
+                for item in evaluate(str(template["foreach"]), env):
+                    item_env = dict(env)
+                    item_env["item"] = item
+                    command = self._render_command(template, item_env)
                     if command is not None:
                         commands.append(command)
-        else:
-            for template in actions:
-                if "foreach" in template:
-                    items = _interp(str(template["foreach"]), env)
-                    for item in items:
-                        item_env = dict(env)
-                        item_env["item"] = item
-                        command = self._render_command(template, item_env)
-                        if command is not None:
-                            commands.append(command)
-                else:
-                    command = self._render_command(template, env)
-                    if command is not None:
-                        commands.append(command)
+            else:
+                command = self._render_command(template, env)
+                if command is not None:
+                    commands.append(command)
         if change.kind == "remove":
             # Entity left the model; discard its execution state.
             self._executions.pop(change.object_id, None)
@@ -336,24 +220,25 @@ class ChangeInterpreter:
         label: str,
     ) -> list[Command] | Any:
         """Tier-3 dispatch for one change; ``_AOT_MISS`` defers to
-        Tier-2 for shapes the generated module does not cover.
+        the reference path for shapes the generated module does not
+        cover.
 
-        Mirrors the Tier-2 path exactly: all guards in the dispatch
+        Mirrors the reference path exactly: all guards in the dispatch
         group are evaluated (guard errors propagate even when an
         earlier transition already matched, like ``LTSExecution.
         enabled``), the winning *live* transition mutates the same
-        execution state/trace, and the many-valued feature touches
-        Tier-2's env construction performs are replayed so the slot
+        execution state/trace, and the many-valued feature touches the
+        reference env construction performs are replayed so the slot
         store materializes identically.
         """
         obj = change.new_object or change.old_object
         if obj is None:
             return _AOT_MISS  # templates resolve names against obj
         program = self._aot
-        # Tier-2 builds the change env *before* stepping, calling
-        # obj.get() on every declared attribute — which materializes
-        # many-valued lists into the slot store even for changes that
-        # end up unmatched.  Replay those touches first.
+        # The reference path builds the change env *before* stepping,
+        # calling obj.get() on every declared attribute — which
+        # materializes many-valued lists into the slot store even for
+        # changes that end up unmatched.  Replay those touches first.
         for attr_name in program.syn_many.get(change.class_name, ()):
             obj.get(attr_name)
         entries = program.syn_dispatch.get(
@@ -421,17 +306,20 @@ class ChangeInterpreter:
     def _render_command(
         template: Mapping[str, Any], env: dict[str, Any]
     ) -> Command | None:
+        """The reference render: reads the template dict per call and
+        evaluates its expressions through the cached compiled
+        evaluator."""
         operation = template.get("operation")
         if not operation:
             raise InterpreterError(f"command template missing operation: {template!r}")
-        if "when" in template and not _interp(str(template["when"]), env):
+        if "when" in template and not evaluate(str(template["when"]), env):
             return None
         args = dict(template.get("args", {}))
         for key, expr in dict(template.get("args_expr", {})).items():
-            args[key] = _interp(str(expr), env)
+            args[key] = evaluate(str(expr), env)
         target = template.get("target")
         if target is None and "target_expr" in template:
-            target = str(_interp(str(template["target_expr"]), env))
+            target = str(evaluate(str(template["target_expr"]), env))
         return Command(
             operation=str(operation),
             args=args,

@@ -1,7 +1,7 @@
 """Tier-3 ahead-of-time generator: DSK -> real Python module source.
 
-PR3's Tier-2 closes over compiled expression closures, but every
-dispatch still pays for reflective plumbing: per-call environment
+The reference path evaluates through cached compiled expressions,
+but every dispatch still pays for reflective plumbing: per-call environment
 dicts (two full state-dict copies per broker call), per-name
 ``__lookup__`` closure calls, ``ActionContext`` construction, and
 MObject ``get()`` reflection on every feature read.  The KMF line of
@@ -35,12 +35,12 @@ list) into the *source text* of a plain Python module:
   runtime, so policy edits need no regeneration.
 
 Generation is *conservative*: any expression or spec shape whose
-Tier-2 semantics cannot be reproduced exactly raises
+reference-path semantics cannot be reproduced exactly raises
 :class:`AotUnsupported` internally and excludes that class/API/
 operation from the generated tables (listed in ``SYN_SKIPPED``,
-``BROKER_SKIPPED``, ``CTL_SKIPPED``) — the runtime falls back to
-Tier-2 (the reflective Case-1 scan, for the controller) for exactly
-those entries, so Tier-3 never changes behaviour, only cost.  An
+``BROKER_SKIPPED``, ``CTL_SKIPPED``) — the runtime takes the
+reference path (the reflective Case-1 scan, for the controller) for
+exactly those entries, so Tier-3 never changes behaviour, only cost.  An
 operation is refused when any action that matches it has a guard, a
 wildcard pattern, a Python implementation, a step without an ``api``,
 a non-string argument key, a non-scalar literal argument, or an
@@ -92,14 +92,15 @@ class AotUnsupported(Exception):
     """An expression/spec shape Tier-3 cannot compile faithfully.
 
     Raised and caught *inside* the generator: the surrounding class or
-    API is recorded as uncompiled and served by Tier-2 at runtime.
+    API is recorded as uncompiled and served by the reference path at
+    runtime.
     """
 
 
 # -- expression -> Python source --------------------------------------------
 #
 # The compiler reuses Expression's checked AST (whitelist guarantees)
-# and mirrors the semantics of Expression._eval / the Tier-2 lowering
+# and mirrors the semantics of Expression._eval / the compiled lowering
 # exactly: whitelisted functions resolve to real builtins and are never
 # environment-shadowed; method calls are plain attribute calls;
 # generic attribute access routes through _attr_access; generator
@@ -434,7 +435,7 @@ def dsk_hash(fingerprint: Mapping[str, Any]) -> str:
 
 # -- broker codegen ----------------------------------------------------------
 #
-# Tier-2 broker dispatch evaluates step expressions against an env
+# Reference broker dispatch evaluates step expressions against an env
 # built as: state values, overlaid by call args, with "state" bound to
 # a state snapshot; step results overwrite the env and every state
 # write rebuilds it from scratch (dropping earlier step results).  The
@@ -453,8 +454,8 @@ class _BrokerResolver(NameResolver):
         #: binding order (later bindings shadow earlier ones).
         self.results = results
         #: result names whose liveness depends on a runtime-conditional
-        #: env rebuild (a truthy ``state_expr``): Tier-2 may or may not
-        #: still see them, so referencing one is uncompilable.
+        #: env rebuild (a truthy ``state_expr``): the reference path may
+        #: or may not still see them, so referencing one is uncompilable.
         self.tainted = tainted
 
     def resolve(self, name: str) -> str | None:
@@ -508,9 +509,9 @@ def _wrap_expr(
     *,
     indent: int,
 ) -> None:
-    """Assign ``target = <compiled expr>`` with Tier-2's error contract:
-    any non-ExpressionError failure surfaces as ExpressionError naming
-    the original source string."""
+    """Assign ``target = <compiled expr>`` with the evaluator's error
+    contract: any non-ExpressionError failure surfaces as
+    ExpressionError naming the original source string."""
     out.emit("try:", indent=indent)
     out.emit(f"{target} = {expr_source}", indent=indent + 1)
     out.emit("except ExpressionError:", indent=indent)
@@ -629,7 +630,7 @@ def _compile_broker_action(action: Any, out: _Emitter, fn_name: str) -> None:
             tainted = tainted - {str(result)}
         state_key = step.get("state")
         if state_key is not None:
-            if state_key:  # Tier-2 skips falsy static keys entirely
+            if state_key:  # the reference path skips falsy static keys
                 out.emit(f"state.set({str(state_key)!r}, _value)", indent=1)
                 results = ()
                 tainted = frozenset()
@@ -668,7 +669,7 @@ def _compilable_broker_apis(actions: list[Any]) -> dict[str, Any]:
             if action._topic_match(api):
                 candidates.append((order, action))
         if any(action.guard is not None for _order, action in candidates):
-            continue  # selection depends on runtime state: Tier-2 only
+            continue  # selection depends on runtime state: reference only
         best = min(candidates, key=lambda e: (-e[1].priority, e[0]))
         table[api] = best[1]
     return table
@@ -705,9 +706,9 @@ class _ControllerResolver(NameResolver):
 
 
 def _literal_arg(action: Any, value: Any) -> str:
-    """Source for a literal step argument.  Tier-2 passes the step's
-    own object on every call, so only immutable scalars whose repr
-    round-trips are baked."""
+    """Source for a literal step argument.  The reference path passes
+    the step's own object on every call, so only immutable scalars
+    whose repr round-trips are baked."""
     if (
         isinstance(value, (str, int, float, type(None)))
         and _literal_roundtrip(value) == value
@@ -737,9 +738,10 @@ def _compile_controller_action(action: Any, out: _Emitter, fn_name: str) -> None
         api = step.get("api")
         if not api or not isinstance(api, str):
             raise AotUnsupported(f"action {action.name!r}: step api {api!r}")
-        # Tier-2 builds call_args as the literal args overlaid by the
-        # evaluated args_expr (dict order: literal keys first, replaced
-        # in place); expressions evaluate in args_expr order.
+        # The reference path builds call_args as the literal args
+        # overlaid by the evaluated args_expr (dict order: literal keys
+        # first, replaced in place); expressions evaluate in args_expr
+        # order.
         literals = dict(step.get("args", {}))
         exprs = dict(step.get("args_expr", {}))
         if not all(isinstance(key, str) for key in [*literals, *exprs]):
@@ -798,7 +800,7 @@ def _controller_operations(actions: list[Any]) -> tuple[dict[str, list[Any]], li
 
 # -- synthesis codegen -------------------------------------------------------
 #
-# Tier-2 change interpretation builds, per change, an env of: change
+# Reference change interpretation builds, per change, an env of: change
 # fields (change/object_id/class_name/feature/old/new/added/removed),
 # then "obj"/object attributes via setdefault (change fields win),
 # then "old_obj".  The generated render/guard functions take
@@ -814,7 +816,7 @@ class _SynthesisResolver(NameResolver):
         "feature": "_c.feature",
         "old": "_c.old",
         "new": "_c.new",
-        # Tier-2 materializes these tuples into lists.
+        # The reference env materializes these tuples into lists.
         "added": "list(_c.added)",
         "removed": "list(_c.removed)",
     }
@@ -922,8 +924,9 @@ def _compile_template_renderer(
         arg_parts.append(f"{key!r}: {local}")
     target = template.get("target")
     if target is not None:
-        # Tier-2 passes the literal through untouched (no str()), so
-        # only repr-round-trippable literals can be baked.
+        # The reference render passes the literal through untouched
+        # (no str()), so only repr-round-trippable literals can be
+        # baked.
         if not isinstance(target, (str, int, float, bool)):
             raise AotUnsupported(f"non-literal target {target!r}")
         target_src = repr(target)
@@ -964,7 +967,7 @@ _CONSTANTS = {"True": True, "False": False, "None": None}
 
 
 def _lookup(_a, _values, name):
-    """Tier-2 name resolution: call args overlay state values, then
+    """Reference name resolution: call args overlay state values, then
     safe constants; unknown names raise like the interpreter."""
     try:
         return _a[name]
@@ -1170,8 +1173,8 @@ def generate_module_source(
             out.emit()
         dispatch_rows.extend(rows)
         compiled_classes.append(class_name)
-        # Tier-2's change env calls obj.get() on every attribute, which
-        # materializes many-valued lists into the slot store (an
+        # The reference change env calls obj.get() on every attribute,
+        # which materializes many-valued lists into the slot store (an
         # externally visible side effect on serialization); the
         # dispatcher preserves it by touching exactly those features.
         out.emit(

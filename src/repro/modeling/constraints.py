@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.modeling.expr import Expression, ExpressionError
+from repro.modeling.expr import ExpressionError, compile_expression
 from repro.modeling.meta import MetaAttribute, Metamodel
 from repro.modeling.model import Model, MObject
 
@@ -125,12 +125,14 @@ class Invariant:
         self.message = message or f"invariant {name!r} violated"
         self.severity = severity
         if isinstance(body, str):
-            expression = Expression(body)
+            # The shared cache: registries rebuilt per submit (the CSVM's
+            # csml_constraints) reuse one parse and one lowering.
+            evaluate = compile_expression(body).evaluate_fast
 
             def _check(obj: MObject, context: dict[str, Any]) -> bool:
                 env = dict(context)
                 env["self"] = obj
-                return bool(expression.evaluate(env))
+                return bool(evaluate(env))
 
             self._check = _check
         else:

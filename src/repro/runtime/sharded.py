@@ -3,8 +3,8 @@
 The paper's runtime environment owns "threads (and the underlying
 concurrency model)" for the middleware components (Sec. V-A); the
 ROADMAP's north star asks for a platform that serves heavy traffic from
-many concurrent users.  One DSVM session is fast (PR 3's compiled
-tier), but every session used to share a single-threaded
+many concurrent users.  One DSVM session is fast (its generated
+module), but every session used to share a single-threaded
 :class:`~repro.runtime.events.EventBus` and
 :class:`~repro.runtime.metrics.MetricsRegistry` — two sessions could
 not safely run at once.

@@ -3,19 +3,23 @@
 The AOT tier (PR 8) compiles a loaded DSK into a real Python module —
 flat dispatch tables, per-API call functions, slot-indexed feature
 reads — and every loaded platform runs it.  These tests pin the
-contract inherited from the compiled tier (PR 3): Tier-3 may only
-change *cost*, never behaviour.  The Tier-2 reference side is a
-platform stripped by ``remove_generated``; the other side must have
-its program installed.  Coverage:
+contract that the generated module may only change *cost*, never
+behaviour.  The reference side is a platform stripped by
+``remove_generated``, which runs the reflective paths (templates and
+steps read per call); the other side must have its program installed.
+Coverage:
 
 * property: random multi-revision editing sessions emit byte-identical
-  control scripts on Tier-2 and Tier-3;
+  control scripts on the generated module and the reference path;
 * full-stack op_log equality across all four shipped domains;
+* generated code is total: after a direct rule edit, the edited cycle
+  and the teardown run no reference render, broker table dispatch or
+  Case-1 pattern scan;
 * every platform-building path installs the tables, and platforms of
   one DSK shape share one code object;
-* the runtime-edit lifecycle: a DSK edit drops the installed program
-  (that cycle falls back to Tier-2), the end of the cycle regenerates
-  it, and the service trace never diverges;
+* the runtime-edit lifecycle: a DSK edit drops the installed program,
+  the next cycle regenerates it before it interprets, and the service
+  trace never diverges;
 * generation determinism and DSK-hash validation in the loader;
 * the broker's generated path: parity with the action-table path,
   including error propagation, counters, the latency histogram and
@@ -30,7 +34,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.domains.communication.cml import cml_metamodel
 from repro.domains.communication.cvm import (
@@ -45,150 +49,37 @@ from repro.middleware.synthesis.aot import (
     load_program,
     remove_generated,
 )
-from repro.middleware.synthesis.interpreter import ChangeInterpreter, EntityRule
-from repro.middleware.synthesis.scripts import script_to_json
 from repro.modeling.aotgen import (
     ABI_VERSION,
     dsk_fingerprint,
     dsk_hash,
     generate_module_source,
 )
-from repro.modeling.diff import diff_models
-from repro.modeling.lts import LTS
-from repro.modeling.meta import Metamodel
-from repro.modeling.model import Model, MObject
 from repro.sim.network import CommService
-
-
-# -- synthesis-layer property: Tier-2 vs Tier-3 scripts ---------------------
-
-def _dsml() -> Metamodel:
-    metamodel = Metamodel("aot-prop")
-    root = metamodel.new_class("Root")
-    root.reference("items", "Item", containment=True, many=True)
-    item = metamodel.new_class("Item")
-    item.attribute("name", "string")
-    item.attribute("replicas", "int", default=1)
-    item.attribute("tier", "string", default="standard")
-    return metamodel.resolve()
-
-
-def _rules() -> list[EntityRule]:
-    item = LTS("item")
-    item.add_transition(
-        "initial", "add", "running",
-        actions=(
-            {
-                "operation": "item.deploy",
-                "args": {"kind": "item"},
-                "args_expr": {
-                    "id": "obj.id",
-                    "label": "name + '/' + tier",
-                    "capacity": "max(1, replicas * 2)",
-                },
-                "target_expr": "obj.id",
-            },
-            {
-                "operation": "item.premium_boost",
-                "when": "tier == 'premium'",
-                "args_expr": {"id": "obj.id"},
-            },
-        ),
-    )
-    item.add_transition(
-        "running", "set:replicas", "running",
-        actions=(
-            {
-                "operation": "item.scale",
-                "args_expr": {"id": "obj.id", "to": "new", "from": "old"},
-            },
-        ),
-    )
-    item.add_transition(
-        "running", "set:tier", "running",
-        actions=(
-            {
-                "operation": "item.retier",
-                "foreach": "[new, old]",
-                "args_expr": {"id": "obj.id", "tier": "item"},
-            },
-        ),
-    )
-    item.add_transition(
-        "running", "remove", "initial",
-        actions=({"operation": "item.undeploy", "args_expr": {"id": "obj.id"}},),
-    )
-    root = LTS("root")
-    root.add_transition("initial", "add", "up")
-    root.add_transition("up", "remove", "initial")
-    return [EntityRule("Item", item), EntityRule("Root", root)]
-
-
-def _build_model(metamodel: Metamodel, items: dict[str, tuple[int, str]]) -> Model:
-    model = Model(metamodel, name="rev")
-    root = MObject(metamodel.find_class("Root"), id="root")
-    model.add_root(root)
-    for name in sorted(items):
-        replicas, tier = items[name]
-        obj = MObject(
-            metamodel.find_class("Item"), id=name,
-            name=name, replicas=replicas, tier=tier,
-        )
-        root.items.append(obj)
-    return model
-
-
-def _aot_interpreter(metamodel: Metamodel) -> ChangeInterpreter:
-    interpreter = ChangeInterpreter(compiled=True)
-    for rule in _rules():
-        interpreter.add_rule(rule)
-    program = build_program(
-        rules=interpreter._rules, actions=[], dsml=metamodel, domain="aot-prop"
-    )
-    assert not program.syn_skipped
-    interpreter.install_aot(program)
-    return interpreter
-
-
-_item_names = st.sampled_from([f"i{k}" for k in range(5)])
-_item_specs = st.tuples(
-    st.integers(min_value=1, max_value=4),
-    st.sampled_from(["standard", "premium"]),
-)
-_revisions = st.lists(
-    st.dictionaries(_item_names, _item_specs, max_size=5),
-    min_size=1,
-    max_size=4,
+from tests.middleware.test_compiled_synthesis import (
+    _dsml,
+    _interpreter,
+    _revisions,
+    _session_scripts,
 )
 
+
+# -- synthesis-layer property: generated vs reference scripts ---------------
 
 @settings(max_examples=50, deadline=None)
 @given(_revisions)
 def test_aot_scripts_byte_identical_to_compiled(revisions):
     """Random multi-revision editing sessions produce byte-identical
-    control scripts whether the interpreter runs PR 3's compiled
-    closures or the installed Tier-3 dispatch tables."""
+    control scripts whether the interpreter runs the installed Tier-3
+    dispatch tables or the reference path's compiled evaluator."""
     metamodel = _dsml()
-    scripts: dict[bool, list[str]] = {}
-    for aot in (True, False):
-        if aot:
-            interpreter = _aot_interpreter(metamodel)
-        else:
-            interpreter = ChangeInterpreter(compiled=True)
-            for rule in _rules():
-                interpreter.add_rule(rule)
-        previous = Model(metamodel, name="empty")
-        produced: list[str] = []
-        for items in revisions:
-            current = _build_model(metamodel, items)
-            script = interpreter.interpret(
-                diff_models(previous, current), script_name="cycle"
-            )
-            script.script_id = "script#norm"  # ids come from a global seq
-            produced.append(script_to_json(script))
-            previous = current
-        scripts[aot] = produced
-    assert scripts[True] == scripts[False]
+    generated = _session_scripts(
+        _interpreter(metamodel, generated=True), metamodel, revisions
+    )
+    reference = _session_scripts(
+        _interpreter(metamodel, generated=False), metamodel, revisions
+    )
+    assert generated == reference
 
 
 # -- full-stack equality across the shipped domains -------------------------
@@ -214,6 +105,61 @@ def test_four_domain_op_logs_identical_under_aot():
         assert record["op_log"] == reference["op_log"], case.name
         assert record["scripts"] == reference["scripts"], case.name
         assert record["counters"] == reference["counters"], case.name
+
+
+def test_generated_code_is_total_across_edits_and_teardown(monkeypatch):
+    """On default platforms of all four domains no reflective path runs:
+    not in the two phases, not in the cycle after a direct
+    ``add_rule(replace=True)`` (the cycle regenerates before it
+    interprets) and not in the teardown.  No change builds the
+    reference env, no template renders on the reference path, no
+    broker call dispatches through the action table and no command
+    takes the Case-1 pattern scan."""
+    from repro.bench.migrate import _fresh_session
+    from repro.domains.assembly import domain_cases
+    from repro.middleware.broker.actions import BrokerActionTable
+    from repro.middleware.controller.handlers import ActionHandler
+    from repro.middleware.synthesis.interpreter import ChangeInterpreter
+
+    counts = dict.fromkeys(
+        ("change_env", "render", "dispatch", "candidates"), 0
+    )
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name, key, wrap in (
+        (ChangeInterpreter, "_change_env", "change_env", staticmethod),
+        (ChangeInterpreter, "_render_command", "render", staticmethod),
+        (BrokerActionTable, "dispatch", "dispatch", None),
+        (ActionHandler, "candidates", "candidates", None),
+    ):
+        wrapper = counting(key, getattr(owner, name))
+        monkeypatch.setattr(owner, name, wrap(wrapper) if wrap else wrapper)
+
+    for case in domain_cases():
+        service, _dsk, platform = _fresh_session(case)
+        try:
+            platform.run_model(case.phase1())
+            platform.run_model(case.phase2())
+            synthesis = platform.synthesis
+            rule = next(iter(synthesis.interpreter._rules.values()))
+            synthesis.add_rule(rule, replace=True)
+            assert synthesis.interpreter._aot is None, case.name
+            processed = synthesis.interpreter.changes_processed
+            platform.run_model(case.phase1())
+            assert synthesis.interpreter.changes_processed > processed
+            assert synthesis.interpreter._aot is not None, case.name
+            platform.teardown_model()
+            assert platform.broker.api_calls, case.name
+            assert platform.controller.commands_executed, case.name
+        finally:
+            platform.stop()
+        assert service.op_log, case.name
+    assert counts == dict.fromkeys(counts, 0)
 
 
 # -- every platform runs shared generated code -------------------------------
@@ -365,7 +311,7 @@ def _conference(*, extended=False):
 
 
 class TestRuntimeEditLifecycle:
-    def test_rule_edit_falls_back_then_regenerates(self):
+    def test_rule_edit_drops_then_the_next_cycle_regenerates(self):
         service, _dsk, platform = _comm_session()
         try:
             interpreter = platform.synthesis.interpreter
@@ -376,7 +322,7 @@ class TestRuntimeEditLifecycle:
             rule = next(iter(interpreter._rules.values()))
             interpreter.add_rule(rule, replace=True)
             assert interpreter._aot is None
-            # ...the next cycle runs on Tier-2 and then regenerates.
+            # ...and the next cycle regenerates it before it runs.
             platform.run_model(_conference(extended=True))
             assert interpreter._aot is not None
         finally:

@@ -21,6 +21,7 @@ from repro.middleware.broker.resource import (
     ResourceManager,
 )
 from repro.middleware.broker.state import StateError, StateManager
+from repro.modeling.expr import ExpressionError
 from repro.runtime.events import EventBus
 
 
@@ -285,6 +286,23 @@ class TestBrokerActions:
         table.add("bad", "op", [{"operation": "ping"}])  # no resource
         with pytest.raises(BrokerActionError, match="needs resource"):
             table.dispatch("op")
+
+
+    @pytest.mark.parametrize("bad_step, error", [
+        ({"operation": "ping"}, BrokerActionError),
+        ({"resource": "dev0", "operation": "ping",
+          "args_expr": {"v": "1 +"}}, ExpressionError),
+        ({"compute": "open('x')"}, ExpressionError),
+    ])
+    def test_malformed_later_step_refused_before_any_step_runs(
+        self, resources, state, bad_step, error
+    ):
+        table = BrokerActionTable(resources, state)
+        table.add("bad", "op", [{"set": "ran", "expr": "1"}, bad_step])
+        with pytest.raises(error):
+            table.dispatch("op")
+        assert state.get("ran") is None
+        assert resources.invocations == 0
 
 
 class TestEventBindings:

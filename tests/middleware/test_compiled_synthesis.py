@@ -1,10 +1,14 @@
-"""Compiled vs interpreted synthesis tiers: equivalence and caching.
+"""Generated vs reference synthesis: equivalence and rule edits.
 
-The compiled tier (PR 3) lowers command templates into cached closures;
-these tests pin the contract that it is *behaviorally invisible*:
-byte-identical control scripts over arbitrary change lists, identical
-service op_logs through the full CVM stack, and correct plan-cache
-invalidation when a rule is replaced.
+The generated module (Tier-3) is the only compiled execution path; the
+reference path reads each rule's command templates per change and
+evaluates them through the cached compiled evaluator.  These tests pin
+the contract that the generated module is *behaviorally invisible*:
+byte-identical control scripts over arbitrary change lists (the
+reference path's compiled evaluator against the AST walker here; the
+generated module against the reference path in ``test_aot.py``),
+identical service op_logs through the full CVM stack, and rule
+replacement taking effect on the next change.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.middleware.synthesis import interpreter as interpreter_module
+from repro.middleware.synthesis.aot import build_program
 from repro.middleware.synthesis.interpreter import (
     ChangeInterpreter,
     EntityRule,
@@ -19,6 +25,7 @@ from repro.middleware.synthesis.interpreter import (
 )
 from repro.middleware.synthesis.scripts import script_to_json
 from repro.modeling.diff import diff_models
+from repro.modeling.expr import compile_expression
 from repro.modeling.lts import LTS
 from repro.modeling.meta import Metamodel
 from repro.modeling.model import Model, MObject
@@ -114,32 +121,58 @@ _revisions = st.lists(
 )
 
 
+def _interpreter(metamodel: Metamodel, *, generated: bool) -> ChangeInterpreter:
+    interpreter = ChangeInterpreter()
+    for rule in _rules():
+        interpreter.add_rule(rule)
+    if generated:
+        program = build_program(
+            rules=interpreter._rules, actions=[], dsml=metamodel,
+            domain="compiled-prop",
+        )
+        assert not program.syn_skipped
+        interpreter.install_aot(program)
+    return interpreter
+
+
+def _session_scripts(interpreter, metamodel, revisions) -> list[str]:
+    previous = Model(metamodel, name="empty")
+    produced: list[str] = []
+    for items in revisions:
+        current = _build_model(metamodel, items)
+        script = interpreter.interpret(
+            diff_models(previous, current), script_name="cycle"
+        )
+        script.script_id = "script#norm"  # ids come from a global seq
+        produced.append(script_to_json(script))
+        previous = current
+    return produced
+
+
 @settings(max_examples=50, deadline=None)
 @given(_revisions)
 def test_compiled_and_interpreted_scripts_byte_identical(revisions):
-    """For random multi-revision editing sessions the compiled tier
-    emits byte-identical control scripts to the reference tier."""
+    """For random multi-revision editing sessions the reference path's
+    cached compiled evaluator emits byte-identical control scripts to
+    the AST walker (``Expression.evaluate``, patched in as a test
+    seam).  The generated-vs-reference side of this property is
+    ``test_aot.py::test_aot_scripts_byte_identical_to_compiled``."""
     metamodel = _dsml()
-    scripts: dict[bool, list[str]] = {}
-    for compiled in (True, False):
-        interpreter = ChangeInterpreter(compiled=compiled)
-        for rule in _rules():
-            interpreter.add_rule(rule)
-        previous = Model(metamodel, name="empty")
-        produced: list[str] = []
-        for items in revisions:
-            current = _build_model(metamodel, items)
-            script = interpreter.interpret(
-                diff_models(previous, current), script_name="cycle"
-            )
-            script.script_id = "script#norm"  # ids come from a global seq
-            produced.append(script_to_json(script))
-            previous = current
-        scripts[compiled] = produced
-    assert scripts[True] == scripts[False]
+    reference = _session_scripts(
+        _interpreter(metamodel, generated=False), metamodel, revisions
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            interpreter_module, "evaluate",
+            lambda source, env: compile_expression(source).evaluate(env),
+        )
+        walked = _session_scripts(
+            _interpreter(metamodel, generated=False), metamodel, revisions
+        )
+    assert reference == walked
 
 
-class TestPlanCacheInvalidation:
+class TestRuleReplacement:
     def _rule(self, operation: str) -> EntityRule:
         lts = LTS("svc")
         lts.add_transition(
@@ -153,9 +186,9 @@ class TestPlanCacheInvalidation:
         model = _build_model(metamodel, {item_id: (1, "standard")})
         return diff_models(empty, model)
 
-    def test_replacing_a_rule_drops_the_compiled_plan(self):
+    def test_replacing_a_rule_takes_effect(self):
         metamodel = _dsml()
-        interpreter = ChangeInterpreter(compiled=True)
+        interpreter = ChangeInterpreter()
         interpreter.add_rule(self._rule("one.start"))
         first = interpreter.interpret(self._add_change(metamodel, "i0"))
         assert first.operations() == ["one.start"]
@@ -171,8 +204,10 @@ class TestPlanCacheInvalidation:
 
 
 def test_full_stack_op_log_equivalence_between_tiers():
-    """Both interpreter tiers drive the CVM to the same service trace."""
+    """A default CVM (generated module) and one stripped to the
+    reference path drive the service to the same trace."""
     from repro.domains.communication import CmlBuilder, build_cvm
+    from repro.middleware.synthesis.aot import remove_generated
     from repro.modeling.serialize import clone_model
     from repro.sim.network import CommService
 
@@ -191,16 +226,18 @@ def test_full_stack_op_log_equivalence_between_tiers():
         return [v1, v2]
 
     logs = {}
-    for compiled in (True, False):
+    for generated in (True, False):
         service = CommService("net0", op_cost=0.0)
         platform = build_cvm(service=service)
-        platform.synthesis.interpreter.compiled = compiled
+        assert platform.synthesis.interpreter._aot is not None
+        if not generated:
+            remove_generated(platform)
         try:
             for revision in edit_sequence():
                 platform.run_model(clone_model(revision))
             platform.teardown_model()
         finally:
             platform.stop()
-        logs[compiled] = list(service.op_log)
+        logs[generated] = list(service.op_log)
     assert logs[True] == logs[False]
     assert logs[True]  # the scenario actually exercised the service

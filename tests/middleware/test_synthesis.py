@@ -200,6 +200,29 @@ class TestInterpreter:
         with pytest.raises(InterpreterError, match="duplicate"):
             interpreter.add_rule(app_rule())
 
+    @pytest.mark.parametrize("template, match", [
+        ({"args": {"id": 1}}, "missing operation"),
+        ({"operation": "svc.deploy", "args_expr": {"n": "replicas +"}},
+         "bad template expression"),
+        ({"operation": "svc.deploy", "when": "open('x')"},
+         "bad template expression"),
+        ({"operation": "svc.deploy", "foreach": "[1,"},
+         "bad template expression"),
+    ])
+    def test_malformed_template_refused_at_rule_construction(
+        self, template, match
+    ):
+        """Every template is checked when its rule is built, before
+        any change could reach it (first-fire templates included)."""
+        lts = LTS("svc")
+        lts.add_transition(
+            "initial", "add", "running",
+            actions=({"operation": "svc.ok", "args_expr": {"id": "obj.id"}},),
+        )
+        lts.add_transition("running", "remove", "initial", actions=(template,))
+        with pytest.raises(InterpreterError, match=match):
+            EntityRule("Service", lts)
+
     def test_event_hooks(self):
         interpreter = ChangeInterpreter()
         seen = []

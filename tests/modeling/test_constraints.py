@@ -159,3 +159,25 @@ class TestReport:
     def test_diagnostic_str(self):
         d = Diagnostic(Severity.ERROR, "id#1", "Form", "boom", constraint="c")
         assert "Form" in str(d) and "boom" in str(d)
+
+
+def test_domain_invariants_use_the_compiled_evaluator(monkeypatch):
+    """String invariants evaluate through the cached compiled evaluator:
+    validating every domain's phase models never walks an AST."""
+    from repro.domains.assembly import domain_cases
+    from repro.modeling.expr import Expression
+
+    def walker(self, context=None):
+        raise AssertionError(f"AST walk of {self.source!r}")
+
+    monkeypatch.setattr(Expression, "evaluate", walker)
+    checked = 0
+    for case in domain_cases():
+        registry = case.knowledge(case.service()).constraints
+        for model in (case.phase1(), case.phase2()):
+            report = validate_model(model, registry)
+            assert report.ok, (case.name, report.diagnostics)
+        checked += sum(
+            len(invariants) for invariants in registry._invariants.values()
+        )
+    assert checked  # the domains do carry invariants
