@@ -73,11 +73,11 @@ class CSVM:
 
     def submit_model(self, model: Model, **context: Any) -> SynthesisResult:
         """A device submitted a new/updated campaign model."""
-        assert self.platform.synthesis is not None
-        from repro.modeling.constraints import validate_model
-
-        validate_model(model, csml_constraints()).raise_if_invalid()
-        return self.platform.synthesis.synthesize(model, context=context or None)
+        synthesis = self.platform.synthesis
+        assert synthesis is not None
+        report = synthesis.constraints.validate(model)
+        report.raise_if_invalid()
+        return synthesis.synthesize(model, context=context or None, report=report)
 
     def teardown(self) -> SynthesisResult:
         assert self.platform.synthesis is not None

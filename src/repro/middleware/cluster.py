@@ -230,11 +230,8 @@ class RegistryBackend:
                 session=self._session_id(host, doc["conn"]),
             )
         if op == "run_model":
-            from repro.modeling.serialize import model_from_dict
-
-            model = model_from_dict(doc["model"], host.dsk.dsml)
-            host.platform.run_model(model)
-            return {"ran": model.name}
+            result = host.platform.run_model_doc(doc["model"])
+            return {"ran": result.script.source_model}
         if op == "noop":
             return None
         raise ClusterBackendError(f"unknown session op {op!r}")

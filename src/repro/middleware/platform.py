@@ -23,14 +23,11 @@ from repro.middleware.controller.layer import ControllerLayer, ScriptOutcome
 from repro.middleware.synthesis.engine import SynthesisEngine, SynthesisResult
 from repro.middleware.synthesis.scripts import ControlScript
 from repro.middleware.ui import ModelWorkspace
+from repro.modeling import serialize
 from repro.modeling.diff import diff_models
 from repro.modeling.meta import Metamodel
 from repro.modeling.model import Model, MObject
-from repro.modeling.serialize import (
-    clone_model,
-    clone_object,
-    model_from_dict,
-)
+from repro.modeling.serialize import clone_model, clone_object
 from repro.runtime.clock import Clock, WallClock
 from repro.runtime.durability import DurabilityPolicy
 from repro.runtime.events import EventBus
@@ -90,8 +87,7 @@ def apply_entry(platform: "Platform", signal: Any) -> Any:
     doc = signal.payload
     op = doc.get("op")
     if op == "run_model":
-        model = model_from_dict(doc["model"], platform.dsml)
-        value = platform.run_model(model)
+        value = platform.run_model_doc(doc["model"])
     elif op == "api":
         value = platform.broker.call_api(doc["api"], **doc.get("args", {}))
     else:
@@ -214,6 +210,26 @@ class Platform:
             self.ui.put_model(model)
             return self.ui.submit(model, **context)
         return self.synthesis.synthesize(model, context=context or None)
+
+    def run_model_doc(self, doc: dict) -> SynthesisResult:
+        """Decode a serialized application model and execute it as the
+        platform's own model: the one entry point of the wire paths
+        (:func:`apply_entry`, the cluster worker backend).
+
+        No caller holds the decoded model, so the dispatcher adopts it
+        as the runtime model without a copy; the workspace and the
+        returned result copy it on first read.
+        """
+        self._require(self.synthesis, "synthesis")
+        # Looked up on the module at call time, so a wrapped decoder
+        # (tracing) sees every wire decode.
+        model = serialize.model_from_dict(doc, self.dsml)
+        with self.synthesis.dispatcher.adopting(model):
+            result = self.run_model(model)
+        if result.accepted_model is not model:
+            return result  # a negotiator replaced it: promote copied
+        return SynthesisResult(
+            result.script, result.changes, model, shared=True)
 
     def run_script(self, script: ControlScript) -> ScriptOutcome:
         """Execute a pre-synthesized control script (suppressed-stack

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.modeling.constraints import ConstraintRegistry, ValidationReport, validate_model
+from repro.modeling.constraints import ConstraintRegistry, ValidationReport
 from repro.modeling.meta import Metamodel
 from repro.modeling.model import Model
 from repro.modeling.serialize import (
@@ -88,6 +88,11 @@ class ModelWorkspace(Component):
         model = self._models.get(name)
         if model is None:
             raise UIError(f"no model named {name!r} in the workspace")
+        if model is self._runtime_view:
+            # The dispatcher adopted this very object (a model the
+            # platform decoded from the wire): from here on the
+            # workspace edits its own copy, never the runtime model.
+            model = self._models[name] = clone_model(model)
         return model
 
     def model_names(self) -> list[str]:
@@ -121,13 +126,14 @@ class ModelWorkspace(Component):
     # -- validation & submission --------------------------------------------------
 
     def validate(self, model: Model) -> ValidationReport:
-        return validate_model(model, self.constraints)
+        return self.constraints.validate(model)
 
     def submit(self, model: Model | str, **context: Any) -> Any:
         """Submit a model to the Synthesis layer; returns its result.
 
         The workspace validates first so users get model-level
-        diagnostics before synthesis begins.
+        diagnostics before synthesis begins; a synthesis layer checking
+        the same registry reuses that report instead of validating again.
         """
         self.require_running()
         if isinstance(model, str):
@@ -135,7 +141,12 @@ class ModelWorkspace(Component):
         report = self.validate(model)
         report.raise_if_invalid()
         self.submissions += 1
-        return self.port("synthesis").synthesize(model, context=context or None)
+        synthesis = self.port("synthesis")
+        return synthesis.synthesize(
+            model,
+            context=context or None,
+            report=report if synthesis.constraints is self.constraints else None,
+        )
 
     def submit_woven(
         self,

@@ -18,11 +18,11 @@ once (the behaviour modelers expect from EMF validators).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from repro.modeling.expr import ExpressionError, compile_expression
-from repro.modeling.meta import MetaAttribute, Metamodel
-from repro.modeling.model import Model, MObject
+from repro.modeling.expr import compile_expression
+from repro.modeling.meta import MetaAttribute, MetaClass, Metamodel, MetaReference
+from repro.modeling.model import _MISSING, Model, MObject
 
 __all__ = [
     "Severity",
@@ -142,18 +142,58 @@ class Invariant:
         return bool(self._check(obj, context))
 
 
+class _ClassPlan:
+    """What validating one instance of a metaclass reads, resolved once
+    per metaclass per registry.
+
+    Holds the raw slot indices of the class's required attributes and
+    references, its containment slots (the walk into children), and the
+    registry's invariants that apply to the class, in registration
+    order.  Built against the class's feature table: a feature added to
+    the class or a supertype marks that table ``stale``, and the plan is
+    rebuilt on its next use.
+    """
+
+    __slots__ = ("table", "attributes", "references", "children", "invariants")
+
+    def __init__(self, cls: MetaClass, invariants: tuple[Invariant, ...]) -> None:
+        table = cls.feature_table()
+        self.table = table
+        self.invariants = invariants
+        attributes: list[tuple[int, MetaAttribute]] = []
+        references: list[tuple[int, MetaReference]] = []
+        children: list[tuple[int, bool]] = []
+        for slot in table.slots.values():
+            feature = slot.feature
+            if slot.is_attribute:
+                if feature.required:
+                    attributes.append((slot.index, feature))
+                continue
+            if feature.required:
+                references.append((slot.index, feature))
+            if feature.containment:
+                children.append((slot.index, slot.many))
+        self.attributes = tuple(attributes)
+        self.references = tuple(references)
+        self.children = tuple(children)
+
+
 class ConstraintRegistry:
     """Invariants registered per metaclass name.
 
     Class-name matching respects inheritance: an invariant on an
-    abstract base applies to all conforming instances.
+    abstract base applies to all conforming instances.  The registry
+    validates models through one :class:`_ClassPlan` per metaclass,
+    dropped when an invariant is added.
     """
 
     def __init__(self) -> None:
         self._invariants: dict[str, list[Invariant]] = {}
+        self._plans: dict[MetaClass, _ClassPlan] = {}
 
     def add(self, invariant: Invariant) -> Invariant:
         self._invariants.setdefault(invariant.class_name, []).append(invariant)
+        self._plans = {}
         return invariant
 
     def invariant(
@@ -165,73 +205,92 @@ class ConstraintRegistry:
     ) -> Invariant:
         return self.add(Invariant(name, class_name, body, **kwargs))
 
-    def applicable(self, obj: MObject) -> Iterable[Invariant]:
-        for class_name, invariants in self._invariants.items():
-            if obj.is_a(class_name):
-                yield from invariants
+    def _plan(self, cls: MetaClass) -> _ClassPlan:
+        plan = self._plans.get(cls)
+        if plan is None or plan.table.stale:
+            plan = _ClassPlan(cls, tuple(
+                invariant
+                for class_name, invariants in self._invariants.items()
+                if cls.is_a(class_name)
+                for invariant in invariants
+            ))
+            self._plans[cls] = plan
+        return plan
 
-    def check(
+    def validate(
+        self,
+        target: Model | MObject,
+        *,
+        context: dict[str, Any] | None = None,
+        metamodel: Metamodel | None = None,
+    ) -> ValidationReport:
+        """Validate a model (all roots) or one object's containment
+        subtree: structural checks, then this registry's invariants,
+        object by object in containment pre-order.
+
+        If ``metamodel`` is given, additionally checks each object's
+        class is known to it (guards against mixing instances across
+        metamodels).
+        """
+        report = ValidationReport()
+        env = context or {}
+        roots = (target,) if isinstance(target, MObject) else target.roots
+        for root in roots:
+            self._check_tree(root, report, env, metamodel)
+        return report
+
+    def _check_tree(
         self,
         obj: MObject,
         report: ValidationReport,
-        context: dict[str, Any] | None = None,
+        env: dict[str, Any],
+        metamodel: Metamodel | None,
     ) -> None:
-        env = context or {}
-        for invariant in self.applicable(obj):
+        cls = obj._cls
+        plan = self._plan(cls)
+        if obj._table is not plan.table:
+            obj._slots()  # migrate a store laid out before a feature add
+        store = obj._store
+        add = report.add
+        if metamodel is not None and metamodel.find_class(cls.name) is None:
+            add(Diagnostic(
+                Severity.ERROR, obj.id, cls.name,
+                f"class {cls.name!r} not in metamodel {metamodel.name!r}"))
+        for index, attr in plan.attributes:
+            value = store[index]
+            if value is _MISSING:
+                value = [] if attr.many else attr.default_value()
+            if _is_unset(attr, value):
+                add(Diagnostic(Severity.ERROR, obj.id, cls.name,
+                               f"required attribute {attr.name!r} is unset"))
+        for index, ref in plan.references:
+            value = store[index]
+            if value is _MISSING or value is None or (ref.many and not value):
+                add(Diagnostic(Severity.ERROR, obj.id, cls.name,
+                               f"required reference {ref.name!r} is unset"))
+        for invariant in plan.invariants:
             try:
                 ok = invariant.holds(obj, env)
-            except (ExpressionError, Exception) as exc:  # noqa: BLE001
-                report.add(
-                    Diagnostic(
-                        Severity.ERROR,
-                        obj.id,
-                        obj.meta.name,
-                        f"invariant raised: {exc}",
-                        constraint=invariant.name,
-                    )
-                )
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                severity, message = Severity.ERROR, f"invariant raised: {exc}"
+            else:
+                if ok:
+                    continue
+                severity, message = invariant.severity, invariant.message
+            add(Diagnostic(severity, obj.id, cls.name, message,
+                           constraint=invariant.name))
+        for index, many in plan.children:
+            value = store[index]
+            if value is _MISSING or value is None:
                 continue
-            if not ok:
-                report.add(
-                    Diagnostic(
-                        invariant.severity,
-                        obj.id,
-                        obj.meta.name,
-                        invariant.message,
-                        constraint=invariant.name,
-                    )
-                )
+            if many:
+                for child in value:
+                    self._check_tree(child, report, env, metamodel)
+            else:
+                self._check_tree(value, report, env, metamodel)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._invariants.values())
-
-
-def _check_structure(obj: MObject, report: ValidationReport) -> None:
-    """Structural checks derived from the metaclass."""
-    cls = obj.meta
-    for attr in cls.all_attributes().values():
-        value = obj.get(attr.name)
-        if attr.required and _is_unset(attr, value):
-            report.add(
-                Diagnostic(
-                    Severity.ERROR,
-                    obj.id,
-                    cls.name,
-                    f"required attribute {attr.name!r} is unset",
-                )
-            )
-    for ref in cls.all_references().values():
-        value = obj.get(ref.name)
-        empty = (len(value) == 0) if ref.many else (value is None)
-        if ref.required and empty:
-            report.add(
-                Diagnostic(
-                    Severity.ERROR,
-                    obj.id,
-                    cls.name,
-                    f"required reference {ref.name!r} is unset",
-                )
-            )
 
 
 def _is_unset(attr: MetaAttribute, value: Any) -> bool:
@@ -250,12 +309,9 @@ def validate_object(
     context: dict[str, Any] | None = None,
 ) -> ValidationReport:
     """Validate one object and its containment subtree."""
-    report = ValidationReport()
-    for element in obj.walk():
-        _check_structure(element, report)
-        if registry is not None:
-            registry.check(element, report, context)
-    return report
+    if registry is None:
+        registry = ConstraintRegistry()
+    return registry.validate(obj, context=context)
 
 
 def validate_model(
@@ -265,23 +321,8 @@ def validate_model(
     context: dict[str, Any] | None = None,
     metamodel: Metamodel | None = None,
 ) -> ValidationReport:
-    """Validate all roots of ``model``.
-
-    If ``metamodel`` is given, additionally checks each object's class
-    is known to it (guards against mixing instances across metamodels).
-    """
-    report = ValidationReport()
-    for obj in model.walk():
-        if metamodel is not None and metamodel.find_class(obj.meta.name) is None:
-            report.add(
-                Diagnostic(
-                    Severity.ERROR,
-                    obj.id,
-                    obj.meta.name,
-                    f"class {obj.meta.name!r} not in metamodel {metamodel.name!r}",
-                )
-            )
-        _check_structure(obj, report)
-        if registry is not None:
-            registry.check(obj, report, context)
-    return report
+    """Validate all roots of ``model`` (see :meth:`ConstraintRegistry.validate`);
+    without a registry, only the structural checks run."""
+    if registry is None:
+        registry = ConstraintRegistry()
+    return registry.validate(model, context=context, metamodel=metamodel)

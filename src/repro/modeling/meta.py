@@ -381,6 +381,15 @@ class MetaClass:
             return True
         return other.name in self.supertype_closure()
 
+    def is_a(self, class_name: str) -> bool:
+        """True if instances of this class are instances of the class
+        its metamodel resolves ``class_name`` to."""
+        metamodel = self.metamodel
+        if metamodel is None:
+            return self.name == class_name
+        target = metamodel.find_class(class_name)
+        return target is not None and self.conforms_to(target)
+
     def own_attributes(self) -> tuple[MetaAttribute, ...]:
         return tuple(self._attributes.values())
 

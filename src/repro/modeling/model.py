@@ -207,13 +207,7 @@ class MObject:
 
     def is_a(self, class_or_name: MetaClass | str) -> bool:
         if isinstance(class_or_name, str):
-            metamodel = self._cls.metamodel
-            if metamodel is None:
-                return self._cls.name == class_or_name
-            target = metamodel.find_class(class_or_name)
-            if target is None:
-                return False
-            return self._cls.conforms_to(target)
+            return self._cls.is_a(class_or_name)
         return self._cls.conforms_to(class_or_name)
 
     # -- generic feature access ----------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.domains.crowdsensing import CSVM, QueryBuilder, csml_constraints
-from repro.modeling.constraints import validate_model
+from repro.modeling.constraints import ConstraintRegistry, validate_model
 from repro.modeling.serialize import clone_model
 from repro.sim.fleet import DeviceFleet
 
@@ -56,6 +56,32 @@ class TestProviderConfiguration:
         assert vm.platform.synthesis is not None
         assert vm.platform.controller is not None
         assert vm.platform.broker is not None
+
+
+class TestSubmitValidation:
+    def test_submit_validates_once_with_the_platform_registry(
+        self, vm, monkeypatch
+    ):
+        checked = []
+        validate = ConstraintRegistry.validate
+
+        def spy(registry, *args, **kwargs):
+            checked.append(registry)
+            return validate(registry, *args, **kwargs)
+
+        monkeypatch.setattr(ConstraintRegistry, "validate", spy)
+        builder = QueryBuilder("air")
+        builder.query("t", "temperature")
+        vm.submit_model(builder.build())
+        assert checked == [vm.platform.synthesis.constraints]
+
+    def test_invalid_model_raises_value_error_before_synthesis(self, vm):
+        builder = QueryBuilder("air")
+        builder.query("t", "temperature", min_battery=150.0)
+        with pytest.raises(ValueError, match="validation failed"):
+            vm.submit_model(builder.build())
+        assert vm.platform.synthesis.rejected == 0
+        assert vm.platform.synthesis.cycles == 0
 
 
 class TestQueryLifecycle:
