@@ -120,7 +120,6 @@ class RegistryBackend:
         self.wal_dir = wal_dir
         self.durability: Any = None
         self._policy: Any = None
-        self._ship_cursor: Any = None
 
     # -- worker hooks ------------------------------------------------------
 
@@ -132,7 +131,8 @@ class RegistryBackend:
         self.enable_durability(spec)
 
     def enable_durability(self, spec: Any = None) -> Any:
-        """Open this worker's WAL under ``wal-shard-NN/`` (idempotent)."""
+        """Open this worker's WAL under ``wal-shard-NN/`` (idempotent),
+        keeping an outbox of the frames :meth:`ship_tail` sends."""
         from repro.runtime.durability import DurabilityPolicy
 
         if self.durability is not None:
@@ -147,6 +147,7 @@ class RegistryBackend:
         self._policy = policy
         index = self.worker_id if self.worker_id >= 0 else 0
         self.durability = policy.open_shard(index, name=f"worker-{index:02d}")
+        self.durability.wal.enable_outbox()
         return self.durability
 
     def shutdown(self) -> None:
@@ -325,21 +326,21 @@ class RegistryBackend:
     # -- log shipping / adoption -------------------------------------------
 
     def ship_tail(self) -> list[bytes]:
-        """Whole WAL frames appended since the last call, byte for byte
-        as on disk (CRC-checked, not decoded; segment headers skipped).
+        """Every WAL frame written since the last call, in write order,
+        byte for byte as on disk (CRC-checked again, not decoded;
+        segment headers are not shipped).
 
         The worker loop sends these as one raw batch right after every
         reply, so by the time a caller's future resolves the
         coordinator's warm copy already holds the op's entry and seal.
-        Seek-based (:meth:`WriteAheadLog.tail_frames`): the cursor reads
-        the new bytes only and lists no directory.
+        Taken from the log's in-memory outbox
+        (:meth:`WriteAheadLog.take_outbox`) after a flush: nothing is
+        read back from disk.
         """
         durability = self.durability
         if durability is None:
             return []
-        cursor, frames = durability.wal.tail_frames(self._ship_cursor)
-        self._ship_cursor = cursor
-        return frames
+        return durability.wal.take_outbox()
 
     def adopt(self, session: str, frames: list) -> dict:
         """Adopt a session lost with its worker, from shipped WAL frames.

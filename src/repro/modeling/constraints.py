@@ -147,14 +147,14 @@ class _ClassPlan:
     per metaclass per registry.
 
     Holds the raw slot indices of the class's required attributes and
-    references, its containment slots (the walk into children), and the
-    registry's invariants that apply to the class, in registration
-    order.  Built against the class's feature table: a feature added to
-    the class or a supertype marks that table ``stale``, and the plan is
-    rebuilt on its next use.
+    references, and the registry's invariants that apply to the class,
+    in registration order; the walk into children reads the table's
+    containment slots.  Built against the class's feature table: a
+    feature added to the class or a supertype marks that table
+    ``stale``, and the plan is rebuilt on its next use.
     """
 
-    __slots__ = ("table", "attributes", "references", "children", "invariants")
+    __slots__ = ("table", "attributes", "references", "invariants")
 
     def __init__(self, cls: MetaClass, invariants: tuple[Invariant, ...]) -> None:
         table = cls.feature_table()
@@ -162,20 +162,13 @@ class _ClassPlan:
         self.invariants = invariants
         attributes: list[tuple[int, MetaAttribute]] = []
         references: list[tuple[int, MetaReference]] = []
-        children: list[tuple[int, bool]] = []
         for slot in table.slots.values():
             feature = slot.feature
-            if slot.is_attribute:
-                if feature.required:
-                    attributes.append((slot.index, feature))
-                continue
             if feature.required:
-                references.append((slot.index, feature))
-            if feature.containment:
-                children.append((slot.index, slot.many))
+                (attributes if slot.is_attribute else references).append(
+                    (slot.index, feature))
         self.attributes = tuple(attributes)
         self.references = tuple(references)
-        self.children = tuple(children)
 
 
 class ConstraintRegistry:
@@ -279,11 +272,11 @@ class ConstraintRegistry:
                 severity, message = invariant.severity, invariant.message
             add(Diagnostic(severity, obj.id, cls.name, message,
                            constraint=invariant.name))
-        for index, many in plan.children:
-            value = store[index]
+        for slot in plan.table.containment:
+            value = store[slot.index]
             if value is _MISSING or value is None:
                 continue
-            if many:
+            if slot.many:
                 for child in value:
                     self._check_tree(child, report, env, metamodel)
             else:

@@ -260,10 +260,12 @@ class FeatureTable:
     access becomes a single dict hit plus a list index instead of a
     supertype-chain walk.  When the class (or a supertype) gains a
     feature, the table is marked ``stale`` so live instances migrate
-    lazily to the rebuilt table on their next access.
+    lazily to the rebuilt table on their next access.  ``containment``
+    holds the slots of the containment references, in feature order,
+    for the containment walk.
     """
 
-    __slots__ = ("slots", "size", "stale")
+    __slots__ = ("slots", "size", "stale", "containment")
 
     def __init__(self, cls: "MetaClass") -> None:
         slots: dict[str, FeatureSlot] = {}
@@ -277,6 +279,10 @@ class FeatureTable:
         self.slots = slots
         self.size = index
         self.stale = False
+        self.containment = tuple(
+            slot for slot in slots.values()
+            if not slot.is_attribute and slot.feature.containment
+        )
 
 
 class MetaClass:
@@ -435,7 +441,7 @@ class MetaClass:
         return slot.feature if slot is not None else None
 
     def containment_references(self) -> tuple[MetaReference, ...]:
-        return tuple(r for r in self.all_references().values() if r.containment)
+        return tuple(slot.feature for slot in self.feature_table().containment)
 
     def __repr__(self) -> str:
         flags = " abstract" if self.abstract else ""

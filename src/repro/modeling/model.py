@@ -441,13 +441,15 @@ class MObject:
 
     def contents(self) -> Iterator["MObject"]:
         """Directly contained objects, in feature/insertion order."""
-        slots = self._slots()
+        # No migration: a stale table still indexes this store, and a
+        # feature the class gained since holds no value until a write
+        # migrates the instance.
         store = self._store
-        for ref in self._cls.containment_references():
-            value = store[slots[ref.name].index]
+        for slot in self._table.containment:
+            value = store[slot.index]
             if value is _MISSING or value is None:
                 continue
-            if ref.many:
+            if slot.many:
                 yield from value
             else:
                 yield value

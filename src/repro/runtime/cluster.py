@@ -41,6 +41,7 @@ import socket
 import tempfile
 import threading
 import time
+import traceback
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -156,7 +157,7 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
     _send_frame(sock, {"k": "hello", "worker": worker_id, "token": token,
                        "pid": os.getpid()})
 
-    inbox: queue.Queue = queue.Queue()
+    inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def _reader() -> None:
         try:
@@ -213,14 +214,18 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
         # ``reply["ship"]`` says how many.  The entry for this very op
         # was write-aheaded before its effects ran and sealed after, so
         # a resolved future implies its frames are in the coordinator's
-        # warm copy.
+        # warm copy.  A ship that fails ends the worker unanswered, as a
+        # broken socket does: the op's future resolves WORKER_DEAD and
+        # its session is adopted from what did ship, never acknowledged
+        # with frames the standby lacks.
         ship = getattr(backend, "ship_tail", None)
         frames: list[bytes] = []
         if ship is not None:
             try:
                 frames = ship()
             except Exception:
-                frames = []
+                traceback.print_exc()
+                break
             if frames:
                 reply["ship"] = len(frames)
         reply["backlog"] = inbox.qsize()

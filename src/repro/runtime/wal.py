@@ -42,16 +42,16 @@ resume from the store" discipline:
   replay-tail with delivery deduplicated by ``(trace_id, seq)`` —
   exactly-once end to end.
 
-* Log shipping moves bytes, not documents.  The log lists its
-  directory once, at open, and then keeps its live segment indexes in
-  memory where it starts, rotates and truncates segments.
-  :meth:`WriteAheadLog.tail_frames` is the shipping cursor: it seeks to
-  the last shipped position and returns the whole frames appended
-  since, exactly as they sit on disk (CRC-checked, never decoded).
+* Log shipping moves bytes, not documents, and never reads the log
+  back: a shipped log keeps every non-header frame it writes in an
+  outbox, and :meth:`WriteAheadLog.take_outbox` hands them over in
+  write order, CRC-checked again and never decoded.
   :meth:`WriteAheadLog.land` writes such frames into a standby copy
   unchanged, after checking every CRC again; the doc-shaped callers
   (:meth:`WriteAheadLog.import_session`, adoption's scratch log) encode
-  at their own edge and land through the same routine.
+  at their own edge and land through the same routine.  The log lists
+  its directory once, at open, and keeps its live segment indexes in
+  memory.
 
 Binary frame format (all integers big-endian)::
 
@@ -310,8 +310,8 @@ class WriteAheadLog:
     pump threads and an ingress producer can share a log.
 
     The directory is listed once, at open; from then on the log keeps
-    its live segment indexes in memory (:meth:`segments`), so the
-    shipping cursor, replay and truncation never list it again.
+    its live segment indexes in memory (:meth:`segments`), so replay
+    and truncation never list it again.
     """
 
     def __init__(
@@ -351,6 +351,9 @@ class WriteAheadLog:
         self.rotations = 0
         self.truncated_segments = 0
         self.torn_tail_repaired = False
+        #: frames written since the last :meth:`take_outbox`, kept only
+        #: by a shipped log (see :meth:`enable_outbox`).
+        self._outbox: list[bytes] | None = None
         self._open_latest()
 
     # -- segment management -------------------------------------------
@@ -441,6 +444,8 @@ class WriteAheadLog:
             self._rotate_locked()
         frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         self._file.write(frame)
+        if self._outbox is not None:
+            self._outbox.append(frame)
         self._offset += len(frame)
         self.appends += 1
         self._unsynced += 1
@@ -688,10 +693,13 @@ class WriteAheadLog:
         docs = [decode_frame(frame) for frame in frames]
         if self._closed:
             raise WalError(f"log {self.name!r} is closed")
+        outbox = self._outbox
         for frame, doc in zip(frames, docs):
             if self._offset >= self.segment_max_bytes:
                 self._rotate_locked()
             self._file.write(frame)
+            if outbox is not None:
+                outbox.append(frame)
             self._offset += len(frame)
             self.appends += 1
             self._unsynced += 1
@@ -699,56 +707,38 @@ class WriteAheadLog:
                 self._sync_locked()
             self._track_locked(doc, self._segment)
 
-    def tail_frames(
-        self, start: WalPosition | None = None
-    ) -> tuple[WalPosition, list[bytes]]:
-        """Log shipping's cursor: every whole frame appended at/after
-        ``start``, byte for byte as on disk, plus the cursor to pass
-        next call.
+    def enable_outbox(self) -> None:
+        """Keep every frame written from now on for :meth:`take_outbox`
+        (idempotent).  Only a log whose frames are shipped turns this
+        on; every other log pays one ``is None`` check per write."""
+        with self._lock:
+            if self._outbox is None:
+                self._outbox = []
 
-        Seeks straight to ``start`` and reads each segment's new bytes
-        with one call; the segments come from the in-memory list, so no
-        directory is listed.  Segment header frames (each segment's
-        first) are skipped.  Every frame's CRC is checked and nothing is
-        decoded: the read ends at the first short or corrupt frame.  A
-        segment truncated since ``start`` is skipped — its frames are
-        covered by the checkpoint that truncated it, which itself
-        shipped.
+    def take_outbox(self) -> list[bytes]:
+        """Log shipping's take: every frame written since the last take,
+        byte for byte, in write order (segment headers never enter the
+        outbox); ``[]`` for a log without one.
+
+        Flushes first, so a shipped frame has reached the OS, and checks
+        each frame's length and CRC again in memory (:class:`WalError`
+        on damage); nothing is read back or decoded.  Frames of segments
+        a checkpoint has since truncated are included: harmless, since
+        adoption starts from the latest full checkpoint.
         """
         with self._lock:
+            frames = self._outbox
+            if not frames:
+                return []
             if self._file is not None:
                 self._file.flush()
-            end = WalPosition(self._segment, self._offset)
-            first = 0 if start is None else bisect.bisect_left(
-                self._segments, start.segment
-            )
-            segments = self._segments[first:]
-        frames: list[bytes] = []
-        for segment in segments:
-            offset = (
-                start.offset
-                if start is not None and segment == start.segment
-                else 0
-            )
-            size = -1
-            if segment == end.segment:
-                if offset >= end.offset:
-                    break
-                size = end.offset - offset
-            try:
-                handle = open(self._segment_path(segment), "rb")
-            except FileNotFoundError:
-                continue
-            with handle:
-                handle.seek(offset)
-                data = handle.read(size)
-            last = 0
-            for frame_start, last in _frame_spans(data):
-                if offset or frame_start:  # a segment opens with its header
-                    frames.append(data[frame_start:last])
-            if last < len(data):
-                break
-        return end, frames
+            self._outbox = []
+        for frame in frames:
+            length, crc = _HEADER.unpack_from(frame)
+            if (len(frame) - _HEADER.size != length
+                    or zlib.crc32(memoryview(frame)[_HEADER.size:]) != crc):
+                raise WalError(f"log {self.name!r}: damaged outbox frame")
+        return frames
 
     # -- reading ------------------------------------------------------
 

@@ -2,21 +2,25 @@
 
 Three layers, cheapest first:
 
-- ``WriteAheadLog.tail_frames`` — the seek-based shipping cursor, which
-  returns whole frames as bytes — under rotation and a corrupted shipped
-  segment;
+- the ``WriteAheadLog`` outbox — the frames a shipped log wrote, kept
+  in memory and taken as bytes — under rotation, checkpoint truncation,
+  landing and close, checked against a raw read of the segment files;
 - ``RegistryBackend.ship_tail`` / ``adopt`` driven entirely in-process,
   so the failure properties (truncated tails, crash mid-ship, double
   adoption, duplicate delivery) are deterministic;
-- one real two-process cluster: SIGKILL a worker, standby adopts, the
-  session's op_logs are byte-identical to the pre-kill record.
+- real two-process clusters: SIGKILL a worker, or fail its ship, and
+  the standby adopts; the session's op_logs are byte-identical to the
+  record the standby holds.
 """
 
 import json
+import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro.runtime.wal as wal_module
 from repro.middleware.cluster import (
     ClusterBackendError,
     RegistryBackend,
@@ -24,6 +28,7 @@ from repro.middleware.cluster import (
 )
 from repro.runtime.durability import DurabilityPolicy
 from repro.runtime.wal import (
+    WalError,
     WriteAheadLog,
     decode_frame,
     encode_frame_doc,
@@ -51,11 +56,32 @@ def _seqs(frames):
 
 
 # ---------------------------------------------------------------------------
-# tail_frames: the shipping cursor
+# The outbox: what a shipped log hands over
 # ---------------------------------------------------------------------------
 
 
-class TestShipCursor:
+def _raw_frames(wal):
+    """Every non-header frame in ``wal``'s segment files, in segment and
+    offset order, cut apart by a reader that shares no code with the
+    log: the oracle the shipped frames are checked against."""
+    wal.sync()
+    prefix = f"{wal.name}-"
+    paths = sorted(path for path in Path(wal.directory).iterdir()
+                   if path.name.startswith(prefix))
+    frames = []
+    for path in paths:
+        data = path.read_bytes()
+        offset, first = 0, True
+        while offset < len(data):
+            (length,) = struct.unpack_from(">I", data, offset)
+            end = offset + 8 + length
+            if not first:
+                frames.append(data[offset:end])
+            offset, first = end, False
+    return frames
+
+
+class TestShipOutbox:
     def _docs(self, n, start=0):
         return [{"k": "entry", "session": "s",
                  "sig": {"kind": "call", "topic": "t", "payload": {"i": i},
@@ -63,49 +89,148 @@ class TestShipCursor:
                          "trace_id": start + i, "parent_seq": None}}
                 for i in range(n)]
 
-    def test_cursor_pays_for_new_frames_only(self, tmp_path):
+    def test_take_returns_new_frames_only(self, tmp_path):
         wal = WriteAheadLog(tmp_path, name="ship", fsync=False)
         try:
+            wal.enable_outbox()
             for doc in self._docs(3):
                 wal.append(doc)
-            cursor, frames = wal.tail_frames(None)
-            assert _seqs(frames) == [0, 1, 2]
-            assert wal.tail_frames(cursor)[1] == []
+            assert _seqs(wal.take_outbox()) == [0, 1, 2]
+            assert wal._outbox == []  # each take empties the buffer
+            assert wal.take_outbox() == []
             for doc in self._docs(2, start=10):
                 wal.append(doc)
-            cursor, frames = wal.tail_frames(cursor)
-            assert _seqs(frames) == [10, 11]
+            assert _seqs(wal.take_outbox()) == [10, 11]
+            assert wal._outbox == []
         finally:
             wal.close()
 
-    def test_cursor_crosses_segment_rotation(self, tmp_path):
+    def test_take_crosses_segment_rotation(self, tmp_path):
         wal = WriteAheadLog(tmp_path, name="ship", fsync=False,
                             segment_max_bytes=256)
         try:
-            cursor, _ = wal.tail_frames(None)
+            wal.enable_outbox()
             for doc in self._docs(20):
                 wal.append(doc)
             assert len(wal.segments()) > 1  # rotation actually happened
-            _, frames = wal.tail_frames(cursor)
+            frames = wal.take_outbox()
             assert _seqs(frames) == list(range(20))
+            assert frames == _raw_frames(wal)  # no segment header shipped
         finally:
             wal.close()
 
-    def test_corrupt_shipped_segment_ends_read_cleanly(self, tmp_path):
-        """A flipped byte mid-segment stops the tail read at the last
-        intact frame — no exception, no garbage frames shipped."""
+    def test_damaged_outbox_frame_raises(self, tmp_path):
+        """The take re-checks every frame's length and CRC in memory: a
+        frame damaged after it was written is refused, not shipped."""
         wal = WriteAheadLog(tmp_path, name="ship", fsync=False)
         try:
-            positions = [wal.append(doc) for doc in self._docs(3)]
-            wal.sync()
-            path = tmp_path / f"ship-{positions[-1].segment:08d}.log"
-            with open(path, "r+b") as handle:
-                handle.seek(positions[-1].offset + 8)  # inside last frame
-                handle.write(b"\xff")
-            _, frames = wal.tail_frames(None)
-            assert _seqs(frames) == [0, 1]
+            wal.enable_outbox()
+            for doc in self._docs(2):
+                wal.append(doc)
+            frame = wal._outbox[1]
+            wal._outbox[1] = frame[:-1] + bytes([frame[-1] ^ 0xFF])
+            with pytest.raises(WalError, match="damaged outbox frame"):
+                wal.take_outbox()
         finally:
             wal.close()
+
+    def test_logs_that_do_not_ship_hold_no_buffer(self, tmp_path):
+        from repro.runtime.cluster import LogShipper
+
+        plain = WriteAheadLog(tmp_path / "plain", name="plain", fsync=False)
+        shipper = LogShipper(_fake_cluster((True, 0)), tmp_path / "ship")
+        backend = _durable_backend(tmp_path, 0)
+        try:
+            for doc in self._docs(3):
+                plain.append(doc)
+            plain.checkpoint({"snapshot": True}, session="s")
+            assert plain._outbox is None
+            assert plain.take_outbox() == []
+            standby = shipper.log_for(0)
+            assert shipper.receive(0, _shipped_frames(tmp_path / "src",
+                                                      _ENTRY))
+            assert standby._outbox is None
+            assert backend.durability.wal._outbox == []  # shipped: kept
+        finally:
+            plain.close()
+            shipper.close()
+            backend.shutdown()
+
+    def test_shipped_frames_equal_a_raw_read_of_the_segments(
+            self, tmp_path, monkeypatch):
+        """Every non-header frame the worker writes ships once, in write
+        order: across size rotations, full checkpoints, an imported
+        session, an adoption and a close, the concatenated takes equal
+        the worker's segment files read raw (truncation off, so the
+        files keep every frame)."""
+        policy = DurabilityPolicy(mode="wal", log_root=str(tmp_path / "w0"),
+                                  fsync=False, segment_max_bytes=4096)
+        worker = RegistryBackend(durability=policy)
+        worker.worker_id = 0
+        worker.enable_durability()
+        wal = worker.durability.wal
+        monkeypatch.setattr(wal, "_truncate_locked", lambda: 0)
+        donor = _durable_backend(tmp_path, 1)
+        shipped: list[bytes] = []
+        try:
+            worker.open("s1", OPEN_DOC)
+            shipped += worker.ship_tail()
+            for doc in _comm_ops(120):
+                worker.apply("s1", doc)
+                shipped += worker.ship_tail()
+            donor.open("s2", OPEN_DOC)
+            for doc in OPS:
+                donor.apply("s2", doc)
+            worker.adopt("s2", _ship(donor))
+            wal.import_session(
+                [{"k": "checkpoint", "session": "moved", "snapshot": {}}],
+                session="moved")
+            shipped += worker.ship_tail()
+            worker.close("s1")
+            worker.apply("s2", {"op": "api", "api": "ncb.add_party",
+                                "args": {"connection": "c1",
+                                         "party": "carol"}})
+            shipped += worker.ship_tail()
+            kinds = [decode_frame(frame)["k"] for frame in shipped]
+            assert wal.rotations > 0
+            assert kinds.count("checkpoint") >= 4  # base, cadence, adopt
+            assert "closed" in kinds
+            assert shipped == _raw_frames(wal)
+            assert len(shipped) == wal.appends
+        finally:
+            for backend in (worker, donor):
+                for session in list(backend.sessions):
+                    backend.close(session)
+                backend.shutdown()
+
+    def test_ship_path_opens_no_file_for_reading(self, tmp_path,
+                                                 monkeypatch):
+        backend = _durable_backend(tmp_path, 0)
+        opened: list[str] = []
+        real_open, real_path_open = open, Path.open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_path_open(self, mode="r", *args, **kwargs):
+            opened.append(mode)
+            return real_path_open(self, mode, *args, **kwargs)
+
+        try:
+            backend.open("s1", OPEN_DOC)
+            for doc in _comm_ops(40):
+                backend.apply("s1", doc)
+                monkeypatch.setattr(wal_module, "open", spy_open,
+                                    raising=False)
+                monkeypatch.setattr(Path, "open", spy_path_open)
+                assert backend.ship_tail()
+                monkeypatch.undo()
+            assert opened == []
+        finally:
+            monkeypatch.undo()
+            backend.close("s1")
+            backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -291,44 +416,19 @@ def _frame_bytes(doc):
     return len(encode_frame_doc(doc))
 
 
-def _spy_frames(backend):
-    """Make every frame the backend writes observable in order.
-
-    A checkpoint truncates the segment holding the frames just before
-    it, so ``ship_tail`` alone would skip the entry that triggered it;
-    the spy drains the tail right before each checkpoint is written."""
-    seen = []
-    durability = backend.durability
-    checkpoint = durability.checkpoint
-
-    def spy(session, snapshot_doc, **kwargs):
-        seen.extend(_ship(backend))
-        return checkpoint(session, snapshot_doc, **kwargs)
-
-    durability.checkpoint = spy
-
-    def drain():
-        seen.extend(_ship(backend))
-        frames, seen[:] = list(seen), []
-        return frames
-
-    return drain
-
-
 class TestSizeDrivenCheckpoints:
     def test_checkpoint_ships_exactly_when_tail_reaches_its_size(
             self, tmp_path):
         backend = _durable_backend(tmp_path, 0)
-        drain = _spy_frames(backend)
         backend.open("s1", OPEN_DOC)
         try:
-            (base,) = drain()
+            (base,) = _ship(backend)
             assert base["k"] == "checkpoint"
             last_checkpoint, tail = _frame_bytes(base), 0
             checkpoints = 0
             for doc in _comm_ops(250):
                 backend.apply("s1", doc)
-                frames = drain()
+                frames = _ship(backend)
                 for frame in frames:
                     if frame["k"] == "checkpoint":
                         assert tail >= last_checkpoint
@@ -354,14 +454,14 @@ class TestSizeDrivenCheckpoints:
                              ids=["communication", "microgrid"])
     def test_checkpoint_bytes_bounded_by_log_bytes(self, tmp_path, ops):
         backend = _durable_backend(tmp_path, 0)
-        drain = _spy_frames(backend)
         open_doc = ({"domain": "microgrid", "autonomic": False}
                     if ops is _model_ops else OPEN_DOC)
         backend.open("s1", open_doc)
         try:
+            frames = _ship(backend)
             for doc in ops(200):
                 backend.apply("s1", doc)
-            frames = drain()
+                frames += _ship(backend)
         finally:
             backend.close("s1")
             backend.shutdown()
@@ -439,13 +539,14 @@ _ENTRY = {"k": "entry", "session": "s1",
 
 
 def _shipped_frames(directory, *docs):
-    """``docs`` written to a source log and read back by its shipping
-    cursor: the frames a worker sends, byte for byte."""
+    """``docs`` written to a shipped source log and taken from its
+    outbox: the frames a worker sends, byte for byte."""
     wal = WriteAheadLog(directory, name="source", fsync=False)
     try:
+        wal.enable_outbox()
         for doc in docs:
             wal.append(doc)
-        return wal.tail_frames(None)[1]
+        return wal.take_outbox()
     finally:
         wal.close()
 
@@ -777,3 +878,65 @@ class TestStandbyAdoptionEndToEnd:
                 assert counts["frames"] > 0 and counts["bytes"] > 0
         finally:
             cluster.stop()
+
+    def test_failed_ship_is_adopted_from_what_shipped(self):
+        """A worker whose ship fails ends unanswered: the op resolves
+        REJECTED (WORKER_DEAD) rather than OK, and the standby adopts
+        the session from the frames that did ship."""
+        from repro.runtime.cluster import ProcessCluster
+        from repro.runtime.faults import InvocationOutcome
+        from repro.runtime.ingress import ShedReason
+
+        cluster = ProcessCluster(
+            2, backend="tests.integration.test_log_shipping:"
+                       "ship_failing_backend",
+            name="ship-fail",
+        )
+        cluster.build_shipper()
+        cluster.start()
+        try:
+            key = "ship-fail-0"
+            cluster.open_session(key, OPEN_DOC).result(60)
+            for doc in OPS:
+                cluster.call(key, doc, timeout=60)
+            golden = cluster.describe(key)["op_logs"]
+            victim = cluster.worker_for(key)
+            outcome = cluster.submit(key, UNSHIPPED_OP).result(60)
+            assert outcome.status == InvocationOutcome.REJECTED
+            assert outcome.error.reason == ShedReason.WORKER_DEAD
+            report = cluster.wait_adoption(60)
+            assert report is not None
+            row = report["sessions"][key]
+            assert row.get("adopted") == key
+            assert row["replayed"] == len(OPS)
+            assert row["errors"] == []
+            assert cluster.worker_for(key) != victim
+            assert cluster.describe(key)["op_logs"] == golden
+        finally:
+            cluster.stop()
+
+
+#: an op the :class:`ShipFailingBackend` fails to ship.
+UNSHIPPED_OP = {"op": "api", "api": "ncb.add_party",
+                "args": {"connection": "c1", "party": "carol"},
+                "unshipped": True}
+
+
+class ShipFailingBackend(RegistryBackend):
+    """The stock backend, except that the ship after an op marked
+    ``unshipped`` raises (spawn target: module-level)."""
+
+    unshipped = False
+
+    def apply(self, session, doc):
+        self.unshipped = bool(doc.get("unshipped"))
+        return super().apply(session, doc)
+
+    def ship_tail(self):
+        if self.unshipped:
+            raise OSError("deliberate ship failure")
+        return super().ship_tail()
+
+
+def ship_failing_backend():
+    return ShipFailingBackend()

@@ -135,6 +135,29 @@ class TestContainment:
         assert leaf.path() == f"{root.id}/{mid.id}/{leaf.id}"
 
 
+    def test_containment_added_after_first_use_is_walked(self, metamodel,
+                                                         model):
+        root = model.create("Node", name="root")
+        mid = model.create("Node", name="mid")
+        leaf = model.create("Leaf", name="leaf")
+        root.children.append(mid)
+        mid.children.append(leaf)
+        assert [n.name for n in root.walk()] == ["root", "mid", "leaf"]
+        metamodel.require_class("Node").reference(
+            "spares", "Node", containment=True, many=True).resolve(metamodel)
+        assert [r.name for r in
+                metamodel.require_class("Leaf").containment_references()
+                ] == ["children", "spares"]
+        spare = model.create("Node", name="spare")
+        boxed = model.create("Node", name="boxed")
+        root.get("spares").append(spare)
+        leaf.get("spares").append(boxed)  # a subclass's table refreshes
+        assert list(root.contents()) == [mid, spare]
+        assert list(leaf.contents()) == [boxed]
+        assert [n.name for n in root.walk()] == [
+            "root", "mid", "leaf", "boxed", "spare"]
+
+
 class TestReferences:
     def test_cross_reference(self, model):
         a = model.create("Node", name="a")

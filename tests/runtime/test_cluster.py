@@ -22,8 +22,9 @@ from repro.runtime.wal import (
     encode_frame_doc,
 )
 
-#: backend spec every cluster in this file uses (see bottom of file).
+#: backend specs the clusters in this file use (see bottom of file).
 ECHO_SPEC = "tests.runtime.test_cluster:echo_backend"
+SHIP_FAILING_SPEC = "tests.runtime.test_cluster:ship_failing_backend"
 
 
 # -- frame helpers -----------------------------------------------------------
@@ -213,6 +214,21 @@ class TestWorkerDeath:
             assert outcome.status == InvocationOutcome.REJECTED
             assert outcome.error.reason == ShedReason.WORKER_DEAD
 
+    def test_failed_ship_ends_the_worker_unacknowledged(self):
+        """An op whose frames could not ship never resolves OK: the
+        worker ends as on a broken socket and the op's future resolves
+        REJECTED (WORKER_DEAD)."""
+        with ProcessCluster(1, backend=SHIP_FAILING_SPEC, name="test-ship",
+                            restart=False) as c:
+            c.start()
+            c.open_session("f1", {}).result(30).unwrap()
+            assert c.call("f1", {"add": 1}) == {"total": 1}
+            outcome = c.submit("f1", {"add": 2, "unshipped": True}).result(30)
+            assert outcome.status == InvocationOutcome.REJECTED
+            assert outcome.error.reason == ShedReason.WORKER_DEAD
+            assert not c.handles[0].alive
+            assert c.stats()["deaths"] == 1
+
     def test_restore_after_restart(self):
         with ProcessCluster(1, backend=ECHO_SPEC, name="test-restore") as c:
             c.start()
@@ -307,3 +323,25 @@ class EchoBackend:
 
 def echo_backend():
     return EchoBackend()
+
+
+class ShipFailingBackend(EchoBackend):
+    """Ships nothing, and fails the ship after an op marked
+    ``unshipped``."""
+
+    def __init__(self):
+        super().__init__()
+        self.unshipped = False
+
+    def apply(self, session, doc):
+        self.unshipped = bool(doc.get("unshipped"))
+        return super().apply(session, doc)
+
+    def ship_tail(self):
+        if self.unshipped:
+            raise OSError("deliberate ship failure")
+        return []
+
+
+def ship_failing_backend():
+    return ShipFailingBackend()

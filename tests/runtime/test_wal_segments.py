@@ -6,9 +6,11 @@ live segment indexes in memory.  Two properties pin that down:
 - the cost property, counted rather than timed: shipping, landing,
   checkpointing, replay and truncation list no directory after open;
 - the correctness property, generated: across random sequences of
-  appends, checkpoints of every kind, landings, forgets, rotations and
-  reopens, :meth:`WriteAheadLog.segments` equals the directory listing,
-  and a reopened log replays the docs it held before closing.
+  appends, checkpoints of every kind, landings, forgets, rotations,
+  outbox takes and reopens, :meth:`WriteAheadLog.segments` equals the
+  directory listing, a reopened log replays the docs it held before
+  closing, and the frames taken from the outbox are every frame the
+  log wrote, once each, with the live segments holding their suffix.
 """
 
 import os
@@ -20,7 +22,12 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.runtime.events import Signal
-from repro.runtime.wal import WriteAheadLog, encode_frame_doc, signal_to_doc
+from repro.runtime.wal import (
+    WriteAheadLog,
+    encode_frame_doc,
+    signal_to_doc,
+    split_frames,
+)
 
 
 def _listed(wal):
@@ -35,6 +42,7 @@ def _listed(wal):
 
 def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
     wal = WriteAheadLog(tmp_path / "worker", name="w", fsync=False)
+    wal.enable_outbox()
     standby = WriteAheadLog(tmp_path / "standby", name="s", fsync=False)
     # a session that never checkpoints pins the truncation floor, so
     # every full checkpoint's rotation leaves one more live segment.
@@ -59,21 +67,18 @@ def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
                         (os, "scandir"), (os, "listdir")):
         counting(owner, attr)
 
-    cursor = None
+    standby.land(wal.take_outbox())
     for cycle in range(24):
         session = sessions[cycle % len(sessions)]
         signal = Signal(topic="t", payload={"cycle": cycle}, origin=session)
         wal.append_entry(signal, session=session)
         wal.seal_entry(session=session, entry_seq=signal.seq)
-        cursor, frames = wal.tail_frames(cursor)
-        standby.land(frames)
+        standby.land(wal.take_outbox())
         wal.checkpoint({"cycle": cycle}, session=session,
                        delta=cycle % 2 == 1)
-        cursor, frames = wal.tail_frames(cursor)
-        standby.land(frames)
+        standby.land(wal.take_outbox())
     wal.checkpoint({"all": True}, session="shard", cover_all=True)
-    cursor, frames = wal.tail_frames(cursor)
-    standby.land(frames)
+    standby.land(wal.take_outbox())
     assert [doc for _position, doc in wal.replay()]
     standby.truncate()
     standby.import_session(
@@ -93,17 +98,29 @@ _SESSIONS = st.sampled_from(["a", "b", "c"])
 
 
 class SegmentBookkeeping(RuleBasedStateMachine):
-    """Random log traffic over small segments; the in-memory segment
-    list must track the directory through every step."""
+    """Random log traffic over small segments, shipped from the
+    outbox; the in-memory segment list must track the directory through
+    every step."""
 
     def __init__(self) -> None:
         super().__init__()
         self.root = tempfile.mkdtemp(prefix="repro-wal-segments-")
+        #: every frame taken from the outbox, across reopens.
+        self.shipped: list[bytes] = []
         self.wal = self._open()
 
     def _open(self) -> WriteAheadLog:
-        return WriteAheadLog(Path(self.root) / "log", name="w",
-                             fsync=False, segment_max_bytes=256)
+        wal = WriteAheadLog(Path(self.root) / "log", name="w",
+                            fsync=False, segment_max_bytes=256)
+        wal.enable_outbox()
+        #: frames taken from the current log instance.
+        self.taken = 0
+        return wal
+
+    def _take(self) -> None:
+        frames = self.wal.take_outbox()
+        self.taken += len(frames)
+        self.shipped += frames
 
     @rule(session=_SESSIONS, pad=st.integers(0, 96))
     def append(self, session, pad):
@@ -147,9 +164,25 @@ class SegmentBookkeeping(RuleBasedStateMachine):
         self.wal.truncate()
 
     @rule()
+    def ship(self):
+        self._take()
+        assert self.wal.take_outbox() == []  # the take emptied it
+        # exactly once: one shipped frame per frame written ...
+        assert self.taken == self.wal.appends
+        # ... in write order: the live segments hold a suffix of them.
+        self.wal.sync()
+        live = []
+        for segment in self.wal.segments():
+            data = self.wal._segment_path(segment).read_bytes()
+            live += split_frames(data)[1:]
+        assert self.shipped[len(self.shipped) - len(live):] == live
+
+    @rule()
     def reopen(self):
         before = [doc for _position, doc in self.wal.replay()]
         self.wal.close()
+        self._take()  # a closed log still hands over what it wrote
+        assert self.taken == self.wal.appends
         self.wal = self._open()
         assert [doc for _position, doc in self.wal.replay()] == before
 
