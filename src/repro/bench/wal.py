@@ -119,9 +119,11 @@ def _checkpoint(
 
 
 def _recover(wal: WriteAheadLog, session: str, dsk: Any) -> Any:
-    """Cold recovery of ``session`` from ``wal`` + DSK."""
+    """Cold recovery of ``session`` from ``wal`` + DSK; re-executed
+    entries seal into ``wal``, so a second recovery stays idempotent."""
     return recover_session(
-        wal, session=session, apply_entry=apply_entry, dsk=dsk
+        (doc for _position, doc in wal.replay()),
+        session=session, apply_entry=apply_entry, wal=wal, dsk=dsk,
     )
 
 

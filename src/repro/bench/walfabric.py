@@ -317,7 +317,6 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
     from repro.runtime.clock import VirtualClock
     from repro.runtime.durability import DurabilityPolicy
     from repro.runtime.trace import TraceRecorder
-    from repro.runtime.wal import WriteAheadLog
     from repro.sim.network import CommService
 
     root = Path(tempfile.mkdtemp(prefix="bench-walslice-")) / "walroot"
@@ -371,10 +370,9 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
         pool.stop()
 
     case = next(c for c in domain_cases() if c.name == "communication")
-    workdir = walslice.staging_dir()
     rows: list[dict[str, Any]] = []
     try:
-        logs = walslice.stage_logs(root, workdir)
+        logs = walslice.stage_logs(root)
         census = walslice.trace_census(logs)
         targets = sorted(t for t, info in census.items() if info["nodes"] > 1)
         cross = [t for t in targets if census[t]["logs"] > 1]
@@ -397,25 +395,15 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
                     for doc in log.frames
                 )
             )
-            frames = walslice.session_replay_frames(home, session)
-            scratch = WriteAheadLog(
-                Path(workdir) / f"replay-{trace_id}", name="slice",
-                fsync=False,
-            )
-            try:
-                for doc in frames:
-                    scratch.append(doc, strict=False)
-                with TraceRecorder() as recorder:
-                    report = recover_session(
-                        scratch,
-                        session=session,
-                        apply_entry=apply_entry,
-                        dsk=case.knowledge(case.service()),
-                        clock=VirtualClock(),
-                    )
-                report.platform.stop()
-            finally:
-                scratch.close()
+            with TraceRecorder() as recorder:
+                report = recover_session(
+                    walslice.session_replay_frames(home, session),
+                    session=session,
+                    apply_entry=apply_entry,
+                    dsk=case.knowledge(case.service()),
+                    clock=VirtualClock(),
+                )
+            report.platform.stop()
             if report.errors:
                 raise RuntimeError(
                     f"trace {trace_id}: replay errors {report.errors[:3]}"
@@ -436,7 +424,6 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
                 "reproduced": True,
             })
     finally:
-        shutil.rmtree(workdir, ignore_errors=True)
         shutil.rmtree(root.parent, ignore_errors=True)
     return {
         "sessions": sessions,

@@ -430,135 +430,138 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_replay(args: argparse.Namespace) -> int:
-    """Deterministically re-execute a session's write-ahead log and
-    print the causal signal chains the replay produced.
+def _replay_tail(
+    frames: list[dict], session: str, *, limit: int
+) -> Any:
+    """Rebuild ``session``'s platform from the checkpoint that heads
+    its ``frames`` (domain looked up in the shipped registry) and
+    re-run the tail on a virtual clock under a :class:`TraceRecorder`,
+    with recorded external effects memoized.
 
-    The log's latest checkpoint names the domain; its DSK is looked up
-    from the shipped domain registry, the platform is rebuilt on a
-    virtual clock, and the tail entries re-run with their recorded
-    external effects memoized (no external operation executes twice).
+    Returns the recorder, or the command's exit code (an ``int``) when
+    there is nothing to rebuild from.
     """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
     from repro.domains.assembly import domain_cases
     from repro.middleware.platform import apply_entry
     from repro.middleware.snapshot import recover_session
     from repro.runtime.clock import VirtualClock
     from repro.runtime.trace import TraceRecorder
-    from repro.runtime.wal import WalError, WriteAheadLog
+
+    if not frames or frames[0].get("k") != "checkpoint":
+        print(
+            f"\nno checkpoint for session {session!r} — nothing to "
+            "rebuild a platform from; listing only"
+        )
+        return 0
+    domain = str(frames[0].get("snapshot", {}).get("domain", ""))
+    case = next((c for c in domain_cases() if c.name == domain), None)
+    if case is None:
+        print(f"\nunknown domain {domain!r}; cannot re-execute",
+              file=sys.stderr)
+        return 2
+    dsk = case.knowledge(case.service())
+    print(
+        f"\nre-executing session {session!r} on a fresh {domain!r} "
+        "platform (virtual clock):"
+    )
+    with TraceRecorder(limit=limit) as recorder:
+        report = recover_session(
+            frames,
+            session=session,
+            apply_entry=apply_entry,
+            dsk=dsk,
+            clock=VirtualClock(),
+        )
+    report.platform.stop()
+    print(
+        f"  replayed {report.replayed_entries} entries "
+        f"({report.deduplicated} deduplicated), "
+        f"{report.effects_memoized} external effects memoized, "
+        f"{report.effects_live} re-executed live, "
+        f"{len(report.errors)} errors"
+    )
+    return recorder
+
+
+def _trace_replay(args: argparse.Namespace) -> int:
+    """Deterministically re-execute a session's write-ahead log and
+    print the causal signal chains the replay produced.
+
+    Reads every log in the directory in place (pool shard, worker or
+    standby copy; nothing is written to it), takes the session's latest
+    checkpoint and the frames after it, and replays them
+    (:func:`_replay_tail`): no external operation executes twice.
+    """
+    from pathlib import Path
+
+    from repro.runtime.wal import WalError, read_log_directory, session_tail
 
     if not Path(args.replay).is_dir():
         print(f"no log directory at {args.replay!r}", file=sys.stderr)
         return 2
-    # replaying seals re-executed entries back into the log, so work on
-    # a throwaway copy and leave the original untouched.
-    workdir = Path(tempfile.mkdtemp(prefix="trace-replay-"))
-    shutil.rmtree(workdir)
-    shutil.copytree(args.replay, workdir)
     try:
-        wal = WriteAheadLog(workdir, fsync=False)
+        logs = read_log_directory(args.replay)
     except (WalError, OSError) as exc:
-        shutil.rmtree(workdir, ignore_errors=True)
-        print(f"cannot open log at {args.replay!r}: {exc}", file=sys.stderr)
+        print(f"cannot read log at {args.replay!r}: {exc}", file=sys.stderr)
         return 2
-    try:
-        sessions: dict[str, list[dict]] = {}
-        for _position, doc in wal.replay():
-            sessions.setdefault(str(doc.get("session", "")), []).append(doc)
-        if not sessions:
-            print(f"log at {args.replay!r} holds no frames")
-            return 0
-        names = sorted(sessions)
-        if args.session is not None:
-            target = args.session
-            if target not in sessions:
-                print(
-                    f"no session {target!r} in log; it holds {names}",
-                    file=sys.stderr,
-                )
-                return 2
-        elif len(names) == 1:
-            target = names[0]
-        else:
-            print(
-                f"log holds sessions {names}; pick one with --session",
-                file=sys.stderr,
-            )
-            return 2
-
-        docs = sessions[target]
-        entries = [d for d in docs if d.get("k") == "entry"]
-        applied = sum(1 for d in docs if d.get("k") == "applied")
-        checkpoints = [d for d in docs if d.get("k") == "checkpoint"]
-        print(
-            f"session {target!r}: {len(entries)} logged entries, "
-            f"{applied} applied seals, {len(checkpoints)} checkpoints"
-        )
-        for doc in entries:
-            sig = doc["sig"]
-            payload = sig.get("payload") or {}
-            op = payload.get("op", "?")
-            detail = payload.get("api") or payload.get(
-                "model", {}
-            ).get("name", "")
-            print(
-                f"  entry seq={sig.get('seq')} trace={sig.get('trace_id')} "
-                f"topic={sig.get('topic')} op={op}"
-                + (f" ({detail})" if detail else "")
-            )
-
-        if not checkpoints:
-            print(
-                "\nno checkpoint in the log — nothing to rebuild a "
-                "platform from; listing only"
-            )
-            return 0
-        domain = str(checkpoints[-1].get("snapshot", {}).get("domain", ""))
-        case = next(
-            (c for c in domain_cases() if c.name == domain), None
-        )
-        if case is None:
-            print(
-                f"\nunknown domain {domain!r}; cannot re-execute",
-                file=sys.stderr,
-            )
-            return 2
-        dsk = case.knowledge(case.service())
-        print(f"\nre-executing on a fresh {domain!r} platform (virtual clock):")
-        with TraceRecorder(limit=args.limit) as recorder:
-            report = recover_session(
-                wal,
-                session=target,
-                apply_entry=apply_entry,
-                dsk=dsk,
-                clock=VirtualClock(),
-            )
-        report.platform.stop()
-        print(
-            f"  replayed {report.replayed_entries} entries "
-            f"({report.deduplicated} deduplicated), "
-            f"{report.effects_memoized} external effects memoized, "
-            f"{report.effects_live} re-executed live, "
-            f"{len(report.errors)} errors"
-        )
-        if args.trace_id is not None:
-            chain = recorder.chain_for(args.trace_id)
-            if not chain:
-                print(f"no signals recorded for trace {args.trace_id}")
-                return 0
-            print(f"\nchain for trace {args.trace_id}:")
-            for record in chain:
-                print(f"  {record}")
-            return 0
-        print(f"\ncausal chains from the replay ({len(recorder)} signals):\n")
-        print(recorder.render(min_length=1))
+    docs = [doc for frames in logs.values() for doc in frames]
+    names = sorted({str(doc.get("session", "")) for doc in docs})
+    if not names:
+        print(f"log at {args.replay!r} holds no frames")
         return 0
-    finally:
-        wal.close()
-        shutil.rmtree(workdir, ignore_errors=True)
+    if args.session is not None:
+        target = args.session
+        if target not in names:
+            print(
+                f"no session {target!r} in log; it holds {names}",
+                file=sys.stderr,
+            )
+            return 2
+    elif len(names) == 1:
+        target = names[0]
+    else:
+        print(
+            f"log holds sessions {names}; pick one with --session",
+            file=sys.stderr,
+        )
+        return 2
+
+    tail = session_tail(docs, target)
+    entries = [d for d in tail if d.get("k") == "entry"]
+    applied = sum(1 for d in tail if d.get("k") == "applied")
+    checkpoints = sum(1 for d in tail if d.get("k") == "checkpoint")
+    print(
+        f"session {target!r}: {len(entries)} logged entries, "
+        f"{applied} applied seals, {checkpoints} checkpoints"
+    )
+    for doc in entries:
+        sig = doc["sig"]
+        payload = sig.get("payload") or {}
+        op = payload.get("op", "?")
+        detail = payload.get("api") or payload.get(
+            "model", {}
+        ).get("name", "")
+        print(
+            f"  entry seq={sig.get('seq')} trace={sig.get('trace_id')} "
+            f"topic={sig.get('topic')} op={op}"
+            + (f" ({detail})" if detail else "")
+        )
+
+    recorder = _replay_tail(tail, target, limit=args.limit)
+    if isinstance(recorder, int):
+        return recorder
+    if args.trace_id is not None:
+        chain = recorder.chain_for(args.trace_id)
+        if not chain:
+            print(f"no signals recorded for trace {args.trace_id}")
+            return 0
+        print(f"\nchain for trace {args.trace_id}:")
+        for record in chain:
+            print(f"  {record}")
+        return 0
+    print(f"\ncausal chains from the replay ({len(recorder)} signals):\n")
+    print(recorder.render(min_length=1))
+    return 0
 
 
 def _trace_replay_slice(args: argparse.Namespace) -> int:
@@ -566,157 +569,107 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
     write-ahead logs under ``--replay ROOT``, re-execute its root
     session, and verify the replay reproduces the logged sub-DAG.
 
-    The slice's root entry names its home session; that session is
-    rebuilt from its shard log's latest checkpoint (domain looked up
-    from the shipped registry) and its tail re-run on a virtual clock
-    under a :class:`TraceRecorder`.  Derived signals re-mint fresh
-    seqs, so the comparison is structural — see
+    The slice's root entry names its home session; that session's tail
+    in its home log is replayed (:func:`_replay_tail`).  Derived
+    signals re-mint fresh seqs, so the comparison is structural — see
     :mod:`repro.runtime.walslice`.
     """
-    import shutil
     from pathlib import Path
 
-    from repro.domains.assembly import domain_cases
-    from repro.middleware.platform import apply_entry
-    from repro.middleware.snapshot import recover_session
     from repro.runtime import walslice
-    from repro.runtime.clock import VirtualClock
-    from repro.runtime.trace import TraceRecorder
-    from repro.runtime.wal import WriteAheadLog
 
     root = Path(args.replay)
     if not root.is_dir():
         print(f"no log directory at {args.replay!r}", file=sys.stderr)
         return 2
-    workdir = walslice.staging_dir()
-    try:
-        logs = walslice.stage_logs(root, workdir)
-        if not any(log.frames for log in logs):
+    logs = walslice.stage_logs(root)
+    if not any(log.frames for log in logs):
+        print(
+            f"no write-ahead frames under {args.replay!r}",
+            file=sys.stderr,
+        )
+        return 2
+    census = walslice.trace_census(logs)
+    if not census:
+        print(f"no logged entries under {args.replay!r}")
+        return 0
+    if args.trace_id is not None:
+        trace_id = args.trace_id
+        if trace_id not in census:
             print(
-                f"no write-ahead frames under {args.replay!r}",
+                f"no trace {trace_id} in these logs; traces: "
+                f"{sorted(census)}",
                 file=sys.stderr,
             )
             return 2
-        census = walslice.trace_census(logs)
-        if not census:
-            print(f"no logged entries under {args.replay!r}")
-            return 0
-        if args.trace_id is not None:
-            trace_id = args.trace_id
-            if trace_id not in census:
-                print(
-                    f"no trace {trace_id} in these logs; traces: "
-                    f"{sorted(census)}",
-                    file=sys.stderr,
-                )
-                return 2
+    else:
+        multi = [t for t, info in census.items() if info["nodes"] > 1]
+        if len(multi) == 1:
+            trace_id = multi[0]
         else:
-            multi = [t for t, info in census.items() if info["nodes"] > 1]
-            if len(multi) == 1:
-                trace_id = multi[0]
-            else:
+            print(
+                f"{len(logs)} log(s) hold {len(census)} trace(s); "
+                "pick one with --trace-id:"
+            )
+            shown = 0
+            for tid in sorted(
+                census, key=lambda t: -census[t]["nodes"]
+            ):
+                info = census[tid]
                 print(
-                    f"{len(logs)} log(s) hold {len(census)} trace(s); "
-                    "pick one with --trace-id:"
+                    f"  trace {tid}: {info['nodes']} signal(s) "
+                    f"across {info['logs']} log(s)"
                 )
-                shown = 0
-                for tid in sorted(
-                    census, key=lambda t: -census[t]["nodes"]
-                ):
-                    info = census[tid]
-                    print(
-                        f"  trace {tid}: {info['nodes']} signal(s) "
-                        f"across {info['logs']} log(s)"
-                    )
-                    shown += 1
-                    if shown >= 20:
-                        print(f"  ... {len(census) - shown} more")
-                        break
-                return 2
-
-        nodes = walslice.collect_slice(logs, trace_id)
-        print(
-            f"causal slice for trace {trace_id}: {len(nodes)} logged "
-            f"signal(s) across {len({n.log for n in nodes})} log(s), "
-            f"{len({n.session for n in nodes})} session(s)\n"
-        )
-        print(walslice.render_slice(nodes))
-        roots = [n for n in nodes if n.parent_seq is None]
-        if not roots:
-            print(
-                "\nslice has no root entry in these logs (home shard "
-                "log missing?); listing only"
-            )
-            return 0
-        session = roots[0].session
-        home = next(
-            log
-            for log in logs
-            if any(
-                doc.get("k") == "entry"
-                and (doc.get("sig") or {}).get("seq") == roots[0].seq
-                for doc in log.frames
-            )
-        )
-        frames = walslice.session_replay_frames(home, session)
-        checkpoints = [d for d in frames if d.get("k") == "checkpoint"]
-        if not checkpoints:
-            print(
-                f"\nno checkpoint for session {session!r} in "
-                f"{home.label} — cannot rebuild a platform; listing only"
-            )
-            return 0
-        domain = str(checkpoints[-1].get("snapshot", {}).get("domain", ""))
-        case = next((c for c in domain_cases() if c.name == domain), None)
-        if case is None:
-            print(
-                f"\nunknown domain {domain!r}; cannot re-execute",
-                file=sys.stderr,
-            )
+                shown += 1
+                if shown >= 20:
+                    print(f"  ... {len(census) - shown} more")
+                    break
             return 2
-        scratch = WriteAheadLog(
-            workdir / "slice-replay", name="slice", fsync=False
-        )
-        for doc in frames:
-            scratch.append(doc, strict=False)
-        dsk = case.knowledge(case.service())
+
+    nodes = walslice.collect_slice(logs, trace_id)
+    print(
+        f"causal slice for trace {trace_id}: {len(nodes)} logged "
+        f"signal(s) across {len({n.log for n in nodes})} log(s), "
+        f"{len({n.session for n in nodes})} session(s)\n"
+    )
+    print(walslice.render_slice(nodes))
+    roots = [n for n in nodes if n.parent_seq is None]
+    if not roots:
         print(
-            f"\nre-executing session {session!r} (home log {home.label}) "
-            f"on a fresh {domain!r} platform (virtual clock):"
+            "\nslice has no root entry in these logs (home shard "
+            "log missing?); listing only"
         )
-        try:
-            with TraceRecorder(limit=args.limit) as recorder:
-                report = recover_session(
-                    scratch,
-                    session=session,
-                    apply_entry=apply_entry,
-                    dsk=dsk,
-                    clock=VirtualClock(),
-                )
-            report.platform.stop()
-        finally:
-            scratch.close()
+        return 0
+    session = roots[0].session
+    home = next(
+        log
+        for log in logs
+        if any(
+            doc.get("k") == "entry"
+            and (doc.get("sig") or {}).get("seq") == roots[0].seq
+            for doc in log.frames
+        )
+    )
+    print(f"\nhome log of session {session!r}: {home.label}")
+    recorder = _replay_tail(
+        walslice.session_replay_frames(home, session), session,
+        limit=args.limit,
+    )
+    if isinstance(recorder, int):
+        return recorder
+    verdict = walslice.verify_slice(nodes, recorder.chain_for(trace_id))
+    if verdict.ok:
         print(
-            f"  replayed {report.replayed_entries} entries "
-            f"({report.deduplicated} deduplicated), "
-            f"{report.effects_memoized} effects memoized, "
-            f"{len(report.errors)} errors"
+            f"\nslice reproduced exactly: all {verdict.logged_nodes} "
+            f"logged signal(s) matched structurally "
+            f"({verdict.surplus} unlogged intra-platform "
+            f"derivation(s) alongside)"
         )
-        verdict = walslice.verify_slice(nodes, recorder.chain_for(trace_id))
-        if verdict.ok:
-            print(
-                f"\nslice reproduced exactly: all {verdict.logged_nodes} "
-                f"logged signal(s) matched structurally "
-                f"({verdict.surplus} unlogged intra-platform "
-                f"derivation(s) alongside)"
-            )
-            return 0
-        print(f"\nslice NOT reproduced ({len(verdict.missing)} mismatches):")
-        for miss in verdict.missing:
-            print(f"  {miss}")
-        return 1
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+        return 0
+    print(f"\nslice NOT reproduced ({len(verdict.missing)} mismatches):")
+    for miss in verdict.missing:
+        print(f"  {miss}")
+    return 1
 
 
 #: ``repro bench`` suite name -> (module under :mod:`repro.bench`,
@@ -832,9 +785,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--show-run", action="store_true",
                        help="also show the quickstart's own output")
     trace.add_argument("--replay", metavar="WAL_DIR",
-                       help="instead of the quickstart: deterministically "
-                            "re-execute a session's write-ahead log and "
-                            "trace the replay")
+                       help="instead of the quickstart: read the "
+                            "write-ahead logs in WAL_DIR (pool shard, "
+                            "worker or standby copy) without changing "
+                            "them, and deterministically re-execute one "
+                            "session's latest checkpoint and tail under "
+                            "a tracer")
     trace.add_argument("--session",
                        help="with --replay: which session to replay "
                             "(default: the only one in the log)")

@@ -352,65 +352,50 @@ class RegistryBackend:
         ``applied`` frames are deliberately dropped so external effects
         re-execute against the rebuilt services (the originals died
         with the worker), while ``(trace_id, seq)`` dedup still
-        squelches double-delivered entries.  Idempotent: adopting an
-        already-open session is a no-op, so a second adoption attempt
-        (coordinator retry, racing supervisors) cannot double-apply.
+        squelches double-delivered entries.  The replay has no log to
+        seal into: the re-checkpoint that follows covers it.
+        Idempotent: adopting an already-open session is a no-op, so a
+        second adoption attempt (coordinator retry, racing supervisors)
+        cannot double-apply.
         The report's ``tail_bytes``/``checkpoint_bytes`` are the frame
         sizes the checkpoint cadence compares (:meth:`describe`).
         """
-        from repro.runtime.wal import encode_frame_doc
+        from repro.runtime.wal import encode_frame_doc, session_tail
 
         if session in self.sessions:
             return {"already": True, "session": session,
                     "worker": self.worker_id}
-        capture_doc = None
-        tail: list[bytes] = []  # entry frames, encoded for the scratch log
-        checkpoint_bytes = tail_bytes = 0
-        for doc in frames or []:
-            if str(doc.get("session", "")) != session:
-                continue
-            kind = doc.get("k")
-            if kind == "checkpoint" and not doc.get("delta"):
-                capture_doc = doc.get("snapshot")
-                checkpoint_bytes, tail_bytes = len(encode_frame_doc(doc)), 0
-                tail = []
-            elif kind in ("entry", "applied"):
-                frame = encode_frame_doc(doc)
-                tail_bytes += len(frame)
-                if kind == "entry":
-                    tail.append(frame)
-        if capture_doc is None:
+        tail = session_tail(frames or [], session)
+        if not tail or tail[0].get("k") != "checkpoint":
             raise ClusterBackendError(
                 f"no shipped checkpoint for session {session!r}; cannot adopt"
             )
-        self.restore(session, capture_doc)
+        checkpoint_bytes = len(encode_frame_doc(tail[0]))
+        tail_bytes = sum(len(encode_frame_doc(doc)) for doc in tail
+                         if doc.get("k") in ("entry", "applied"))
+        entries = [doc for doc in tail if doc.get("k") == "entry"]
+        self.restore(session, tail[0]["snapshot"])
         host = self._host(session)
         replayed = deduplicated = 0
         errors: list[str] = []
-        if tail:
-            import tempfile
-
+        if entries:
             from repro.middleware.snapshot import recover_session
-            from repro.runtime.wal import WriteAheadLog
 
-            with tempfile.TemporaryDirectory(prefix="repro-adopt-") as tmp:
-                with WriteAheadLog(tmp, name="adopt", fsync=False) as scratch:
-                    scratch.land(tail)
-                    report = recover_session(
-                        scratch,
-                        session=session,
-                        apply_entry=lambda _platform, signal: self._dispatch(
-                            host, signal.payload),
-                        platform=host.platform,
-                    )
+            report = recover_session(
+                entries,
+                session=session,
+                apply_entry=lambda _platform, signal: self._dispatch(
+                    host, signal.payload),
+                platform=host.platform,
+            )
             replayed = report.replayed_entries
             deduplicated = report.deduplicated
             errors = [f"seq={seq}: {exc}" for seq, exc in report.errors]
             broker = host.platform.broker
             if broker is not None:
-                # recover_session installed a journal bound to the
-                # scratch log; the durable apply path installs the
-                # session's own journal on the next operation.
+                # recover_session installed a journal with no log; the
+                # durable apply path installs the session's own journal
+                # on the next operation.
                 broker.resources.install_effect_journal(None)
         # Re-base the local log so this worker's shipped copy covers
         # the adopted state from here on.

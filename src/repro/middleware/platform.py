@@ -839,8 +839,6 @@ class PlatformPool:
         *,
         interval: float = 1.0,
         clock: "Clock | None" = None,
-        delta: bool | None = None,
-        full_every: int = 8,
     ) -> list[Any]:
         """One :class:`~repro.middleware.snapshot.CheckpointScheduler`
         per shard platform, writing into that shard's log.
@@ -848,9 +846,7 @@ class PlatformPool:
         Each scheduler checkpoints its platform under the *platform's*
         name with ``cover_all`` — one shard snapshot embeds the state
         of every session the shard hosts, so all their truncation
-        floors advance together.  ``delta`` (default: the policy's
-        ``delta_checkpoints``) writes dirty-layer deltas between full
-        checkpoints.  On wall clocks drive ticks via
+        floors advance together.  On wall clocks drive ticks via
         :meth:`checkpoint_now`; virtual clocks self-schedule.
         """
         if not self.durability.enabled:
@@ -860,8 +856,6 @@ class PlatformPool:
             )
         from repro.middleware.snapshot import CheckpointScheduler
 
-        if delta is None:
-            delta = self.durability.delta_checkpoints
         schedulers = []
         for shard, platform in zip(self.runtime.shards, self.platforms):
             scheduler = CheckpointScheduler(
@@ -870,8 +864,6 @@ class PlatformPool:
                 clock=clock or shard.clock,
                 durability=shard.durability,
                 session=platform.name,
-                delta=delta,
-                full_every=full_every,
             )
             schedulers.append(scheduler)
         self._checkpointers.extend(schedulers)
@@ -914,12 +906,13 @@ class PlatformPool:
                 f"pool {self.name!r}: durability is off; nothing to "
                 f"recover {key!r} from"
             )
+        wal = durability.wal
         return recover_session(
-            durability.wal,
+            (doc for _position, doc in wal.replay()),
             session=key,
             apply_entry=apply_entry,
+            wal=wal,
             platform=platform,
-            checkpoint_session=platform.name,
         )
 
     def route_signal(self, signal: Any, *, key: str) -> None:

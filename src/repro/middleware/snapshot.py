@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.modeling.serialize import (
     SerializationError,
@@ -53,6 +53,7 @@ if TYPE_CHECKING:
     from repro.runtime.durability import ShardDurability
     from repro.runtime.events import EventBus
     from repro.runtime.metrics import MetricsRegistry
+    from repro.runtime.wal import WriteAheadLog
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -129,32 +130,13 @@ class SessionSnapshot:
 # -- capture ---------------------------------------------------------------
 
 
-def _layer_digest(doc: dict[str, Any]) -> int:
-    """Order-stable digest of one externalized layer doc."""
-    import zlib
-
-    return zlib.crc32(
-        json.dumps(doc, sort_keys=True, default=repr).encode("utf-8")
-    )
-
-
-def capture_snapshot(
-    platform: "Platform", *, dirty_only: bool = False
-) -> SessionSnapshot:
+def capture_snapshot(platform: "Platform") -> SessionSnapshot:
     """Externalize a platform's full mutable state.
 
     Capture is cheap enough to run on the hot path's shard thread (the
     benchmark gate holds it under 5% of E1 when idle) and must happen
     on that thread under the sharded runtime — the capture itself is
     the quiesce point.
-
-    ``dirty_only=True`` captures a *delta*: only layers whose
-    externalized doc changed since the previous digest baseline on this
-    platform (set by the last ``dirty_only`` capture, or explicitly by
-    a :class:`CheckpointScheduler` after a full checkpoint) are kept in
-    ``layers``.  The envelope (name/domain/middleware model) is always
-    full, so the result folds onto any earlier full snapshot by layer
-    union.
     """
     layers: dict[str, dict[str, Any]] = {}
     if platform.ui is not None:
@@ -165,15 +147,6 @@ def capture_snapshot(
         layers["controller"] = platform.controller.externalize()
     if platform.broker is not None:
         layers["broker"] = platform.broker.externalize()
-    if dirty_only:
-        digests = {name: _layer_digest(doc) for name, doc in layers.items()}
-        baseline = getattr(platform, "_checkpoint_digests", None) or {}
-        layers = {
-            name: doc
-            for name, doc in layers.items()
-            if baseline.get(name) != digests[name]
-        }
-        platform._checkpoint_digests = digests  # type: ignore[attr-defined]
     return SessionSnapshot(
         name=platform.name,
         domain=platform.domain,
@@ -320,8 +293,6 @@ class CheckpointScheduler(PeriodicTask):
         durability: "ShardDurability | None" = None,
         session: str | None = None,
         apply_entry: Callable[[Any, Any], Any] | None = None,
-        delta: bool = False,
-        full_every: int = 8,
     ) -> None:
         if interval <= 0:
             raise ValueError("checkpoint interval must be > 0")
@@ -335,15 +306,6 @@ class CheckpointScheduler(PeriodicTask):
         self.durability = durability
         self.session = session if session is not None else platform.name
         self.apply_entry = apply_entry
-        #: delta mode (PR 10): between full checkpoints, ticks write
-        #: dirty-layer-only delta frames (no rotation/truncation);
-        #: every ``full_every``-th tick promotes to a full checkpoint
-        #: so the truncation floor keeps advancing.
-        self.delta = bool(delta)
-        self.full_every = max(1, int(full_every))
-        self.delta_checkpoints = 0
-        self.delta_skipped = 0
-        self._ticks_since_full = 0
         self.last_snapshot: SessionSnapshot | None = None
         self.last_recovery: "RecoveryReport | None" = None
         self.checkpoints_taken = 0
@@ -358,36 +320,6 @@ class CheckpointScheduler(PeriodicTask):
 
     def tick(self) -> SessionSnapshot:
         """Take one checkpoint now (also the manual-drive entry point)."""
-        use_delta = (
-            self.delta
-            and self.last_snapshot is not None
-            and self._ticks_since_full < self.full_every
-        )
-        if use_delta:
-            delta_snapshot = capture_snapshot(self.platform, dirty_only=True)
-            self._ticks_since_full += 1
-            if delta_snapshot.layers and self.durability is not None:
-                self.durability.checkpoint(
-                    self.session, delta_snapshot.to_dict(), delta=True
-                )
-                self.delta_checkpoints += 1
-            elif not delta_snapshot.layers:
-                self.delta_skipped += 1
-            # fold onto the last full snapshot so warm supervised
-            # recovery (_on_restarted) still re-applies *every* layer —
-            # a clean layer may have drifted after a crash.
-            assert self.last_snapshot is not None
-            folded = SessionSnapshot(
-                name=delta_snapshot.name,
-                domain=delta_snapshot.domain,
-                middleware_model=delta_snapshot.middleware_model,
-                layers={**self.last_snapshot.layers, **delta_snapshot.layers},
-            )
-            self.last_snapshot = folded
-            self.checkpoints_taken += 1
-            if self.on_checkpoint is not None:
-                self.on_checkpoint(folded)
-            return folded
         snapshot = capture_snapshot(self.platform)
         if self.durability is not None:
             # Durable snapshot-then-truncate: the checkpoint frame
@@ -397,13 +329,6 @@ class CheckpointScheduler(PeriodicTask):
             self.durability.checkpoint(
                 self.session, snapshot.to_dict(), cover_all=True
             )
-        if self.delta:
-            # reset the dirty baseline to this full checkpoint.
-            self.platform._checkpoint_digests = {  # type: ignore[attr-defined]
-                name: _layer_digest(doc)
-                for name, doc in snapshot.layers.items()
-            }
-            self._ticks_since_full = 0
         self.last_snapshot = snapshot
         self.checkpoints_taken += 1
         if self.on_checkpoint is not None:
@@ -426,10 +351,12 @@ class CheckpointScheduler(PeriodicTask):
             # Exactly-once warm recovery: restore the latest durable
             # checkpoint, then replay the WAL tail with memoized
             # external effects and (trace_id, seq) dedup.
+            wal = self.durability.wal
             self.last_recovery = recover_session(
-                self.durability.wal,
+                (doc for _position, doc in wal.replay()),
                 session=self.session,
                 apply_entry=self.apply_entry,
+                wal=wal,
                 platform=self.platform,
             )
             self.recoveries += 1
@@ -458,35 +385,42 @@ class RecoveryReport:
     effects_memoized: int = 0
     effects_live: int = 0
     errors: list[tuple[int, Exception]] = field(default_factory=list)
-    journal: Any = None
 
 
 def recover_session(
-    wal: Any,
+    frames: Iterable[dict[str, Any]],
     *,
     session: str,
     apply_entry: Callable[["Platform", Any], Any],
+    wal: "WriteAheadLog | None" = None,
     platform: "Platform | None" = None,
     dsk: "DomainKnowledge | None" = None,
     bus: "EventBus | None" = None,
     clock: "Clock | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    checkpoint_session: str | None = None,
 ) -> RecoveryReport:
-    """Restore-latest-snapshot + replay-tail from a write-ahead log.
+    """Restore-latest-snapshot + replay-tail from write-ahead frames.
 
-    Scans ``wal`` for ``session``'s latest ``checkpoint`` frame and the
-    ``entry``/``applied`` frames after it, then:
+    Takes ``session``'s tail of ``frames`` (decoded frame docs in log
+    order, see :func:`~repro.runtime.wal.session_tail`): its latest
+    ``checkpoint`` frame, where a ``covers_all`` shard checkpoint counts
+    as the session's own, and the ``entry``/``applied`` frames after
+    it.  Then:
 
     1. restores the checkpoint — onto the given warm ``platform``, or
        by rebuilding one from the embedded snapshot via
-       :func:`restore_platform` (requires ``dsk``);
+       :func:`restore_platform` (requires ``dsk``).  A worker's capture
+       doc (``{domain, dsk_hash, snapshot, services}``) restores from
+       the snapshot it embeds;
     2. replays each tail entry through ``apply_entry(platform, signal)``
        with an :class:`~repro.runtime.wal.EffectJournal` installed on
        the broker, so external operations whose outcomes were recorded
        return memoized results instead of re-executing — and entries
        are deduplicated by ``(trace_id, seq)``.  Delivery is therefore
        exactly-once even though the log is written at-least-once.
+       Entries that re-execute (no seal) are sealed into ``wal``, the
+       live log the frames came from, so a second recovery memoizes
+       them; without one their seals are discarded.
 
     If the log holds no checkpoint for the session, a warm ``platform``
     is assumed to be at log-start state and the *whole* entry sequence
@@ -496,18 +430,12 @@ def recover_session(
     Entries whose replay raises are recorded in ``report.errors`` and
     recovery continues — an entry that failed identically before the
     crash must not wedge the session forever.
-
-    ``checkpoint_session`` names the log session whose checkpoint
-    frames act as this session's restore barrier — the shard-level
-    case (PR 10), where one platform hosts many sessions and the
-    :class:`CheckpointScheduler` checkpoints under the platform's name
-    with ``cover_all``.  Checkpoint frames marked ``covers_all`` are
-    honored regardless.
     """
     from repro.runtime.events import advance_signal_seq
     from repro.runtime.wal import (
         EffectJournal,
         WalError,
+        session_tail,
         signal_from_doc,
     )
 
@@ -516,36 +444,10 @@ def recover_session(
     effects: dict[int, list[list[Any]]] = {}
     applied: set[int] = set()
     max_seq = 0
-    ckpt_owner = session if checkpoint_session is None else checkpoint_session
-    for _position, doc in wal.replay():
+    for doc in session_tail(frames, session):
         kind = doc.get("k")
-        owner = str(doc.get("session", ""))
         if kind == "checkpoint":
-            if owner not in (session, ckpt_owner) and not doc.get(
-                "covers_all"
-            ):
-                continue
-        elif owner != session:
-            continue
-        if kind == "checkpoint":
-            if doc.get("delta"):
-                # Dirty-layer delta: folds onto the latest full
-                # checkpoint by layer union.  A delta with no base
-                # (base truncated away, or an imported partial tail) is
-                # skipped — the entries it covered are still in the
-                # scan and will replay instead.
-                if checkpoint_doc is None:
-                    continue
-                base = dict(checkpoint_doc["snapshot"])
-                merged = dict(base.get("layers", {}))
-                merged.update(doc["snapshot"].get("layers", {}))
-                base["layers"] = merged
-                checkpoint_doc = {**checkpoint_doc, "snapshot": base}
-            else:
-                checkpoint_doc = doc
-            entries.clear()
-            effects.clear()
-            applied.clear()
+            checkpoint_doc = doc
         elif kind == "entry":
             entries.append(doc["sig"])
             max_seq = max(max_seq, int(doc["sig"].get("seq", 0)))
@@ -573,12 +475,15 @@ def recover_session(
 
     snapshot: SessionSnapshot | None = None
     if checkpoint_doc is not None:
-        snapshot = SessionSnapshot.from_dict(checkpoint_doc["snapshot"])
+        snapshot_doc = checkpoint_doc["snapshot"]
+        if "services" in snapshot_doc or "dsk_hash" in snapshot_doc:
+            snapshot_doc = snapshot_doc.get("snapshot") or {}
+        snapshot = SessionSnapshot.from_dict(snapshot_doc)
     if platform is None:
         if snapshot is None:
             raise WalError(
-                f"no checkpoint for session {session!r} in {wal!r} and "
-                f"no warm platform to replay onto"
+                f"no checkpoint for session {session!r} and no warm "
+                f"platform to replay onto"
             )
         if dsk is None:
             raise WalError(
@@ -596,7 +501,7 @@ def recover_session(
     journal = EffectJournal(wal, session=session)
     if platform.broker is not None:
         platform.broker.resources.install_effect_journal(journal)
-    report = RecoveryReport(platform=platform, snapshot=snapshot, journal=journal)
+    report = RecoveryReport(platform=platform, snapshot=snapshot)
     seen: set[tuple[int, int]] = set()
     for sig_doc in entries:
         signal = signal_from_doc(sig_doc)

@@ -62,6 +62,7 @@ from repro.runtime.wal import (
     decode_frame_payload,
     encode_frame,
     encode_frame_doc,
+    session_tail,
     split_frames,
 )
 
@@ -515,7 +516,8 @@ class LogShipper:
     def adopt(self, dead_index: int, sessions: "set[str] | list[str]", *,
               timeout: float = 60.0) -> dict:
         """Adopt every lost session from the dead worker's shipped log
-        (then forgotten there: the adopter's copy covers it)."""
+        (then forgotten there: the adopter's copy covers it).  The copy
+        is read once; each session gets its :func:`session_tail`."""
         started = time.monotonic()
         target = self.adoption_target(dead_index)
         report: dict = {"worker": dead_index, "target": target,
@@ -525,11 +527,11 @@ class LogShipper:
             self.adoptions.append(report)
             return report
         log = self.log_for(dead_index)
+        docs = [doc for _position, doc in log.replay()]
         handle = self.cluster.handles[target]
         for key in sorted(sessions):
-            frames = log.export_session(key)
-            if not any(doc.get("k") == "checkpoint" and not doc.get("delta")
-                       for doc in frames):
+            frames = session_tail(docs, key)
+            if not frames or frames[0].get("k") != "checkpoint":
                 report["sessions"][key] = {"skipped": "no shipped checkpoint"}
                 continue
             outcome = handle.request(

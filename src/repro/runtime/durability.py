@@ -48,10 +48,7 @@ class DurabilityPolicy:
     intra-run recovery (shard and worker death), while a caller that
     wants durability across process restarts names a real directory.
 
-    ``sync_every``/``fsync`` set the group-commit cadence, and
-    ``delta_checkpoints`` lets the fabric's
-    :class:`~repro.middleware.snapshot.CheckpointScheduler` instances
-    write dirty-layer deltas between full checkpoints.
+    ``sync_every``/``fsync`` set the group-commit cadence.
     """
 
     mode: str = "wal"
@@ -59,7 +56,6 @@ class DurabilityPolicy:
     sync_every: int = 64
     fsync: bool = True
     segment_max_bytes: int = 1 << 20
-    delta_checkpoints: bool = True
     _ephemeral_root: Path | None = field(
         default=None, repr=False, compare=False
     )
@@ -183,22 +179,18 @@ class ShardDurability:
         session: str,
         snapshot_doc: dict[str, Any],
         *,
-        delta: bool = False,
         cover_all: bool = False,
     ) -> None:
         """Embed ``snapshot_doc`` as a checkpoint frame and truncate
-        what it covers (see :meth:`WriteAheadLog.checkpoint`); a full
-        one restarts the tail byte count of the sessions it covers."""
-        self.wal.checkpoint(
-            snapshot_doc, session=session, delta=delta, cover_all=cover_all
-        )
-        if not delta:
-            for name, journal in self._journals.items():
-                if cover_all or name == session:
-                    journal.tail_bytes = 0
+        what it covers (see :meth:`WriteAheadLog.checkpoint`); it
+        restarts the tail byte count of the sessions it covers."""
+        self.wal.checkpoint(snapshot_doc, session=session, cover_all=cover_all)
+        for name, journal in self._journals.items():
+            if cover_all or name == session:
+                journal.tail_bytes = 0
 
     def log_bytes(self, session: str) -> tuple[int, int]:
-        """Frame bytes logged since the session's last full checkpoint,
+        """Frame bytes logged since the session's last checkpoint,
         and that checkpoint's size: what a standby replays to adopt it."""
         journal = self._journals.get(session)
         tail = journal.tail_bytes if journal is not None else 0

@@ -47,11 +47,17 @@ resume from the store" discipline:
   outbox, and :meth:`WriteAheadLog.take_outbox` hands them over in
   write order, CRC-checked again and never decoded.
   :meth:`WriteAheadLog.land` writes such frames into a standby copy
-  unchanged, after checking every CRC again; the doc-shaped callers
-  (:meth:`WriteAheadLog.import_session`, adoption's scratch log) encode
-  at their own edge and land through the same routine.  The log lists
-  its directory once, at open, and keeps its live segment indexes in
-  memory.
+  unchanged, after checking every CRC again; the doc-shaped caller
+  (:meth:`WriteAheadLog.import_session`) encodes at its own edge and
+  lands through the same routine.  The log lists its directory once,
+  at open, and keeps its live segment indexes in memory.
+
+* Reading a log back is one loop over segments, shared by
+  :meth:`WriteAheadLog.replay` (a log this process holds open) and
+  :func:`read_log_directory` (any log directory, read-only: it opens
+  nothing for writing and repairs nothing, so callers read the
+  original).  :func:`session_tail` is the one "latest checkpoint +
+  tail" rule every recovery reader applies to the frame docs.
 
 Binary frame format (all integers big-endian)::
 
@@ -66,6 +72,7 @@ means corruption rather than interruption.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import os
 import struct
@@ -73,7 +80,7 @@ import threading
 import zlib
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.runtime.events import Call, Event, Signal, mint_call
 
@@ -122,6 +129,8 @@ __all__ = [
     "decode_frame_header",
     "decode_frame_payload",
     "split_frames",
+    "read_log_directory",
+    "session_tail",
 ]
 
 #: envelope identifying WAL segment headers (serialize.py discipline).
@@ -293,6 +302,114 @@ def split_frames(blob: bytes) -> list[bytes]:
     return frames
 
 
+def _segment_file(directory: Path, name: str, segment: int) -> Path:
+    return directory / f"{name}-{segment:08d}.log"
+
+
+def _list_logs(directory: Path) -> dict[str, list[int]]:
+    """Segment indexes per log name (``{name}-NNNNNNNN.log``) found in
+    ``directory``, ascending: one directory listing."""
+    logs: dict[str, list[int]] = {}
+    for path in directory.glob("*.log"):
+        name, _, index = path.name[:-4].rpartition("-")
+        if name and index.isdigit():
+            logs.setdefault(name, []).append(int(index))
+    for segments in logs.values():
+        segments.sort()
+    return logs
+
+
+def _segment_docs(
+    data: bytes, segment: int, *, final: bool
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(offset, doc)`` for every frame of one segment's bytes
+    after its header, whose envelope is checked.
+
+    A short or corrupt frame ends a ``final`` segment cleanly (torn
+    tail: crash mid-append); in any other segment it is damage and
+    raises :class:`WalError`.
+    """
+    from repro.modeling.serialize import SerializationError, check_envelope
+
+    end = 0
+    for offset, end in _frame_spans(data):
+        try:
+            doc = _loads(data[offset + _HEADER.size:end])
+        except ValueError as exc:
+            raise WalError(
+                f"undecodable frame in segment {segment} at "
+                f"offset {offset}: {exc}"
+            ) from exc
+        if offset == 0:
+            if doc.get("k") == "header":
+                try:
+                    check_envelope(
+                        doc,
+                        expected_format=WAL_FORMAT,
+                        max_version=WAL_VERSION,
+                    )
+                except SerializationError as exc:
+                    raise WalError(str(exc)) from exc
+                continue
+            raise WalError(
+                f"segment {segment} does not open with a "
+                f"{WAL_FORMAT!r} header frame"
+            )
+        yield offset, doc
+    if not final and end < len(data):
+        raise WalError(
+            f"corrupt frame mid-log in segment {segment} at offset {end}"
+        )
+
+
+def read_log_directory(
+    directory: str | os.PathLike[str],
+) -> dict[str, list[dict[str, Any]]]:
+    """Every log in ``directory``, read-only: log name (the segment
+    file prefix) to its frame docs in log order.
+
+    Reads with the rules of :meth:`WriteAheadLog.replay` — each
+    segment's header envelope is checked, a torn final segment ends
+    its log cleanly, and a bad frame anywhere else raises
+    :class:`WalError` — but opens nothing for writing and repairs
+    nothing, so the directory is left byte for byte as it was.
+    """
+    directory = Path(directory)
+    logs: dict[str, list[dict[str, Any]]] = {}
+    for name, segments in sorted(_list_logs(directory).items()):
+        docs = logs[name] = []
+        for segment in segments:
+            data = _segment_file(directory, name, segment).read_bytes()
+            docs.extend(
+                doc for _offset, doc in _segment_docs(
+                    data, segment, final=segment == segments[-1])
+            )
+    return logs
+
+
+def session_tail(
+    docs: Iterable[dict[str, Any]], session: str
+) -> list[dict[str, Any]]:
+    """``session``'s frames from its latest checkpoint on, in log order:
+    what recovering the session needs (every frame of the session when
+    it never checkpointed).
+
+    A ``covers_all`` checkpoint counts as the session's own: it is a
+    pool shard's platform snapshot, which embeds every session the
+    shard hosts.
+    """
+    tail: list[dict[str, Any]] = []
+    for doc in docs:
+        owner = str(doc.get("session", ""))
+        if doc.get("k") == "checkpoint" and (
+            owner == session or doc.get("covers_all")
+        ):
+            tail = [doc]
+        elif owner == session:
+            tail.append(doc)
+    return tail
+
+
 class WriteAheadLog:
     """Append-only segmented log of JSON frames for one shard.
 
@@ -344,7 +461,7 @@ class WriteAheadLog:
         # session, and every session seen appending since open.
         self._checkpoint_segment: dict[str, int] = {}
         self._active_sessions: set[str] = set()
-        #: frame bytes of each session's latest full checkpoint.
+        #: frame bytes of each session's latest checkpoint.
         self.checkpoint_bytes: dict[str, int] = {}
         self.appends = 0
         self.syncs = 0
@@ -359,7 +476,7 @@ class WriteAheadLog:
     # -- segment management -------------------------------------------
 
     def _segment_path(self, segment: int) -> Path:
-        return self.directory / f"{self.name}-{segment:08d}.log"
+        return _segment_file(self.directory, self.name, segment)
 
     def segments(self) -> list[int]:
         """Live segment indexes, ascending: listed from the directory
@@ -367,17 +484,8 @@ class WriteAheadLog:
         with self._lock:
             return list(self._segments)
 
-    def _list_directory(self) -> list[int]:
-        prefix = f"{self.name}-"
-        found = []
-        for path in self.directory.glob(f"{self.name}-*.log"):
-            stem = path.name[len(prefix):-4]
-            if stem.isdigit():
-                found.append(int(stem))
-        return sorted(found)
-
     def _open_latest(self) -> None:
-        existing = self._list_directory()
+        existing = _list_logs(self.directory).get(self.name, [])
         if not existing:
             self._start_segment(0)
             return
@@ -538,8 +646,6 @@ class WriteAheadLog:
         snapshot_doc: dict[str, Any],
         *,
         session: str = "",
-        truncate: bool = True,
-        delta: bool = False,
         cover_all: bool = False,
     ) -> WalPosition:
         """Embed a snapshot covering everything logged so far.
@@ -550,12 +656,6 @@ class WriteAheadLog:
         by several sessions only drops segments older than the oldest
         session's last checkpoint (a session that never checkpointed
         pins the whole log until it does or is :meth:`forget_session`-ed).
-
-        ``delta=True`` appends an incremental checkpoint in place: no
-        rotation, no floor advance, no truncation.  A delta only holds
-        the layers that changed since the previous checkpoint, so the
-        base (full) checkpoint and the intervening frames must survive
-        for recovery to fold them together.
 
         ``cover_all=True`` marks this checkpoint as covering *every*
         session active in the log — the shard-level snapshot case,
@@ -570,27 +670,22 @@ class WriteAheadLog:
             "snapshot": snapshot_doc,
         }
         with self._lock:
-            if delta:
-                doc["delta"] = True
-            elif cover_all:
+            if cover_all:
                 doc["covers_all"] = True
             doc["position"] = WalPosition(self._segment, self._offset).to_list()
-            if not delta:
-                self._rotate_locked()
+            self._rotate_locked()
             position = self._append_locked(doc, strict=True)
             self._sync_locked()
             self._track_locked(doc, position.segment)
-            if not delta:
-                self.checkpoint_bytes[session] = self._offset - position.offset
-                if truncate:
-                    self._truncate_locked()
+            self.checkpoint_bytes[session] = self._offset - position.offset
+            self._truncate_locked()
             return position
 
     def _track_locked(self, doc: dict[str, Any], segment: int) -> None:
         """Truncation-floor bookkeeping for a frame at ``segment``."""
         kind = doc.get("k")
         session = str(doc.get("session", ""))
-        if kind == "checkpoint" and not doc.get("delta"):
+        if kind == "checkpoint":
             self._checkpoint_segment[session] = segment
             self._active_sessions.add(session)
             if doc.get("covers_all"):
@@ -598,9 +693,7 @@ class WriteAheadLog:
                     self._checkpoint_segment[active] = segment
         elif kind in ("dropped", "closed"):
             self._forget_locked(session)
-        elif kind in ("entry", "checkpoint"):
-            # deltas ride on their full base: they must not advance
-            # the truncation floor past it.
+        elif kind == "entry":
             self._active_sessions.add(session)
 
     def _truncation_floor(self) -> int:
@@ -638,18 +731,23 @@ class WriteAheadLog:
     def export_session(self, session: str) -> list[dict[str, Any]]:
         """The session's recovery-relevant tail as raw frame docs.
 
-        Returns the latest *full* checkpoint frame (if any) followed by
-        every later frame of the session — delta checkpoints, entries,
-        seals, events — in log order.  This is exactly what a target
-        shard needs to :meth:`import_session` and recover the session
-        as if it had always lived there; earlier frames are already
-        covered by the checkpoint and stay behind.
+        Returns the session's own latest checkpoint frame (if any)
+        followed by every later frame of the session — entries, seals,
+        events — in log order.  This is exactly what a target shard
+        needs to :meth:`import_session` and recover the session as if
+        it had always lived there; earlier frames are already covered
+        by the checkpoint and stay behind.
+
+        Unlike :func:`session_tail`, a ``covers_all`` checkpoint does
+        not start the tail: it is this shard's platform snapshot, and
+        landing it in another shard's log would advance the truncation
+        floor of every session that shard hosts.
         """
         frames: list[dict[str, Any]] = []
         for _position, doc in self.replay():
             if str(doc.get("session", "")) != session:
                 continue
-            if doc.get("k") == "checkpoint" and not doc.get("delta"):
+            if doc.get("k") == "checkpoint":
                 frames = [doc]
             else:
                 frames.append(doc)
@@ -675,7 +773,7 @@ class WriteAheadLog:
         Every frame's CRC is checked, and its payload decoded for the
         truncation-floor bookkeeping, before any is written: a batch
         holding a short, corrupt or undecodable frame raises
-        :class:`WalError` and lands nothing.  A landed full checkpoint
+        :class:`WalError` and lands nothing.  A landed checkpoint
         advances its session's floor to the segment it landed in and a
         landed ``dropped``/``closed`` forgets the session (as in
         :meth:`checkpoint`); when landing rotates the log, the segments
@@ -724,7 +822,7 @@ class WriteAheadLog:
         each frame's length and CRC again in memory (:class:`WalError`
         on damage); nothing is read back or decoded.  Frames of segments
         a checkpoint has since truncated are included: harmless, since
-        adoption starts from the latest full checkpoint.
+        adoption starts from the latest checkpoint.
         """
         with self._lock:
             frames = self._outbox
@@ -751,8 +849,6 @@ class WriteAheadLog:
         yielded.  A torn tail in the *final* segment ends iteration
         cleanly; a bad frame anywhere else raises :class:`WalError`.
         """
-        from repro.modeling.serialize import SerializationError, check_envelope
-
         with self._lock:
             if self._file is not None:
                 self._file.flush()
@@ -765,41 +861,13 @@ class WriteAheadLog:
                 data = self._segment_path(segment).read_bytes()
             except FileNotFoundError:
                 continue  # truncated since the snapshot: checkpoint-covered
-            end = 0
-            for offset, end in _frame_spans(data):
-                try:
-                    doc = _loads(data[offset + _HEADER.size:end])
-                except ValueError as exc:
-                    raise WalError(
-                        f"undecodable frame in segment {segment} at "
-                        f"offset {offset}: {exc}"
-                    ) from exc
-                if offset == 0:
-                    if doc.get("k") == "header":
-                        try:
-                            check_envelope(
-                                doc,
-                                expected_format=WAL_FORMAT,
-                                max_version=WAL_VERSION,
-                            )
-                        except SerializationError as exc:
-                            raise WalError(str(exc)) from exc
-                        continue
-                    raise WalError(
-                        f"segment {segment} does not open with a "
-                        f"{WAL_FORMAT!r} header frame"
-                    )
+            for offset, doc in _segment_docs(
+                data, segment, final=segment == last
+            ):
                 position = WalPosition(segment, offset)
                 if start is not None and position < start:
                     continue
                 yield position, doc
-            # a short or corrupt frame ends the final segment (torn
-            # tail: crash mid-append); anywhere else it is damage.
-            if segment != last and end < len(data):
-                raise WalError(
-                    f"corrupt frame mid-log in segment {segment} at "
-                    f"offset {end}"
-                )
 
     def close(self) -> None:
         with self._lock:
@@ -823,6 +891,10 @@ class WriteAheadLog:
         )
 
 
+def _discard_frame(frame: bytes) -> None:
+    """The write of a journal with no log."""
+
+
 class EffectJournal:
     """Exactly-once interceptor for external resource operations.
 
@@ -844,9 +916,15 @@ class EffectJournal:
     ``error_factory(type_name, message)`` rebuilds a typed exception
     for replayed error outcomes; the broker installs one mapping its
     resource fault taxonomy (see ``ResourceManager.install_effect_journal``).
+
+    A journal with no ``wal`` discards its seals: a replay of frames
+    read from elsewhere, whose re-executed entries have no log to be
+    sealed into.
     """
 
-    def __init__(self, wal: WriteAheadLog, *, session: str = "") -> None:
+    def __init__(
+        self, wal: WriteAheadLog | None, *, session: str = ""
+    ) -> None:
         self.wal = wal
         self.session = session
         self.error_factory: Callable[[str, str], Exception] | None = None
@@ -862,13 +940,18 @@ class EffectJournal:
         self.recorded = 0
         self.replayed = 0
         #: frame bytes (entries and seals, effects included) logged
-        #: since the session's last full checkpoint, which resets it.
+        #: since the session's last checkpoint, which resets it.
         self.tail_bytes = 0
         # hot-path bindings: the per-entry writes go straight at the
         # log's lock and lean write (same module; see log_call).
-        self._wal_lock = wal._lock
-        self._wal_write = wal._write_locked
-        self._session_registered = False
+        if wal is None:
+            self._wal_lock: Any = contextlib.nullcontext()
+            self._wal_write: Callable[[bytes], None] = _discard_frame
+            self._session_registered = True
+        else:
+            self._wal_lock = wal._lock
+            self._wal_write = wal._write_locked
+            self._session_registered = False
         # Precomputed frame fragments: the per-step entry and applied
         # frames are assembled by byte concatenation around the only
         # variable parts (topic, payload, seq), which beats serializing

@@ -18,18 +18,22 @@ original seq and every logged derived node finds a distinct,
 parent-compatible replayed counterpart.  The replay may mint
 additional derived signals the fabric never routed (hence never
 logged); those are surplus, not a mismatch.
+
+Logs are read in place with
+:func:`~repro.runtime.wal.read_log_directory`, which opens nothing for
+writing, so analysis and replay leave the original directories byte
+for byte as they were; a session's replay frames come from the shared
+:func:`~repro.runtime.wal.session_tail` rule.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.runtime.trace import TraceRecord
-from repro.runtime.wal import WalError, WriteAheadLog
+from repro.runtime.wal import WalError, read_log_directory, session_tail
 
 __all__ = [
     "SliceNode",
@@ -61,75 +65,36 @@ class SliceNode:
 
 @dataclass
 class StagedLog:
-    """A throwaway copy of one write-ahead log directory.
+    """One write-ahead log's frames, read for slice analysis."""
 
-    WAL open mutates the directory (torn-tail repair, new appends), so
-    slice analysis always works on copies and leaves originals alone.
-    """
-
-    label: str  # original directory name, for reporting
-    path: Path  # copied directory
-    name: str  # segment file prefix (``{name}-NNNNNNNN.log``)
-    frames: list[dict[str, Any]] = field(default_factory=list)
-
-    def open(self) -> WriteAheadLog:
-        return WriteAheadLog(self.path, name=self.name, fsync=False)
+    label: str  # directory name (plus ``/name`` when it holds several logs)
+    frames: list[dict[str, Any]]
 
 
-def _log_names(directory: Path) -> list[str]:
-    """WAL file prefixes present in ``directory`` (usually one)."""
-    names: set[str] = set()
-    for path in directory.glob("*.log"):
-        stem = path.name[:-4]
-        prefix, _, suffix = stem.rpartition("-")
-        if prefix and suffix.isdigit():
-            names.add(prefix)
-    return sorted(names)
-
-
-def stage_logs(root: str | Path, workdir: str | Path) -> list[StagedLog]:
-    """Copy every write-ahead log found under ``root`` into ``workdir``
-    and read its frames.
+def stage_logs(root: str | Path) -> list[StagedLog]:
+    """Read every write-ahead log found under ``root``, in place.
 
     ``root`` may itself be a log directory, or a fabric root holding
     per-shard log directories (``wal-shard-NN/``, ``ship-wNN/``, or any
-    nesting of them).  Each discovered log is copied, opened tolerantly
-    (a log that fails to open is skipped with its frames empty), and
-    fully scanned.
+    nesting of them).  A directory that cannot be read (damage
+    mid-log, an unreadable segment) is skipped.
     """
     root = Path(root)
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     directories = sorted(
         {path.parent for path in root.rglob("*.log")}, key=lambda p: str(p)
     )
     staged: list[StagedLog] = []
-    for index, directory in enumerate(directories):
+    for directory in directories:
         label = (
             str(directory.relative_to(root)) if directory != root else root.name
         )
-        for name in _log_names(directory):
-            copy = workdir / f"log-{index:02d}-{name}"
-            shutil.copytree(directory, copy)
-            # one prefix per staged copy: drop segments of other logs
-            # that happened to share the directory.
-            for other in _log_names(copy):
-                if other != name:
-                    for path in copy.glob(f"{other}-*.log"):
-                        path.unlink()
-            log = StagedLog(label=label, path=copy, name=name)
-            try:
-                wal = log.open()
-            except (WalError, OSError):
-                staged.append(log)
-                continue
-            try:
-                log.frames = [doc for _position, doc in wal.replay()]
-            except WalError:
-                pass
-            finally:
-                wal.close()
-            staged.append(log)
+        try:
+            logs = read_log_directory(directory)
+        except (WalError, OSError):
+            continue
+        for name, frames in logs.items():
+            staged.append(StagedLog(
+                label if len(logs) == 1 else f"{label}/{name}", frames))
     return staged
 
 
@@ -193,34 +158,16 @@ def collect_slice(
 
 def session_replay_frames(home: StagedLog, session: str) -> list[dict]:
     """The frames a causal-slice replay of ``session`` needs, from its
-    home shard's staged log, normalized for ``recover_session``:
-
-    - checkpoints for the session (plus ``covers_all`` shard barriers),
-      with worker-backend capture wrappers unwrapped to the portable
-      ``SessionSnapshot`` doc they embed;
-    - the session's ``call`` entries and ``applied`` seals.  Routed
-      ``event`` entries are observability frames (written by
-      ``route_signal``, never re-applied as ops) and are dropped.
+    home shard's log: the session's :func:`session_tail` (its latest
+    checkpoint, a ``covers_all`` shard checkpoint included, then its
+    frames) without routed ``event`` entries, which are observability
+    frames (written by ``route_signal``, never re-applied as ops).
     """
-    frames: list[dict] = []
-    for doc in home.frames:
-        kind = doc.get("k")
-        owner = str(doc.get("session", ""))
-        if kind == "checkpoint":
-            if owner != session and not doc.get("covers_all"):
-                continue
-            snapshot = doc.get("snapshot") or {}
-            if "services" in snapshot or "dsk_hash" in snapshot:
-                doc = {**doc, "snapshot": snapshot.get("snapshot") or {}}
-            frames.append(doc)
-        elif owner != session:
-            continue
-        elif kind == "entry":
-            if (doc.get("sig") or {}).get("kind") == "call":
-                frames.append(doc)
-        else:
-            frames.append(doc)
-    return frames
+    return [
+        doc for doc in session_tail(home.frames, session)
+        if doc.get("k") != "entry"
+        or (doc.get("sig") or {}).get("kind") == "call"
+    ]
 
 
 # -- structural comparison --------------------------------------------
@@ -327,8 +274,3 @@ def render_slice(nodes: list[SliceNode]) -> str:
     walk(None, 0)
     return "\n".join(lines)
 
-
-def staging_dir() -> Path:
-    """A fresh temp directory for :func:`stage_logs` copies; caller
-    removes it when done."""
-    return Path(tempfile.mkdtemp(prefix="repro-walslice-"))

@@ -119,3 +119,148 @@ class TestRunCml:
         )
         assert main(["run-cml", str(scenario), "--teardown"]) == 0
         assert "close_session" in capsys.readouterr().out
+
+
+# -- trace --replay over the logs the fabric writes ---------------------------
+
+_COMM_OPS = [
+    {"op": "api", "api": "ncb.open_session", "args": {"connection": "c1"}},
+    {"op": "api", "api": "ncb.add_party",
+     "args": {"connection": "c1", "party": "alice"}},
+    {"op": "api", "api": "ncb.add_party",
+     "args": {"connection": "c1", "party": "bob"}},
+]
+
+
+def _pool_log(root):
+    """A one-shard durable pool: open, shard checkpoint (``covers_all``,
+    under the platform's name), two more steps.  Returns the session."""
+    from repro.domains.communication.cvm import build_cvm
+    from repro.middleware.platform import PlatformPool
+    from repro.runtime.durability import DurabilityPolicy
+    from repro.sim.network import CommService
+
+    pool = PlatformPool(
+        lambda shard: build_cvm(
+            service=CommService("net0", op_cost=0.0), bus=shard.bus,
+            clock=shard.clock, metrics=shard.metrics,
+        ),
+        name="trace-pool", shards=1, inline=True,
+        durability=DurabilityPolicy(log_root=str(root), fsync=False),
+    )
+    pool.start()
+    try:
+        pool.attach_cluster(
+            None, apply=lambda platform, key, doc: platform.broker.call_api(
+                doc["api"], **doc.get("args", {})))
+        pool.build_checkpoints(interval=3600.0)
+        for index, doc in enumerate(_COMM_OPS):
+            pool.submit_doc("conn-1", doc)
+            pool.drain()
+            if index == 0:
+                pool.checkpoint_now()
+    finally:
+        pool.stop()
+    return "conn-1"
+
+
+def _worker_backend(root):
+    """A durable worker backend that ran the ops on one session."""
+    from repro.middleware.cluster import RegistryBackend
+    from repro.runtime.durability import DurabilityPolicy
+
+    backend = RegistryBackend(
+        durability=DurabilityPolicy(log_root=str(root), fsync=False))
+    backend.worker_id = 0
+    backend.enable_durability()
+    backend.open("w-1", {"domain": "communication", "autonomic": False})
+    for doc in _COMM_OPS:
+        backend.apply("w-1", doc)
+    return backend
+
+
+def _worker_log(root):
+    backend = _worker_backend(root)
+    backend.shutdown()
+    return "w-1"
+
+
+def _standby_copy(root):
+    """The worker's frames shipped into a coordinator standby copy."""
+    from types import SimpleNamespace
+
+    from repro.runtime.cluster import LogShipper
+
+    backend = _worker_backend(root.parent / "worker")
+    shipper = LogShipper(SimpleNamespace(handles=[]), root / "standby")
+    try:
+        assert shipper.receive(0, backend.ship_tail())
+    finally:
+        shipper.close()
+        backend.shutdown()
+    return "w-1"
+
+
+def _log_dir(root):
+    """The one directory holding segment files under ``root``."""
+    directories = {path.parent for path in root.rglob("*.log")}
+    assert len(directories) == 1, directories
+    return directories.pop()
+
+
+def _hashes(directory):
+    import hashlib
+
+    return {
+        path: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.rglob("*") if path.is_file()
+    }
+
+
+def _last_entry_trace(directory, session):
+    from repro.runtime.wal import read_log_directory
+
+    return max(
+        doc["sig"]["trace_id"]
+        for docs in read_log_directory(directory).values()
+        for doc in docs
+        if doc["k"] == "entry" and doc["session"] == session
+    )
+
+
+_WRITERS = {"pool": _pool_log, "worker": _worker_log,
+            "standby": _standby_copy}
+
+
+class TestTraceReplay:
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_plain_replay_reads_the_log_in_place(self, writer, tmp_path,
+                                                 capsys):
+        session = _WRITERS[writer](tmp_path / "logs")
+        directory = _log_dir(tmp_path / "logs")
+        before = _hashes(directory)
+        code = main(["trace", "--replay", str(directory),
+                     "--session", session])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "1 checkpoints" in out
+        # the pool checkpointed after the first op: two entries follow
+        expected = 2 if writer == "pool" else len(_COMM_OPS)
+        assert f"replayed {expected} entries" in out
+        assert ", 0 errors" in out
+        assert _hashes(directory) == before
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_slice_replay_reads_the_logs_in_place(self, writer, tmp_path,
+                                                  capsys):
+        session = _WRITERS[writer](tmp_path / "logs")
+        root = tmp_path / "logs"
+        trace_id = _last_entry_trace(_log_dir(root), session)
+        before = _hashes(root)
+        code = main(["trace", "--replay", str(root), "--slice",
+                     "--trace-id", str(trace_id)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "slice reproduced exactly" in out
+        assert ", 0 errors" in out
+        assert _hashes(root) == before

@@ -734,6 +734,65 @@ class TestLogShipper:
                 backend.shutdown()
             shipper.close()
 
+    def test_adoption_reads_the_standby_copy_once(self, tmp_path,
+                                                  monkeypatch):
+        """Adopting K sessions reads each segment of the dead worker's
+        standby copy once, not once per session, and hands each session
+        its own checkpoint and tail."""
+        from concurrent.futures import Future
+
+        from repro.runtime.cluster import LogShipper
+        from repro.runtime.faults import InvocationOutcome
+
+        cluster = _fake_cluster((True, 0), (True, 0))
+        requests = []
+
+        def request(op, key, doc, **extra):
+            requests.append((op, key, extra["frames"]))
+            future = Future()
+            future.set_result(InvocationOutcome(
+                InvocationOutcome.OK, value={"adopted": key}))
+            return future
+
+        cluster.handles[1].request = request
+        shipper = LogShipper(cluster, tmp_path / "ship")
+        sessions = ["s1", "s2", "s3", "s4"]
+        try:
+            docs = []
+            for key in sessions:
+                docs += [{"k": "checkpoint", "session": key,
+                          "snapshot": {"domain": "d"}},
+                         {**_ENTRY, "session": key}]
+            standby = shipper.log_for(0)
+            standby.segment_max_bytes = 128  # a few frames per segment
+            assert shipper.receive(
+                0, _shipped_frames(tmp_path / "source", *docs))
+            segments = [standby._segment_path(index)
+                        for index in standby.segments()]
+            assert len(segments) >= 3
+
+            reads = []
+            read_bytes = wal_module.Path.read_bytes
+
+            def counted(path):
+                if path.parent == standby.directory:
+                    reads.append(path)
+                return read_bytes(path)
+
+            monkeypatch.setattr(wal_module.Path, "read_bytes", counted)
+            report = shipper.adopt(0, sessions)
+            monkeypatch.undo()
+
+            assert sorted(reads) == sorted(segments)
+            assert [key for _op, key, _frames in requests] == sessions
+            for op, key, frames in requests:
+                assert op == "adopt"
+                assert [doc["k"] for doc in frames] == ["checkpoint", "entry"]
+                assert {doc["session"] for doc in frames} == {key}
+            assert sorted(report["sessions"]) == sessions
+        finally:
+            shipper.close()
+
     def test_adoption_target_prefers_live_standby(self, tmp_path):
         from repro.runtime.cluster import LogShipper
 

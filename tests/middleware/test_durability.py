@@ -80,6 +80,14 @@ def open_wal(tmp_path, **kwargs):
     return WriteAheadLog(tmp_path / "wal", **kwargs)
 
 
+def recover(wal, **kwargs):
+    """Recover SESSION from ``wal``'s frames, sealing into ``wal``."""
+    return recover_session(
+        [doc for _pos, doc in wal.replay()], session=SESSION,
+        apply_entry=apply_entry, wal=wal, **kwargs,
+    )
+
+
 def execute(durability, platform, doc):
     """One durable entry for ``platform``'s session: write-ahead,
     apply with the effect journal installed, seal."""
@@ -119,9 +127,7 @@ class TestDurableSession:
         platform.stop()  # the kill
 
         reopened = open_wal(tmp_path)
-        report = recover_session(
-            reopened, session=SESSION, apply_entry=apply_entry, dsk=dsk
-        )
+        report = recover(reopened, dsk=dsk)
         # the tail entry replayed with memoized effects: the external
         # world was not touched a second time
         assert service.op_log == log_at_kill
@@ -150,9 +156,7 @@ class TestDurableSession:
 
         for _round in range(2):
             reopened = open_wal(tmp_path)
-            report = recover_session(
-                reopened, session=SESSION, apply_entry=apply_entry, dsk=dsk
-            )
+            report = recover(reopened, dsk=dsk)
             report.platform.stop()
             reopened.close()
             assert service.op_log == log_at_kill
@@ -177,15 +181,52 @@ class TestDurableSession:
         platform.stop()
 
         reopened = open_wal(tmp_path)
-        report = recover_session(
-            reopened, session=SESSION, apply_entry=apply_entry, dsk=dsk
-        )
+        report = recover(reopened, dsk=dsk)
         report.platform.stop()
         reopened.close()
         assert report.replayed_entries == 1
         assert report.effects_memoized == 0
         assert report.effects_live > 0  # re-executed for real
         assert len(service.op_log) > len(log_at_kill)
+
+        # the re-execution was sealed into the log it was read from, so
+        # a second recovery memoizes it instead of running it again
+        log_after_first = list(service.op_log)
+        reopened = open_wal(tmp_path)
+        again = recover(reopened, dsk=dsk)
+        again.platform.stop()
+        reopened.close()
+        assert again.effects_live == 0
+        assert again.effects_memoized == report.effects_live
+        assert service.op_log == log_after_first
+
+    def test_capture_doc_checkpoint_restores_its_snapshot(self, tmp_path):
+        """A worker checkpoints its portable capture doc (snapshot,
+        exported services, DSK hash); recovery restores the snapshot it
+        embeds and replays the tail memoized."""
+        service, dsk, platform = fresh_session()
+        wal = open_wal(tmp_path)
+        durable = ShardDurability(wal)
+        docs = entry_docs()
+        execute(durable, platform, docs[0])
+        durable.checkpoint(SESSION, {
+            "domain": "communication", "dsk_hash": "h", "services": {},
+            "snapshot": capture_snapshot(platform).to_dict(),
+        })
+        execute(durable, platform, docs[1])
+        log_at_kill = list(service.op_log)
+        wal.close()
+        platform.stop()
+
+        reopened = open_wal(tmp_path)
+        report = recover(reopened, dsk=dsk)
+        report.platform.stop()
+        reopened.close()
+        assert report.snapshot.name == platform.name
+        assert report.replayed_entries == 1
+        assert report.effects_memoized > 0
+        assert report.errors == []
+        assert service.op_log == log_at_kill
 
     def test_duplicate_entries_deduplicated(self, tmp_path):
         _service, dsk, platform = fresh_session()
@@ -202,9 +243,7 @@ class TestDurableSession:
         platform.stop()
 
         reopened = open_wal(tmp_path)
-        report = recover_session(
-            reopened, session=SESSION, apply_entry=apply_entry, dsk=dsk
-        )
+        report = recover(reopened, dsk=dsk)
         report.platform.stop()
         reopened.close()
         assert report.replayed_entries == 1
@@ -227,9 +266,7 @@ class TestDurableSession:
         platform.stop()
 
         reopened = open_wal(tmp_path)
-        report = recover_session(
-            reopened, session=SESSION, apply_entry=apply_entry, dsk=dsk
-        )
+        report = recover(reopened, dsk=dsk)
         report.platform.stop()
         reopened.close()
         # the bad entry fails identically on replay but does not wedge
@@ -241,9 +278,7 @@ class TestDurableSession:
     def test_recovery_without_checkpoint_needs_warm_platform(self, tmp_path):
         wal = open_wal(tmp_path)
         with pytest.raises(WalError, match="no checkpoint"):
-            recover_session(
-                wal, session=SESSION, apply_entry=apply_entry
-            )
+            recover(wal)
         wal.close()
 
     def test_cold_recovery_without_dsk_rejected(self, tmp_path):
@@ -255,9 +290,7 @@ class TestDurableSession:
         platform.stop()
         reopened = open_wal(tmp_path)
         with pytest.raises(WalError, match="DSK"):
-            recover_session(
-                reopened, session=SESSION, apply_entry=apply_entry
-            )
+            recover(reopened)
         reopened.close()
 
 
@@ -296,9 +329,7 @@ class TestLegacyEffectFrames:
             else:
                 legacy.append(doc)
 
-        report = recover_session(
-            legacy, session=SESSION, apply_entry=apply_entry, dsk=dsk
-        )
+        report = recover(legacy, dsk=dsk)
         report.platform.stop()
         legacy.close()
         assert service.op_log == log_at_kill  # memoized, not re-executed

@@ -457,49 +457,6 @@ class TestEmitProtocol:
             # emission without an entry signal neither crashes nor logs.
 
 
-class TestDeltaCheckpoints:
-    def test_full_then_delta_then_full_cadence(self):
-        with make_pool(shards=1, inline=True) as pool:
-            pool.attach_cluster(None, apply=_apply_doc)
-            key = "delta-key"
-            schedulers = pool.build_checkpoints(
-                interval=3600.0, delta=True, full_every=2
-            )
-            pool.submit_doc(key, _api("ncb.open_session", connection="c1"))
-            pool.drain()
-            pool.checkpoint_now()  # full (first tick)
-            pool.submit_doc(
-                key, _api("ncb.add_party", connection="c1", party="alice")
-            )
-            pool.drain()
-            pool.checkpoint_now()  # delta (dirty layers since the full)
-            scheduler = schedulers[0]
-            assert scheduler.checkpoints_taken == 2
-            assert scheduler.delta_checkpoints == 1
-            frames = _wal_frames(pool, key)
-            checkpoints = [doc for doc in frames if doc["k"] == "checkpoint"]
-            fulls = [doc for doc in checkpoints if not doc.get("delta")]
-            deltas = [doc for doc in checkpoints if doc.get("delta")]
-            assert len(fulls) == 1 and len(deltas) == 1
-            assert fulls[0].get("covers_all")
-            assert not deltas[0].get("covers_all")
-
-    def test_clean_tick_skips_the_delta_frame(self):
-        with make_pool(shards=1, inline=True) as pool:
-            pool.attach_cluster(None, apply=_apply_doc)
-            schedulers = pool.build_checkpoints(
-                interval=3600.0, delta=True, full_every=8
-            )
-            pool.submit_doc(
-                "skip-key", _api("ncb.open_session", connection="c1")
-            )
-            pool.drain()
-            pool.checkpoint_now()  # full
-            pool.checkpoint_now()  # nothing dirtied since
-            assert schedulers[0].delta_skipped == 1
-            assert schedulers[0].delta_checkpoints == 0
-
-
 class TestPoolRecovery:
     def test_restarted_pool_replays_session_tail(self, tmp_path):
         from repro.runtime.durability import DurabilityPolicy
@@ -547,4 +504,44 @@ class TestPoolRecovery:
             # sim state ships separately — see RegistryBackend.adopt's
             # portable capture docs — which is why the worker fabric,
             # not this in-process path, re-executes effects.)
+            assert recovered.broker.state.get("session:c1") is not None
+
+    def test_recovers_from_the_shards_covers_all_checkpoint(self, tmp_path):
+        """A pool checkpoint is one platform snapshot, written under the
+        platform's name and marked ``covers_all``; a session's recovery
+        restores it and replays only the session's entries after it."""
+        from repro.runtime.durability import DurabilityPolicy
+
+        key = "phoenix"
+
+        def policy():
+            return DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path / "pool-wal"), fsync=False
+            )
+
+        def apply(platform, signal):
+            return _apply_doc(platform, key, signal.payload)
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            pool.attach_cluster(None, apply=_apply_doc)
+            pool.build_checkpoints(interval=3600.0)
+            pool.submit_doc(key, _api("ncb.open_session", connection="c1"))
+            pool.drain()
+            pool.checkpoint_now()
+            for party in ("alice", "bob"):
+                pool.submit_doc(key, _api(
+                    "ncb.add_party", connection="c1", party=party))
+            pool.drain()
+            checkpoints = [doc for doc in _wal_frames(pool, key)
+                           if doc["k"] == "checkpoint"]
+            assert len(checkpoints) == 1
+            assert checkpoints[0].get("covers_all")
+            assert checkpoints[0]["session"] == pool.platform_for(key).name
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            report = pool.recover_session(key, apply_entry=apply)
+            assert report.snapshot is not None
+            assert report.replayed_entries == 2  # the two add_party steps
+            assert not report.errors
+            recovered = pool.platform_for(key)
             assert recovered.broker.state.get("session:c1") is not None

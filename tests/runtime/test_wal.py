@@ -2,7 +2,8 @@
 
 Covers the binary frame format (length prefix + CRC-32), the versioned
 segment header envelope, torn-tail repair on reopen, segment rotation
-and snapshot-then-truncate compaction, and the
+and snapshot-then-truncate compaction, the read-only directory reader
+and the session-tail rule, and the
 :class:`~repro.runtime.wal.EffectJournal` exactly-once contract: live
 effect memoization into the ``applied`` seal, replay without touching
 the callable, typed error reconstruction, and divergence detection.
@@ -23,6 +24,8 @@ from repro.runtime.wal import (
     WalReplayDivergence,
     WriteAheadLog,
     encode_frame_doc,
+    read_log_directory,
+    session_tail,
     signal_from_doc,
     signal_to_doc,
 )
@@ -123,6 +126,8 @@ class TestCrashRecoveryRules:
         with open(path, "ab") as handle:
             handle.write(b"\x00\x00")  # not even a whole header
         assert [d["k"] for d in frames(wal)] == ["kept"]
+        read = read_log_directory(wal.directory)
+        assert [d["k"] for d in read["wal"]] == ["kept"]
         wal.close()
 
     def test_corruption_mid_log_raises(self, tmp_path):
@@ -137,6 +142,8 @@ class TestCrashRecoveryRules:
         raw = bytearray(path.read_bytes())
         raw[-2] ^= 0xFF
         path.write_bytes(bytes(raw))
+        with pytest.raises(WalError, match="corrupt frame mid-log"):
+            read_log_directory(wal.directory)
         # reopen rebuilds truncation bookkeeping by replaying the log,
         # so the corruption is refused at open time already
         with pytest.raises(WalError, match="corrupt frame mid-log"):
@@ -153,6 +160,8 @@ class TestCrashRecoveryRules:
             _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         )
         with pytest.raises(WalError, match="version"):
+            read_log_directory(wal.directory)
+        with pytest.raises(WalError, match="version"):
             open_wal(tmp_path)
 
     def test_missing_header_frame_rejected(self, tmp_path):
@@ -164,7 +173,59 @@ class TestCrashRecoveryRules:
             _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         )
         with pytest.raises(WalError, match="header frame"):
+            read_log_directory(wal.directory)
+        with pytest.raises(WalError, match="header frame"):
             open_wal(tmp_path)
+
+
+class TestReadingBack:
+    def test_reader_finds_every_log_and_changes_nothing(self, tmp_path):
+        directory = tmp_path / "wal"
+        one = WriteAheadLog(directory, name="shard-00", fsync=False,
+                            segment_max_bytes=64)
+        for i in range(4):
+            one.append({"k": "entry", "session": "s", "i": i})
+        one.close()
+        two = WriteAheadLog(directory, name="ship-w01", fsync=False)
+        two.append({"k": "applied", "session": "t"})
+        two.close()
+        with open(two._segment_path(0), "ab") as handle:
+            handle.write(_HEADER.pack(1000, 0) + b"torn")
+        before = {path: path.read_bytes() for path in directory.iterdir()}
+
+        logs = read_log_directory(directory)
+
+        assert sorted(logs) == ["shard-00", "ship-w01"]
+        assert len(one.segments()) > 1
+        assert [d["i"] for d in logs["shard-00"]] == [0, 1, 2, 3]
+        assert [d["k"] for d in logs["ship-w01"]] == ["applied"]
+        after = {path: path.read_bytes() for path in directory.iterdir()}
+        assert after == before  # no repair, no new segment
+
+    def test_session_tail_starts_at_the_latest_checkpoint(self):
+        docs = [
+            {"k": "entry", "session": "s", "n": 1},
+            {"k": "checkpoint", "session": "s", "n": 2},
+            {"k": "entry", "session": "s", "n": 3},
+            {"k": "entry", "session": "other", "n": 4},
+            {"k": "checkpoint", "session": "other", "n": 5},
+            {"k": "applied", "session": "s", "n": 6},
+        ]
+        assert [d["n"] for d in session_tail(docs, "s")] == [2, 3, 6]
+        assert [d["n"] for d in session_tail(docs, "other")] == [5]
+        assert [d["n"] for d in session_tail(docs[:1], "s")] == [1]
+        assert session_tail(docs, "nobody") == []
+
+    def test_covers_all_checkpoint_counts_as_every_sessions_own(self):
+        docs = [
+            {"k": "checkpoint", "session": "s", "n": 1},
+            {"k": "entry", "session": "s", "n": 2},
+            {"k": "checkpoint", "session": "shard", "covers_all": True,
+             "n": 3},
+            {"k": "entry", "session": "s", "n": 4},
+        ]
+        assert [d["n"] for d in session_tail(docs, "s")] == [3, 4]
+        assert [d["n"] for d in session_tail(docs, "fresh")] == [3]
 
 
 class TestSegmentsAndTruncation:
@@ -228,10 +289,11 @@ class TestSegmentsAndTruncation:
         wal = open_wal(tmp_path)
         laggard = Signal(topic="t", payload={}, origin="lag")
         wal.append_entry(laggard, session="lag")
-        wal.checkpoint({"state": 1}, session="fast", truncate=False)
+        wal.checkpoint({"state": 1}, session="fast")
+        assert wal.truncated_segments == 0  # "lag" pins segment 0
         wal.close()
         reopened = open_wal(tmp_path)
-        assert reopened.truncate() == 0  # "lag" still pins segment 0
+        assert reopened.truncate() == 0  # ... and still does after reopen
         reopened.forget_session("lag")
         assert reopened.truncate() == 1
         reopened.close()
@@ -458,6 +520,17 @@ class TestEffectJournal:
         ) == ("go", {"k": 1})
         assert wal.appends == 0  # pass-through logs nothing
         wal.close()
+
+    def test_journal_without_a_log_discards_its_seals(self):
+        journal = EffectJournal(None, session="s")
+        entry = journal.log_call("t", {})
+        assert journal.around("res.op", lambda: 7) == 7
+        journal.end_entry()
+        assert journal.recorded == 1
+        journal.begin_entry(entry)
+        assert journal.around("res.op", lambda: 8) == 8  # live redo
+        journal.end_entry()
+        assert journal.recorded == 2
 
     def test_unserializable_payload_rejected_at_log_call(self, tmp_path):
         wal = open_wal(tmp_path)

@@ -74,8 +74,7 @@ def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
         wal.append_entry(signal, session=session)
         wal.seal_entry(session=session, entry_seq=signal.seq)
         standby.land(wal.take_outbox())
-        wal.checkpoint({"cycle": cycle}, session=session,
-                       delta=cycle % 2 == 1)
+        wal.checkpoint({"cycle": cycle}, session=session)
         standby.land(wal.take_outbox())
     wal.checkpoint({"all": True}, session="shard", cover_all=True)
     standby.land(wal.take_outbox())
@@ -130,11 +129,9 @@ class SegmentBookkeeping(RuleBasedStateMachine):
         self.wal.seal_entry(session=session, entry_seq=signal.seq)
 
     @rule(session=_SESSIONS,
-          kind=st.sampled_from(["full", "delta", "cover_all"]),
-          truncate=st.booleans())
-    def checkpoint(self, session, kind, truncate):
+          kind=st.sampled_from(["full", "cover_all"]))
+    def checkpoint(self, session, kind):
         self.wal.checkpoint({"pad": "y" * 64}, session=session,
-                            truncate=truncate, delta=kind == "delta",
                             cover_all=kind == "cover_all")
 
     @rule(session=_SESSIONS,

@@ -2,8 +2,8 @@
 
 These tests build small synthetic log fabrics (hand-written entry and
 checkpoint frames appended through the real :class:`WriteAheadLog`
-framing) and exercise staging, census, slice collection, replay-frame
-normalization, and the structural verifier without spawning any
+framing) and exercise reading, census, slice collection, replay-frame
+selection, and the structural verifier without spawning any
 processes.
 """
 
@@ -20,7 +20,6 @@ from repro.runtime.walslice import (
     render_slice,
     session_replay_frames,
     stage_logs,
-    staging_dir,
     trace_census,
     verify_slice,
 )
@@ -78,52 +77,53 @@ def fabric(tmp_path):
 
 
 class TestStageLogs:
-    def test_discovers_every_log_under_root(self, fabric, tmp_path):
-        staged = stage_logs(fabric, tmp_path / "work")
+    def test_discovers_every_log_under_root(self, fabric):
+        staged = stage_logs(fabric)
         assert sorted(log.label for log in staged) == [
             "ship-w00", "wal-shard-00", "wal-shard-01",
         ]
         for log in staged:
             assert log.frames, f"{log.label} staged with no frames"
 
-    def test_originals_left_untouched(self, fabric, tmp_path):
+    def test_originals_left_untouched(self, fabric):
+        """Reading leaves the directory byte-identical: no torn-tail
+        repair, no new segment, no file added or removed."""
+        torn = fabric / "wal-shard-01" / "shard-01-00000000.log"
+        with open(torn, "ab") as handle:
+            handle.write(b"\x00\x00\x01")  # a crash mid-append
         before = {
-            path: path.read_bytes() for path in fabric.rglob("*.log")
+            path: path.read_bytes() for path in fabric.rglob("*")
+            if path.is_file()
         }
-        stage_logs(fabric, tmp_path / "work")
-        after = {path: path.read_bytes() for path in fabric.rglob("*.log")}
+        staged = stage_logs(fabric)
+        after = {
+            path: path.read_bytes() for path in fabric.rglob("*")
+            if path.is_file()
+        }
         assert before == after
+        assert [len(log.frames) for log in staged
+                if log.label == "wal-shard-01"] == [3]
 
     def test_shared_directory_splits_by_prefix(self, tmp_path):
         shared = tmp_path / "logs"
         _write_log(shared, "one", [_entry("a", seq=1, trace_id=1)])
         _write_log(shared, "two", [_entry("b", seq=2, trace_id=2),
                                    _entry("b", seq=3, trace_id=2)])
-        staged = stage_logs(shared, tmp_path / "work")
-        frames = {log.name: len(log.frames) for log in staged}
-        assert frames == {"one": 1, "two": 2}
+        staged = stage_logs(shared)
+        frames = {log.label: len(log.frames) for log in staged}
+        assert frames == {"logs/one": 1, "logs/two": 2}
 
     def test_root_may_be_a_single_log_directory(self, tmp_path):
         single = tmp_path / "only"
         _write_log(single, "only", [_entry("a", seq=1, trace_id=1)])
-        staged = stage_logs(single, tmp_path / "work")
+        staged = stage_logs(single)
         assert len(staged) == 1
         assert staged[0].label == "only"
-
-    def test_staging_dir_is_fresh(self):
-        first = staging_dir()
-        second = staging_dir()
-        try:
-            assert first != second
-            assert first.is_dir() and second.is_dir()
-        finally:
-            first.rmdir()
-            second.rmdir()
 
 
 class TestCensusAndCollect:
     def test_census_counts_nodes_and_logs(self, fabric, tmp_path):
-        staged = stage_logs(fabric, tmp_path / "work")
+        staged = stage_logs(fabric)
         census = trace_census(staged)
         # trace 7 spans shard 0 (plus its shipped copy) and shard 1;
         # the duplicated root frame counts once.
@@ -132,7 +132,7 @@ class TestCensusAndCollect:
         assert census[9] == {"nodes": 1, "logs": 1}
 
     def test_collect_slice_dedupes_and_orders(self, fabric, tmp_path):
-        staged = stage_logs(fabric, tmp_path / "work")
+        staged = stage_logs(fabric)
         nodes = collect_slice(staged, 7)
         assert [node.seq for node in nodes] == [1, 2]
         assert nodes[0].session == "alpha"
@@ -140,7 +140,7 @@ class TestCensusAndCollect:
         assert collect_slice(staged, 999) == []
 
     def test_non_entry_frames_ignored(self, fabric, tmp_path):
-        staged = stage_logs(fabric, tmp_path / "work")
+        staged = stage_logs(fabric)
         seqs = {node.seq for trace in (7, 9)
                 for node in collect_slice(staged, trace)}
         assert seqs == {1, 2, 5}  # "applied" seals never become nodes
@@ -148,9 +148,7 @@ class TestCensusAndCollect:
 
 class TestSessionReplayFrames:
     def _staged(self, frames):
-        log = StagedLog(label="home", path=None, name="home")
-        log.frames = frames
-        return log
+        return StagedLog(label="home", frames=frames)
 
     def test_keeps_calls_and_seals_drops_events(self):
         home = self._staged([
@@ -165,17 +163,6 @@ class TestSessionReplayFrames:
                  for doc in frames]
         assert kinds == [("entry", "call"), ("applied", None)]
 
-    def test_unwraps_capture_doc_checkpoints(self):
-        inner = {"name": "p", "layers": {}}
-        home = self._staged([
-            {"k": "checkpoint", "session": "s1",
-             "snapshot": {"domain": "communication", "dsk_hash": "x",
-                          "services": {}, "snapshot": inner}},
-            _entry("s1", seq=1, trace_id=1),
-        ])
-        frames = session_replay_frames(home, "s1")
-        assert frames[0]["snapshot"] == inner
-
     def test_plain_checkpoints_pass_through(self):
         inner = {"name": "p", "layers": {}}
         home = self._staged([
@@ -185,14 +172,19 @@ class TestSessionReplayFrames:
 
     def test_covers_all_checkpoint_kept_for_any_session(self):
         home = self._staged([
+            _entry("s1", seq=1, trace_id=1),
             {"k": "checkpoint", "session": "other", "covers_all": True,
              "snapshot": {"name": "p", "layers": {}}},
             {"k": "checkpoint", "session": "other",
              "snapshot": {"name": "p", "layers": {}}},
+            _entry("s1", seq=2, trace_id=2),
         ])
         frames = session_replay_frames(home, "s1")
-        assert len(frames) == 1
+        # the tail starts at the shard checkpoint: the entry before it
+        # is covered, the entry after it replays.
+        assert [doc["k"] for doc in frames] == ["checkpoint", "entry"]
         assert frames[0]["covers_all"]
+        assert frames[1]["sig"]["seq"] == 2
 
 
 def _node(seq, *, trace_id=7, parent_seq=None, kind="call",
