@@ -11,9 +11,9 @@ Four sections, correctness gated before speed is reported:
   throughput at 4 workers vs 1.
 * **migration** — each of the four shipped domains' two-phase session
   is live-migrated *across the process boundary* between the phases
-  (quiesce -> capture -> restore on the other worker -> drop), and
-  must finish with an op_log byte-identical to the uninterrupted
-  in-process golden run.
+  (hold -> ``drop`` at the source, whose reply is its capture ->
+  ``adopt`` on the other worker), and must finish with an op_log
+  byte-identical to the uninterrupted in-process golden run.
 * **fault** — one worker is SIGKILLed mid-workload: every in-flight
   future must resolve with a *typed* REJECTED outcome
   (``ShedReason.WORKER_DEAD``), never hang or leak a raw

@@ -317,6 +317,7 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
     from repro.runtime.clock import VirtualClock
     from repro.runtime.durability import DurabilityPolicy
     from repro.runtime.trace import TraceRecorder
+    from repro.runtime.wal import session_tail
     from repro.sim.network import CommService
 
     root = Path(tempfile.mkdtemp(prefix="bench-walslice-")) / "walroot"
@@ -397,7 +398,7 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
             )
             with TraceRecorder() as recorder:
                 report = recover_session(
-                    walslice.session_replay_frames(home, session),
+                    session_tail(home.frames, session),
                     session=session,
                     apply_entry=apply_entry,
                     dsk=case.knowledge(case.service()),

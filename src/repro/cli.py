@@ -577,6 +577,7 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.runtime import walslice
+    from repro.runtime.wal import session_tail
 
     root = Path(args.replay)
     if not root.is_dir():
@@ -652,8 +653,7 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
     )
     print(f"\nhome log of session {session!r}: {home.label}")
     recorder = _replay_tail(
-        walslice.session_replay_frames(home, session), session,
-        limit=args.limit,
+        session_tail(home.frames, session), session, limit=args.limit,
     )
     if isinstance(recorder, int):
         return recorder

@@ -11,11 +11,13 @@ qualifies as-is).  A cold worker can therefore rebuild a full platform
 for any registered domain from a portable capture doc containing nothing
 but the session snapshot, exported service state, and the ``DSK_HASH``: the
 registry supplies the DSK, and :func:`restore_platform` re-realizes the
-platform with the worker's shared generated module installed.
+platform with the worker's shared generated module installed.  The doc
+arrives in ``adopt``'s checkpoint frame: a source's ``drop`` reply, or a
+dead worker's shipped tail.
 
 The shipped hash is checked against one recomputed from the rebuilt
 platform's live rules/actions/metamodel; a mismatch means the registry's
-DSK diverged from the one the capture came from, and the restore is
+DSK diverged from the one the capture came from, and the adoption is
 refused rather than silently resumed on different semantics.
 """
 
@@ -100,9 +102,9 @@ class RegistryBackend:
     """Worker-protocol backend hosting one platform per session.
 
     Implements the contract documented in :mod:`repro.runtime.cluster`:
-    ``open`` / ``apply`` / ``capture`` / ``restore`` / ``drop`` /
-    ``close`` / ``describe``, plus the optional ``configure`` hook the
-    worker calls with the coordinator's options dict.
+    ``open`` / ``apply`` / ``drop`` / ``adopt`` / ``close`` /
+    ``describe``, plus the optional ``configure`` hook the worker calls
+    with the coordinator's options dict.
     """
 
     def __init__(self, registry: DskRegistry | None = None, *,
@@ -241,19 +243,16 @@ class RegistryBackend:
     def _session_id(host: _SessionHost, connection: str) -> str:
         return host.platform.broker.state.get(f"session:{connection}")
 
-    # -- migration / recovery ----------------------------------------------
+    # -- moves ---------------------------------------------------------------
 
-    def capture(self, session: str) -> dict:
+    def _capture_host(self, host: _SessionHost) -> dict:
         """Portable capture: snapshot + exported service state + DSK hash.
 
         Platform snapshots deliberately exclude the simulated resources
-        (the DSK supplies them), so cross-process migration ships the
-        services' exported state — including the op_log, the correctness
-        witness — alongside the snapshot.
+        (the DSK supplies them), so the capture carries the services'
+        exported state — including the op_log, the correctness witness —
+        alongside the snapshot.
         """
-        return self._capture_host(self._host(session))
-
-    def _capture_host(self, host: _SessionHost) -> dict:
         return {
             "domain": host.entry.name,
             "dsk_hash": platform_dsk_hash(host.platform),
@@ -271,13 +270,11 @@ class RegistryBackend:
             self.durability.checkpoint(
                 session, self._capture_host(self._host(session)))
 
-    def restore(self, session: str, doc: dict) -> dict:
+    def restore(self, session: str, doc: dict) -> None:
+        """:meth:`adopt`'s rebuild from a capture doc, refusing a DSK hash
+        mismatch; the traced perfbench backend hooks it by name."""
         from repro.middleware.snapshot import SessionSnapshot, restore_platform
 
-        if session in self.sessions:
-            raise ClusterBackendError(
-                f"session {session!r} already open; cannot restore over it"
-            )
         entry = self.registry.get(doc["domain"])
         service = entry.service()
         dsk = entry.knowledge(service)
@@ -298,26 +295,23 @@ class RegistryBackend:
                 f"from {shipped!r}, registry rebuilt {live_hash!r}"
             )
         self.sessions[session] = _SessionHost(entry, service, dsk, platform)
-        self._checkpoint_session(session)
-        return {"restored": session, "dsk_hash": live_hash,
-                "worker": self.worker_id}
 
     def drop(self, session: str) -> dict:
-        """Forget a session after it migrated out (no workload effects)."""
-        host = self.sessions.pop(session, None)
-        if host is not None and host.platform.started:
-            host.platform.stop()
-        self._forget_durable(session, "dropped")
-        return {"dropped": session}
+        """Forget a session that moves out, returning its portable
+        capture (the doc its checkpoints embed) for the target's
+        ``adopt``.  No workload effects."""
+        capture = self._capture_host(self._host(session))
+        self._release(session, "dropped")
+        return capture
 
     def close(self, session: str) -> dict:
+        self._release(session, "closed")
+        return {"closed": session}
+
+    def _release(self, session: str, kind: str) -> None:
         host = self.sessions.pop(session, None)
         if host is not None and host.platform.started:
             host.platform.stop()
-        self._forget_durable(session, "closed")
-        return {"closed": session}
-
-    def _forget_durable(self, session: str, kind: str) -> None:
         durability = self.durability
         if durability is not None:
             durability.log_event(kind, session)
@@ -343,20 +337,20 @@ class RegistryBackend:
         return durability.wal.take_outbox()
 
     def adopt(self, session: str, frames: list) -> dict:
-        """Adopt a session lost with its worker, from shipped WAL frames.
+        """Rebuild a moved or lost session from WAL frame docs.
 
-        Restores the latest shipped checkpoint (a portable capture doc:
-        snapshot + exported service state + DSK hash), then replays the
-        shipped entry tail *live* through
+        Restores the latest checkpoint (a portable capture doc: a
+        source's ``drop`` reply on a move, the head of the dead worker's
+        shipped tail after a death), then replays the tail's entries
+        *live* through
         :func:`~repro.middleware.snapshot.recover_session` —
         ``applied`` frames are deliberately dropped so external effects
         re-execute against the rebuilt services (the originals died
         with the worker), while ``(trace_id, seq)`` dedup still
         squelches double-delivered entries.  The replay has no log to
-        seal into: the re-checkpoint that follows covers it.
-        Idempotent: adopting an already-open session is a no-op, so a
-        second adoption attempt (coordinator retry, racing supervisors)
-        cannot double-apply.
+        seal into: the one checkpoint written after it covers it.
+        Adopting an already-open session changes nothing and replies
+        ``already``, so a second attempt cannot double-apply.
         The report's ``tail_bytes``/``checkpoint_bytes`` are the frame
         sizes the checkpoint cadence compares (:meth:`describe`).
         """

@@ -774,9 +774,11 @@ class PlatformPool:
         :meth:`ShardedRuntime.transfer` whose target is ``worker``.
 
         The owning shard runs ``capture(platform)`` (the session's
-        transportable doc: snapshot + service state), ``worker``
-        restores it, and routing re-points so :meth:`submit_doc` goes
-        remote.
+        portable capture doc: snapshot + service state + DSK hash),
+        ``worker`` adopts it through
+        :meth:`~repro.runtime.cluster.ProcessCluster.adopt` as a lone
+        checkpoint frame, and routing re-points so :meth:`submit_doc`
+        goes remote.
         """
         if self._cluster is None:
             raise PlatformError(
@@ -787,8 +789,9 @@ class PlatformPool:
             key,
             self._cluster_owners.setdefault(worker, _ClusterOwner()),
             capture=lambda: capture(self.platforms[current_shard().index]),
-            restore=lambda _owner, doc: self._cluster.restore_session(
-                key, doc, worker=worker, timeout=timeout
+            restore=lambda _owner, doc: self._cluster.adopt(
+                key, [{"k": "checkpoint", "session": key, "snapshot": doc}],
+                worker=worker, timeout=timeout,
             ),
             timeout=timeout,
         )

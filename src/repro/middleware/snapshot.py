@@ -173,6 +173,14 @@ def _apply_layer_docs(
         platform.ui.restore_external(layers["ui"])
 
 
+def _check_domain(platform: "Platform", snapshot: SessionSnapshot) -> None:
+    if snapshot.domain != platform.domain:
+        raise ExternalizeError(
+            f"snapshot of domain {snapshot.domain!r} cannot restore a "
+            f"{platform.domain!r} platform"
+        )
+
+
 def apply_snapshot(platform: "Platform", snapshot: SessionSnapshot) -> "Platform":
     """Apply a snapshot's layer state onto a compatible platform.
 
@@ -189,11 +197,7 @@ def apply_snapshot(platform: "Platform", snapshot: SessionSnapshot) -> "Platform
     route into a half-restored session and instead retry from the
     snapshot.
     """
-    if snapshot.domain != platform.domain:
-        raise ExternalizeError(
-            f"snapshot of domain {snapshot.domain!r} cannot restore a "
-            f"{platform.domain!r} platform"
-        )
+    _check_domain(platform, snapshot)
     if not platform.started:
         raise ExternalizeError(
             f"platform {platform.name!r} must be started before restore "
@@ -242,7 +246,8 @@ def restore_platform(
 
     The generated (Tier-3) tables are reinstalled *after* the snapshot
     is applied when restore re-installed dynamic broker actions, so
-    they always match the fully restored DSK.
+    they always match the fully restored DSK.  No rollback snapshot is
+    taken: a platform that fails here is torn down.
     """
     from repro.middleware.loader import load_platform
     from repro.middleware.metamodel import middleware_metamodel
@@ -253,9 +258,10 @@ def restore_platform(
         model, dsk, bus=bus, clock=clock, metrics=metrics, start=True
     )
     try:
-        restored = apply_snapshot(platform, snapshot)
-        install_generated(restored)
-        return restored
+        _check_domain(platform, snapshot)
+        _apply_layer_docs(platform, snapshot.layers)
+        install_generated(platform)
+        return platform
     except Exception:
         # Never leak a started half-restored platform: tear it down so
         # its bus subscriptions and resources are released before the
@@ -412,9 +418,11 @@ def recover_session(
        :func:`restore_platform` (requires ``dsk``).  A worker's capture
        doc (``{domain, dsk_hash, snapshot, services}``) restores from
        the snapshot it embeds;
-    2. replays each tail entry through ``apply_entry(platform, signal)``
-       with an :class:`~repro.runtime.wal.EffectJournal` installed on
-       the broker, so external operations whose outcomes were recorded
+    2. replays each tail ``call`` entry (never a routed ``event``,
+       which only records a delivery) through
+       ``apply_entry(platform, signal)`` with an
+       :class:`~repro.runtime.wal.EffectJournal` installed on the
+       broker, so external operations whose outcomes were recorded
        return memoized results instead of re-executing — and entries
        are deduplicated by ``(trace_id, seq)``.  Delivery is therefore
        exactly-once even though the log is written at-least-once.
@@ -449,8 +457,10 @@ def recover_session(
         if kind == "checkpoint":
             checkpoint_doc = doc
         elif kind == "entry":
-            entries.append(doc["sig"])
-            max_seq = max(max_seq, int(doc["sig"].get("seq", 0)))
+            sig = doc["sig"]
+            max_seq = max(max_seq, int(sig.get("seq", 0)))
+            if sig.get("kind") == "call":
+                entries.append(sig)
         elif kind == "applied":
             seq = int(doc["entry_seq"])
             applied.add(seq)

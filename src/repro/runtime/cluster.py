@@ -16,11 +16,12 @@ object with::
 
     open(session, doc)      -> value      # build session state
     apply(session, doc)     -> value      # run one operation
-    capture(session)        -> doc        # portable snapshot (migration)
-    restore(session, doc)   -> value      # rebuild from a captured doc
-    drop(session)           -> value      # forget after migrate-out
+    drop(session)           -> capture    # forget; return the portable doc
+    adopt(session, frames)  -> value      # rebuild from checkpoint + tail
     close(session)          -> value      # orderly teardown
     describe(session)       -> doc        # introspection (op_log etc.)
+
+A session arrives only by ``open``, or by ``adopt`` when moved or lost.
 
 Worker death is a first-class event: every pending future on a dead
 worker's socket resolves immediately with a typed REJECTED
@@ -184,22 +185,14 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
                 reply["value"] = backend.apply(session, doc)
             elif op == "open":
                 reply["value"] = backend.open(session, doc)
-            elif op == "capture":
-                reply["value"] = backend.capture(session)
-            elif op == "restore":
-                reply["value"] = backend.restore(session, doc)
+            elif op == "adopt":
+                reply["value"] = backend.adopt(session, frame.get("frames"))
             elif op == "drop":
                 reply["value"] = backend.drop(session)
             elif op == "close":
                 reply["value"] = backend.close(session)
             elif op == "describe":
                 reply["value"] = backend.describe(session)
-            elif op == "adopt":
-                adopt = getattr(backend, "adopt", None)
-                if adopt is None:
-                    raise ClusterError(
-                        "backend does not support session adoption")
-                reply["value"] = adopt(session, frame.get("frames") or [])
             elif op == "ping":
                 reply["value"] = {"pong": True, "worker": worker_id,
                                   "pid": os.getpid()}
@@ -428,10 +421,10 @@ class LogShipper:
     per worker (:meth:`stats`), beside the frames and bytes landed.  On
     ``WORKER_DEAD``, :meth:`adopt` replays each lost session's shipped
     tail (latest checkpoint frame + later entries) into a surviving
-    worker through the backend's idempotent ``adopt`` op, re-pointing
-    the coordinator's routes.  Operations that died unshipped were also
-    unacknowledged — their futures resolved REJECTED — so the caller's
-    resubmit keeps delivery exactly-once.
+    worker through :meth:`ProcessCluster.adopt`, the call a live move
+    uses, re-pointing the coordinator's routes.  Operations that died
+    unshipped were also unacknowledged — their futures resolved
+    REJECTED — so the caller's resubmit keeps delivery exactly-once.
     """
 
     def __init__(self, cluster: "ProcessCluster",
@@ -501,25 +494,13 @@ class LogShipper:
 
     # -- adoption ----------------------------------------------------------
 
-    def adoption_target(self, dead_index: int) -> int | None:
-        """The worker that adopts: the configured standby when it is
-        alive, otherwise the least-loaded surviving worker."""
-        handles = self.cluster.handles
-        if (self.standby is not None and self.standby != dead_index
-                and handles[self.standby].alive):
-            return self.standby
-        alive = [h for h in handles if h.alive and h.index != dead_index]
-        if not alive:
-            return None
-        return min(alive, key=lambda h: (h.depth, h.index)).index
-
     def adopt(self, dead_index: int, sessions: "set[str] | list[str]", *,
               timeout: float = 60.0) -> dict:
         """Adopt every lost session from the dead worker's shipped log
         (then forgotten there: the adopter's copy covers it).  The copy
         is read once; each session gets its :func:`session_tail`."""
         started = time.monotonic()
-        target = self.adoption_target(dead_index)
+        target = self.cluster.adoption_target(dead_index)
         report: dict = {"worker": dead_index, "target": target,
                         "sessions": {}}
         if target is None:
@@ -528,21 +509,18 @@ class LogShipper:
             return report
         log = self.log_for(dead_index)
         docs = [doc for _position, doc in log.replay()]
-        handle = self.cluster.handles[target]
         for key in sorted(sessions):
             frames = session_tail(docs, key)
             if not frames or frames[0].get("k") != "checkpoint":
                 report["sessions"][key] = {"skipped": "no shipped checkpoint"}
                 continue
-            outcome = handle.request(
-                "adopt", key, None, frames=frames).result(timeout)
-            if outcome.status == InvocationOutcome.OK:
-                self.cluster.router.point(key, handle)
-                handle.sessions.add(key)
-                log.forget_session(key)
-                report["sessions"][key] = outcome.value
-            else:
-                report["sessions"][key] = {"error": str(outcome.error)}
+            try:
+                report["sessions"][key] = self.cluster.adopt(
+                    key, frames, worker=target, timeout=timeout)
+            except Exception as exc:  # reported per session
+                report["sessions"][key] = {"error": str(exc)}
+                continue
+            log.forget_session(key)
         report["adopt_ms"] = (time.monotonic() - started) * 1e3
         self.adoptions.append(report)
         return report
@@ -715,25 +693,6 @@ class ProcessCluster:
         outcome = self.submit(key, doc).result(timeout)
         return outcome.unwrap()
 
-    def capture(self, key: str, timeout: float = 60.0) -> dict:
-        return self.router.owner(key).request(
-            "capture", key).result(timeout).unwrap()
-
-    def restore_session(self, key: str, doc: dict, *,
-                        worker: int | None = None,
-                        timeout: float = 60.0):
-        """Cold-restore ``key`` on ``worker`` from a captured doc (snapshot +
-        DSK hash); the worker rebuilds the platform via its DSK registry.
-
-        Routing re-points to ``worker`` only once the restore succeeded:
-        a failed restore leaves the session reachable where it was."""
-        handle = (self.router.owner(key) if worker is None
-                  else self.handles[worker])
-        result = handle.request("restore", key, doc).result(timeout).unwrap()
-        self.router.point(key, handle)
-        handle.sessions.add(key)
-        return result
-
     def close_session(self, key: str, timeout: float = 60.0):
         handle = self.router.owner(key)
         outcome = handle.request("close", key).result(timeout)
@@ -748,29 +707,67 @@ class ProcessCluster:
     def ping(self, index: int, timeout: float = 10.0) -> dict:
         return self.handles[index].request("ping", "").result(timeout).unwrap()
 
-    # -- live migration ----------------------------------------------------
+    # -- moves and adoption ------------------------------------------------
+
+    def adoption_target(self, *lost: int) -> int | None:
+        """The adopter for sessions of the workers in ``lost``: a live
+        standby outside them, else the least-loaded other live worker."""
+        alive = [h for h in self.handles if h.alive and h.index not in lost]
+        standby = self.shipper.standby if self.shipper is not None else None
+        if any(h.index == standby for h in alive):
+            return standby
+        if not alive:
+            return None
+        return min(alive, key=lambda h: (h.depth, h.index)).index
+
+    def adopt(self, key: str, frames: list[dict], *, worker: int,
+              timeout: float = 60.0) -> dict:
+        """Adopt ``key`` on ``worker`` from decoded WAL frame docs (a
+        capture checkpoint, then any later entries) and route it there.
+        Raises, leaving the route as it was, if the worker refuses,
+        dies or already hosts ``key``."""
+        handle = self.handles[worker]
+        value = handle.request("adopt", key, None, frames=frames).result(
+            timeout).unwrap()
+        if value.get("already"):
+            raise ClusterError(
+                f"worker {worker} already hosts session {key!r}")
+        self.router.point(key, handle)
+        handle.sessions.add(key)
+        return value
 
     def migrate(self, key: str, to_worker: int, *, timeout: float = 30.0):
-        """Live-migrate ``key`` to worker ``to_worker``: one
-        :meth:`SessionRouter.transfer` over worker requests (capture
-        behind the source's queued operations, restore on the target,
-        drop at the source).  Returns the captured doc, or None when
-        ``key`` already lives on ``to_worker``."""
+        """Move ``key`` to worker ``to_worker`` as a planned adoption: a
+        :meth:`SessionRouter.transfer` that drops it at the source (the
+        reply is its capture) and hands that to :meth:`adopt` on the
+        target.  On failure the capture is adopted back on the source, or
+        with it dead on :meth:`adoption_target`'s pick, before held work
+        flushes.  Returns the capture, or None if ``key`` is already
+        there."""
 
-        def restore(target: _WorkerHandle, doc: dict) -> dict:
-            target.request("restore", key, doc).result(timeout).unwrap()
-            target.sessions.add(key)
-            return doc
-
-        def release(source: _WorkerHandle, _target: _WorkerHandle) -> None:
-            source.request("drop", key).result(timeout)
+        def drop(source: _WorkerHandle) -> tuple[_WorkerHandle, list[dict]]:
+            capture = source.request("drop", key).result(timeout).unwrap()
             source.sessions.discard(key)
+            return source, [{"k": "checkpoint", "session": key,
+                             "snapshot": capture}]
+
+        def adopt(target: _WorkerHandle, dropped: tuple) -> dict:
+            source, frames = dropped
+            try:
+                self.adopt(key, frames, worker=target.index, timeout=timeout)
+            except Exception as refused:
+                home = (source.index if source.alive
+                        else self.adoption_target(source.index, target.index))
+                if home is None:
+                    raise ClusterError(f"session {key!r} lost: no worker "
+                                       f"left to adopt it") from refused
+                self.adopt(key, frames, worker=home, timeout=timeout)
+                raise
+            return frames[0]["snapshot"]
 
         return self.router.transfer(
-            key, self.handles[to_worker],
-            capture=lambda source: source.request(
-                "capture", key).result(timeout).unwrap(),
-            restore=restore, release=release)
+            key, self.handles[to_worker], capture=drop, restore=adopt,
+            release=lambda _source, _target: None)
 
     # -- supervision -------------------------------------------------------
 
@@ -912,8 +909,9 @@ class ClusterRebalancer(ShardRebalancer):
     apply loop; only the load read differs.  The load signal is the
     coordinator's own per-worker depth (pending futures + the backlog
     every reply frame reports), and the loop's ``migrate`` is
-    :meth:`ProcessCluster.migrate` — quiesce, portable capture,
-    restore, drop — instead of an in-process shard hop.
+    :meth:`ProcessCluster.migrate` — hold, ``drop`` at the source
+    returning the session's capture, ``adopt`` on the target — instead
+    of an in-process shard hop.
     """
 
     def __init__(self, cluster: ProcessCluster, *,

@@ -394,7 +394,8 @@ class SessionRouter:
         6. The held submissions flush to the owner in arrival order.
 
         If a step before the re-point fails, the route stays unchanged
-        and held work flushes back to the source.  Transports differ
+        (unless the failed restore re-homed the session itself) and
+        held work flushes to the owner it names.  Transports differ
         only in how they run capture, restore and release.  Returns
         restore's result, or None when ``key`` already lives on
         ``target``.

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.runtime.trace import TraceRecord
-from repro.runtime.wal import WalError, read_log_directory, session_tail
+from repro.runtime.wal import WalError, read_log_directory
 
 __all__ = [
     "SliceNode",
@@ -42,7 +42,6 @@ __all__ = [
     "collect_slice",
     "dag_label",
     "render_slice",
-    "session_replay_frames",
     "stage_logs",
     "trace_census",
     "verify_slice",
@@ -154,20 +153,6 @@ def collect_slice(
         if node.trace_id == trace_id and node.seq not in by_seq:
             by_seq[node.seq] = node
     return [by_seq[seq] for seq in sorted(by_seq)]
-
-
-def session_replay_frames(home: StagedLog, session: str) -> list[dict]:
-    """The frames a causal-slice replay of ``session`` needs, from its
-    home shard's log: the session's :func:`session_tail` (its latest
-    checkpoint, a ``covers_all`` shard checkpoint included, then its
-    frames) without routed ``event`` entries, which are observability
-    frames (written by ``route_signal``, never re-applied as ops).
-    """
-    return [
-        doc for doc in session_tail(home.frames, session)
-        if doc.get("k") != "entry"
-        or (doc.get("sig") or {}).get("kind") == "call"
-    ]
 
 
 # -- structural comparison --------------------------------------------

@@ -347,12 +347,18 @@ class TestShipAdopt:
         assert "other" not in shipped.adopter.sessions
 
     def test_adoption_rebases_the_local_log(self, shipped):
-        """Adopt re-checkpoints into the adopter's own WAL, so the
-        adopter's shipped copy covers the session from here on."""
-        shipped.adopter.adopt("s1", shipped.frames)
+        """Adopt checkpoints once into the adopter's own WAL, after the
+        replay, so the adopter's shipped copy covers the session from
+        here on."""
+        report = shipped.adopter.adopt("s1", shipped.frames)
+        assert report["replayed"] == len(OPS)
         tail = _ship(shipped.adopter)
-        assert any(doc["k"] == "checkpoint" and doc["session"] == "s1"
-                   for doc in tail)
+        assert [(doc["k"], doc["session"]) for doc in tail] == [
+            ("checkpoint", "s1")]
+        services = tail[0]["snapshot"]["services"]
+        assert {name: len(state["op_log"]) for name, state in
+                services.items()} == {name: len(log) for name, log in
+                                      shipped.golden.items()}
 
 
 class TestBackendDurabilityModes:
@@ -561,12 +567,16 @@ def _segment_frames(wal):
 
 
 def _fake_cluster(*handles):
+    """An unstarted ProcessCluster over stand-in worker handles."""
+    from repro.runtime.cluster import ProcessCluster
     from repro.runtime.sharded import SessionRouter
 
-    handles = [SimpleNamespace(index=i, alive=alive, depth=depth,
-                               sessions=set())
-               for i, (alive, depth) in enumerate(handles)]
-    return SimpleNamespace(handles=handles, router=SessionRouter(handles))
+    cluster = ProcessCluster(len(handles), backend="unused:backend")
+    cluster.handles = [SimpleNamespace(index=i, alive=alive, depth=depth,
+                                       sessions=set())
+                       for i, (alive, depth) in enumerate(handles)]
+    cluster.router = SessionRouter(cluster.handles)
+    return cluster
 
 
 class TestLogShipper:
@@ -794,20 +804,18 @@ class TestLogShipper:
             shipper.close()
 
     def test_adoption_target_prefers_live_standby(self, tmp_path):
-        from repro.runtime.cluster import LogShipper
-
         cluster = _fake_cluster((True, 9), (True, 0), (True, 3))
-        shipper = LogShipper(cluster, tmp_path, standby=0)
-        assert shipper.adoption_target(dead_index=2) == 0
-        assert shipper.adoption_target(dead_index=0) == 1  # least loaded
+        shipper = cluster.build_shipper(tmp_path, standby=0)
+        assert cluster.adoption_target(2) == 0
+        assert cluster.adoption_target(0) == 1  # least loaded
+        assert cluster.adoption_target(0, 1) == 2  # both excluded
         shipper.close()
 
     def test_adoption_target_falls_back_when_standby_dead(self, tmp_path):
-        from repro.runtime.cluster import LogShipper
-
         cluster = _fake_cluster((False, 0), (True, 5), (True, 2))
-        shipper = LogShipper(cluster, tmp_path, standby=0)
-        assert shipper.adoption_target(dead_index=1) == 2
+        shipper = cluster.build_shipper(tmp_path, standby=0)
+        assert cluster.adoption_target(1) == 2
+        assert cluster.adoption_target(1, 2) is None
         shipper.close()
 
     def test_no_survivor_reports_error(self, tmp_path):

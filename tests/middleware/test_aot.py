@@ -231,6 +231,8 @@ class TestEveryPlatformRunsGeneratedCode:
             deployment.stop()
 
     def test_worker_open_restore_and_adopt(self, tmp_path):
+        """Sessions opened, moved in (a lone capture checkpoint) and
+        adopted from a shipped tail all share one generated module."""
         from repro.middleware.cluster import RegistryBackend
         from repro.runtime.durability import DurabilityPolicy
         from repro.runtime.wal import decode_frame
@@ -251,13 +253,15 @@ class TestEveryPlatformRunsGeneratedCode:
             source.open("s2", doc)
             source.apply("s1", {"op": "api", "api": "ncb.open_session",
                                 "args": {"connection": "c1"}})
-            source.restore("s3", source.capture("s1"))
+            source.adopt("s3", [{"k": "checkpoint", "session": "s3",
+                                 "snapshot": source.drop("s2")}])
             adopter.adopt("s1", [decode_frame(frame)
                                  for frame in source.ship_tail()])
             codes = {_generated_code(host.platform)
                      for backend in backends
                      for host in backend.sessions.values()}
             assert len(codes) == 1
+            assert sorted(source.sessions) == ["s1", "s3"]
             assert sorted(adopter.sessions) == ["s1"]
         finally:
             for backend in backends:

@@ -19,6 +19,11 @@ def backend():
         target.close(session)
 
 
+def _checkpoint(session, capture):
+    """The lone checkpoint frame a live move hands ``adopt``."""
+    return [{"k": "checkpoint", "session": session, "snapshot": capture}]
+
+
 def _comm_workload(target, session):
     target.apply(session, {"op": "api", "api": "ncb.open_session",
                            "args": {"connection": "c1"}})
@@ -93,14 +98,14 @@ class TestRegistryBackend:
         backend.open("s1", {"domain": "communication", "autonomic": False})
         _comm_workload(backend, "s1")
         mid_log = backend.describe("s1")["op_logs"]["net0"]
-        doc = backend.capture("s1")
+        doc = backend.drop("s1")
         assert doc["domain"] == "communication"
         assert doc["dsk_hash"]
         assert doc["services"]["net0"]["op_log"] == mid_log
-
-        backend.drop("s1")
         assert "s1" not in backend.sessions
-        backend.restore("s1", doc)
+
+        report = backend.adopt("s1", _checkpoint("s1", doc))
+        assert report["replayed"] == 0 and report["errors"] == []
         assert backend.describe("s1")["op_logs"]["net0"] == mid_log
         # The restored session keeps working (state, not just logs).
         backend.apply("s1", {"op": "api", "api": "ncb.add_party",
@@ -109,11 +114,10 @@ class TestRegistryBackend:
 
     def test_restore_refuses_hash_mismatch(self, backend):
         backend.open("s1", {"domain": "communication"})
-        doc = backend.capture("s1")
-        backend.drop("s1")
+        doc = backend.drop("s1")
         doc["dsk_hash"] = "0" * 64
         with pytest.raises(ClusterBackendError, match="hash mismatch"):
-            backend.restore("s1", doc)
+            backend.adopt("s1", _checkpoint("s1", doc))
         assert "s1" not in backend.sessions
 
     def test_run_model_op(self, backend):
@@ -139,9 +143,7 @@ class TestRegistryBackend:
                 "op": "run_model", "model": model_to_dict(case.phase1()),
             })
             before = backend.describe(key)["op_logs"]
-            doc = backend.capture(key)
-            backend.drop(key)
-            backend.restore(key, doc)
+            backend.adopt(key, _checkpoint(key, backend.drop(key)))
             assert backend.describe(key)["op_logs"] == before
 
     def test_configure_sets_worker_id(self):

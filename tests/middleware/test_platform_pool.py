@@ -545,3 +545,35 @@ class TestPoolRecovery:
             assert not report.errors
             recovered = pool.platform_for(key)
             assert recovered.broker.state.get("session:c1") is not None
+
+    def test_routed_events_are_not_replayed(self, tmp_path):
+        """``route_signal`` logs a routed event in the target shard's
+        log; recovering the target replays its own ``call`` entry and
+        never that event (which used to fail: ``unknown durable entry
+        op None``)."""
+        from repro.middleware.platform import apply_entry
+        from repro.runtime.durability import DurabilityPolicy
+
+        with make_pool(shards=2, inline=True, durability=DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path), fsync=False)) as pool:
+            pool.attach_cluster(None, apply=_apply_doc)
+            target, sender = _distinct_shard_keys(pool)
+            pool.submit_doc(target, _api("ncb.open_session", connection="t"))
+            pool.drain()
+            pool.submit_doc(sender, {
+                **_api("ncb.open_session", connection="s"),
+                "emit": [{"topic": "t.x", "key": target}],
+            })
+            pool.drain()
+            logged = [doc["sig"]["kind"] for doc in _wal_frames(pool, target)
+                      if doc["k"] == "entry" and doc["session"] == target]
+            assert logged == ["call", "event"]
+            replayed = []
+
+            def apply(platform, signal):
+                replayed.append(signal.payload)
+                return apply_entry(platform, signal)
+
+            report = pool.recover_session(target, apply_entry=apply)
+            assert report.errors == []
+            assert replayed == [_api("ncb.open_session", connection="t")]

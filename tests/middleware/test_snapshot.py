@@ -132,6 +132,33 @@ class TestColdRestore:
         finally:
             restored.stop()
 
+    def test_cold_restore_takes_no_rollback_capture(self, monkeypatch):
+        """A platform ``restore_platform`` just built has nothing to roll
+        back to: the layer docs apply without a rollback snapshot, and a
+        refused snapshot tears the new platform down."""
+        import repro.middleware.loader as loader
+        import repro.middleware.snapshot as snapshot_module
+
+        _service, dsk, platform = fresh_session()
+        platform.run_model(conference_model())
+        snapshot = platform.checkpoint()
+        platform.stop()
+        captures, built = [], []
+        capture = snapshot_module.capture_snapshot
+        monkeypatch.setattr(snapshot_module, "capture_snapshot",
+                            lambda p: captures.append(p) or capture(p))
+        load = loader.load_platform
+        monkeypatch.setattr(loader, "load_platform",
+                            lambda *a, **k: built.append(load(*a, **k))
+                            or built[-1])
+
+        restore_platform(snapshot, dsk).stop()
+        assert captures == []
+        snapshot.domain = "microgrid"
+        with pytest.raises(ExternalizeError, match="domain"):
+            restore_platform(snapshot, dsk)
+        assert len(built) == 2 and not built[1].started
+
 
 class TestApplySnapshot:
     def test_reverts_in_place_mutation(self):

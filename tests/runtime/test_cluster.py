@@ -101,13 +101,13 @@ class TestProcessCluster:
         cluster.call(key, {"add": 10})
         source = cluster.worker_for(key)
         target = 1 - source
-        snapshot = cluster.migrate(key, target)
-        assert snapshot["ops"] == [10]
+        capture = cluster.migrate(key, target)
+        assert capture["ops"] == [10]
         assert cluster.worker_for(key) == target
         # State continued across the process boundary.
         assert cluster.call(key, {"add": 5}) == {"total": 15}
         assert cluster.describe(key)["ops"] == [10, 5]
-        # The source genuinely dropped it: migrating back restores anew.
+        # The source genuinely dropped it: migrating back adopts anew.
         cluster.migrate(key, source)
         assert cluster.worker_for(key) == source
         assert cluster.call(key, {"add": 1}) == {"total": 16}
@@ -115,12 +115,14 @@ class TestProcessCluster:
 
     def test_failed_restore_keeps_the_session_on_its_source(self, cluster):
         # Regression: the route used to re-point at the target before
-        # the restore, so a refused restore stranded the session.
+        # the restore, so a refused restore stranded the session.  The
+        # source dropped it, so it comes back by adopting the capture.
         key = "s-fail-restore"
-        cluster.open_session(key, {"fail_restore": True}).result(30).unwrap()
-        cluster.call(key, {"add": 3})
         source = cluster.worker_for(key)
-        with pytest.raises(RemoteWorkerError, match="restore refused"):
+        cluster.open_session(key, {"refuse_on": 1 - source}).result(
+            30).unwrap()
+        cluster.call(key, {"add": 3})
+        with pytest.raises(RemoteWorkerError, match="adopt refused"):
             cluster.migrate(key, 1 - source)
         assert cluster.worker_for(key) == source
         assert key in cluster.handles[source].sessions
@@ -230,14 +232,17 @@ class TestWorkerDeath:
             assert c.stats()["deaths"] == 1
 
     def test_restore_after_restart(self):
+        """A capture taken before a worker died rebuilds the session on
+        the respawned worker through ``adopt``."""
         with ProcessCluster(1, backend=ECHO_SPEC, name="test-restore") as c:
             c.start()
             c.open_session("r1", {}).result(30).unwrap()
             c.call("r1", {"add": 4})
-            snapshot = c.capture("r1")
+            capture = c.handles[0].request("drop", "r1").result(30).unwrap()
             c.kill_worker(0)
             assert c.wait_worker(0, timeout=30)
-            c.restore_session("r1", snapshot, worker=0)
+            c.adopt("r1", [{"k": "checkpoint", "session": "r1",
+                            "snapshot": capture}], worker=0)
             assert c.call("r1", {"add": 1}) == {"total": 5}
 
 
@@ -280,10 +285,16 @@ class TestClusterIngress:
 
 
 class EchoBackend:
-    """Minimal in-worker backend: per-session op list + running total."""
+    """Minimal in-worker backend: per-session op list + running total.
+    A session opened with ``{"refuse_on": N}`` refuses adoption on
+    worker N."""
 
     def __init__(self):
         self.sessions = {}
+        self.worker_id = -1
+
+    def configure(self, worker_id, options):
+        self.worker_id = worker_id
 
     def open(self, session, doc):
         self.sessions[session] = {"ops": [], "meta": dict(doc or {})}
@@ -298,20 +309,19 @@ class EchoBackend:
         state["ops"].append(doc["add"])
         return {"total": sum(state["ops"])}
 
-    def capture(self, session):
-        state = self.sessions[session]
-        return {"ops": list(state["ops"]), "meta": dict(state["meta"])}
-
-    def restore(self, session, doc):
-        if doc.get("meta", {}).get("fail_restore"):
-            raise RuntimeError("restore refused")
-        self.sessions[session] = {"ops": list(doc["ops"]),
-                                  "meta": dict(doc.get("meta", {}))}
-        return {"restored": session}
-
     def drop(self, session):
-        self.sessions.pop(session, None)
-        return {"dropped": session}
+        state = self.sessions.pop(session)
+        return {"ops": state["ops"], "meta": state["meta"]}
+
+    def adopt(self, session, frames):
+        if session in self.sessions:
+            return {"already": True}
+        capture = frames[0]["snapshot"]
+        if capture["meta"].get("refuse_on") == self.worker_id:
+            raise RuntimeError("adopt refused")
+        self.sessions[session] = {"ops": list(capture["ops"]),
+                                  "meta": dict(capture["meta"])}
+        return {"adopted": session}
 
     def close(self, session):
         self.sessions.pop(session, None)

@@ -66,16 +66,19 @@ class StubCluster:
     """Stands in for a ProcessCluster: records what crosses the wire."""
 
     def __init__(self):
-        self.restored = {}
+        self.adopted = {}
         self.submitted = []
         self.closed = []
 
-    def restore_session(self, key, doc, *, worker, timeout):
-        self.restored[key] = (worker, doc)
-        return "restored"
+    def adopt(self, key, frames, *, worker, timeout):
+        (checkpoint,) = frames
+        assert checkpoint["k"] == "checkpoint"
+        assert checkpoint["session"] == key
+        self.adopted[key] = (worker, checkpoint["snapshot"])
+        return "adopted"
 
     def worker_for(self, key):
-        return self.restored[key][0]
+        return self.adopted[key][0]
 
     def submit(self, key, doc):
         self.submitted.append((key, doc))
@@ -307,21 +310,21 @@ def _fail_restore_threads():
 
 def _fail_restore_workers(cluster):
     key = "w-refused"
-    cluster.open_session(key, {"fail_restore": True}).result(30).unwrap()
-    futures = [cluster.submit(key, {"add": 1})]
     source = cluster.worker_for(key)
+    cluster.open_session(key, {"refuse_on": 1 - source}).result(30).unwrap()
+    futures = [cluster.submit(key, {"add": 1})]
     target = cluster.handles[1 - source]
     request = target.request
 
     def injecting(op, session, doc=None, **extra):
-        if op == "restore":
+        if op == "adopt":
             futures.append(cluster.submit(key, {"add": 2}))
             futures.append(cluster.submit(key, {"add": 3}))
         return request(op, session, doc, **extra)
 
     target.request = injecting
     try:
-        with pytest.raises(RemoteWorkerError, match="restore refused"):
+        with pytest.raises(RemoteWorkerError, match="adopt refused"):
             cluster.migrate(key, target.index)
     finally:
         del target.request
@@ -385,7 +388,7 @@ class TestRouterStats:
         seen = {}
 
         def observing(op, session, doc=None, **extra):
-            if op == "restore":
+            if op == "adopt":
                 cluster.submit(key, {"add": 5})
                 seen["held"] = cluster.stats()["held"]
             return request(op, session, doc, **extra)
@@ -432,8 +435,8 @@ class TestMigrateOut:
 
             result = pool.migrate_to_worker(
                 KEY, 1, capture=lambda p: {"ops": p.sessions.pop(KEY)})
-            assert result == "restored"
-            assert cluster.restored == {KEY: (1, {"ops": [41]})}
+            assert result == "adopted"
+            assert cluster.adopted == {KEY: (1, {"ops": [41]})}
             assert KEY not in home.durability.sessions()  # source forgot it
             assert pool.remote_worker_for(KEY) == 1
             assert pool.stats()["migrations"] == 1
@@ -459,8 +462,8 @@ class TestMigrateOut:
             pool.drain()
             result = pool.migrate_to_worker(
                 KEY, 0, capture=lambda p: {"ops": p.sessions[KEY]})
-            assert result == "restored"
-            assert cluster.restored == {KEY: (0, {"ops": [1]})}
+            assert result == "adopted"
+            assert cluster.adopted == {KEY: (0, {"ops": [1]})}
 
 
 # -- a session moved out to a worker, seen from the pool's other paths --------

@@ -11,14 +11,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.runtime.wal import WriteAheadLog
+from repro.middleware.snapshot import recover_session
+from repro.runtime.wal import WriteAheadLog, session_tail
 from repro.runtime.walslice import (
     SliceNode,
     StagedLog,
     collect_slice,
     dag_label,
     render_slice,
-    session_replay_frames,
     stage_logs,
     trace_census,
     verify_slice,
@@ -147,6 +147,9 @@ class TestCensusAndCollect:
 
 
 class TestSessionReplayFrames:
+    """A slice replay hands ``recover_session`` its session's
+    :func:`session_tail` of the home log."""
+
     def _staged(self, frames):
         return StagedLog(label="home", frames=frames)
 
@@ -158,17 +161,22 @@ class TestSessionReplayFrames:
             {"k": "applied", "session": "s1", "entry_seq": 1},
             _entry("s2", seq=3, trace_id=2),
         ])
-        frames = session_replay_frames(home, "s1")
-        kinds = [(doc["k"], (doc.get("sig") or {}).get("kind"))
-                 for doc in frames]
-        assert kinds == [("entry", "call"), ("applied", None)]
+        replayed = []
+        report = recover_session(
+            session_tail(home.frames, "s1"), session="s1",
+            apply_entry=lambda _platform, signal: replayed.append(
+                (signal.kind, signal.seq)),
+            platform=SimpleNamespace(broker=None))
+        # the routed event records a delivery: never re-applied
+        assert replayed == [("call", 1)]
+        assert (report.replayed_entries, report.errors) == (1, [])
 
     def test_plain_checkpoints_pass_through(self):
         inner = {"name": "p", "layers": {}}
         home = self._staged([
             {"k": "checkpoint", "session": "s1", "snapshot": inner},
         ])
-        assert session_replay_frames(home, "s1")[0]["snapshot"] == inner
+        assert session_tail(home.frames, "s1")[0]["snapshot"] == inner
 
     def test_covers_all_checkpoint_kept_for_any_session(self):
         home = self._staged([
@@ -179,7 +187,7 @@ class TestSessionReplayFrames:
              "snapshot": {"name": "p", "layers": {}}},
             _entry("s1", seq=2, trace_id=2),
         ])
-        frames = session_replay_frames(home, "s1")
+        frames = session_tail(home.frames, "s1")
         # the tail starts at the shard checkpoint: the entry before it
         # is covered, the entry after it replays.
         assert [doc["k"] for doc in frames] == ["checkpoint", "entry"]
