@@ -122,7 +122,7 @@ def _recover(wal: WriteAheadLog, session: str, dsk: Any) -> Any:
     """Cold recovery of ``session`` from ``wal`` + DSK; re-executed
     entries seal into ``wal``, so a second recovery stays idempotent."""
     return recover_session(
-        (doc for _position, doc in wal.replay()),
+        wal.replay(),
         session=session, apply_entry=apply_entry, wal=wal, dsk=dsk,
     )
 

@@ -345,7 +345,6 @@ def slice_replay_bench(*, sessions: int = 3) -> dict[str, Any]:
                 "op": "api", "api": "ncb.open_session",
                 "args": {"connection": key},
             }).result(60).unwrap()
-        pool.build_checkpoints(interval=3600.0)
         pool.checkpoint_now()
         for key in keys:
             # the aggregator lives on the *other* shard, so the emitted

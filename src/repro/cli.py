@@ -527,9 +527,12 @@ def _trace_replay(args: argparse.Namespace) -> int:
         return 2
 
     tail = session_tail(docs, target)
-    entries = [d for d in tail if d.get("k") == "entry"]
-    applied = sum(1 for d in tail if d.get("k") == "applied")
-    checkpoints = sum(1 for d in tail if d.get("k") == "checkpoint")
+    # a shard checkpoint's tail holds every session's frames (all of
+    # them replay); the listing shows the target's own.
+    own = [d for d in tail if str(d.get("session", "")) == target]
+    entries = [d for d in own if d.get("k") == "entry"]
+    applied = sum(1 for d in own if d.get("k") == "applied")
+    checkpoints = sum(1 for d in tail[:1] if d.get("k") == "checkpoint")
     print(
         f"session {target!r}: {len(entries)} logged entries, "
         f"{applied} applied seals, {checkpoints} checkpoints"

@@ -159,15 +159,17 @@ class ResourceManager:
         self.retries = 0
 
     def install_effect_journal(self, journal: Any) -> None:
-        """Route every resource invocation through ``journal.around``.
+        """Route every resource invocation through
+        ``journal.around_invoke``.
 
-        While a journal entry is open, live operations are recorded as
-        ``effect`` frames and replayed operations return their memoized
-        outcome without touching the resource — the exactly-once half
-        of WAL recovery.  Passing ``None`` uninstalls.  The journal's
-        ``error_factory`` is defaulted to the broker fault taxonomy so
-        replayed error outcomes re-raise with their original types
-        (retry policies and handlers behave identically on replay).
+        While a journal entry is open, live operations are recorded
+        for the entry's ``applied`` seal and replayed operations return
+        their memoized outcome without touching the resource — the
+        exactly-once half of WAL recovery.  Passing ``None``
+        uninstalls.  The journal's ``error_factory`` is defaulted to
+        the broker fault taxonomy so replayed error outcomes re-raise
+        with their original types (retry policies and handlers behave
+        identically on replay).
         """
         self.effect_journal = journal
         self._unguarded = {}

@@ -491,7 +491,6 @@ class PlatformPool:
         self._cluster_owners: dict[int, _ClusterOwner] = {}
         self._apply_doc: "Callable[[Platform, str, dict], Any] | None" = None
         self._rebalancer: Any = None
-        self._checkpointers: list[Any] = []
         self.started = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -516,8 +515,6 @@ class PlatformPool:
             return self
         if self._rebalancer is not None:
             self._rebalancer.stop()
-        for checkpointer in self._checkpointers:
-            checkpointer.stop()
         self.runtime.stop()
         for platform in self.platforms:
             platform.stop()
@@ -837,47 +834,31 @@ class PlatformPool:
 
     # -- durable checkpoints + recovery (PR 10) ---------------------------
 
-    def build_checkpoints(
-        self,
-        *,
-        interval: float = 1.0,
-        clock: "Clock | None" = None,
-    ) -> list[Any]:
-        """One :class:`~repro.middleware.snapshot.CheckpointScheduler`
-        per shard platform, writing into that shard's log.
+    def checkpoint_now(self, *, timeout: float = 30.0) -> list[Any]:
+        """Checkpoint every shard and wait for the snapshots.
 
-        Each scheduler checkpoints its platform under the *platform's*
-        name with ``cover_all`` — one shard snapshot embeds the state
-        of every session the shard hosts, so all their truncation
-        floors advance together.  On wall clocks drive ticks via
-        :meth:`checkpoint_now`; virtual clocks self-schedule.
+        Each shard captures its platform on its own thread (the capture
+        quiesce point) and writes it into its log under the platform's
+        name with ``cover_all``: one shard snapshot embeds the state of
+        every session the shard hosts, so all their truncation floors
+        advance together.
         """
         if not self.durability.enabled:
             raise PlatformError(
                 f"pool {self.name!r}: durability is off; no log to "
                 f"checkpoint into"
             )
-        from repro.middleware.snapshot import CheckpointScheduler
 
-        schedulers = []
-        for shard, platform in zip(self.runtime.shards, self.platforms):
-            scheduler = CheckpointScheduler(
-                platform,
-                interval=interval,
-                clock=clock or shard.clock,
-                durability=shard.durability,
-                session=platform.name,
+        def checkpoint(shard: Shard, platform: Platform) -> Any:
+            snapshot = platform.checkpoint()
+            shard.durability.checkpoint(
+                platform.name, snapshot.to_dict(), cover_all=True
             )
-            schedulers.append(scheduler)
-        self._checkpointers.extend(schedulers)
-        return schedulers
+            return snapshot
 
-    def checkpoint_now(self, *, timeout: float = 30.0) -> list[Any]:
-        """Tick every shard's checkpoint scheduler on its own thread
-        (the capture quiesce point) and wait for the snapshots."""
         futures = [
-            self.runtime.shards[index].call(scheduler.tick)
-            for index, scheduler in enumerate(self._checkpointers)
+            shard.call(checkpoint, shard, platform)
+            for shard, platform in zip(self.runtime.shards, self.platforms)
         ]
         if self.runtime.inline:
             self.runtime.drain()
@@ -892,11 +873,13 @@ class PlatformPool:
         """Exactly-once recovery of one session from its shard's log.
 
         Restores the shard's latest ``cover_all`` checkpoint (if the
-        pool checkpoints) and replays the session's entry tail with
-        memoized effects and ``(trace_id, seq)`` dedup onto the owning
-        shard's platform.  Call on a quiesced or freshly rebuilt pool —
-        typically after :meth:`start` on a pool pointed at the same
-        ``log_root`` a crashed pool was using.
+        pool checkpoints) and replays, with memoized effects and
+        ``(trace_id, seq)`` dedup, the entry tail onto the owning
+        shard's platform: every session's entries after that
+        checkpoint, since restoring it rolls back every session on the
+        shard (only the session's own without one).  Call on a quiesced
+        or freshly rebuilt pool — typically after :meth:`start` on a
+        pool pointed at the same ``log_root`` a crashed pool was using.
         """
         from repro.middleware.snapshot import recover_session
 
@@ -911,7 +894,7 @@ class PlatformPool:
             )
         wal = durability.wal
         return recover_session(
-            (doc for _position, doc in wal.replay()),
+            wal.replay(),
             session=key,
             apply_entry=apply_entry,
             wal=wal,

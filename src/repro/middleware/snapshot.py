@@ -328,9 +328,8 @@ class CheckpointScheduler(PeriodicTask):
         """Take one checkpoint now (also the manual-drive entry point)."""
         snapshot = capture_snapshot(self.platform)
         if self.durability is not None:
-            # Durable snapshot-then-truncate: the checkpoint frame
-            # records the position it covers and older segments drop.
-            # A platform snapshot embeds every session the platform
+            # Durable snapshot-then-truncate: older segments drop.  A
+            # platform snapshot embeds every session the platform
             # hosts, so it covers them all.
             self.durability.checkpoint(
                 self.session, snapshot.to_dict(), cover_all=True
@@ -359,7 +358,7 @@ class CheckpointScheduler(PeriodicTask):
             # external effects and (trace_id, seq) dedup.
             wal = self.durability.wal
             self.last_recovery = recover_session(
-                (doc for _position, doc in wal.replay()),
+                wal.replay(),
                 session=self.session,
                 apply_entry=self.apply_entry,
                 wal=wal,
@@ -409,9 +408,11 @@ def recover_session(
 
     Takes ``session``'s tail of ``frames`` (decoded frame docs in log
     order, see :func:`~repro.runtime.wal.session_tail`): its latest
-    ``checkpoint`` frame, where a ``covers_all`` shard checkpoint counts
-    as the session's own, and the ``entry``/``applied`` frames after
-    it.  Then:
+    ``checkpoint`` frame and the ``entry``/``applied`` frames after it.
+    When that checkpoint is a ``covers_all`` shard snapshot, the tail
+    holds every session's frames after it, and all of them replay:
+    restoring the shard snapshot rolls back every session it hosts.
+    Then:
 
     1. restores the checkpoint — onto the given warm ``platform``, or
        by rebuilding one from the embedded snapshot via
@@ -426,9 +427,10 @@ def recover_session(
        return memoized results instead of re-executing — and entries
        are deduplicated by ``(trace_id, seq)``.  Delivery is therefore
        exactly-once even though the log is written at-least-once.
-       Entries that re-execute (no seal) are sealed into ``wal``, the
-       live log the frames came from, so a second recovery memoizes
-       them; without one their seals are discarded.
+       Entries that re-execute (no seal) are sealed under their own
+       session (one journal each) into ``wal``, the live log the frames
+       came from, so a second recovery memoizes them; without one their
+       seals are discarded.
 
     If the log holds no checkpoint for the session, a warm ``platform``
     is assumed to be at log-start state and the *whole* entry sequence
@@ -447,41 +449,27 @@ def recover_session(
         signal_from_doc,
     )
 
+    tail = session_tail(frames, session)
     checkpoint_doc: dict[str, Any] | None = None
-    entries: list[dict[str, Any]] = []
+    if tail and tail[0].get("k") == "checkpoint":
+        checkpoint_doc = tail[0]
+    entries: list[tuple[str, dict[str, Any]]] = []
     effects: dict[int, list[list[Any]]] = {}
     applied: set[int] = set()
     max_seq = 0
-    for doc in session_tail(frames, session):
+    for doc in tail:
         kind = doc.get("k")
-        if kind == "checkpoint":
-            checkpoint_doc = doc
-        elif kind == "entry":
+        if kind == "entry":
             sig = doc["sig"]
             max_seq = max(max_seq, int(sig.get("seq", 0)))
             if sig.get("kind") == "call":
-                entries.append(sig)
+                entries.append((str(doc.get("session", "")), sig))
         elif kind == "applied":
             seq = int(doc["entry_seq"])
             applied.add(seq)
             sealed = doc.get("effects")
             if sealed:
                 effects[seq] = sealed
-        elif kind == "effect":
-            # tolerant reader: frame-per-effect layout from older logs,
-            # normalized to the sealed record shape ([label, "ok",
-            # value] / [label, "error", type, message]).
-            record = (
-                [doc.get("label"), "ok", doc.get("value")]
-                if doc.get("status") == "ok"
-                else [
-                    doc.get("label"),
-                    "error",
-                    str(doc.get("error_type", "Exception")),
-                    str(doc.get("error", "")),
-                ]
-            )
-            effects.setdefault(int(doc["entry_seq"]), []).append(record)
 
     snapshot: SessionSnapshot | None = None
     if checkpoint_doc is not None:
@@ -508,18 +496,23 @@ def recover_session(
 
     if max_seq:
         advance_signal_seq(max_seq)
-    journal = EffectJournal(wal, session=session)
-    if platform.broker is not None:
-        platform.broker.resources.install_effect_journal(journal)
+    broker = platform.broker
+    resources = broker.resources if broker is not None else None
+    journals: dict[str, EffectJournal] = {}
     report = RecoveryReport(platform=platform, snapshot=snapshot)
     seen: set[tuple[int, int]] = set()
-    for sig_doc in entries:
+    for owner, sig_doc in entries:
         signal = signal_from_doc(sig_doc)
         key = (signal.trace_id, signal.seq)
         if key in seen:
             report.deduplicated += 1
             continue
         seen.add(key)
+        journal = journals.get(owner)
+        if journal is None:
+            journal = journals[owner] = EffectJournal(wal, session=owner)
+        if resources is not None and resources.effect_journal is not journal:
+            resources.install_effect_journal(journal)
         journal.begin_entry(
             signal,
             recorded_effects=effects.get(signal.seq),
@@ -537,6 +530,6 @@ def recover_session(
         if error is not None:
             report.errors.append((signal.seq, error))
         report.replayed_entries += 1
-    report.effects_memoized = journal.replayed
-    report.effects_live = journal.recorded
+    report.effects_memoized = sum(j.replayed for j in journals.values())
+    report.effects_live = sum(j.recorded for j in journals.values())
     return report

@@ -508,7 +508,7 @@ class LogShipper:
             self.adoptions.append(report)
             return report
         log = self.log_for(dead_index)
-        docs = [doc for _position, doc in log.replay()]
+        docs = list(log.replay())
         for key in sorted(sessions):
             frames = session_tail(docs, key)
             if not frames or frames[0].get("k") != "checkpoint":

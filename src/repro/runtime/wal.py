@@ -21,12 +21,10 @@ resume from the store" discipline:
   *before* the work it names is dispatched), ``applied`` (the entry
   completed, carrying the memoized outcomes of every external resource
   operation it performed), and ``checkpoint`` (a full
-  ``SessionSnapshot`` document embedded in the log, recording the
-  position it covers).  Effects ride inside the ``applied`` frame
-  rather than as individual frames: one locked write seals an entry,
-  and under group commit the two layouts have identical durability —
-  anything after the last fsync is lost either way, and an entry whose
-  seal was lost simply re-executes on recovery.  Snapshot-then-truncate
+  ``SessionSnapshot`` document embedded in the log, covering every
+  frame before it).  Effects ride inside the ``applied`` frame: one
+  locked write seals an entry, and an entry whose seal was lost before
+  the last fsync simply re-executes on recovery.  Snapshot-then-truncate
   compaction: a checkpoint rotates to a fresh segment first, so every
   older segment is wholly covered and can be deleted.
 
@@ -80,7 +78,7 @@ import threading
 import zlib
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.runtime.events import Call, Event, Signal, mint_call
 
@@ -117,7 +115,6 @@ __all__ = [
     "WAL_VERSION",
     "WalError",
     "WalReplayDivergence",
-    "WalPosition",
     "WriteAheadLog",
     "EffectJournal",
     "signal_to_doc",
@@ -154,26 +151,6 @@ class WalError(Exception):
 class WalReplayDivergence(WalError):
     """Replayed execution requested a different effect sequence than
     the log recorded — the apply function is not deterministic."""
-
-
-class WalPosition(NamedTuple):
-    """A durable log coordinate: byte ``offset`` within ``segment``.
-
-    A NamedTuple rather than a dataclass: two positions are minted per
-    logged entry on the hot path, and tuple construction is several
-    times cheaper than frozen-dataclass ``__init__``.  Ordering is
-    lexicographic on ``(segment, offset)`` either way.
-    """
-
-    segment: int
-    offset: int
-
-    def to_list(self) -> list[int]:
-        return [self.segment, self.offset]
-
-    @classmethod
-    def from_list(cls, raw: Any) -> "WalPosition":
-        return cls(int(raw[0]), int(raw[1]))
 
 
 def signal_to_doc(signal: Signal) -> dict[str, Any]:
@@ -321,9 +298,9 @@ def _list_logs(directory: Path) -> dict[str, list[int]]:
 
 def _segment_docs(
     data: bytes, segment: int, *, final: bool
-) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield ``(offset, doc)`` for every frame of one segment's bytes
-    after its header, whose envelope is checked.
+) -> Iterator[dict[str, Any]]:
+    """Yield the doc of every frame of one segment's bytes after its
+    header, whose envelope is checked.
 
     A short or corrupt frame ends a ``final`` segment cleanly (torn
     tail: crash mid-append); in any other segment it is damage and
@@ -355,11 +332,27 @@ def _segment_docs(
                 f"segment {segment} does not open with a "
                 f"{WAL_FORMAT!r} header frame"
             )
-        yield offset, doc
+        yield doc
     if not final and end < len(data):
         raise WalError(
             f"corrupt frame mid-log in segment {segment} at offset {end}"
         )
+
+
+def _log_docs(
+    directory: Path, name: str, segments: list[int]
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(segment, doc)`` for every frame of log ``name`` in
+    ``directory``, over its ascending ``segments``: the one read-back
+    loop.  A segment deleted since it was listed was truncated behind a
+    checkpoint and is skipped."""
+    for segment in segments:
+        try:
+            data = _segment_file(directory, name, segment).read_bytes()
+        except FileNotFoundError:
+            continue
+        for doc in _segment_docs(data, segment, final=segment == segments[-1]):
+            yield segment, doc
 
 
 def read_log_directory(
@@ -368,23 +361,17 @@ def read_log_directory(
     """Every log in ``directory``, read-only: log name (the segment
     file prefix) to its frame docs in log order.
 
-    Reads with the rules of :meth:`WriteAheadLog.replay` — each
-    segment's header envelope is checked, a torn final segment ends
-    its log cleanly, and a bad frame anywhere else raises
-    :class:`WalError` — but opens nothing for writing and repairs
-    nothing, so the directory is left byte for byte as it was.
+    Each segment's header envelope is checked, a torn final segment
+    ends its log cleanly, and a bad frame anywhere else raises
+    :class:`WalError` (:meth:`WriteAheadLog.replay` reads the same
+    way); it opens nothing for writing and repairs nothing, so the
+    directory is left byte for byte as it was.
     """
     directory = Path(directory)
-    logs: dict[str, list[dict[str, Any]]] = {}
-    for name, segments in sorted(_list_logs(directory).items()):
-        docs = logs[name] = []
-        for segment in segments:
-            data = _segment_file(directory, name, segment).read_bytes()
-            docs.extend(
-                doc for _offset, doc in _segment_docs(
-                    data, segment, final=segment == segments[-1])
-            )
-    return logs
+    return {
+        name: [doc for _segment, doc in _log_docs(directory, name, segments)]
+        for name, segments in sorted(_list_logs(directory).items())
+    }
 
 
 def session_tail(
@@ -396,16 +383,19 @@ def session_tail(
 
     A ``covers_all`` checkpoint counts as the session's own: it is a
     pool shard's platform snapshot, which embeds every session the
-    shard hosts.
+    shard hosts.  Restoring it rolls all of them back, so its tail is
+    *every* frame after it, whichever session wrote it.
     """
     tail: list[dict[str, Any]] = []
+    shared = False
     for doc in docs:
         owner = str(doc.get("session", ""))
         if doc.get("k") == "checkpoint" and (
             owner == session or doc.get("covers_all")
         ):
             tail = [doc]
-        elif owner == session:
+            shared = bool(doc.get("covers_all"))
+        elif shared or owner == session:
             tail.append(doc)
     return tail
 
@@ -503,8 +493,8 @@ class WriteAheadLog:
         self._file = open(path, "ab")
         self._offset = valid
         # rebuild truncation-floor bookkeeping from the surviving log.
-        for position, doc in self.replay():
-            self._track_locked(doc, position.segment)
+        for segment, doc in _log_docs(self.directory, self.name, existing):
+            self._track_locked(doc, segment)
 
     def _start_segment(self, segment: int) -> None:
         self._segment = segment
@@ -545,7 +535,7 @@ class WriteAheadLog:
             return _dumps_lenient(doc)
 
     def _write_locked(self, payload: bytes) -> None:
-        """The leanest framed write: no position minted (hot path)."""
+        """The one framed write (hot path)."""
         if self._closed:
             raise WalError(f"log {self.name!r} is closed")
         if self._offset >= self.segment_max_bytes:
@@ -560,23 +550,16 @@ class WriteAheadLog:
         if self._unsynced >= self.sync_every:
             self._sync_locked()
 
-    def _append_locked(self, doc: dict[str, Any], *, strict: bool) -> WalPosition:
-        payload = self._encode(doc, strict=strict)
-        if not self._closed and self._offset >= self.segment_max_bytes:
-            self._rotate_locked()
-        position = WalPosition(self._segment, self._offset)
-        self._write_locked(payload)
-        return position
-
-    def append(self, doc: dict[str, Any], *, strict: bool = True) -> WalPosition:
-        """Append one raw frame; returns its position.
+    def append(self, doc: dict[str, Any], *, strict: bool = True) -> None:
+        """Append one raw frame.
 
         ``strict=False`` falls back to ``repr`` for non-JSON values —
         used by the fabric tier logging arbitrary signal payloads for
         observability, never for frames the recovery path replays.
         """
+        payload = self._encode(doc, strict=strict)
         with self._lock:
-            return self._append_locked(doc, strict=strict)
+            self._write_locked(payload)
 
     def append_entry(
         self,
@@ -586,32 +569,13 @@ class WriteAheadLog:
         strict: bool = True,
     ) -> None:
         """Write-ahead record of a signal about to be dispatched
-        (encoded outside the lock; no position minted)."""
+        (encoded outside the lock)."""
         payload = self._encode(
             {"k": "entry", "session": session, "sig": signal_to_doc(signal)},
             strict=strict,
         )
         with self._lock:
             self._active_sessions.add(session)
-            self._write_locked(payload)
-
-    def seal_entry(
-        self,
-        *,
-        session: str,
-        entry_seq: int,
-        effects: list[list[Any]] | None = None,
-    ) -> None:
-        """Seal an entry: it completed, with these memoized effects."""
-        doc: dict[str, Any] = {
-            "k": "applied",
-            "session": session,
-            "entry_seq": entry_seq,
-        }
-        if effects:
-            doc["effects"] = effects
-        payload = self._encode(doc, strict=True)
-        with self._lock:
             self._write_locked(payload)
 
     def sync(self) -> None:
@@ -628,6 +592,8 @@ class WriteAheadLog:
         self.syncs += 1
 
     def _rotate_locked(self) -> None:
+        if self._closed:
+            raise WalError(f"log {self.name!r} is closed")
         self._sync_locked()
         self._file.close()
         self.rotations += 1
@@ -647,7 +613,7 @@ class WriteAheadLog:
         *,
         session: str = "",
         cover_all: bool = False,
-    ) -> WalPosition:
+    ) -> None:
         """Embed a snapshot covering everything logged so far.
 
         Rotates first so the checkpoint opens a fresh segment: every
@@ -669,17 +635,16 @@ class WriteAheadLog:
             "session": session,
             "snapshot": snapshot_doc,
         }
+        if cover_all:
+            doc["covers_all"] = True
+        payload = self._encode(doc, strict=True)
         with self._lock:
-            if cover_all:
-                doc["covers_all"] = True
-            doc["position"] = WalPosition(self._segment, self._offset).to_list()
             self._rotate_locked()
-            position = self._append_locked(doc, strict=True)
+            self._write_locked(payload)
             self._sync_locked()
-            self._track_locked(doc, position.segment)
-            self.checkpoint_bytes[session] = self._offset - position.offset
+            self._track_locked(doc, self._segment)
+            self.checkpoint_bytes[session] = _HEADER.size + len(payload)
             self._truncate_locked()
-            return position
 
     def _track_locked(self, doc: dict[str, Any], segment: int) -> None:
         """Truncation-floor bookkeeping for a frame at ``segment``."""
@@ -744,7 +709,7 @@ class WriteAheadLog:
         floor of every session that shard hosts.
         """
         frames: list[dict[str, Any]] = []
-        for _position, doc in self.replay():
+        for doc in self.replay():
             if str(doc.get("session", "")) != session:
                 continue
             if doc.get("k") == "checkpoint":
@@ -840,34 +805,15 @@ class WriteAheadLog:
 
     # -- reading ------------------------------------------------------
 
-    def replay(
-        self, *, start: WalPosition | None = None
-    ) -> Iterator[tuple[WalPosition, dict[str, Any]]]:
-        """Yield ``(position, doc)`` for every frame at/after ``start``.
-
-        Header frames are consumed for envelope validation and not
-        yielded.  A torn tail in the *final* segment ends iteration
-        cleanly; a bad frame anywhere else raises :class:`WalError`.
-        """
+    def replay(self) -> Iterator[dict[str, Any]]:
+        """Yield every frame doc of the live segments in log order
+        (flushed first), read as :func:`read_log_directory` reads."""
         with self._lock:
             if self._file is not None:
                 self._file.flush()
             segments = list(self._segments)
-        last = segments[-1] if segments else -1
-        for segment in segments:
-            if start is not None and segment < start.segment:
-                continue
-            try:
-                data = self._segment_path(segment).read_bytes()
-            except FileNotFoundError:
-                continue  # truncated since the snapshot: checkpoint-covered
-            for offset, doc in _segment_docs(
-                data, segment, final=segment == last
-            ):
-                position = WalPosition(segment, offset)
-                if start is not None and position < start:
-                    continue
-                yield position, doc
+        for _segment, doc in _log_docs(self.directory, self.name, segments):
+            yield doc
 
     def close(self) -> None:
         with self._lock:
@@ -898,20 +844,18 @@ def _discard_frame(frame: bytes) -> None:
 class EffectJournal:
     """Exactly-once interceptor for external resource operations.
 
-    While an entry is being applied *live*, :meth:`around` invokes the
-    operation and buffers its outcome (value or typed error); when the
-    entry completes, :meth:`end_entry` seals the buffered outcomes into
-    the entry's ``applied`` frame with a single locked write.  While an
-    entry is being *replayed* during recovery, :meth:`around` pops the
-    next recorded effect and returns (or re-raises) it without invoking
-    the operation — the middleware layers re-run deterministically, the
-    external world does not.
+    While an entry is being applied *live*, :meth:`around_invoke`
+    invokes the operation and buffers its outcome (value or typed
+    error); when the entry completes, :meth:`end_entry` seals the
+    buffered outcomes into the entry's ``applied`` frame with a single
+    locked write.  While an entry is being *replayed* during recovery,
+    :meth:`around_invoke` pops the next recorded effect and returns (or
+    re-raises) it without invoking the operation — the middleware
+    layers re-run deterministically, the external world does not.
 
     An entry whose ``applied`` frame never made it to disk (crash
     mid-entry, or after the entry frame but before the seal) replays
-    its operations live against the restored resource state — the same
-    redo rule a frame-per-effect layout degrades to under group commit,
-    where unsynced effect frames are lost with the seal anyway.
+    its operations live against the restored resource state.
 
     ``error_factory(type_name, message)`` rebuilds a typed exception
     for replayed error outcomes; the broker installs one mapping its
@@ -1027,8 +971,7 @@ class EffectJournal:
         self._op_index = 0
         self._effects = []
         self._already_applied = already_applied
-        # log order == execution order for both the sealed-list layout
-        # and the older frame-per-effect layout, so no sort is needed.
+        # sealed effects are in execution order: no sort is needed.
         self._replay_queue = (
             deque(recorded_effects) if recorded_effects else None
         )
@@ -1046,7 +989,7 @@ class EffectJournal:
         self._replay_queue = None
         self._effects = []
         # live effects are counted here in one batch rather than one
-        # increment per operation in around()/around_invoke().
+        # increment per operation in around_invoke().
         self.recorded += len(effects)
         if leftover:
             raise WalReplayDivergence(
@@ -1054,8 +997,8 @@ class EffectJournal:
                 f"recorded ({len(leftover)} left over)"
             )
         if not self._already_applied:
-            # inline seal (see WriteAheadLog.seal_entry): byte concat
-            # around the precomputed prefix, one locked write.
+            # the ``applied`` seal: byte concat around the precomputed
+            # prefix, one locked write.
             if effects:
                 try:
                     frame = (
@@ -1077,7 +1020,7 @@ class EffectJournal:
         """Pop the next recorded effect and return/raise its outcome.
 
         Records are ``[label, "ok", value]`` or ``[label, "error",
-        error_type, message]`` (see :meth:`around`).
+        error_type, message]`` (see :meth:`around_invoke`).
         """
         queue = self._replay_queue
         assert queue is not None
@@ -1097,22 +1040,6 @@ class EffectJournal:
             raise factory(str(record[2]), message)
         raise WalError(f"replayed error effect {record[2]}: {message}")
 
-    def around(self, label: str, call: Callable[[], Any]) -> Any:
-        """Run ``call`` exactly once across crash/recovery."""
-        if not self.active:
-            return call()
-        if self._replay_queue:
-            return self._replay_next(label)
-        try:
-            value = call()
-        except Exception as exc:
-            self._effects.append(
-                [label, "error", type(exc).__name__, str(exc)]
-            )
-            raise
-        self._effects.append([label, "ok", value])
-        return value
-
     def around_invoke(
         self,
         label: str,
@@ -1120,7 +1047,8 @@ class EffectJournal:
         operation: str,
         args: dict[str, Any],
     ) -> Any:
-        """:meth:`around` for ``resource.invoke``-shaped callables.
+        """Run ``fn(operation, **args)`` exactly once across
+        crash/recovery.
 
         Takes the callable and its arguments directly so the resource
         manager's hot path does not build a closure per operation.

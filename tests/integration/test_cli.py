@@ -153,7 +153,6 @@ def _pool_log(root):
         pool.attach_cluster(
             None, apply=lambda platform, key, doc: platform.broker.call_api(
                 doc["api"], **doc.get("args", {})))
-        pool.build_checkpoints(interval=3600.0)
         for index, doc in enumerate(_COMM_OPS):
             pool.submit_doc("conn-1", doc)
             pool.drain()

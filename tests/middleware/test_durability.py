@@ -4,8 +4,7 @@ Kills a durable communication session mid-workload and checks the
 recovered run against an uninterrupted golden run by comparing the
 simulated service's ``op_log`` — the externally observable effect
 sequence.  Also covers delivery dedup, per-entry error containment,
-the tolerant reader for the older frame-per-effect log layout, and
-the hardened :class:`CheckpointScheduler` (WAL-integrated ticks,
+and the hardened :class:`CheckpointScheduler` (WAL-integrated ticks,
 epoch-fenced timers, error-contained checkpoint chains).
 """
 
@@ -83,7 +82,7 @@ def open_wal(tmp_path, **kwargs):
 def recover(wal, **kwargs):
     """Recover SESSION from ``wal``'s frames, sealing into ``wal``."""
     return recover_session(
-        [doc for _pos, doc in wal.replay()], session=SESSION,
+        list(wal.replay()), session=SESSION,
         apply_entry=apply_entry, wal=wal, **kwargs,
     )
 
@@ -108,7 +107,7 @@ class TestDurableSession:
         durable = ShardDurability(wal)
         docs = entry_docs()
         execute(durable, platform, docs[0])
-        kinds = [doc["k"] for _pos, doc in wal.replay()]
+        kinds = [doc["k"] for doc in wal.replay()]
         assert kinds == ["entry", "applied"]
         platform.stop()
         wal.close()
@@ -294,49 +293,6 @@ class TestDurableSession:
         reopened.close()
 
 
-class TestLegacyEffectFrames:
-    def test_frame_per_effect_layout_still_replays_memoized(self, tmp_path):
-        """Logs written by the older frame-per-effect layout (one
-        ``effect`` frame per operation, bare ``applied`` seal) recover
-        with the same exactly-once behaviour."""
-        service, dsk, platform = fresh_session()
-        wal = open_wal(tmp_path)
-        durable = ShardDurability(wal)
-        docs = entry_docs()
-        execute(durable, platform, docs[0])
-        checkpoint(durable, platform)
-        execute(durable, platform, docs[1])
-        log_at_kill = list(service.op_log)
-        wal.close()
-        platform.stop()
-
-        # rewrite the log in the legacy layout: sealed effect lists
-        # become individual "effect" frames before a bare seal
-        legacy = WriteAheadLog(tmp_path / "legacy", fsync=False)
-        for _pos, doc in open_wal(tmp_path).replay():
-            if doc["k"] == "applied" and doc.get("effects"):
-                for label, status, *rest in doc["effects"]:
-                    frame = {"k": "effect", "session": doc["session"],
-                             "entry_seq": doc["entry_seq"], "label": label,
-                             "status": status}
-                    if status == "ok":
-                        frame["value"] = rest[0]
-                    else:
-                        frame["error_type"], frame["error"] = rest
-                    legacy.append(frame)
-                legacy.append({"k": "applied", "session": doc["session"],
-                               "entry_seq": doc["entry_seq"]})
-            else:
-                legacy.append(doc)
-
-        report = recover(legacy, dsk=dsk)
-        report.platform.stop()
-        legacy.close()
-        assert service.op_log == log_at_kill  # memoized, not re-executed
-        assert report.replayed_entries == 1
-        assert report.effects_memoized > 0
-
-
 class TestCheckpointSchedulerWal:
     def test_tick_embeds_checkpoint_and_truncates(self, tmp_path):
         _service, _dsk, platform = fresh_session()
@@ -347,7 +303,7 @@ class TestCheckpointSchedulerWal:
             platform, interval=1.0, durability=durable, session=SESSION
         )
         scheduler.tick()
-        kinds = [doc["k"] for _pos, doc in wal.replay()]
+        kinds = [doc["k"] for doc in wal.replay()]
         # the pre-checkpoint segment (entry + seal) was truncated away
         assert kinds == ["checkpoint"]
         assert wal.truncated_segments == 1

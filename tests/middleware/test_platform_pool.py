@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.domains.communication.cvm import build_cvm
 from repro.middleware.platform import PlatformPool
 from repro.sim.network import CommService
@@ -264,7 +266,7 @@ class TestPoolCloseSessionShedsIngress:
 
 def _wal_frames(pool, key):
     durability = pool.shard_for(key).durability
-    return [doc for _pos, doc in durability.wal.replay()]
+    return list(durability.wal.replay())
 
 
 def _api(api, **args):
@@ -307,12 +309,8 @@ class TestPoolDurability:
             assert not pool.durability.enabled
             for shard in pool.runtime.shards:
                 assert shard.durability is None
-            try:
-                pool.build_checkpoints()
-            except PlatformError as exc:
-                assert "durability is off" in str(exc)
-            else:
-                raise AssertionError("build_checkpoints must refuse")
+            with pytest.raises(PlatformError, match="durability is off"):
+                pool.checkpoint_now()
 
     def test_ephemeral_log_root_reclaimed_on_stop(self):
         pool = make_pool(shards=2, inline=True)
@@ -509,7 +507,7 @@ class TestPoolRecovery:
     def test_recovers_from_the_shards_covers_all_checkpoint(self, tmp_path):
         """A pool checkpoint is one platform snapshot, written under the
         platform's name and marked ``covers_all``; a session's recovery
-        restores it and replays only the session's entries after it."""
+        restores it and replays the entries after it."""
         from repro.runtime.durability import DurabilityPolicy
 
         key = "phoenix"
@@ -524,7 +522,6 @@ class TestPoolRecovery:
 
         with make_pool(shards=1, inline=True, durability=policy()) as pool:
             pool.attach_cluster(None, apply=_apply_doc)
-            pool.build_checkpoints(interval=3600.0)
             pool.submit_doc(key, _api("ncb.open_session", connection="c1"))
             pool.drain()
             pool.checkpoint_now()
@@ -545,6 +542,74 @@ class TestPoolRecovery:
             assert not report.errors
             recovered = pool.platform_for(key)
             assert recovered.broker.state.get("session:c1") is not None
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_recovery_in_any_order_matches_the_uncrashed_run(
+        self, tmp_path, order
+    ):
+        """Every session on a shard shares its platform, so restoring
+        the shard's ``covers_all`` checkpoint rolls all of them back:
+        each session's recovery replays every session's entries after
+        it.  Replaying only the recovered key's entries left ``b``'s
+        session lost after recovering ``b`` then ``a``, and the broker
+        counters off in both orders."""
+        from repro.middleware.platform import apply_entry
+        from repro.runtime.durability import DurabilityPolicy
+
+        def policy():
+            return DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path / "pool-wal"), fsync=False
+            )
+
+        def broker_doc(pool):
+            doc = pool.platforms[0].broker.externalize()
+            return {name: doc[name] for name in
+                    ("state", "api_calls", "invocations", "dispatched")}
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            pool.attach_cluster(None, apply=_apply_doc)
+            pool.submit_doc("a", _api("ncb.open_session", connection="a"))
+            pool.drain()
+            pool.checkpoint_now()
+            pool.submit_doc("b", _api("ncb.open_session", connection="b"))
+            pool.submit_doc("a", _api(
+                "ncb.add_party", connection="a", party="alice"))
+            pool.drain()
+            golden = broker_doc(pool)
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            for key in order:
+                report = pool.recover_session(key, apply_entry=apply_entry)
+                assert report.errors == []
+            recovered = pool.platforms[0].broker
+            assert recovered.state.get("session:b") is not None
+            assert broker_doc(pool) == golden
+
+    def test_reexecuted_entries_seal_under_their_own_session(self, tmp_path):
+        """An entry whose seal was lost re-executes on recovery and is
+        sealed under its own session, so the next recovery of any key
+        on the shard memoizes its effects."""
+        from repro.middleware.platform import apply_entry
+        from repro.runtime.durability import DurabilityPolicy
+        from repro.runtime.events import Call
+
+        with make_pool(shards=1, inline=True, durability=DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path), fsync=False)) as pool:
+            pool.checkpoint_now()
+            wal = pool.runtime.shards[0].durability.wal
+            for key in ("a", "b"):
+                wal.append_entry(Call(
+                    topic="session.entry", origin=key,
+                    payload=_api("ncb.open_session", connection=key),
+                ), session=key)
+            first = pool.recover_session("a", apply_entry=apply_entry)
+            assert first.errors == [] and first.effects_live > 0
+            seals = [doc["session"] for doc in _wal_frames(pool, "a")
+                     if doc["k"] == "applied"]
+            assert seals == ["a", "b"]
+            second = pool.recover_session("b", apply_entry=apply_entry)
+            assert (second.effects_live, second.effects_memoized) == (
+                0, first.effects_live)
 
     def test_routed_events_are_not_replayed(self, tmp_path):
         """``route_signal`` logs a routed event in the target shard's

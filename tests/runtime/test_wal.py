@@ -20,7 +20,6 @@ from repro.runtime.wal import (
     WAL_VERSION,
     EffectJournal,
     WalError,
-    WalPosition,
     WalReplayDivergence,
     WriteAheadLog,
     encode_frame_doc,
@@ -38,8 +37,13 @@ def open_wal(tmp_path, **kwargs):
     return WriteAheadLog(tmp_path / "wal", **kwargs)
 
 
-def frames(wal, **kwargs):
-    return [doc for _pos, doc in wal.replay(**kwargs)]
+def frames(wal):
+    return list(wal.replay())
+
+
+def around(journal, label, call):
+    """Run ``call`` through the journal's resource-invoke bracket."""
+    return journal.around_invoke(label, lambda _operation: call(), "op", {})
 
 
 class TestFrameFormat:
@@ -49,23 +53,6 @@ class TestFrameFormat:
             wal.append({"k": "b", "nested": {"x": [1, 2]}})
             docs = frames(wal)
         assert docs == [{"k": "a", "n": 1}, {"k": "b", "nested": {"x": [1, 2]}}]
-
-    def test_positions_are_ordered_and_returned(self, tmp_path):
-        with open_wal(tmp_path) as wal:
-            first = wal.append({"k": "a"})
-            second = wal.append({"k": "b"})
-            assert first < second
-            assert first.segment == second.segment == 0
-            positions = [pos for pos, _doc in wal.replay()]
-        assert positions == [first, second]
-
-    def test_replay_from_start_position(self, tmp_path):
-        with open_wal(tmp_path) as wal:
-            wal.append({"k": "a"})
-            cut = wal.append({"k": "b"})
-            wal.append({"k": "c"})
-            docs = frames(wal, start=cut)
-        assert [d["k"] for d in docs] == ["b", "c"]
 
     def test_segment_opens_with_header_envelope(self, tmp_path):
         wal = open_wal(tmp_path)
@@ -92,11 +79,21 @@ class TestFrameFormat:
         assert len(docs) == 1 and docs[0]["k"] == "ok"
 
     def test_closed_log_rejects_appends(self, tmp_path):
+        """Every writer refuses a closed log with the same error and
+        writes nothing: append, land and checkpoint."""
         wal = open_wal(tmp_path)
+        wal.append({"k": "kept"})
         wal.close()
-        with pytest.raises(WalError, match="closed"):
-            wal.append({"k": "late"})
+        for write in (
+            lambda: wal.append({"k": "late"}),
+            lambda: wal.land([encode_frame_doc({"k": "late"})]),
+            lambda: wal.checkpoint({"state": 1}, session="s"),
+        ):
+            with pytest.raises(WalError, match="log 'wal' is closed"):
+                write()
         wal.close()  # idempotent
+        assert [d["k"] for d in read_log_directory(wal.directory)["wal"]] \
+            == ["kept"]
 
 
 class TestCrashRecoveryRules:
@@ -217,15 +214,55 @@ class TestReadingBack:
         assert session_tail(docs, "nobody") == []
 
     def test_covers_all_checkpoint_counts_as_every_sessions_own(self):
+        """A shard checkpoint starts every session's tail, and that tail
+        is every frame after it: restoring it rolls back them all."""
         docs = [
             {"k": "checkpoint", "session": "s", "n": 1},
             {"k": "entry", "session": "s", "n": 2},
             {"k": "checkpoint", "session": "shard", "covers_all": True,
              "n": 3},
             {"k": "entry", "session": "s", "n": 4},
+            {"k": "entry", "session": "other", "n": 5},
+            {"k": "applied", "session": "other", "n": 6},
         ]
-        assert [d["n"] for d in session_tail(docs, "s")] == [3, 4]
-        assert [d["n"] for d in session_tail(docs, "fresh")] == [3]
+        assert [d["n"] for d in session_tail(docs, "s")] == [3, 4, 5, 6]
+        assert [d["n"] for d in session_tail(docs, "fresh")] == [3, 4, 5, 6]
+        # the session's own later checkpoint is its base again
+        own = docs + [{"k": "checkpoint", "session": "s", "n": 7},
+                      {"k": "entry", "session": "other", "n": 8},
+                      {"k": "entry", "session": "s", "n": 9}]
+        assert [d["n"] for d in session_tail(own, "s")] == [7, 9]
+
+    def test_replay_and_the_directory_reader_agree(self, tmp_path):
+        """On a log that rotated, truncated behind a checkpoint, was
+        reopened and ends in a torn tail, ``replay()`` yields exactly
+        the docs :func:`read_log_directory` reads."""
+        def fill(wal, numbers):
+            for n in numbers:
+                wal.append({"k": "entry", "session": "s", "n": n,
+                            "pad": "x" * 32})
+
+        wal = open_wal(tmp_path, segment_max_bytes=128)
+        fill(wal, range(4))
+        wal.checkpoint({"state": 1}, session="s")
+        fill(wal, range(4, 6))
+        assert wal.rotations > 1 and wal.truncated_segments > 0
+        wal.close()
+        wal = open_wal(tmp_path, segment_max_bytes=128)
+        fill(wal, range(6, 8))
+        wal.sync()
+        with open(wal._segment_path(wal.segments()[-1]), "ab") as handle:
+            handle.write(_HEADER.pack(1000, 0) + b"torn")
+        docs = list(wal.replay())
+        assert [d["k"] for d in docs[:1]] == ["checkpoint"]
+        assert [d["n"] for d in docs[1:]] == [4, 5, 6, 7]
+        assert docs == read_log_directory(wal.directory)["wal"]
+        wal.close()
+        reopened = open_wal(tmp_path, segment_max_bytes=128)
+        assert reopened.torn_tail_repaired
+        assert list(reopened.replay()) == docs
+        assert read_log_directory(reopened.directory)["wal"] == docs
+        reopened.close()
 
 
 class TestSegmentsAndTruncation:
@@ -333,8 +370,10 @@ class TestSignalDocs:
         sig = Call(topic="t", payload={"a": 1}, origin="s",
                    seq=5, trace_id=5, parent_seq=None)
         wal.append_entry(sig, session="s")
-        wal.seal_entry(session="s", entry_seq=5,
-                       effects=[["net.send", "ok", True]])
+        journal = EffectJournal(wal, session="s")
+        journal.begin_entry(sig)
+        around(journal, "net.send", lambda: True)
+        journal.end_entry()
         entry, applied = frames(wal)
         assert entry == {"k": "entry", "session": "s",
                          "sig": signal_to_doc(sig)}
@@ -393,7 +432,7 @@ class TestEffectJournal:
             return value * 2
 
         entry = journal.log_call("t", {})
-        assert journal.around("res.op", lambda: op(21)) == 42
+        assert around(journal, "res.op", lambda: op(21)) == 42
         journal.end_entry()
         assert journal.recorded == 1
         applied = [d for d in frames(wal) if d["k"] == "applied"]
@@ -404,7 +443,7 @@ class TestEffectJournal:
         journal.begin_entry(replayed, recorded_effects=applied[0]["effects"],
                             already_applied=True)
         assert journal.replaying
-        assert journal.around("res.op", lambda: op(999)) == 42
+        assert around(journal, "res.op", lambda: op(999)) == 42
         journal.end_entry()
         assert calls == [21]
         assert journal.replayed == 1
@@ -419,7 +458,7 @@ class TestEffectJournal:
 
         journal.log_call("t", {})
         with pytest.raises(KeyError):
-            journal.around("res.op", boom)
+            around(journal, "res.op", boom)
         journal.end_entry()
         applied = [d for d in frames(wal) if d["k"] == "applied"]
         label, status, error_type, message = applied[0]["effects"][0]
@@ -434,7 +473,7 @@ class TestEffectJournal:
             recorded_effects=applied[0]["effects"], already_applied=True,
         )
         with pytest.raises(Rebuilt, match="KeyError"):
-            journal.around("res.op", lambda: None)
+            around(journal, "res.op", lambda: None)
         journal.end_entry()
         wal.close()
 
@@ -447,7 +486,7 @@ class TestEffectJournal:
             already_applied=True,
         )
         with pytest.raises(WalError, match="replayed error effect"):
-            journal.around("res.op", lambda: None)
+            around(journal, "res.op", lambda: None)
         journal.end_entry()
         wal.close()
 
@@ -459,7 +498,7 @@ class TestEffectJournal:
             recorded_effects=[["res.a", "ok", 1]], already_applied=True,
         )
         with pytest.raises(WalReplayDivergence, match="res.a"):
-            journal.around("res.b", lambda: 1)
+            around(journal, "res.b", lambda: 1)
         wal.close()
 
     def test_leftover_effects_divergence_at_end(self, tmp_path):
@@ -470,7 +509,7 @@ class TestEffectJournal:
             recorded_effects=[["res.a", "ok", 1], ["res.b", "ok", 2]],
             already_applied=True,
         )
-        journal.around("res.a", lambda: None)
+        around(journal, "res.a", lambda: None)
         with pytest.raises(WalReplayDivergence, match="left over"):
             journal.end_entry()
         # the divergence still closed the entry
@@ -514,7 +553,6 @@ class TestEffectJournal:
     def test_inactive_journal_passes_through(self, tmp_path):
         wal = open_wal(tmp_path)
         journal = EffectJournal(wal, session="s")
-        assert journal.around("x", lambda: 5) == 5
         assert journal.around_invoke(
             "x", lambda op, **a: (op, a), "go", {"k": 1}
         ) == ("go", {"k": 1})
@@ -524,11 +562,11 @@ class TestEffectJournal:
     def test_journal_without_a_log_discards_its_seals(self):
         journal = EffectJournal(None, session="s")
         entry = journal.log_call("t", {})
-        assert journal.around("res.op", lambda: 7) == 7
+        assert around(journal, "res.op", lambda: 7) == 7
         journal.end_entry()
         assert journal.recorded == 1
         journal.begin_entry(entry)
-        assert journal.around("res.op", lambda: 8) == 8  # live redo
+        assert around(journal, "res.op", lambda: 8) == 8  # live redo
         journal.end_entry()
         assert journal.recorded == 2
 
@@ -543,14 +581,7 @@ class TestEffectJournal:
         wal = open_wal(tmp_path)
         journal = EffectJournal(wal, session="s")
         journal.log_call("t", {})
-        journal.around("res.op", lambda: object())
+        around(journal, "res.op", lambda: object())
         with pytest.raises(WalError, match="effects are not"):
             journal.end_entry()
         wal.close()
-
-
-class TestWalPosition:
-    def test_list_roundtrip_and_ordering(self):
-        position = WalPosition(3, 128)
-        assert WalPosition.from_list(position.to_list()) == position
-        assert WalPosition(2, 999) < WalPosition(3, 0) < position

@@ -8,9 +8,11 @@ live segment indexes in memory.  Two properties pin that down:
 - the correctness property, generated: across random sequences of
   appends, checkpoints of every kind, landings, forgets, rotations,
   outbox takes and reopens, :meth:`WriteAheadLog.segments` equals the
-  directory listing, a reopened log replays the docs it held before
-  closing, and the frames taken from the outbox are every frame the
-  log wrote, once each, with the live segments holding their suffix.
+  directory listing, :meth:`WriteAheadLog.replay` reads what
+  :func:`read_log_directory` reads, a reopened log replays the docs it
+  held before closing, and the frames taken from the outbox are every
+  frame the log wrote, once each, with the live segments holding their
+  suffix.
 """
 
 import os
@@ -23,8 +25,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.runtime.events import Signal
 from repro.runtime.wal import (
+    EffectJournal,
     WriteAheadLog,
     encode_frame_doc,
+    read_log_directory,
     signal_to_doc,
     split_frames,
 )
@@ -70,15 +74,15 @@ def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
     standby.land(wal.take_outbox())
     for cycle in range(24):
         session = sessions[cycle % len(sessions)]
-        signal = Signal(topic="t", payload={"cycle": cycle}, origin=session)
-        wal.append_entry(signal, session=session)
-        wal.seal_entry(session=session, entry_seq=signal.seq)
+        journal = EffectJournal(wal, session=session)
+        journal.log_call("t", {"cycle": cycle})
+        journal.end_entry()
         standby.land(wal.take_outbox())
         wal.checkpoint({"cycle": cycle}, session=session)
         standby.land(wal.take_outbox())
     wal.checkpoint({"all": True}, session="shard", cover_all=True)
     standby.land(wal.take_outbox())
-    assert [doc for _position, doc in wal.replay()]
+    assert list(wal.replay())
     standby.truncate()
     standby.import_session(
         [{"k": "checkpoint", "session": "moved", "snapshot": {}}],
@@ -123,10 +127,9 @@ class SegmentBookkeeping(RuleBasedStateMachine):
 
     @rule(session=_SESSIONS, pad=st.integers(0, 96))
     def append(self, session, pad):
-        signal = Signal(topic="t", payload={"pad": "x" * pad},
-                        origin=session)
-        self.wal.append_entry(signal, session=session)
-        self.wal.seal_entry(session=session, entry_seq=signal.seq)
+        journal = EffectJournal(self.wal, session=session)
+        journal.log_call("t", {"pad": "x" * pad})
+        journal.end_entry()
 
     @rule(session=_SESSIONS,
           kind=st.sampled_from(["full", "cover_all"]))
@@ -176,16 +179,22 @@ class SegmentBookkeeping(RuleBasedStateMachine):
 
     @rule()
     def reopen(self):
-        before = [doc for _position, doc in self.wal.replay()]
+        before = list(self.wal.replay())
         self.wal.close()
         self._take()  # a closed log still hands over what it wrote
         assert self.taken == self.wal.appends
         self.wal = self._open()
-        assert [doc for _position, doc in self.wal.replay()] == before
+        assert list(self.wal.replay()) == before
 
     @invariant()
     def segments_match_the_directory(self):
         assert self.wal.segments() == _listed(self.wal)
+
+    @invariant()
+    def replay_reads_what_the_directory_reader_reads(self):
+        self.wal.sync()
+        assert list(self.wal.replay()) == (
+            read_log_directory(self.wal.directory)[self.wal.name])
 
     def teardown(self):
         self.wal.close()

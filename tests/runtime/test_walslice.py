@@ -185,14 +185,17 @@ class TestSessionReplayFrames:
              "snapshot": {"name": "p", "layers": {}}},
             {"k": "checkpoint", "session": "other",
              "snapshot": {"name": "p", "layers": {}}},
-            _entry("s1", seq=2, trace_id=2),
+            _entry("other", seq=2, trace_id=2),
+            _entry("s1", seq=3, trace_id=3),
         ])
         frames = session_tail(home.frames, "s1")
         # the tail starts at the shard checkpoint: the entry before it
-        # is covered, the entry after it replays.
-        assert [doc["k"] for doc in frames] == ["checkpoint", "entry"]
+        # is covered, and every frame after it replays, since
+        # restoring the shard snapshot rolls back every session.
+        assert [doc["k"] for doc in frames] == [
+            "checkpoint", "checkpoint", "entry", "entry"]
         assert frames[0]["covers_all"]
-        assert frames[1]["sig"]["seq"] == 2
+        assert [doc["sig"]["seq"] for doc in frames[2:]] == [2, 3]
 
 
 def _node(seq, *, trace_id=7, parent_seq=None, kind="call",
