@@ -7,7 +7,11 @@ full middleware backend for its shard of the session space.  Coordinator
 and workers exchange length-prefixed CRC-checked frames over localhost
 sockets — the exact framing discipline of the write-ahead log
 (:mod:`repro.runtime.wal`), reused via its public helpers so a corrupt or
-truncated frame is detected the same way a torn WAL record is.
+truncated frame is detected the same way a torn WAL record is.  Both ends
+set ``TCP_NODELAY``: with Nagle on, a small frame sent while an earlier
+one is unacknowledged waits for the peer's delayed ACK (~40 ms on Linux).
+Each socket's inbound frames are read through one buffered
+:class:`_FrameReader`, created at connect or accept time.
 
 Layering: this module knows nothing about the middleware.  Workers resolve
 their backend from a ``"module:attr"`` spec string at startup, so the
@@ -98,39 +102,66 @@ class RemoteWorkerError(ClusterError):
 # ---------------------------------------------------------------------------
 
 
-def _read_exactly(sock: socket.socket, size: int) -> bytes:
-    chunks = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("socket closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+#: Bytes asked of the kernel per receive when the buffer runs short.
+_RECV_SIZE = 1 << 16
 
 
-def _read_payload(sock: socket.socket) -> tuple[bytes, int]:
-    header = _read_exactly(sock, FRAME_HEADER_SIZE)
-    length, crc = decode_frame_header(header)
-    return _read_exactly(sock, length), crc
+def _no_delay(sock: socket.socket) -> socket.socket:
+    """Switch Nagle off: a reply, or a request sent while an earlier
+    reply is unacknowledged, must not wait for a delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-def _read_frame(sock: socket.socket) -> dict:
-    return decode_frame_payload(*_read_payload(sock))
+class _FrameReader:
+    """Every inbound frame of one socket, read through one buffer.
 
+    A receive takes whatever the kernel holds — a reply and the batch
+    shipped behind it, or several queued requests — so most frames are
+    cut from the buffer without a syscall of their own.  EOF before a
+    frame is whole raises :class:`ConnectionError`.
+    """
 
-def _read_batch(sock: socket.socket) -> list[bytes]:
-    """A shipped batch: one raw transport frame holding WAL frames back
-    to back, CRC-checked as a whole and split (not decoded)."""
-    payload, crc = _read_payload(sock)
-    if zlib.crc32(payload) != crc:
-        raise WalError("shipped batch CRC mismatch")
-    return split_frames(payload)
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._data = b""  # received, unread from ``_start`` on
+        self._start = 0
 
+    def _take(self, size: int) -> bytes:
+        data, start = self._data, self._start
+        end = start + size
+        if end <= len(data):
+            self._start = end
+            return data[start:end]
+        parts = [memoryview(data)[start:]]
+        short = end - len(data)
+        while short > 0:
+            chunk = self.sock.recv(max(_RECV_SIZE, short))
+            if not chunk:
+                raise ConnectionError("socket closed mid-frame")
+            parts.append(chunk)
+            short -= len(chunk)
+        data = b"".join(parts)
+        if short == 0:  # nothing past this frame: keep no copy
+            self._data, self._start = b"", 0
+            return data
+        self._data, self._start = data, size
+        return data[:size]
 
-def _send_frame(sock: socket.socket, doc: dict) -> None:
-    sock.sendall(encode_frame_doc(doc, lenient=True))
+    def _payload(self) -> tuple[bytes, int]:
+        length, crc = decode_frame_header(self._take(FRAME_HEADER_SIZE))
+        return self._take(length), crc
+
+    def frame(self) -> dict:
+        return decode_frame_payload(*self._payload())
+
+    def batch(self) -> list[bytes]:
+        """A shipped batch: one raw transport frame holding WAL frames
+        back to back, CRC-checked as a whole and split (not decoded)."""
+        payload, crc = self._payload()
+        if zlib.crc32(payload) != crc:
+            raise WalError("shipped batch CRC mismatch")
+        return split_frames(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +185,20 @@ def worker_main(worker_id: int, port: int, token: str, backend_spec: str,
     if configure is not None:
         configure(worker_id, options)
 
-    sock = socket.create_connection(("127.0.0.1", port), timeout=_HANDSHAKE_TIMEOUT)
+    sock = _no_delay(socket.create_connection(("127.0.0.1", port),
+                                              timeout=_HANDSHAKE_TIMEOUT))
     sock.settimeout(None)
-    _send_frame(sock, {"k": "hello", "worker": worker_id, "token": token,
-                       "pid": os.getpid()})
+    sock.sendall(encode_frame_doc({"k": "hello", "worker": worker_id,
+                                   "token": token, "pid": os.getpid()},
+                                  lenient=True))
 
     inbox: queue.SimpleQueue = queue.SimpleQueue()
 
     def _reader() -> None:
+        reader = _FrameReader(sock)
         try:
             while True:
-                inbox.put(_read_frame(sock))
+                inbox.put(reader.frame())
         except (ConnectionError, OSError, WalError):
             inbox.put(None)
 
@@ -284,15 +318,17 @@ class _WorkerHandle:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def attach(self, sock: socket.socket, pid: int) -> None:
+    def attach(self, reader: _FrameReader, pid: int) -> None:
+        """Serve the worker behind ``reader``, the one that read its
+        hello: bytes it buffered past the hello belong to this worker."""
         with self.lock:
             self.generation += 1
             generation = self.generation
-            self._sock = sock
+            self._sock = reader.sock
             self.pid = pid
             self.alive = True
             self.reported_backlog = 0
-        threading.Thread(target=self._reader, args=(sock, generation),
+        threading.Thread(target=self._reader, args=(reader, generation),
                          name=f"cluster-{self.name}-rx", daemon=True).start()
         self._ready.set()
 
@@ -333,11 +369,11 @@ class _WorkerHandle:
             self._die_locked(exc)
         return future
 
-    def _reader(self, sock: socket.socket, generation: int) -> None:
+    def _reader(self, reader: _FrameReader, generation: int) -> None:
         try:
             while True:
-                frame = _read_frame(sock)
-                batch = _read_batch(sock) if frame.get("ship") else None
+                frame = reader.frame()
+                batch = reader.batch() if frame.get("ship") else None
                 self._resolve(frame, generation, batch)
         except (ConnectionError, OSError, WalError) as exc:
             with self.lock:
@@ -613,8 +649,9 @@ class ProcessCluster:
             except OSError:
                 return
             try:
-                sock.settimeout(_HANDSHAKE_TIMEOUT)
-                hello = _read_frame(sock)
+                _no_delay(sock).settimeout(_HANDSHAKE_TIMEOUT)
+                reader = _FrameReader(sock)
+                hello = reader.frame()
                 sock.settimeout(None)
                 if (hello.get("k") != "hello"
                         or hello.get("token") != self._token):
@@ -624,7 +661,7 @@ class ProcessCluster:
                 if not 0 <= index < len(self.handles):
                     sock.close()
                     continue
-                self.handles[index].attach(sock, int(hello.get("pid", 0)))
+                self.handles[index].attach(reader, int(hello.get("pid", 0)))
             except (ConnectionError, OSError, WalError):
                 try:
                     sock.close()

@@ -1,16 +1,23 @@
 """Multi-process session fabric: frames, workers, migration, faults."""
 
+import contextlib
+import itertools
 import queue
+import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.runtime.cluster as runtime_cluster
 from repro.runtime.cluster import (
     ClusterFabric,
     ProcessCluster,
     RemoteWorkerError,
+    _FrameReader,
+    worker_main,
 )
 from repro.runtime.faults import InvocationOutcome
 from repro.runtime.ingress import AdmissionPolicy, IngressRejected, ShedReason
@@ -19,6 +26,7 @@ from repro.runtime.wal import (
     WalError,
     decode_frame_header,
     decode_frame_payload,
+    encode_frame,
     encode_frame_doc,
 )
 
@@ -55,6 +63,185 @@ class TestFrameProtocol:
         frame = encode_frame_doc({"a": 1})
         length, _crc = struct.unpack(">II", frame[:FRAME_HEADER_SIZE])
         assert length == len(frame) - FRAME_HEADER_SIZE
+
+
+# -- the buffered frame reader over a socket pair ----------------------------
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+_request = st.builds(
+    lambda i, op, doc: {"k": "req", "id": i, "op": op, "session": "s",
+                        "doc": doc},
+    st.integers(0, 10**6), st.sampled_from(["call", "open", "adopt", "drop"]),
+    _json)
+_wal_docs = st.lists(
+    st.builds(lambda kind, doc: {"k": kind, "session": "s", "doc": doc},
+              st.sampled_from(["entry", "seal", "checkpoint"]), _json),
+    min_size=1, max_size=4)
+#: a reply, with the WAL docs shipped behind it (or None)
+_reply = st.tuples(
+    st.builds(lambda i, value, backlog: {"k": "res", "id": i, "ok": True,
+                                         "value": value, "backlog": backlog},
+              st.integers(0, 10**6), _json, st.integers(0, 50)),
+    st.none() | _wal_docs)
+_messages = st.lists(st.one_of(st.tuples(_request, st.none()), _reply),
+                     min_size=1, max_size=8)
+
+
+def _wire(doc, shipped) -> bytes:
+    """A message's bytes as a peer sends them: one frame, then the
+    shipped WAL frames as one batch frame when there are any."""
+    if not shipped:
+        return encode_frame_doc(doc)
+    frames = [encode_frame_doc(wal_doc) for wal_doc in shipped]
+    return (encode_frame_doc({**doc, "ship": len(frames)})
+            + encode_frame(b"".join(frames)))
+
+
+class _Trickle:
+    """A socket whose receives return at most the next drawn size, so
+    the reader sees that chunking even where the kernel would coalesce
+    the sends."""
+
+    def __init__(self, sock, sizes):
+        self._sock = sock
+        self._sizes = itertools.cycle(sizes)
+
+    def recv(self, size):
+        return self._sock.recv(min(size, next(self._sizes)))
+
+
+@contextlib.contextmanager
+def _reader_over(data: bytes, sizes=(1 << 16,)):
+    """A reader of ``data``, sent in ``sizes`` chunks by a peer thread
+    that closes its end after the last one."""
+    ours, theirs = socket.socketpair()
+
+    def send():
+        with theirs:
+            chunks = itertools.cycle(sizes)
+            offset = 0
+            while offset < len(data):
+                end = offset + next(chunks)
+                theirs.sendall(data[offset:end])
+                offset = end
+
+    threading.Thread(target=send, daemon=True).start()
+    with ours:
+        yield _FrameReader(_Trickle(ours, sizes))
+
+
+class TestFrameReader:
+    @settings(max_examples=60, deadline=None)
+    @given(_messages, st.lists(st.integers(1, 600), min_size=1, max_size=6))
+    def test_any_chunking_reads_the_same_frames(self, messages, sizes):
+        data = b"".join(_wire(doc, shipped) for doc, shipped in messages)
+        with _reader_over(data, sizes) as reader:
+            for doc, shipped in messages:
+                frame = reader.frame()
+                assert frame == ({**doc, "ship": len(shipped)} if shipped
+                                 else doc)
+                if frame.get("ship"):
+                    assert reader.batch() == [encode_frame_doc(wal_doc)
+                                              for wal_doc in shipped]
+            with pytest.raises(ConnectionError):
+                reader.frame()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_request, st.data())
+    def test_eof_inside_a_header_or_payload_raises(self, doc, data):
+        frame = encode_frame_doc(doc)
+        in_header = data.draw(st.booleans())
+        cut = data.draw(st.integers(1, FRAME_HEADER_SIZE - 1) if in_header
+                        else st.integers(FRAME_HEADER_SIZE, len(frame) - 1))
+        with _reader_over(frame[:cut]) as reader, \
+                pytest.raises(ConnectionError):
+            reader.frame()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_reply.filter(lambda reply: reply[1]), st.data())
+    def test_a_flipped_batch_byte_raises_wal_error(self, reply, data):
+        doc, shipped = reply
+        wire = bytearray(_wire(doc, shipped))
+        batch_at = len(encode_frame_doc({**doc, "ship": len(shipped)}))
+        # anywhere past the batch's length field: its CRC or its payload
+        index = data.draw(st.integers(batch_at + 4, len(wire) - 1))
+        wire[index] ^= data.draw(st.integers(1, 255))
+        with _reader_over(bytes(wire)) as reader:
+            assert reader.frame()["ship"] == len(shipped)
+            with pytest.raises(WalError):
+                reader.batch()
+
+    def test_headers_go_through_the_module_hook(self, monkeypatch):
+        """Every frame header, batches included, is decoded through the
+        module's ``decode_frame_header``: the traced benchmark counts
+        transport bytes by patching that name."""
+        headers = []
+        decode = runtime_cluster.decode_frame_header
+
+        def counting(header):
+            headers.append(header)
+            return decode(header)
+
+        monkeypatch.setattr(runtime_cluster, "decode_frame_header", counting)
+        with _reader_over(_wire({"k": "res", "id": 1}, [{"k": "entry"}])
+                          + _wire({"k": "req", "id": 2}, None)) as reader:
+            reader.frame()
+            reader.batch()
+            reader.frame()
+        assert len(headers) == 3
+
+
+# -- TCP_NODELAY on both ends of the wire ------------------------------------
+
+
+def _no_delay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+class TestNoDelay:
+    def test_coordinator_sockets_across_a_respawn(self):
+        with ProcessCluster(2, backend=ECHO_SPEC, name="test-nodelay") as c:
+            c.start()
+            assert all(_no_delay(handle._sock) for handle in c.handles)
+            c.kill_worker(0)
+            assert c.wait_worker(0, timeout=30)
+            assert c.handles[0].generation == 2
+            assert all(_no_delay(handle._sock) for handle in c.handles)
+
+    def test_worker_socket(self, monkeypatch):
+        connected = []
+        create_connection = socket.create_connection
+
+        def recording(*args, **kwargs):
+            sock = create_connection(*args, **kwargs)
+            connected.append(sock)
+            return sock
+
+        monkeypatch.setattr(runtime_cluster.socket, "create_connection",
+                            recording)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            worker = threading.Thread(
+                target=worker_main,
+                args=(0, listener.getsockname()[1], "tok", ECHO_SPEC, ""),
+                daemon=True)
+            worker.start()
+            listener.settimeout(30)
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(30)
+                reader = _FrameReader(conn)
+                assert reader.frame()["token"] == "tok"
+                assert len(connected) == 1 and _no_delay(connected[0])
+                conn.sendall(encode_frame_doc(
+                    {"k": "req", "id": 1, "op": "stop", "session": ""}))
+                assert reader.frame()["value"] == {"stopped": True}
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
 
 # -- cluster lifecycle over a real spawn-context worker ----------------------
