@@ -7,8 +7,8 @@ must not grow with the number of *non-matching* subscriptions, so the
 indexed bus beats a linear-scan reference by a growing margin as cold
 subscribers are added.
 
-Regenerates: the ``bus_scaling`` rows of ``BENCH_PR1.json``
-(``python -m repro.bench.harness``).
+Reproduces: the ``bus_scaling`` rows recorded in ``BENCH_PR1.json``
+(a historical report; this test is the gate that checks them now).
 """
 
 from __future__ import annotations

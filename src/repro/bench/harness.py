@@ -5,10 +5,6 @@ to replay workloads against either Broker implementation, time code
 paths consistently, and print the rows that EXPERIMENTS.md records.
 :func:`paired_overhead` is the one overhead statistic every gated
 bench block reports.
-
-This module is also the ``fabric`` suite of ``repro bench``
-(``BENCH_PR1.json``): like every suite module it exposes ``run(quick)``
-and ``check(results)``.
 """
 
 from __future__ import annotations
@@ -38,8 +34,6 @@ __all__ = [
     "paired_overhead",
     "e1_paired_bench",
     "recorded",
-    "run",
-    "check",
 ]
 
 
@@ -246,7 +240,7 @@ def _fmt(cell: Any) -> str:
     return str(cell)
 
 
-# -- signal-fabric micro-benchmarks (BENCH_PR1.json) ----------------------
+# -- signal-fabric micro-benchmarks ----------------------------------------
 
 
 class _LinearScanBus:
@@ -466,26 +460,3 @@ def recorded(path: str, *keys: str) -> float | None:
         return float(doc)
     except (OSError, ValueError, KeyError, TypeError):
         return None
-
-
-# -- the fabric suite (BENCH_PR1.json) ------------------------------------
-
-
-def run(quick: bool = False) -> dict[str, Any]:
-    """Bus routing scaling plus the E1 overhead pass (same size either
-    way: the suite is already CI-sized)."""
-    return {
-        "bench": "PR1-signal-fabric",
-        "bus_scaling": bus_scaling_bench(),
-        "e1": e1_paired_bench(repeat=5),
-    }
-
-
-def check(report: dict[str, Any]) -> str:
-    widest = report["bus_scaling"][-1]
-    e1 = report["e1"]
-    return (
-        f"fabric OK (indexed bus {widest['speedup']:.1f}x over a linear "
-        f"scan at {widest['subscribers']} subscribers, E1 overhead "
-        f"{e1['mean_overhead_pct']:.2f}%)"
-    )

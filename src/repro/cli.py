@@ -26,8 +26,8 @@ Commands:
 * ``trace`` — run ``examples/quickstart.py`` with causal signal
   tracing enabled and print the trace_id/parent_seq chains.
 * ``bench NAME [--quick] [--output PATH]`` — run one experiment suite
-  (``fabric``, ``faults``, ``synthesis``, ``aot``, ``scale``,
-  ``migrate``, ``ingress``, ``wal``, ``cluster``, ``walfabric``), write
+  (``faults``, ``aot``, ``scale``, ``migrate``, ``ingress``, ``wal``,
+  ``cluster``, ``walfabric``), write
   its ``BENCH_PR*.json`` report, then check it; a failed check exits 1.
 """
 
@@ -679,7 +679,6 @@ def _trace_replay_slice(args: argparse.Namespace) -> int:
 #: default report path).  Every suite module exposes ``run(quick)``
 #: and ``check(report)``.
 BENCH_SUITES: dict[str, tuple[str, str]] = {
-    "fabric": ("harness", "BENCH_PR1.json"),
     "faults": ("faults", "BENCH_PR2.json"),
     "aot": ("aot", "BENCH_PR8.json"),
     "scale": ("scale", "BENCH_PR4.json"),

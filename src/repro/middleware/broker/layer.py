@@ -28,7 +28,7 @@ from repro.middleware.broker.resource import (
     Resource,
     ResourceManager,
 )
-from repro.runtime.faults import CircuitBreaker, InvocationOutcome, RetryPolicy
+from repro.runtime.faults import InvocationOutcome
 from repro.middleware.broker.state import StateManager
 from repro.middleware.controller.policy import ContextStore, PolicyEngine
 from repro.runtime.component import Component
@@ -203,26 +203,6 @@ class BrokerLayer(Component):
         self, topic_pattern: str, action: BrokerAction, *, guard: str | None = None
     ) -> None:
         self.events.bind(topic_pattern, action, guard=guard)
-
-    def install_fault_policy(
-        self,
-        resource_name: str,
-        policy: RetryPolicy | None = None,
-        *,
-        failure_threshold: int = 5,
-        recovery_time: float = 30.0,
-        half_open_trials: int = 1,
-    ) -> CircuitBreaker:
-        """Protect a resource with a retry policy + circuit breaker;
-        breaker transitions surface as ``resource.<name>.breaker_*``
-        events the autonomic manager can consume as symptoms."""
-        return self.resources.protect(
-            resource_name,
-            policy,
-            failure_threshold=failure_threshold,
-            recovery_time=recovery_time,
-            half_open_trials=half_open_trials,
-        )
 
     def install_symptom(self, symptom: Symptom) -> Symptom:
         return self.autonomic.add_symptom(symptom)

@@ -15,7 +15,6 @@ procedures, classifiers, actions) "at runtime with immediate effect".
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.middleware.broker.layer import BrokerLayer
@@ -35,7 +34,6 @@ from repro.runtime.metrics import MetricsRegistry, default_registry
 from repro.runtime.sharded import (
     Shard,
     ShardedRuntime,
-    ShardedRuntimeError,
     current_shard,
 )
 
@@ -420,19 +418,6 @@ class Platform:
         )
 
 
-class _ClusterOwner:
-    """The pool router's owner for sessions moved out to one worker of a
-    :class:`~repro.runtime.cluster.ProcessCluster`: not a shard of the
-    pool's fabric (``index`` None), with a lock ordering the pool's
-    submissions to that worker."""
-
-    index = None
-    durability = None
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-
-
 class PlatformPool:
     """A sharded multi-session front door over N platform instances.
 
@@ -485,12 +470,7 @@ class PlatformPool:
             factory(shard) for shard in self.runtime.shards
         ]
         self._ingress_tiers: list[Any] = []
-        #: attached process cluster; sessions moved out to its workers
-        #: route to the owner of their worker index.
-        self._cluster: Any = None
-        self._cluster_owners: dict[int, _ClusterOwner] = {}
         self._apply_doc: "Callable[[Platform, str, dict], Any] | None" = None
-        self._rebalancer: Any = None
         self.started = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -513,8 +493,6 @@ class PlatformPool:
     def stop(self) -> "PlatformPool":
         if not self.started:
             return self
-        if self._rebalancer is not None:
-            self._rebalancer.stop()
         self.runtime.stop()
         for platform in self.platforms:
             platform.stop()
@@ -538,23 +516,13 @@ class PlatformPool:
 
     def platform_for(self, key: str) -> Platform:
         """The platform owning session ``key`` (affinity-stable)."""
-        return self._platform_on(self.shard_for(key), key)
-
-    def _platform_on(self, owner: Any, key: str) -> Platform:
-        if isinstance(owner, _ClusterOwner):
-            raise PlatformError(
-                f"pool {self.name!r}: session {key!r} was moved out to a "
-                f"worker process"
-            )
-        return self.platforms[owner.index]
+        return self.platforms[self.shard_for(key).index]
 
     def submit(self, key: str, fn: "Callable[[Platform], Any]"):
         """Run ``fn(platform)`` on the shard owning ``key``; a Future."""
-        def send(shard: Any) -> Any:
-            platform = self._platform_on(shard, key)
-            return shard.call(fn, platform)
-
-        return self.runtime.dispatch(str(key), send)
+        return self.runtime.dispatch(
+            str(key), lambda shard: shard.call(fn, self.platforms[shard.index])
+        )
 
     def close_session(self, key: str) -> bool:
         """Release per-session fabric state for a closed session.
@@ -563,19 +531,15 @@ class PlatformPool:
         :meth:`build_ingress` are resolved first as typed ``REJECTED``
         outcomes (``ShedReason.SESSION_CLOSED``) — closing a session
         must never leave a waiter hanging on a queue nobody will pump,
-        nor dispatch its backlog into the released session.  A session
-        moved out to a worker closes there.  Then the migration route
-        override installed by a move (if any) is pruned so the
-        routing table stays bounded over millions of session
+        nor dispatch its backlog into the released session.  Then the
+        migration route override installed by a move (if any) is pruned
+        so the routing table stays bounded over millions of session
         lifetimes.  Returns True when an override was dropped.
         """
         for tier in self._ingress_tiers:
             tier.close_session(key)
         key = str(key)
-        owner = self.shard_for(key)
-        if isinstance(owner, _ClusterOwner):
-            self._cluster.close_session(key)
-        durability = owner.durability
+        durability = self.shard_for(key).durability
         if durability is not None:
             # typed close frame, then drop the session from the
             # truncation floor — a closed session must not pin segments
@@ -634,43 +598,36 @@ class PlatformPool:
         if durability is not None:
             durability.log_event("shed", key, reason=reason)
 
-    # -- cluster routing (PR 9) -------------------------------------------
+    # -- doc-encoded steps ------------------------------------------------
 
     def attach_cluster(
         self,
-        cluster: Any,
+        cluster: None,
         *,
         apply: "Callable[[Platform, str, dict], Any]",
     ) -> None:
-        """Enable remote routing through a :class:`ProcessCluster`.
+        """Set how :meth:`submit_doc` applies a step.
 
         ``apply(platform, key, doc)`` executes one doc-encoded
-        submission against a *local* platform — the same docs a remote
-        worker's backend applies — so :meth:`submit_doc` can route each
-        submission transparently: sessions migrated out via
-        :meth:`migrate_to_worker` go over the wire, everything else
-        runs in-process on the owning shard.
+        submission against the owning shard's platform — the same docs
+        a worker's backend applies.  Sessions stay in the fabric that
+        opened them, so ``cluster`` must be None; any other value
+        raises :class:`PlatformError`.
         """
-        self._cluster = cluster
-        self._cluster_owners = {}
+        if cluster is not None:
+            raise PlatformError(
+                f"pool {self.name!r}: sessions stay on the pool's shards; "
+                f"attach_cluster() takes no cluster"
+            )
         self._apply_doc = apply
 
-    def remote_worker_for(self, key: str) -> int | None:
-        """Worker index hosting ``key``, or None when local."""
-        if isinstance(self.shard_for(str(key)), _ClusterOwner):
-            # the cluster's router: its own moves may have re-homed it
-            return self._cluster.worker_for(str(key))
-        return None
-
     def submit_doc(self, key: str, doc: dict) -> Any:
-        """Submit one doc-encoded step for ``key``, local or remote.
+        """Submit one doc-encoded step for ``key``.
 
         Returns a future resolving to an
-        :class:`~repro.runtime.faults.InvocationOutcome` on both paths:
-        remote submissions ride the cluster protocol (worker death
-        surfaces as typed ``REJECTED`` outcomes, never a hung future),
-        local ones run ``apply(platform, key, doc)`` on the owning
-        shard thread.
+        :class:`~repro.runtime.faults.InvocationOutcome`: the owning
+        shard thread runs ``apply(platform, key, doc)``, inside the
+        shard's durability bracket when the pool is durable.
         """
         if self._apply_doc is None:
             raise PlatformError(
@@ -692,7 +649,6 @@ class PlatformPool:
                 return value
 
             try:
-                self._check_emit_targets(key, doc)
                 if shard.durability is None:
                     value = applied(None)
                 else:
@@ -715,24 +671,7 @@ class PlatformPool:
                 value=value, attempts=1, elapsed=0.0,
             )
 
-        def send(owner: Any) -> Any:
-            if isinstance(owner, _ClusterOwner):
-                return self._cluster.submit(key, doc)
-            return owner.call(run)
-
-        return self.runtime.dispatch(key, send)
-
-    def _check_emit_targets(self, key: str, doc: dict) -> None:
-        """Refuse a step before it applies when one of its ``emit``
-        targets was moved out of the fabric: ``route_signal`` could not
-        deliver there, and the step must not fail after its effect."""
-        for spec in doc.get("emit") or ():
-            target = str(spec.get("key", key))
-            if self.runtime.shard_for(target).index is None:
-                raise ShardedRuntimeError(
-                    f"emit target session {target!r} was moved out of "
-                    f"fabric {self.runtime.name!r}"
-                )
+        return self.runtime.dispatch(key, lambda shard: shard.call(run))
 
     def _route_emits(self, key: str, doc: dict, signal: Any) -> None:
         """Route the step's declared cross-session emissions.
@@ -758,79 +697,6 @@ class PlatformPool:
         for spec in emits:
             event = emit_event(spec, key, signal)
             self.route_signal(event, key=str(spec.get("key", key)))
-
-    def migrate_to_worker(
-        self,
-        key: str,
-        worker: int,
-        *,
-        capture: "Callable[[Platform], dict]",
-        timeout: float = 30.0,
-    ) -> Any:
-        """Live-migrate session ``key`` out of this process: one
-        :meth:`ShardedRuntime.transfer` whose target is ``worker``.
-
-        The owning shard runs ``capture(platform)`` (the session's
-        portable capture doc: snapshot + service state + DSK hash),
-        ``worker`` adopts it through
-        :meth:`~repro.runtime.cluster.ProcessCluster.adopt` as a lone
-        checkpoint frame, and routing re-points so :meth:`submit_doc`
-        goes remote.
-        """
-        if self._cluster is None:
-            raise PlatformError(
-                f"pool {self.name!r}: attach_cluster() before migrate_to_worker()"
-            )
-        key = str(key)
-        return self.runtime.transfer(
-            key,
-            self._cluster_owners.setdefault(worker, _ClusterOwner()),
-            capture=lambda: capture(self.platforms[current_shard().index]),
-            restore=lambda _owner, doc: self._cluster.adopt(
-                key, [{"k": "checkpoint", "session": key, "snapshot": doc}],
-                worker=worker, timeout=timeout,
-            ),
-            timeout=timeout,
-        )
-
-    # -- load-driven rebalancing (PR 9, folded PR 5 follow-on) ------------
-
-    def build_rebalancer(
-        self,
-        *,
-        sessions: "Callable[[], Any]",
-        capture: "Callable[[str], Any]",
-        restore: "Callable[[str, Any], Any]",
-        interval: float = 1.0,
-        clock: "Clock | None" = None,
-        queue_weight: float = 1e-3,
-        min_moves: int = 1,
-    ) -> "Any":
-        """A periodic load-driven rebalance trigger over this pool.
-
-        Every ``interval`` seconds the trigger plans moves from *live*
-        per-shard load — ``MetricsRegistry`` latency totals plus
-        mailbox queue depth via
-        :meth:`ShardRebalancer.plan_from_metrics` — and applies them
-        through the migration protocol with the caller's per-session
-        ``capture(key)`` / ``restore(key, snapshot)``.  Timers are
-        epoch-fenced (CheckpointScheduler discipline): :meth:`stop`
-        invalidates in-flight callbacks.  Returns the started
-        :class:`~repro.runtime.sharded.RebalanceTrigger`.
-        """
-        from repro.runtime.sharded import RebalanceTrigger, ShardRebalancer
-
-        trigger = RebalanceTrigger(
-            ShardRebalancer(self.runtime, capture=capture, restore=restore),
-            sessions=sessions,
-            interval=interval,
-            clock=clock or WallClock(),
-            queue_weight=queue_weight,
-            min_moves=min_moves,
-        )
-        trigger.start()
-        self._rebalancer = trigger
-        return trigger
 
     # -- durable checkpoints + recovery (PR 10) ---------------------------
 
@@ -885,7 +751,6 @@ class PlatformPool:
 
         key = str(key)
         shard = self.shard_for(key)
-        platform = self._platform_on(shard, key)
         durability = shard.durability
         if durability is None:
             raise PlatformError(
@@ -898,7 +763,7 @@ class PlatformPool:
             session=key,
             apply_entry=apply_entry,
             wal=wal,
-            platform=platform,
+            platform=self.platforms[shard.index],
         )
 
     def route_signal(self, signal: Any, *, key: str) -> None:

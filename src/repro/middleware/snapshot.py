@@ -50,7 +50,6 @@ if TYPE_CHECKING:
     from repro.middleware.platform import Platform
     from repro.runtime.clock import Clock
     from repro.runtime.component import Component, Supervisor
-    from repro.runtime.durability import ShardDurability
     from repro.runtime.events import EventBus
     from repro.runtime.metrics import MetricsRegistry
     from repro.runtime.wal import WriteAheadLog
@@ -296,9 +295,6 @@ class CheckpointScheduler(PeriodicTask):
         interval: float = 1.0,
         clock: "Clock | None" = None,
         on_checkpoint: Callable[[SessionSnapshot], None] | None = None,
-        durability: "ShardDurability | None" = None,
-        session: str | None = None,
-        apply_entry: Callable[[Any, Any], Any] | None = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("checkpoint interval must be > 0")
@@ -306,14 +302,7 @@ class CheckpointScheduler(PeriodicTask):
         self.interval = interval
         self.clock = clock or platform.clock
         self.on_checkpoint = on_checkpoint
-        #: optional ShardDurability: ticks become durable checkpoint
-        #: frames in its log (snapshot-then-truncate) and supervised
-        #: recovery upgrades to restore-latest-snapshot + replay-tail.
-        self.durability = durability
-        self.session = session if session is not None else platform.name
-        self.apply_entry = apply_entry
         self.last_snapshot: SessionSnapshot | None = None
-        self.last_recovery: "RecoveryReport | None" = None
         self.checkpoints_taken = 0
         self.recoveries = 0
 
@@ -327,13 +316,6 @@ class CheckpointScheduler(PeriodicTask):
     def tick(self) -> SessionSnapshot:
         """Take one checkpoint now (also the manual-drive entry point)."""
         snapshot = capture_snapshot(self.platform)
-        if self.durability is not None:
-            # Durable snapshot-then-truncate: older segments drop.  A
-            # platform snapshot embeds every session the platform
-            # hosts, so it covers them all.
-            self.durability.checkpoint(
-                self.session, snapshot.to_dict(), cover_all=True
-            )
         self.last_snapshot = snapshot
         self.checkpoints_taken += 1
         if self.on_checkpoint is not None:
@@ -348,24 +330,6 @@ class CheckpointScheduler(PeriodicTask):
         return self
 
     def _on_restarted(self, component: "Component") -> None:
-        if (
-            self.durability is not None
-            and self.apply_entry is not None
-            and self.last_snapshot is not None
-        ):
-            # Exactly-once warm recovery: restore the latest durable
-            # checkpoint, then replay the WAL tail with memoized
-            # external effects and (trace_id, seq) dedup.
-            wal = self.durability.wal
-            self.last_recovery = recover_session(
-                wal.replay(),
-                session=self.session,
-                apply_entry=self.apply_entry,
-                wal=wal,
-                platform=self.platform,
-            )
-            self.recoveries += 1
-            return
         if self.last_snapshot is None:
             return
         # A layer restart resets only that layer's state, but the

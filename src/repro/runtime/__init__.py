@@ -38,7 +38,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.cluster import (
     ClusterError,
-    ClusterFabric,
     ProcessCluster,
     RemoteWorkerError,
     worker_main,
@@ -86,7 +85,7 @@ __all__ = [
     "Registry", "TypeRegistry", "RegistryError",
     "ShardedRuntime", "ShardedRuntimeError", "Shard", "ForwardingChannel",
     "shard_index_for", "current_shard",
-    "ProcessCluster", "ClusterFabric", "ClusterError", "RemoteWorkerError",
+    "ProcessCluster", "ClusterError", "RemoteWorkerError",
     "worker_main",
     "IngressTier", "AsyncIngress", "AdmissionPolicy", "IngressError",
     "IngressRejected", "ShedReason", "INTERACTIVE", "BATCH",

@@ -53,12 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.runtime.faults import InvocationOutcome
-from repro.runtime.ingress import IngressRejected, IngressTier, ShedReason
-from repro.runtime.sharded import (
-    RebalanceTrigger,
-    SessionRouter,
-    ShardRebalancer,
-)
+from repro.runtime.ingress import IngressRejected, ShedReason
+from repro.runtime.sharded import SessionRouter
 from repro.runtime.wal import (
     FRAME_HEADER_SIZE,
     WalError,
@@ -75,8 +71,6 @@ __all__ = [
     "ClusterError",
     "RemoteWorkerError",
     "ProcessCluster",
-    "ClusterFabric",
-    "ClusterRebalancer",
     "LogShipper",
     "worker_main",
 ]
@@ -889,152 +883,3 @@ class ProcessCluster:
             "shipping": (self.shipper.stats()
                          if self.shipper is not None else {}),
         }
-
-    # -- ingress adapter ---------------------------------------------------
-
-    def build_ingress(self, *, policy=None, clock=None,
-                      name: str | None = None) -> IngressTier:
-        """Build an :class:`IngressTier` whose shards are remote workers.
-
-        The fabric duck-types the sharded runtime surface the tier uses
-        (``shards``, ``shard_for``); per-worker backlog frames feed the
-        tier's admission and backpressure gates through ``mailbox.pending``.
-        """
-        fabric = ClusterFabric(self)
-        kwargs = {}
-        if policy is not None:
-            kwargs["policy"] = policy
-        if clock is not None:
-            kwargs["clock"] = clock
-        return IngressTier(fabric, name=name or f"{self.name}-ingress",
-                           **kwargs)
-
-    # -- rebalancing -------------------------------------------------------
-
-    def build_rebalancer(self, *, interval: float = 1.0, clock=None,
-                         queue_weight: float = 1.0, min_moves: int = 1,
-                         imbalance_threshold: float = 1.25,
-                         max_moves: int = 8,
-                         timeout: float = 30.0) -> RebalanceTrigger:
-        """Periodic backlog-driven rebalancing at the coordinator.
-
-        Every tick plans greedy moves from the per-worker backlog
-        frames piggybacked on each reply (``_WorkerHandle.depth``:
-        in-flight requests plus the worker's reported queue) and
-        applies them with cross-process live migration.  Clocks without
-        a timer queue leave the caller driving ``trigger.tick()``.
-        """
-        rebalancer = ClusterRebalancer(
-            self, imbalance_threshold=imbalance_threshold,
-            max_moves=max_moves)
-        return RebalanceTrigger(
-            rebalancer,
-            sessions=lambda: [key for handle in self.handles
-                              for key in list(handle.sessions)],
-            clock=clock if clock is not None else time,
-            interval=interval,
-            queue_weight=queue_weight,
-            min_moves=min_moves,
-            timeout=timeout,
-        )
-
-
-class ClusterRebalancer(ShardRebalancer):
-    """Greedy session moves across worker processes.
-
-    Reuses :class:`ShardRebalancer`'s planner, cost attribution and
-    apply loop; only the load read differs.  The load signal is the
-    coordinator's own per-worker depth (pending futures + the backlog
-    every reply frame reports), and the loop's ``migrate`` is
-    :meth:`ProcessCluster.migrate` — hold, ``drop`` at the source
-    returning the session's capture, ``adopt`` on the target — instead
-    of an in-process shard hop.
-    """
-
-    def __init__(self, cluster: ProcessCluster, *,
-                 imbalance_threshold: float = 1.25, max_moves: int = 64):
-        super().__init__(cluster, imbalance_threshold=imbalance_threshold,
-                         max_moves=max_moves)
-        self.cluster = cluster
-
-    def shard_loads(self) -> list[int]:
-        return [handle.depth for handle in self.cluster.handles]
-
-    def observed_loads(self, queue_weight: float) -> list[float]:
-        return [float(depth) * queue_weight for depth in self.shard_loads()]
-
-
-# ---------------------------------------------------------------------------
-# Ingress fabric adapter
-# ---------------------------------------------------------------------------
-
-_PORT_STOP = object()
-
-
-class _PortMailbox:
-    """Depth feed for the ingress tier: local dispatch queue plus the
-    worker's reported backlog and in-flight frames."""
-
-    def __init__(self, handle: _WorkerHandle):
-        self._handle = handle
-        self.queue: queue.Queue = queue.Queue()
-
-    @property
-    def pending(self) -> int:
-        return self.queue.qsize() + self._handle.depth
-
-
-class _WorkerPort:
-    """Shard-shaped adapter over a remote worker for :class:`IngressTier`."""
-
-    def __init__(self, handle: _WorkerHandle):
-        self.index = handle.index
-        self.name = handle.name
-        self.mailbox = _PortMailbox(handle)
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-
-    def post(self, task) -> None:
-        self.mailbox.queue.put(task)
-        with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._loop, name=f"{self.name}-port", daemon=True)
-                self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            task = self.mailbox.queue.get()
-            if task is _PORT_STOP:
-                return
-            try:
-                task()
-            except Exception:
-                pass
-
-    def stop(self) -> None:
-        with self._lock:
-            thread = self._thread
-        if thread is not None and thread.is_alive():
-            self.mailbox.queue.put(_PORT_STOP)
-            thread.join(timeout=5.0)
-
-
-class ClusterFabric:
-    """Duck-typed ``ShardedRuntime`` surface over a :class:`ProcessCluster`.
-
-    Exposes exactly what :class:`IngressTier` consumes: a fixed ``shards``
-    list whose entries have ``index``/``name``/``mailbox.pending``/``post``,
-    and ``shard_for(key)`` honouring the cluster's route overrides.
-    """
-
-    def __init__(self, cluster: ProcessCluster):
-        self.cluster = cluster
-        self.shards = [_WorkerPort(handle) for handle in cluster.handles]
-
-    def shard_for(self, key: str) -> _WorkerPort:
-        return self.shards[self.cluster.worker_for(key)]
-
-    def stop(self) -> None:
-        for port in self.shards:
-            port.stop()

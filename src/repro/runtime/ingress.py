@@ -105,9 +105,6 @@ class ShedReason:
     #: outcomes until the supervisor restarts the worker and the
     #: session is restored (see repro.runtime.cluster).
     WORKER_DEAD = "worker_dead"
-    #: the session was moved out of the fabric this tier fronts (a pool
-    #: session moved to a worker process); submit to its new host.
-    SESSION_MOVED = "session_moved"
 
 
 class IngressRejected(FaultError):
@@ -201,7 +198,7 @@ class IngressRequest:
     def __init__(
         self,
         key: str,
-        shard: int | None,
+        shard: int,
         run: Callable[[], Any],
         priority: str,
         entry: bool,
@@ -385,8 +382,6 @@ class IngressTier:
         """The shed decision; None admits.  Caller holds the lock."""
         if self._closed:
             return ShedReason.CLOSED
-        if request.shard is None:
-            return ShedReason.SESSION_MOVED
         policy = self.policy
         queue = self._queues.get(request.key)
         if queue is not None and len(queue) >= policy.session_queue_limit:
@@ -421,7 +416,6 @@ class IngressTier:
         requests handed off.
         """
         batches: dict[int, list[IngressRequest]] = {}
-        moved: list[IngressRequest] = []
         cap = self.policy.max_inflight_per_shard
         with self._lock:
             stalled: dict[str, list[str]] = {p: [] for p in PRIORITIES}
@@ -439,10 +433,6 @@ class IngressTier:
                     # dispatching to the submit-time shard would break
                     # the one-shard-per-session ordering contract.
                     owner = self.runtime.shard_for(key).index
-                    if owner is None:
-                        # moved out of the fabric while queued
-                        moved.extend(self._queues.pop(key))
-                        continue
                     if owner != head.shard:
                         head.shard = owner
                     taken = batches.get(head.shard)
@@ -466,46 +456,32 @@ class IngressTier:
                     self._ready[priority].extendleft(
                         reversed(stalled[priority])
                     )
-            self._queued -= len(moved)
-            self.shed += len(moved)
-        for request in moved:
-            self._reject(request, ShedReason.SESSION_MOVED)
         handed = 0
         held: list[IngressRequest] = []
-        # The thread fabric's router; a ClusterFabric has none, since
-        # its ports submit through the cluster, whose router holds moves.
-        router = getattr(self.runtime, "router", None)
+        router = self.runtime.router
         for index, requests in sorted(batches.items()):
             handed += len(requests)
             shard = self.runtime.shards[index]
             # A hold starts under its source's lock, so under this lock
             # a session routed here and not held stays so until the
             # batch is posted; any other request waits for its move.
-            with shard.lock if router is not None else contextlib.nullcontext():
+            with shard.lock:
                 batch: list[IngressRequest] = []
                 for request in requests:
-                    settled = router is None or router.settled(request.key, shard)
+                    settled = router.settled(request.key, shard)
                     (batch if settled else held).append(request)
                 if batch:
                     shard.post(lambda r=batch: self._deliver(r))
             self.metrics.count("ingress.handoff_batches", shard.name)
             self.metrics.count("ingress.handoff_requests", shard.name, len(requests))
         for request in held:
+            # posted to the session's owner once its move released it
             self.runtime.dispatch(
-                request.key, lambda owner, r=request: self._deliver_on(owner, r)
+                request.key,
+                lambda owner, r=request: owner.post(lambda: self._deliver([r])),
             )
         self.dispatched += handed
         return handed
-
-    def _deliver_on(self, owner: Any, request: IngressRequest) -> None:
-        """Post a request released by a move to its session's owner."""
-        if owner.index is None:  # the move took it out of the fabric
-            with self._lock:
-                self._inflight[request.shard] -= 1
-                self.shed += 1
-            self._reject(request, ShedReason.SESSION_MOVED)
-            return
-        owner.post(lambda: self._deliver([request]))
 
     def _deliver(self, requests: list[IngressRequest]) -> None:
         """Run a handed-off batch on its shard thread, FIFO."""

@@ -44,7 +44,7 @@ from concurrent.futures import Future
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.runtime.clock import Clock, PeriodicTask, WallClock
+from repro.runtime.clock import Clock, WallClock
 from repro.runtime.events import EventBus, Signal
 from repro.runtime.executor import Mailbox
 from repro.runtime.metrics import MetricsRegistry
@@ -58,7 +58,6 @@ __all__ = [
     "SessionRouter",
     "ShardedRuntime",
     "ShardRebalancer",
-    "RebalanceTrigger",
 ]
 
 #: the shard whose task the current thread is executing (if any).
@@ -292,12 +291,11 @@ class SessionRouter:
     owned by :class:`ShardedRuntime` (over shards) and
     :class:`~repro.runtime.cluster.ProcessCluster` (over worker handles).
 
-    An owner is any object with an ``index`` and a ``lock`` that orders
-    what enters its FIFO; lock order is owner, then router.  A route may
-    point at an owner outside :attr:`owners` — a session moved out of
-    the fabric — whose ``index`` is None.  ``_epoch`` counts route
-    writes, so a dispatch that resolved an owner before a re-point
-    resolves again.
+    An owner is one of :attr:`owners`: an object with an ``index`` and
+    a ``lock`` that orders what enters its FIFO; lock order is owner,
+    then router.  A session moves only between the owners of its
+    fabric.  ``_epoch`` counts route writes, so a dispatch that resolved
+    an owner before a re-point resolves again.
     """
 
     def __init__(self, owners: Sequence[Any]) -> None:
@@ -623,10 +621,6 @@ class ShardedRuntime:
         intact either way.
         """
         target = self.shard_for(key)
-        if target.index is None:
-            raise ShardedRuntimeError(
-                f"session {key!r} was moved out of fabric {self.name!r}"
-            )
         if target.durability is not None:
             # Write-ahead: the signal frame (with its causal chain) is
             # durable before any subscriber observes it.  Tolerant
@@ -656,11 +650,16 @@ class ShardedRuntime:
         """Move session ``key`` to ``to_shard`` without losing state.
 
         ``capture()`` returns the state that travels (typically a
-        :class:`~repro.middleware.snapshot.SessionSnapshot`);
-        ``restore(snapshot)`` rebuilds the session on the target
+        :class:`~repro.middleware.snapshot.SessionSnapshot`) and runs on
+        the source shard's thread behind the session's queued tasks;
+        the cross-shard signals buffered for the source then reach its
+        bus.  ``restore(snapshot)`` rebuilds the session on the target
         shard's thread, against the target's bus/clock/metrics, and its
-        result is returned (see :meth:`transfer`).  If it raises, the
-        session stays on its source and the error propagates.
+        result is returned (see :meth:`SessionRouter.transfer`).  If it
+        raises, the session stays on its source and the error
+        propagates.  The release hands the session's log tail (latest
+        full checkpoint + later frames) to a durable target, and the
+        source log forgets it.
 
         Causal trace chains survive because the snapshot carries model
         documents, not live signals — signals forwarded post-migration
@@ -676,42 +675,15 @@ class ShardedRuntime:
             raise ShardedRuntimeError(
                 f"no shard {to_shard} (fabric has {len(self.shards)})"
             )
-        return self.transfer(
-            str(key), self.shards[to_shard], capture=capture,
-            restore=lambda target, snapshot: self._call_on(
-                target, restore, snapshot, timeout=timeout
-            ),
-            timeout=timeout,
-        )
-
-    def transfer(
-        self,
-        key: str,
-        target: Any,
-        *,
-        capture: Callable[[], Any],
-        restore: Callable[[Any, Any], Any],
-        timeout: float,
-    ) -> Any:
-        """One :meth:`SessionRouter.transfer` from a shard of this
-        fabric, over the thread transport: ``capture`` runs on the
-        source's thread behind the session's queued tasks, then the
-        cross-shard signals buffered for the source reach its bus; the
-        release hands the session's log tail (latest full checkpoint +
-        later frames) to a durable target and the source forgets it.
-        """
+        key = str(key)
 
         def capture_on(source: Shard) -> Any:
-            if source.index is None:
-                raise ShardedRuntimeError(
-                    f"session {key!r} was moved out of fabric {self.name!r}"
-                )
             snapshot = self._call_on(source, capture, timeout=timeout)
             if self.channel.flush(source.index):
                 self._call_on(source, lambda: None, timeout=timeout)
             return snapshot
 
-        def hand_off(source: Shard, target: Any) -> None:
+        def hand_off(source: Shard, target: Shard) -> None:
             if source.durability is None:
                 return
             if target.durability is not None:
@@ -721,7 +693,11 @@ class ShardedRuntime:
             source.durability.forget(key)
 
         return self.router.transfer(
-            key, target, capture=capture_on, restore=restore, release=hand_off
+            key, self.shards[to_shard], capture=capture_on,
+            restore=lambda target, snapshot: self._call_on(
+                target, restore, snapshot, timeout=timeout
+            ),
+            release=hand_off,
         )
 
     def _call_on(
@@ -794,8 +770,7 @@ class ShardRebalancer:
     (:meth:`ShardedRuntime.migrate`):
     ``capture(key)`` runs on the session's source shard and returns the
     travelling state, ``restore(key, snapshot)`` runs on the target
-    shard.  Planning reads only the fabric's ``router``, so the same
-    planner serves :class:`~repro.runtime.cluster.ProcessCluster`.
+    shard.
     """
 
     def __init__(
@@ -829,55 +804,6 @@ class ShardRebalancer:
 
     # -- planning -----------------------------------------------------------
 
-    def plan_from_metrics(
-        self,
-        sessions: "Iterable[str]",
-        *,
-        queue_weight: float = 1e-3,
-    ) -> list[tuple[str, int]]:
-        """Plan moves from *observed* per-shard load instead of
-        caller-supplied costs (ROADMAP follow-on from PR 5).
-
-        Per-shard load is read from the shard's own registry — the sum
-        of observed latency seconds across its histograms (broker
-        call/cycle timings land there through the per-shard platform) —
-        plus ``queue_weight`` per pending mailbox task, so a shard with
-        a deep backlog counts as hot even before those tasks execute.
-        Each shard's load is attributed evenly to the sessions homed on
-        it (per-shard registries cannot see individual sessions): under
-        the greedy planner that still moves sessions off hot shards
-        first, which is the signal that matters.  The explicit
-        :meth:`plan` path remains for callers with exact costs (tests,
-        cost-model experiments).
-        """
-        router = self.runtime.router
-        loads = self.observed_loads(queue_weight)
-        homed: dict[int, list[str]] = {i: [] for i in range(len(router.owners))}
-        for key in sorted(set(sessions)):
-            index = router.owner(key).index
-            if index is not None:  # moved out of the fabric: not planned
-                homed[index].append(key)
-        costs: dict[str, float] = {}
-        for index, keys in homed.items():
-            if not keys:
-                continue
-            share = loads[index] / len(keys)
-            for key in keys:
-                costs[key] = share
-        return self.plan(costs)
-
-    def observed_loads(self, queue_weight: float) -> list[float]:
-        """Per-shard load: observed latency seconds plus
-        ``queue_weight`` per pending mailbox task."""
-        loads: list[float] = []
-        for shard in self.runtime.shards:
-            observed = sum(
-                histogram.total
-                for _name, _label, histogram in shard.metrics.histograms()
-            )
-            loads.append(observed + queue_weight * shard.mailbox.pending)
-        return loads
-
     def plan(self, session_costs: dict[str, float]) -> list[tuple[str, int]]:
         """Greedy hottest-to-coolest move plan.
 
@@ -896,8 +822,6 @@ class ShardRebalancer:
         by_shard: dict[int, list[str]] = {i: [] for i in range(shards)}
         for key in sorted(session_costs):
             index = router.owner(key).index
-            if index is None:  # moved out of the fabric: not planned
-                continue
             loads[index] += session_costs[key]
             by_shard[index].append(key)
         moves: list[tuple[str, int]] = []
@@ -948,71 +872,3 @@ class ShardRebalancer:
             applied += 1
         self.moves_applied += applied
         return applied
-
-
-class RebalanceTrigger(PeriodicTask):
-    """Periodic load-driven rebalancing (PR 9, folded PR 5 follow-on).
-
-    Every ``interval`` seconds: plan moves from *live* observed load
-    (:meth:`ShardRebalancer.plan_from_metrics` — per-shard latency
-    histogram totals plus mailbox queue depth) over the caller's
-    current session set, and apply them through the migration protocol.
-    No caller-supplied cost model: the metrics registry *is* the cost
-    model.
-
-    Timer discipline is :class:`~repro.runtime.clock.PeriodicTask`'s,
-    shared with ``CheckpointScheduler``: epoch-fenced self-scheduling
-    on clocks with a timer queue; on plain wall clocks the owner drives
-    :meth:`tick` explicitly between workload steps.
-    """
-
-    def __init__(
-        self,
-        rebalancer: ShardRebalancer,
-        *,
-        sessions: Callable[[], "Iterable[str]"],
-        clock: Clock,
-        interval: float = 1.0,
-        queue_weight: float = 1e-3,
-        min_moves: int = 1,
-        timeout: float = 30.0,
-    ) -> None:
-        if interval <= 0:
-            raise ShardedRuntimeError("rebalance interval must be > 0")
-        self.rebalancer = rebalancer
-        self.sessions = sessions
-        self.clock = clock
-        self.interval = interval
-        self.queue_weight = queue_weight
-        self.min_moves = min_moves
-        self.timeout = timeout
-        self.ticks = 0
-        self.moves_applied = 0
-        self.last_plan: list[tuple[str, int]] = []
-
-    # -- one rebalance round ----------------------------------------------
-
-    def tick(self) -> list[tuple[str, int]]:
-        """Plan from live metrics and apply; returns the moves made."""
-        self.ticks += 1
-        moves = self.rebalancer.plan_from_metrics(
-            list(self.sessions()), queue_weight=self.queue_weight
-        )
-        if len(moves) < self.min_moves:
-            moves = []  # not worth paying migration cost this round
-        self.last_plan = list(moves)
-        if moves:
-            self.moves_applied += self.rebalancer.apply(
-                moves, timeout=self.timeout
-            )
-        return moves
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "running": self._running,
-            "interval": self.interval,
-            "ticks": self.ticks,
-            "moves_applied": self.moves_applied,
-            "errors": self.errors,
-            "last_plan": list(self.last_plan),
-        }

@@ -1,10 +1,10 @@
-"""End-to-end cluster fabric: benches as tests + pool remote routing.
+"""End-to-end cluster fabric: benches as tests + move failures.
 
 The bench functions in :mod:`repro.bench.cluster` raise on any
 correctness violation (op_log divergence, unresolved futures, untyped
 failures), so invoking them small *is* the integration test; the
-PlatformPool class below exercises the local→remote routing seam the
-benches do not touch.
+classes below check how a cross-process move fails, which the benches
+do not touch.
 """
 
 import pytest
@@ -37,105 +37,6 @@ class TestClusterBenches:
     def test_seeded_frame_order_determinism(self):
         result = determinism_bench(sessions=6, runs=2)
         assert result["op_logs_identical"]
-
-
-class TestPoolRemoteRouting:
-    """PlatformPool.submit_doc / migrate_to_worker over a ProcessCluster."""
-
-    @pytest.fixture()
-    def stack(self):
-        from repro.domains.communication.cvm import build_cvm
-        from repro.middleware.platform import PlatformPool
-        from repro.runtime.cluster import ProcessCluster
-        from repro.sim.network import CommService
-
-        services = {}
-
-        def factory(shard):
-            service = CommService("net0", op_cost=0.0)
-            platform = build_cvm(
-                service=service, bus=shard.bus, clock=shard.clock,
-                metrics=shard.metrics,
-            )
-            services[id(platform)] = service
-            return platform
-
-        def apply_doc(platform, key, doc):
-            # Mirror RegistryBackend.apply's "api" op on the local side.
-            return platform.broker.call_api(doc["api"], **doc.get("args", {}))
-
-        pool = PlatformPool(factory, name="remote-pool", shards=2)
-        pool.start()
-        cluster = ProcessCluster(
-            2, backend="repro.middleware.cluster:default_backend",
-            name="pool-remote",
-        ).start()
-        pool.attach_cluster(cluster, apply=apply_doc)
-        try:
-            yield pool, cluster, services
-        finally:
-            pool.stop()
-            cluster.stop()
-
-    def _capture(self, services):
-        from repro.middleware.cluster import platform_dsk_hash
-
-        def capture(platform):
-            service = services[id(platform)]
-            return {
-                "domain": "communication",
-                "dsk_hash": platform_dsk_hash(platform),
-                "snapshot": platform.checkpoint().to_dict(),
-                "services": {service.name: service.export_state()},
-            }
-
-        return capture
-
-    def test_session_continues_across_process_boundary(self, stack):
-        pool, cluster, services = stack
-        key = "conn-x"
-        open_doc = {"api": "ncb.open_session", "args": {"connection": key}}
-        party = {"api": "ncb.add_party",
-                 "args": {"connection": key, "party": "alice"}}
-
-        assert pool.remote_worker_for(key) is None
-        assert pool.submit_doc(key, open_doc).result(30).ok
-        assert pool.submit_doc(key, party).result(30).ok
-        local_log = list(services[id(pool.platform_for(key))].op_log)
-        assert local_log
-
-        worker = 1 - cluster.worker_for(key)
-        pool.migrate_to_worker(key, worker, capture=self._capture(services))
-        assert pool.remote_worker_for(key) == worker
-        assert cluster.worker_for(key) == worker
-
-        # The migrated session keeps its history and keeps working.
-        remote_log = cluster.describe(key)["op_logs"]["net0"]
-        assert remote_log == local_log
-        more = {"op": "api", "api": "ncb.add_party",
-                "args": {"connection": key, "party": "bob"}}
-        assert pool.submit_doc(key, more).result(30).unwrap()
-        assert len(cluster.describe(key)["op_logs"]["net0"]) > len(local_log)
-
-        # close_session releases remote routing and the worker session.
-        pool.close_session(key)
-        assert pool.remote_worker_for(key) is None
-
-    def test_submit_doc_requires_attach(self):
-        from repro.domains.communication.cvm import build_cvm
-        from repro.middleware.platform import PlatformError, PlatformPool
-        from repro.sim.network import CommService
-
-        pool = PlatformPool(
-            lambda shard: build_cvm(
-                service=CommService("net0", op_cost=0.0), bus=shard.bus,
-                clock=shard.clock, metrics=shard.metrics,
-            ),
-            name="detached-pool", shards=1, inline=True,
-        )
-        with pool:
-            with pytest.raises(PlatformError, match="attach_cluster"):
-                pool.submit_doc("k", {"api": "ncb.open_session"})
 
 
 # -- how a cross-process move fails, on the shipped backend -------------------

@@ -840,54 +840,6 @@ class TestLogShipper:
 
 
 # ---------------------------------------------------------------------------
-# ClusterRebalancer: planning from coordinator depth frames
-# ---------------------------------------------------------------------------
-
-
-class TestClusterRebalancerPlanning:
-    def test_plan_spreads_hot_worker(self):
-        from repro.runtime.cluster import ClusterRebalancer
-
-        cluster = _fake_cluster((True, 4), (True, 0))
-        for key in ("a", "b"):  # everything homed hot
-            cluster.router.point(key, cluster.handles[0])
-        rebalancer = ClusterRebalancer(cluster)
-        moves = rebalancer.plan_from_metrics(["a", "b"])
-        assert moves  # hot worker sheds to the idle one
-        assert all(target == 1 for _key, target in moves)
-
-    def test_balanced_fleet_plans_nothing(self):
-        from repro.runtime.cluster import ClusterRebalancer
-
-        cluster = _fake_cluster((True, 2), (True, 2))
-        for index, key in enumerate(("a", "b")):
-            cluster.router.point(key, cluster.handles[index])
-        rebalancer = ClusterRebalancer(cluster)
-        assert rebalancer.plan_from_metrics(["a", "b"]) == []
-
-    def test_shard_loads_reads_handle_depth(self):
-        from repro.runtime.cluster import ClusterRebalancer
-
-        cluster = _fake_cluster((True, 3), (True, 1))
-        assert ClusterRebalancer(cluster).shard_loads() == [3, 1]
-
-    def test_build_rebalancer_wires_a_trigger(self):
-        from repro.runtime.cluster import ClusterRebalancer, ProcessCluster
-        from repro.runtime.sharded import RebalanceTrigger
-
-        cluster = ProcessCluster(
-            2, backend="repro.middleware.cluster:default_backend",
-            name="plan-only",
-        )  # never started: planning wiring only
-        trigger = cluster.build_rebalancer(interval=2.0, min_moves=3)
-        assert isinstance(trigger, RebalanceTrigger)
-        assert isinstance(trigger.rebalancer, ClusterRebalancer)
-        assert trigger.rebalancer.cluster is cluster
-        assert trigger.interval == 2.0
-        assert trigger.min_moves == 3
-
-
-# ---------------------------------------------------------------------------
 # End to end: SIGKILL a worker, the standby adopts
 # ---------------------------------------------------------------------------
 

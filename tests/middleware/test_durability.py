@@ -4,7 +4,7 @@ Kills a durable communication session mid-workload and checks the
 recovered run against an uninterrupted golden run by comparing the
 simulated service's ``op_log`` — the externally observable effect
 sequence.  Also covers delivery dedup, per-entry error containment,
-and the hardened :class:`CheckpointScheduler` (WAL-integrated ticks,
+and the hardened :class:`CheckpointScheduler` (self-scheduling,
 epoch-fenced timers, error-contained checkpoint chains).
 """
 
@@ -24,7 +24,6 @@ from repro.middleware.snapshot import (
 )
 from repro.modeling.serialize import model_to_dict
 from repro.runtime.clock import VirtualClock
-from repro.runtime.component import Supervisor
 from repro.runtime.durability import ShardDurability
 from repro.runtime.events import Call
 from repro.runtime.wal import WalError, WriteAheadLog
@@ -293,56 +292,28 @@ class TestDurableSession:
         reopened.close()
 
 
-class TestCheckpointSchedulerWal:
-    def test_tick_embeds_checkpoint_and_truncates(self, tmp_path):
-        _service, _dsk, platform = fresh_session()
-        wal = open_wal(tmp_path)
-        durable = ShardDurability(wal)
-        execute(durable, platform, entry_docs()[0])
-        scheduler = CheckpointScheduler(
-            platform, interval=1.0, durability=durable, session=SESSION
-        )
-        scheduler.tick()
-        kinds = [doc["k"] for doc in wal.replay()]
-        # the pre-checkpoint segment (entry + seal) was truncated away
-        assert kinds == ["checkpoint"]
-        assert wal.truncated_segments == 1
-        platform.stop()
-        wal.close()
-
-    def test_supervised_restart_replays_wal_tail(self, tmp_path):
-        clock = VirtualClock()
-        service, _dsk, platform = fresh_session(clock=clock)
-        wal = open_wal(tmp_path)
-        durable = ShardDurability(wal)
-        docs = entry_docs()
-        execute(durable, platform, docs[0])
-        scheduler = CheckpointScheduler(
-            platform, interval=60.0, clock=clock,
-            durability=durable, session=SESSION, apply_entry=apply_entry,
-        )
-        scheduler.tick()
-        execute(durable, platform, docs[1])  # tail past the checkpoint
-        log_before_crash = list(service.op_log)
-
-        supervisor = Supervisor(clock=clock)
-        supervisor.watch(platform.broker)
-        scheduler.attach(supervisor)
-        supervisor.report_crash(platform.broker.name, RuntimeError("boom"))
-        clock.advance(supervisor.base_delay)
-
-        assert platform.broker.running
-        assert scheduler.recoveries == 1
-        assert scheduler.last_recovery is not None
-        assert scheduler.last_recovery.replayed_entries == 1
-        assert scheduler.last_recovery.effects_memoized > 0
-        # warm recovery replayed the tail without re-executing effects
-        assert service.op_log == log_before_crash
-        platform.stop()
-        wal.close()
-
-
 class TestCheckpointSchedulerHardening:
+    def test_one_long_advance_fires_every_interval(self):
+        clock = VirtualClock()
+        _service, _dsk, platform = fresh_session(clock=clock)
+        scheduler = CheckpointScheduler(platform, interval=5.0, clock=clock)
+        scheduler.start()
+        clock.advance(5.0)
+        assert scheduler.checkpoints_taken == 1
+        clock.advance(15.0)
+        assert scheduler.checkpoints_taken == 4  # re-armed after each fire
+        scheduler.stop()
+        clock.advance(25.0)
+        assert scheduler.checkpoints_taken == 4  # stopped: nothing armed
+        platform.stop()
+
+    def test_negative_interval_rejected(self):
+        # test_snapshot.py checks interval=0
+        _service, _dsk, platform = fresh_session()
+        with pytest.raises(ValueError, match="interval"):
+            CheckpointScheduler(platform, interval=-1.0)
+        platform.stop()
+
     def test_stop_start_does_not_double_arm(self):
         clock = VirtualClock()
         _service, _dsk, platform = fresh_session(clock=clock)

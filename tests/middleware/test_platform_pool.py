@@ -387,6 +387,75 @@ class TestPoolDurability:
                 for doc in frames
             )
 
+    def test_move_hands_the_log_tail_to_the_target(self):
+        """A shard-to-shard move ships the session's log tail to the
+        target shard's log, and the source log forgets the session."""
+        from repro.middleware.snapshot import SessionSnapshot
+        from repro.runtime.sharded import current_shard
+
+        with make_pool(shards=2, inline=True) as pool:
+            pool.attach_cluster(None, apply=_apply_doc)
+            key = "moving-durable"
+            for doc in (_api("ncb.open_session", connection="c1"),
+                        _api("ncb.add_party", connection="c1",
+                             party="alice")):
+                pool.submit_doc(key, doc)
+                pool.drain()
+            source = pool.shard_for(key)
+            target = pool.runtime.shards[1 - source.index]
+            assert key in source.durability.sessions()
+            tail = source.durability.wal.export_session(key)
+            assert [doc["k"] for doc in tail] == ["entry", "applied"] * 2
+
+            def capture():
+                platform = pool.platforms[current_shard().index]
+                service = platform.broker.resources.require("net0")
+                return {"snapshot": platform.checkpoint().to_dict(),
+                        "service": service.export_state()}
+
+            def restore(doc):
+                platform = pool.platforms[current_shard().index]
+                platform.restore_from(
+                    SessionSnapshot.from_dict(doc["snapshot"]))
+                platform.broker.resources.require("net0").import_state(
+                    doc["service"])
+
+            pool.runtime.migrate(key, target.index, capture=capture,
+                                 restore=restore)
+            assert pool.shard_for(key) is target
+            assert key not in source.durability.sessions()
+            imported = [doc for doc in target.durability.wal.replay()
+                        if doc.get("session") == key]
+            assert imported == tail
+            # the next step logs on the target, beside the imported tail
+            future = pool.submit_doc(
+                key, _api("ncb.add_party", connection="c1", party="bob"))
+            pool.drain()
+            assert future.result(timeout=10).ok
+            assert key in target.durability.sessions()
+            assert target.durability.wal.export_session(key)[:4] == tail
+            assert source.durability.wal.export_session(key) == tail
+
+
+class TestDocSubmission:
+    def test_submit_doc_requires_attach(self):
+        from repro.middleware.platform import PlatformError
+
+        with make_pool(shards=1, inline=True) as pool:
+            with pytest.raises(PlatformError, match="attach_cluster"):
+                pool.submit_doc("k", _api("ncb.open_session"))
+
+    def test_attach_cluster_refuses_a_cluster(self):
+        """Sessions stay on the pool's shards: a cluster is refused, and
+        the refusal leaves submit_doc unattached."""
+        from repro.middleware.platform import PlatformError
+
+        with make_pool(shards=1, inline=True) as pool:
+            with pytest.raises(PlatformError, match="takes no cluster"):
+                pool.attach_cluster(object(), apply=_apply_doc)
+            with pytest.raises(PlatformError, match="attach_cluster"):
+                pool.submit_doc("k", _api("ncb.open_session"))
+
 
 class TestEmitProtocol:
     """doc["emit"]: causally derived cross-session events."""

@@ -2,7 +2,6 @@
 
 import contextlib
 import itertools
-import queue
 import socket
 import struct
 import threading
@@ -13,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import repro.runtime.cluster as runtime_cluster
 from repro.runtime.cluster import (
-    ClusterFabric,
     ProcessCluster,
     RemoteWorkerError,
     _FrameReader,
     worker_main,
 )
 from repro.runtime.faults import InvocationOutcome
-from repro.runtime.ingress import AdmissionPolicy, IngressRejected, ShedReason
+from repro.runtime.ingress import IngressRejected, ShedReason
 from repro.runtime.wal import (
     FRAME_HEADER_SIZE,
     WalError,
@@ -431,41 +429,6 @@ class TestWorkerDeath:
             c.adopt("r1", [{"k": "checkpoint", "session": "r1",
                             "snapshot": capture}], worker=0)
             assert c.call("r1", {"add": 1}) == {"total": 5}
-
-
-# -- ingress tier over the cluster fabric ------------------------------------
-
-
-class TestClusterIngress:
-    def test_ingress_routes_to_workers(self, cluster):
-        tier = cluster.build_ingress(
-            policy=AdmissionPolicy(session_queue_limit=64,
-                                   shard_backlog_limit=10_000),
-        )
-        fabric = tier.runtime
-        assert isinstance(fabric, ClusterFabric)
-        try:
-            keys = [f"ing-{i}" for i in range(4)]
-            for key in keys:
-                cluster.open_session(key, {}).result(30).unwrap()
-            futures = [
-                tier.submit(key, lambda k=key: cluster.call(k, {"add": 1}))
-                for key in keys for _ in range(3)
-            ]
-            deadline = time.monotonic() + 30
-            while (not all(f.done() for f in futures)
-                   and time.monotonic() < deadline):
-                tier.pump()
-                time.sleep(0.005)
-            for future in futures:
-                outcome = future.result(30)
-                assert outcome.ok and "total" in outcome.value
-            for key in keys:
-                assert cluster.describe(key)["ops"] == [1, 1, 1]
-                cluster.close_session(key)
-        finally:
-            tier.close()
-            fabric.stop()
 
 
 # -- echo backend (spawn target: must be importable, module-level) -----------

@@ -1,10 +1,11 @@
 """The one session-transfer protocol under live traffic.
 
-Every move — shard to shard, pool to worker, worker to worker — runs
-:meth:`SessionRouter.transfer`: hold → capture → restore → re-point →
-release → flush.  A producer that races the move is stood in for by a
-step submitted from inside ``capture`` (or ``restore``): the session
-must still see every step exactly once, in order, wherever it lives.
+Every move runs :meth:`SessionRouter.transfer` inside the fabric that
+opened the session — shard to shard in a pool, worker to worker in a
+cluster: hold → capture → restore → re-point → release → flush.  A
+producer that races the move is stood in for by a step submitted from
+inside ``capture`` (or ``restore``): the session must still see every
+step exactly once, in order, wherever it lives.
 """
 
 import threading
@@ -29,63 +30,6 @@ def cluster():
     with ProcessCluster(2, backend=ECHO_SPEC, name="transfer") as c:
         c.start()
         yield c
-
-
-# -- a dict-state pool platform mirroring the echo backend --------------------
-
-
-class EchoPlatform:
-    """A shard platform holding per-session op lists."""
-
-    name = "echo"
-    broker = None
-
-    def __init__(self):
-        self.sessions = {}
-
-    def start(self):
-        pass
-
-    def stop(self):
-        pass
-
-
-def apply_echo(platform, key, doc):
-    ops = platform.sessions.setdefault(key, [])
-    ops.append(doc["add"])
-    return {"total": sum(ops)}
-
-
-def echo_pool(cluster, **kwargs):
-    pool = PlatformPool(lambda shard: EchoPlatform(), **kwargs)
-    pool.attach_cluster(cluster, apply=apply_echo)
-    return pool
-
-
-class StubCluster:
-    """Stands in for a ProcessCluster: records what crosses the wire."""
-
-    def __init__(self):
-        self.adopted = {}
-        self.submitted = []
-        self.closed = []
-
-    def adopt(self, key, frames, *, worker, timeout):
-        (checkpoint,) = frames
-        assert checkpoint["k"] == "checkpoint"
-        assert checkpoint["session"] == key
-        self.adopted[key] = (worker, checkpoint["snapshot"])
-        return "adopted"
-
-    def worker_for(self, key):
-        return self.adopted[key][0]
-
-    def submit(self, key, doc):
-        self.submitted.append((key, doc))
-        return "remote"
-
-    def close_session(self, key):
-        self.closed.append(key)
 
 
 # -- thread fabric ------------------------------------------------------------
@@ -231,25 +175,6 @@ def cvm_pool(name):
 
 
 class TestWorkerMoveHold:
-    def test_pool_to_worker_step_submitted_during_capture(self, cluster):
-        key = "pool-out"
-        worker = 1 - cluster.worker_for(key)
-        with echo_pool(cluster, shards=2, name="out") as pool:
-            futures = [pool.submit_doc(key, {"add": 1})]
-
-            def capture(platform):
-                futures.append(pool.submit_doc(key, {"add": 2}))
-                return {"ops": platform.sessions.pop(key), "meta": {}}
-
-            pool.migrate_to_worker(key, worker, capture=capture)
-            futures.append(pool.submit_doc(key, {"add": 3}))
-            assert [f.result(30).value for f in futures] == [
-                {"total": 1}, {"total": 3}, {"total": 6}]
-            assert cluster.describe(key)["ops"] == [1, 2, 3]
-            assert all(key not in p.sessions for p in pool.platforms)
-            assert pool.remote_worker_for(key) == worker
-            pool.close_session(key)
-
     def test_racing_producer_across_repeated_worker_moves(self, cluster):
         key = "w-race"
         cluster.open_session(key, {}).result(30).unwrap()
@@ -420,171 +345,3 @@ class TestRouterStats:
             assert runtime.shard_for(KEY).index == 1 - source
         finally:
             runtime.stop()
-
-
-# -- moves out of the fabric (formerly ``migrate(key, None)``) ----------------
-
-
-class TestMigrateOut:
-    def test_move_to_worker_ships_and_forgets(self):
-        cluster = StubCluster()
-        with echo_pool(cluster, shards=2, name="out-test") as pool:
-            home = pool.shard_for(KEY)
-            assert pool.submit_doc(KEY, {"add": 41}).result(5).ok
-            assert KEY in home.durability.sessions()
-
-            result = pool.migrate_to_worker(
-                KEY, 1, capture=lambda p: {"ops": p.sessions.pop(KEY)})
-            assert result == "adopted"
-            assert cluster.adopted == {KEY: (1, {"ops": [41]})}
-            assert KEY not in home.durability.sessions()  # source forgot it
-            assert pool.remote_worker_for(KEY) == 1
-            assert pool.stats()["migrations"] == 1
-            # later steps ride the wire
-            assert pool.submit_doc(KEY, {"add": 1}) == "remote"
-            assert cluster.submitted == [(KEY, {"add": 1})]
-            assert pool.close_session(KEY) is True
-            assert cluster.closed == [KEY]
-            assert pool.remote_worker_for(KEY) is None
-
-    def test_move_to_worker_requires_started_pool(self):
-        pool = echo_pool(StubCluster(), shards=2, name="out-stopped",
-                         durability="off")
-        with pytest.raises(ShardedRuntimeError, match="not started"):
-            pool.migrate_to_worker(KEY, 0, capture=dict)
-        assert pool.stats()["held"] == {"sessions": 0, "queued": 0}
-
-    def test_move_to_worker_inline(self):
-        cluster = StubCluster()
-        with echo_pool(cluster, shards=1, name="out-inline",
-                       inline=True) as pool:
-            pool.submit_doc(KEY, {"add": 1})
-            pool.drain()
-            result = pool.migrate_to_worker(
-                KEY, 0, capture=lambda p: {"ops": p.sessions[KEY]})
-            assert result == "adopted"
-            assert cluster.adopted == {KEY: (0, {"ops": [1]})}
-
-
-# -- a session moved out to a worker, seen from the pool's other paths --------
-
-
-def moved_out_pool(cluster, name, key=KEY, worker=1):
-    """An inline echo pool with ``key`` moved out to ``worker``."""
-    pool = echo_pool(cluster, shards=2, name=name, inline=True).start()
-    pool.submit_doc(key, {"add": 1})
-    pool.drain()
-    pool.migrate_to_worker(key, worker, capture=lambda p: {})
-    return pool
-
-
-class TestMovedOutSession:
-    def test_ingress_refuses_a_moved_out_session(self):
-        from repro.runtime.ingress import IngressRejected, ShedReason
-
-        pool = moved_out_pool(StubCluster(), "moved-ingress")
-        try:
-            tier = pool.build_ingress(watch_breakers=False)
-            outcome = tier.submit(KEY, lambda p: "ran").result(5)
-            assert outcome.status == outcome.REJECTED
-            assert isinstance(outcome.error, IngressRejected)
-            assert outcome.error.reason == ShedReason.SESSION_MOVED
-            assert tier.stats()["shed"] == 1
-        finally:
-            pool.stop()
-
-    def test_ingress_rejects_work_queued_before_the_move(self):
-        from repro.runtime.ingress import ShedReason
-
-        cluster = StubCluster()
-        pool = echo_pool(cluster, shards=2, name="moved-queued",
-                         inline=True).start()
-        try:
-            tier = pool.build_ingress(watch_breakers=False)
-            queued = [tier.submit(KEY, lambda p: "ran") for _ in range(2)]
-            local = tier.submit("stays", lambda p: "ran")
-            pool.migrate_to_worker(KEY, 1, capture=lambda p: {})
-            assert tier.pump() == 1  # the moved session's work is shed
-            pool.drain()
-            for future in queued:
-                outcome = future.result(5)
-                assert outcome.status == outcome.REJECTED
-                assert outcome.error.reason == ShedReason.SESSION_MOVED
-            assert local.result(5).value == "ran"
-            assert tier.queued == 0
-            assert tier.backlog == 0
-        finally:
-            pool.stop()
-
-    def test_rebalancer_skips_a_moved_out_session(self):
-        pool = moved_out_pool(StubCluster(), "moved-plan")
-        try:
-            from repro.runtime.sharded import ShardRebalancer
-
-            rebalancer = ShardRebalancer(pool.runtime)
-            local = [f"s{i}" for i in range(8)]
-            hot = [k for k in local if pool.shard_for(k).index == 0]
-            plan = rebalancer.plan({KEY: 100.0, **{k: 1.0 for k in hot}})
-            assert plan and all(key != KEY for key, _ in plan)
-            assert KEY not in dict(rebalancer.plan_from_metrics([KEY, *local]))
-            trigger = pool.build_rebalancer(
-                sessions=lambda: [KEY, *local],
-                capture=lambda key: None, restore=lambda key, s: None)
-            trigger.tick()  # plans without raising
-            assert KEY not in dict(trigger.last_plan)
-            trigger.stop()
-        finally:
-            pool.stop()
-
-    def test_emit_to_a_moved_out_session_fails_typed(self):
-        pool = moved_out_pool(StubCluster(), "moved-emit")
-        try:
-            doc = {"add": 2, "emit": [{"topic": "t", "key": KEY}]}
-            future = pool.submit_doc("sender", doc)
-            pool.drain()
-            outcome = future.result(5)
-            assert outcome.status == outcome.FAILED
-            assert isinstance(outcome.error, ShardedRuntimeError)
-            assert "moved out" in str(outcome.error)
-            # refused before it applied: the sender's op_log did not grow
-            assert all("sender" not in p.sessions for p in pool.platforms)
-        finally:
-            pool.stop()
-
-    def test_local_platform_lookups_refuse_typed(self):
-        from repro.middleware.platform import PlatformError
-
-        pool = moved_out_pool(StubCluster(), "moved-lookup")
-        try:
-            with pytest.raises(PlatformError, match="moved out"):
-                pool.platform_for(KEY)
-            with pytest.raises(PlatformError, match="moved out"):
-                pool.recover_session(KEY, apply_entry=lambda p, s: None)
-            with pytest.raises(PlatformError, match="moved out"):
-                pool.submit(KEY, lambda p: None)
-            with pytest.raises(ShardedRuntimeError, match="moved out"):
-                pool.runtime.migrate(KEY, 0, capture=dict,
-                                     restore=lambda s: s)
-            with pytest.raises(ShardedRuntimeError, match="moved out"):
-                pool.migrate_to_worker(KEY, 0, capture=dict)
-            assert pool.remote_worker_for(KEY) == 1
-        finally:
-            pool.stop()
-
-    def test_a_stalled_worker_does_not_block_submissions_to_another(self):
-        cluster = StubCluster()
-        pool = moved_out_pool(cluster, "moved-locks", key="on-1", worker=1)
-        try:
-            pool.submit_doc("on-0", {"add": 1})
-            pool.drain()
-            pool.migrate_to_worker("on-0", 0, capture=lambda p: {})
-            stalled = pool.shard_for("on-1").lock
-            assert stalled is not pool.shard_for("on-0").lock
-            done = threading.Event()
-            with stalled:  # a send to worker 1 that does not return
-                threading.Thread(target=lambda: (
-                    pool.submit_doc("on-0", {"add": 2}), done.set())).start()
-                assert done.wait(5)
-            assert cluster.submitted == [("on-0", {"add": 2})]
-        finally:
-            pool.stop()
