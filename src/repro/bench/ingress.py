@@ -461,12 +461,14 @@ def ingress_bench(*, sessions: int = 320, repeats: int = 5) -> dict[str, Any]:
 
 def run(quick: bool = False) -> dict[str, Any]:
     """The PR 6 report."""
-    return {
-        "bench": "PR6-ingress-admission",
-        "ingress": ingress_bench(
-            sessions=64 if quick else 320, repeats=1 if quick else 5
-        ),
-    }
+    ingress = ingress_bench(
+        sessions=64 if quick else 320, repeats=1 if quick else 5
+    )
+    if quick:
+        # At quick size the verdicts flip between runs of one tree;
+        # the ratios stay in the report, the verdicts are full-run only.
+        ingress["meets_p99_gate"] = ingress["meets_goodput_gate"] = None
+    return {"bench": "PR6-ingress-admission", "ingress": ingress}
 
 
 def check(report: dict[str, Any]) -> str:

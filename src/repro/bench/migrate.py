@@ -25,9 +25,7 @@ externally visible effect trace, and every interrupted run must leave
 a byte-identical op_log to the uninterrupted golden run — resume means
 *exactly* resume, no replays and no gaps.
 
-The report also times checkpoint capture/restore, snapshot sizes, and
-gates checkpoint overhead on the E1 hot path at <= 5% while an
-attached scheduler is idle.
+The report also times checkpoint capture/restore and snapshot sizes.
 
 ``repro bench migrate`` writes ``BENCH_PR5.json`` (``--quick`` shrinks
 repeats for CI).
@@ -40,22 +38,18 @@ import threading
 import time
 from typing import Any
 
-from repro.bench.scale import BLOCKING_SECONDS_PER_UNIT
+from repro.bench.scale import _blocking_work
 from repro.bench.workloads import COMMUNICATION_SCENARIOS, Step
 from repro.domains.assembly import DomainCase, domain_cases
 
 __all__ = [
     "recovery_bench",
     "migration_bench",
-    "checkpoint_overhead_bench",
     "rebalance_bench",
     "run",
     "check",
 ]
 
-#: checkpoint overhead admitted on the E1 hot path with an idle
-#: scheduler attached (acceptance gate, percent).
-OVERHEAD_GATE_PCT = 5.0
 #: moves of each session while its producer thread submits steps
 LIVE_MOVES = 3
 
@@ -296,7 +290,7 @@ def migration_bench(
     }
 
 
-# -- checkpoint overhead on the hot path ------------------------------------
+# -- the E1 scenario runner -------------------------------------------------
 
 
 class _ScenarioRunner(_Migratable):
@@ -351,85 +345,6 @@ class _ScenarioRunner(_Migratable):
 
     def stop(self) -> None:
         self.platform.stop()
-
-
-def _blocking_work(cost: float) -> None:
-    if cost > 0:
-        time.sleep(cost * BLOCKING_SECONDS_PER_UNIT)
-
-
-def checkpoint_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
-    """E1-scenario hot path with and without an idle scheduler attached.
-
-    The scheduler is started on a wall clock (no timer queue), so it
-    never fires on its own — the gate bounds the cost of merely having
-    checkpointing armed on a session.  Checkpoint capture cost itself
-    is reported separately from explicit ``tick()`` calls.  The
-    overhead is :func:`~repro.bench.harness.paired_overhead` over
-    ``repeat`` bare/armed pairs.
-    """
-    from repro.bench.harness import paired_overhead
-    from repro.middleware.snapshot import CheckpointScheduler
-
-    steps = [
-        step
-        for scenario in COMMUNICATION_SCENARIOS.values()
-        for step in scenario
-    ]
-
-    # One scenario sweep is only ~2 ms of hot path — too short for a 5%
-    # gate against OS jitter — so a sample sums the timed step loops of
-    # several fresh sessions, timing only the loops (session setup and
-    # teardown stay outside the clock).
-    inner = 4
-
-    def one_sample(with_scheduler: bool) -> float:
-        """Seconds per step over ``inner`` fresh sessions."""
-        total = 0.0
-        for _ in range(inner):
-            runner = _ScenarioRunner()
-            scheduler = None
-            if with_scheduler:
-                scheduler = CheckpointScheduler(
-                    runner.platform, interval=3600.0
-                ).start()
-            start = time.perf_counter()
-            for step in steps:
-                runner.run_step(step)
-            total += time.perf_counter() - start
-            if scheduler is not None:
-                scheduler.stop()
-            runner.stop()
-        return total / (inner * len(steps))
-
-    one_sample(False)  # warm-up: imports, metamodel caches
-    overhead = paired_overhead(
-        lambda: one_sample(False), lambda: one_sample(True), pairs=repeat
-    )
-
-    # Explicit checkpoint cost on a session with live state.
-    runner = _ScenarioRunner()
-    scheduler = CheckpointScheduler(runner.platform, interval=3600.0)
-    for step in steps:
-        runner.run_step(step)
-    tick_samples = []
-    for _ in range(max(repeat, 5)):
-        start = time.perf_counter()
-        snapshot = scheduler.tick()
-        tick_samples.append(time.perf_counter() - start)
-    snapshot_bytes = len(snapshot.to_json(indent=None).encode("utf-8"))
-    runner.stop()
-
-    return {
-        "steps": len(steps),
-        "sessions_per_sample": inner,
-        **overhead,
-        "gate_pct": OVERHEAD_GATE_PCT,
-        "meets_gate": overhead["overhead_pct"] <= OVERHEAD_GATE_PCT,
-        "checkpoint_ms": statistics.median(tick_samples) * 1000,
-        "checkpoints_taken": scheduler.checkpoints_taken,
-        "snapshot_bytes": snapshot_bytes,
-    }
 
 
 # -- rebalancing -------------------------------------------------------------
@@ -533,10 +448,7 @@ def rebalance_bench(
 
 
 def run(quick: bool = False) -> dict[str, Any]:
-    """The PR 5 report: recovery, migration, checkpoint overhead,
-    rebalancing and the E1 pass."""
-    from repro.bench.harness import e1_paired_bench, recorded
-
+    """The PR 5 report: recovery, migration and rebalancing."""
     cases = domain_cases()
     golden = golden_logs(cases)
     return {
@@ -547,16 +459,8 @@ def run(quick: bool = False) -> dict[str, Any]:
         "migration": migration_bench(
             cases, repeats=1 if quick else 3, steps=12 if quick else 24
         ),
-        # Each hot-path sample is ~2 ms, so even quick mode keeps a
-        # deep pair count here (the sub-bench is cheap — platform
-        # construction dominates it).
-        "checkpoint": checkpoint_overhead_bench(repeat=10 if quick else 15),
         "rebalance": rebalance_bench(
             sessions=6 if quick else 12, rounds=1 if quick else 2
-        ),
-        "e1": e1_paired_bench(repeat=3 if quick else 25),
-        "baseline_e1_mean_overhead_pct": recorded(
-            "BENCH_PR4.json", "e1", "mean_overhead_pct"
         ),
     }
 
@@ -567,18 +471,8 @@ def check(report: dict[str, Any]) -> str:
     assert recovery["all_identical"], recovery["domains"]
     assert migration["all_identical"], migration["domains"]
     assert len(recovery["domains"]) == 4, recovery["domains"]
-    checkpoint = report["checkpoint"]
-    # Shared runners are noisy; the strict <= 5% idle-scheduler
-    # gate is enforced on the committed full run.
-    assert checkpoint["overhead_pct"] <= 25.0, checkpoint
     rebalance = report["rebalance"]
     assert rebalance["moves"] > 0, rebalance
     assert rebalance["imbalance_after"] < rebalance["imbalance_before"], rebalance
-    if not report["quick"]:
-        assert checkpoint["meets_gate"], (
-            f"idle-scheduler checkpoint overhead on the E1 hot path is "
-            f"{checkpoint['overhead_pct']:.2f}% "
-            f"(acceptance bar: <= {OVERHEAD_GATE_PCT}%)"
-        )
     return ("migrate smoke OK "
             f"(pause {migration['median_pause_ms']:.2f} ms)")

@@ -25,10 +25,6 @@ Fidelity rules:
   batched cross-shard forwarding channel, so the channel is exercised
   under full load and completions are double-counted against futures.
 
-The report also re-runs the eight-scenario E1 overhead benchmark and
-records the ``BENCH_PR3.json`` figure beside it — sharding must not tax
-the single-session path.
-
 ``repro bench scale`` writes ``BENCH_PR4.json`` (``--quick`` shrinks
 the workload for CI).
 """
@@ -309,18 +305,12 @@ def scale_bench(
 
 
 def run(quick: bool = False) -> dict[str, Any]:
-    """The PR 4 report: the scale sweep plus the E1 pass."""
-    from repro.bench.harness import e1_paired_bench, recorded
-
+    """The PR 4 report: the scale sweep."""
     return {
         "bench": "PR4-sharded-fabric",
         "scale": scale_bench(
             sessions=64 if quick else 200,
             shard_counts=(1, 2, 4) if quick else SHARD_COUNTS,
-        ),
-        "e1": e1_paired_bench(repeat=3 if quick else 25),
-        "baseline_e1_mean_overhead_pct": recorded(
-            "BENCH_PR3.json", "e1", "mean_overhead_pct"
         ),
     }
 

@@ -141,9 +141,9 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     identical broker dispatch — measured in-thread on a real shard WAL
     built by :meth:`DurabilityPolicy.open_shard`, by
     :func:`~repro.bench.harness.paired_overhead` in E1's calibrated
-    op-cost regime (the same bar and statistic as the ``repro bench
-    wal`` E1 gate; group-commit fsync stays a separately priced
-    latency knob, see PR 7's ``sync_profiles``).
+    op-cost regime (the same bar and statistic as every E1 gate in
+    this repo; group-commit fsync is a latency knob this gate leaves
+    out).
 
     The same sweep at ``op_cost=0`` is reported as ``structural``
     (diagnostic).  ``fabric`` reports the end-to-end overhead of a
@@ -154,19 +154,18 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     """
     from repro.bench.harness import STATISTIC, paired_overhead
     from repro.bench.migrate import _ScenarioRunner
-    from repro.bench.wal import COMMUNICATION_SCENARIOS, _api_steps
+    from repro.bench.workloads import COMMUNICATION_SCENARIOS
     from repro.domains.communication.cvm import build_cvm
     from repro.middleware.platform import PlatformPool
     from repro.runtime.durability import DurabilityPolicy
     from repro.sim.network import CommService
 
-    step_docs = _api_steps(
-        [
-            step
-            for scenario in COMMUNICATION_SCENARIOS.values()
-            for step in scenario
-        ]
-    )
+    step_docs = [
+        {"op": "api", "api": step[1], "args": dict(step[2])}
+        for scenario in COMMUNICATION_SCENARIOS.values()
+        for step in scenario
+        if step[0] == "api"
+    ]
     steps = len(step_docs)
     passes = 3
 

@@ -26,9 +26,9 @@ Commands:
 * ``trace`` — run ``examples/quickstart.py`` with causal signal
   tracing enabled and print the trace_id/parent_seq chains.
 * ``bench NAME [--quick] [--output PATH]`` — run one experiment suite
-  (``faults``, ``aot``, ``scale``, ``migrate``, ``ingress``, ``wal``,
-  ``cluster``, ``walfabric``), write
-  its ``BENCH_PR*.json`` report, then check it; a failed check exits 1.
+  (``faults``, ``aot``, ``scale``, ``migrate``, ``ingress``,
+  ``cluster``, ``walfabric``), write its ``BENCH_PR*.json`` report,
+  then check it; a failed check exits 1.
 """
 
 from __future__ import annotations
@@ -684,7 +684,6 @@ BENCH_SUITES: dict[str, tuple[str, str]] = {
     "scale": ("scale", "BENCH_PR4.json"),
     "migrate": ("migrate", "BENCH_PR5.json"),
     "ingress": ("ingress", "BENCH_PR6.json"),
-    "wal": ("wal", "BENCH_PR7.json"),
     "cluster": ("cluster", "BENCH_PR9.json"),
     "walfabric": ("walfabric", "BENCH_PR10.json"),
 }

@@ -13,21 +13,20 @@ it left off:
   runtime model + live LTS executions, controller context, and the
   broker's state manager / breaker / autonomic surface.
 
-Two restore paths exist, mirroring the two failure modes:
+Two restore paths exist:
 
 * :meth:`Platform.restore_from` (via :func:`apply_snapshot`) applies a
-  snapshot onto an already-built, *compatible* platform — the
-  supervised-restart path, where the crashed layer objects survive and
-  only their state was reset.
+  snapshot onto an already-built, *compatible* platform — pool
+  recovery onto a shard's warm platform.
 * :func:`restore_platform` rebuilds the whole platform from the
   snapshot's middleware model via the loader and then applies the
   state documents — the migration/cold-recovery path, where nothing
   but the snapshot (plus the domain's DSK callables) crosses the gap.
 
-:class:`CheckpointScheduler` takes periodic snapshots on the clock's
-timer queue and, wired to a :class:`~repro.runtime.component.Supervisor`,
-re-applies the latest one after a supervised restart so the session
-resumes from its checkpoint instead of cold.
+Checkpoints are written by their owners: workers on a size rule and
+pools on :meth:`PlatformPool.checkpoint_now`.  :func:`recover_session`
+is the one recovery path of a durable session: restore the latest
+checkpoint, then replay the logged tail with memoized effects.
 """
 
 from __future__ import annotations
@@ -42,14 +41,12 @@ from repro.modeling.serialize import (
     model_from_dict,
     model_to_dict,
 )
-from repro.runtime.clock import PeriodicTask
 from repro.runtime.external import ExternalizeError
 
 if TYPE_CHECKING:
     from repro.middleware.loader import DomainKnowledge
     from repro.middleware.platform import Platform
     from repro.runtime.clock import Clock
-    from repro.runtime.component import Component, Supervisor
     from repro.runtime.events import EventBus
     from repro.runtime.metrics import MetricsRegistry
     from repro.runtime.wal import WriteAheadLog
@@ -61,7 +58,6 @@ __all__ = [
     "capture_snapshot",
     "apply_snapshot",
     "restore_platform",
-    "CheckpointScheduler",
     "RecoveryReport",
     "recover_session",
 ]
@@ -132,10 +128,8 @@ class SessionSnapshot:
 def capture_snapshot(platform: "Platform") -> SessionSnapshot:
     """Externalize a platform's full mutable state.
 
-    Capture is cheap enough to run on the hot path's shard thread (the
-    benchmark gate holds it under 5% of E1 when idle) and must happen
-    on that thread under the sharded runtime — the capture itself is
-    the quiesce point.
+    Under the sharded runtime the capture must run on the session's
+    shard thread — the capture itself is the quiesce point.
     """
     layers: dict[str, dict[str, Any]] = {}
     if platform.ui is not None:
@@ -270,73 +264,6 @@ def restore_platform(
         except Exception:  # noqa: BLE001 - teardown is best-effort
             pass
         raise
-
-
-# -- periodic checkpointing -------------------------------------------------
-
-
-class CheckpointScheduler(PeriodicTask):
-    """Periodic platform checkpoints + supervised warm recovery.
-
-    Ticks follow :class:`~repro.runtime.clock.PeriodicTask`: they
-    self-schedule on clocks with a timer queue; on plain wall clocks
-    the owner drives :meth:`tick` explicitly (e.g. between workload
-    steps).
-
-    :meth:`attach` wires the scheduler to a supervisor: after any
-    successful supervised restart the latest snapshot is re-applied to
-    the platform, turning a cold restart into a resume-from-checkpoint.
-    """
-
-    def __init__(
-        self,
-        platform: "Platform",
-        *,
-        interval: float = 1.0,
-        clock: "Clock | None" = None,
-        on_checkpoint: Callable[[SessionSnapshot], None] | None = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("checkpoint interval must be > 0")
-        self.platform = platform
-        self.interval = interval
-        self.clock = clock or platform.clock
-        self.on_checkpoint = on_checkpoint
-        self.last_snapshot: SessionSnapshot | None = None
-        self.checkpoints_taken = 0
-        self.recoveries = 0
-
-    @property
-    def checkpoint_errors(self) -> int:
-        """Ticks that raised (the schedule kept going)."""
-        return self.errors
-
-    # -- ticking -----------------------------------------------------------
-
-    def tick(self) -> SessionSnapshot:
-        """Take one checkpoint now (also the manual-drive entry point)."""
-        snapshot = capture_snapshot(self.platform)
-        self.last_snapshot = snapshot
-        self.checkpoints_taken += 1
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(snapshot)
-        return snapshot
-
-    # -- supervised recovery ---------------------------------------------------
-
-    def attach(self, supervisor: "Supervisor") -> "CheckpointScheduler":
-        """Re-apply the latest checkpoint after supervised restarts."""
-        supervisor.on_restarted = self._on_restarted
-        return self
-
-    def _on_restarted(self, component: "Component") -> None:
-        if self.last_snapshot is None:
-            return
-        # A layer restart resets only that layer's state, but the
-        # snapshot is whole-session and idempotent — re-applying it
-        # across all layers is the simplest consistent recovery.
-        apply_snapshot(self.platform, self.last_snapshot)
-        self.recoveries += 1
 
 
 # -- durable sessions (write-ahead log + exactly-once recovery) -------------

@@ -206,11 +206,6 @@ class Supervisor:
         self._entries: dict[str, _SupervisionEntry] = {}
         self.restarts = 0
         self.crashes = 0
-        #: optional hook fired after every successful restart with the
-        #: restarted component — checkpoint/recovery machinery (PR 5)
-        #: uses it to re-apply the last session snapshot so the
-        #: component resumes warm instead of cold.
-        self.on_restarted: "Any | None" = None
 
     # -- registration ------------------------------------------------------
 
@@ -271,12 +266,6 @@ class Supervisor:
             return
         self.restarts += 1
         self.metrics.count("supervisor.restarts", component.name)
-        if self.on_restarted is not None:
-            try:
-                self.on_restarted(component)
-            except Exception as exc:  # noqa: BLE001 - recovery must not crash
-                self.metrics.count("supervisor.recovery_errors", component.name)
-                self._emit(component.name, "recovery_failed", error=str(exc))
         self._emit(
             component.name, "restarted",
             restarts=entry.restarts, delay=delay,

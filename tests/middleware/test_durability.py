@@ -1,15 +1,17 @@
 """Durable sessions end to end (PR 7): WAL + exactly-once recovery.
 
-Kills a durable communication session mid-workload and checks the
-recovered run against an uninterrupted golden run by comparing the
-simulated service's ``op_log`` — the externally observable effect
-sequence.  Also covers delivery dedup, per-entry error containment,
-and the hardened :class:`CheckpointScheduler` (self-scheduling,
-epoch-fenced timers, error-contained checkpoint chains).
+Kills a durable session mid-workload and checks the recovered run
+against an uninterrupted golden run by comparing the simulated
+service's ``op_log`` — the externally observable effect sequence: a
+communication session of API steps, and each of the four domains'
+two-phase ``run_model`` sessions.  Also covers delivery dedup and
+per-entry error containment.
 """
 
 import pytest
 
+from repro.bench.migrate import _fresh_session as domain_session
+from repro.domains.assembly import domain_cases
 from repro.domains.communication.cml import CmlBuilder, cml_metamodel
 from repro.domains.communication.cvm import (
     build_middleware_model,
@@ -17,13 +19,8 @@ from repro.domains.communication.cvm import (
 )
 from repro.middleware.loader import DomainKnowledge, load_platform
 from repro.middleware.platform import apply_entry
-from repro.middleware.snapshot import (
-    CheckpointScheduler,
-    capture_snapshot,
-    recover_session,
-)
+from repro.middleware.snapshot import capture_snapshot, recover_session
 from repro.modeling.serialize import model_to_dict
-from repro.runtime.clock import VirtualClock
 from repro.runtime.durability import ShardDurability
 from repro.runtime.events import Call
 from repro.runtime.wal import WalError, WriteAheadLog
@@ -32,12 +29,12 @@ from repro.runtime.wal import WalError, WriteAheadLog
 SESSION = "conf-1"
 
 
-def fresh_session(*, clock=None):
+def fresh_session():
     from repro.sim.network import CommService
 
     service = CommService("net0", op_cost=0.0)
     dsk = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
-    platform = load_platform(build_middleware_model(), dsk, clock=clock)
+    platform = load_platform(build_middleware_model(), dsk)
     platform.controller.context.update(default_context())
     return service, dsk, platform
 
@@ -292,82 +289,66 @@ class TestDurableSession:
         reopened.close()
 
 
-class TestCheckpointSchedulerHardening:
-    def test_one_long_advance_fires_every_interval(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        scheduler = CheckpointScheduler(platform, interval=5.0, clock=clock)
-        scheduler.start()
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 1
-        clock.advance(15.0)
-        assert scheduler.checkpoints_taken == 4  # re-armed after each fire
-        scheduler.stop()
-        clock.advance(25.0)
-        assert scheduler.checkpoints_taken == 4  # stopped: nothing armed
-        platform.stop()
+def model_doc(model):
+    return {"op": "run_model", "model": model_to_dict(model)}
 
-    def test_negative_interval_rejected(self):
-        # test_snapshot.py checks interval=0
-        _service, _dsk, platform = fresh_session()
-        with pytest.raises(ValueError, match="interval"):
-            CheckpointScheduler(platform, interval=-1.0)
-        platform.stop()
 
-    def test_stop_start_does_not_double_arm(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        scheduler = CheckpointScheduler(platform, interval=5.0, clock=clock)
-        scheduler.start()
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 1
-        scheduler.stop()
-        scheduler.start()  # a second life of the scheduler
-        clock.advance(5.0)
-        clock.advance(5.0)
-        # one tick per interval — a stale timer from the first life
-        # must not produce a second chain
-        assert scheduler.checkpoints_taken == 3
-        scheduler.stop()
-        platform.stop()
+def golden_phases(case):
+    """``case``'s op_log after ``phase1`` then ``phase2``, uninterrupted."""
+    service, _dsk, platform = domain_session(case)
+    platform.run_model(case.phase1())
+    platform.run_model(case.phase2())
+    platform.stop()
+    return list(service.op_log)
 
-    def test_stale_epoch_timer_fires_as_noop(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        scheduler = CheckpointScheduler(platform, interval=5.0, clock=clock)
-        scheduler.start()
-        stale_epoch = scheduler._epoch - 1
-        scheduler._fire(stale_epoch)  # timer armed by a previous start()
-        assert scheduler.checkpoints_taken == 0
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 1
-        scheduler.stop()
-        platform.stop()
 
-    def test_failing_tick_keeps_the_chain_alive(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        failures = {"left": 2}
+@pytest.mark.parametrize("case", domain_cases(), ids=lambda case: case.name)
+class TestRecoveryInEveryDomain:
+    """Each domain's two-phase session: ``phase1`` and ``phase2`` run as
+    durable ``run_model`` entries with a checkpoint between them."""
 
-        def flaky(_snapshot):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("checkpoint store unavailable")
+    def test_killed_tail_replays_memoized(self, case, tmp_path):
+        service, dsk, platform = domain_session(case)
+        wal = open_wal(tmp_path)
+        durable = ShardDurability(wal)
+        execute(durable, platform, model_doc(case.phase1()))
+        checkpoint(durable, platform)
+        execute(durable, platform, model_doc(case.phase2()))
+        log_at_kill = list(service.op_log)
+        assert log_at_kill == golden_phases(case)
+        wal.close()
+        platform.stop()  # the kill
 
-        scheduler = CheckpointScheduler(
-            platform, interval=5.0, clock=clock, on_checkpoint=flaky
-        )
-        scheduler.start()
-        clock.advance(5.0)
-        clock.advance(5.0)
-        assert scheduler.checkpoint_errors == 2
-        assert isinstance(scheduler.last_error, RuntimeError)
-        # the chain survived both bad ticks and the next one lands clean
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 3
-        assert scheduler.checkpoint_errors == 2
-        scheduler.stop()
-        platform.stop()
+        # a second recovery of the same log must do exactly what the
+        # first did: replay phase 2 from its seal, touching nothing
+        for _round in range(2):
+            reopened = open_wal(tmp_path)
+            report = recover(reopened, dsk=dsk)
+            report.platform.stop()
+            reopened.close()
+            assert report.errors == []
+            assert report.replayed_entries == 1
+            assert report.effects_memoized > 0
+            assert report.effects_live == 0
+            assert service.op_log == log_at_kill
+
+    def test_recovery_at_checkpoint_resumes_live(self, case, tmp_path):
+        service, dsk, platform = domain_session(case)
+        wal = open_wal(tmp_path)
+        durable = ShardDurability(wal)
+        execute(durable, platform, model_doc(case.phase1()))
+        checkpoint(durable, platform)
+        wal.close()
+        platform.stop()  # the kill, right after the checkpoint
+
+        reopened = open_wal(tmp_path)
+        report = recover(reopened, dsk=dsk)
+        assert report.replayed_entries == 0
+        execute(ShardDurability(reopened), report.platform,
+                model_doc(case.phase2()))
+        report.platform.stop()
+        reopened.close()
+        assert service.op_log == golden_phases(case)
 
 
 class TestLogCallChainRoot:

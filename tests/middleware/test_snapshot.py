@@ -1,8 +1,7 @@
 """Unit tests for session snapshots (PR 5 tentpole).
 
-Covers the snapshot document format, capture/apply round trips, cold
-restore via the loader, the checkpoint scheduler's timer-driven ticks,
-and supervised warm recovery from the latest checkpoint.
+Covers the snapshot document format, capture/apply round trips and
+cold restore via the loader.
 """
 
 import pytest
@@ -14,23 +13,20 @@ from repro.domains.communication.cvm import (
 )
 from repro.middleware.loader import DomainKnowledge, load_platform
 from repro.middleware.snapshot import (
-    CheckpointScheduler,
     SessionSnapshot,
     apply_snapshot,
     capture_snapshot,
     restore_platform,
 )
 from repro.modeling.serialize import SerializationError
-from repro.runtime.clock import VirtualClock
-from repro.runtime.component import Supervisor
 from repro.runtime.external import ExternalizeError, StateExternalizer
 from repro.sim.network import CommService
 
 
-def fresh_session(*, clock=None):
+def fresh_session():
     service = CommService("net0", op_cost=0.0)
     dsk = DomainKnowledge(dsml=cml_metamodel(), resources=[service])
-    platform = load_platform(build_middleware_model(), dsk, clock=clock)
+    platform = load_platform(build_middleware_model(), dsk)
     platform.controller.context.update(default_context())
     return service, dsk, platform
 
@@ -226,77 +222,3 @@ class TestDispatcherInstall:
         dispatcher.install(None)
         assert seen == []
         assert dispatcher.runtime_model is None
-
-
-class TestCheckpointScheduler:
-    def test_virtual_clock_ticks_self_schedule(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        scheduler = CheckpointScheduler(platform, interval=5.0, clock=clock)
-        scheduler.start()
-        clock.advance(5.0)
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 2
-        assert scheduler.last_snapshot is not None
-        scheduler.stop()
-        clock.advance(5.0)
-        assert scheduler.checkpoints_taken == 2
-        platform.stop()
-
-    def test_bad_interval_rejected(self):
-        _service, _dsk, platform = fresh_session()
-        with pytest.raises(ValueError, match="interval"):
-            CheckpointScheduler(platform, interval=0.0)
-        platform.stop()
-
-    def test_manual_tick_and_callback(self):
-        _service, _dsk, platform = fresh_session()
-        seen = []
-        scheduler = CheckpointScheduler(
-            platform, interval=1.0, on_checkpoint=seen.append
-        )
-        snapshot = scheduler.tick()
-        assert seen == [snapshot]
-        assert scheduler.last_snapshot is snapshot
-        platform.stop()
-
-    def test_supervised_restart_resumes_from_checkpoint(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        platform.run_model(conference_model())
-        platform.broker.state.set("k", 1)
-
-        scheduler = CheckpointScheduler(platform, interval=60.0, clock=clock)
-        scheduler.tick()
-        supervisor = Supervisor(clock=clock)
-        supervisor.watch(platform.broker)
-        scheduler.attach(supervisor)
-
-        platform.broker.state.set("k", 2)  # post-checkpoint drift
-        supervisor.report_crash(platform.broker.name, RuntimeError("boom"))
-        clock.advance(supervisor.base_delay)
-
-        assert platform.broker.running
-        assert scheduler.recoveries == 1
-        # the session resumed from its checkpoint, not from the drifted
-        # (or cold) state
-        assert platform.broker.state.get("k") == 1
-        assert platform.synthesis.dispatcher.runtime_model is not None
-        platform.stop()
-
-    def test_recovery_failure_never_crashes_restart(self):
-        clock = VirtualClock()
-        _service, _dsk, platform = fresh_session(clock=clock)
-        supervisor = Supervisor(clock=clock)
-        supervisor.watch(platform.broker)
-
-        def explode(_component):
-            raise RuntimeError("recovery gone wrong")
-
-        supervisor.on_restarted = explode
-        supervisor.report_crash(platform.broker.name, RuntimeError("boom"))
-        clock.advance(supervisor.base_delay)
-        # restart still counted; the recovery error was contained
-        assert platform.broker.running
-        assert supervisor.restarts == 1
-        platform.stop()
