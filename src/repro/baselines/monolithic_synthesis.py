@@ -227,9 +227,3 @@ class MonolithicSynthesis:
 
     def running_media(self) -> list[str]:
         return sorted(self._media)
-
-    def connection_parties(self, connection_id: str) -> list[str]:
-        spec = self._connections.get(connection_id)
-        if spec is None:
-            raise KeyError(f"connection {connection_id!r} is not running")
-        return list(spec["participants"])

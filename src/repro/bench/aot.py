@@ -296,7 +296,7 @@ def controlled_session(
     and every command's operation, case and result status/error, plus
     the ``controller.command``/``controller.case`` counters.
     """
-    from repro.bench.migrate import _log_bytes
+    from repro.bench.workloads import _log_bytes
     from repro.middleware.loader import load_platform
     from repro.middleware.synthesis.aot import remove_generated
     from repro.runtime.metrics import MetricsRegistry
@@ -369,7 +369,7 @@ def tier_equivalence() -> dict[str, Any]:
     (no change builds the reference env), and the op_log must still
     match the reference run.
     """
-    from repro.bench.migrate import _fresh_session, _log_bytes
+    from repro.bench.workloads import _fresh_session, _log_bytes
     from repro.domains.assembly import domain_cases
 
     domains: list[dict[str, Any]] = []

@@ -266,7 +266,7 @@ def throughput_bench(
 
 def cross_process_migration_bench() -> dict[str, Any]:
     """Migrate each domain's session across the process boundary."""
-    from repro.bench.migrate import golden_logs
+    from repro.bench.workloads import golden_logs
     from repro.domains.assembly import domain_cases
     from repro.modeling.serialize import model_to_dict
     from repro.runtime.cluster import ProcessCluster

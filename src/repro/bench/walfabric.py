@@ -131,6 +131,30 @@ def adoption_bench(*, comm_sessions: int = 8) -> dict[str, Any]:
 # -- E1 overhead through the durable pool ------------------------------------
 
 
+def _e1_platform(op_cost: float) -> Any:
+    """A full CVM platform configured as the E1 harness runs it:
+    recovery through explicit scenario steps (autonomic manager off),
+    the default controller context.  ``op_cost=0.0`` isolates pure
+    middleware CPU cost; ``CommService.DEFAULT_OP_COST`` is E1's
+    calibrated regime where simulated service work dominates."""
+    from repro.domains.communication.cml import cml_metamodel
+    from repro.domains.communication.cvm import (
+        build_middleware_model,
+        default_context,
+    )
+    from repro.middleware.loader import DomainKnowledge, load_platform
+    from repro.sim.network import CommService
+
+    dsk = DomainKnowledge(
+        dsml=cml_metamodel(),
+        resources=[CommService("net0", op_cost=op_cost)],
+    )
+    platform = load_platform(build_middleware_model(), dsk)
+    platform.broker.autonomic.enabled = False
+    platform.controller.context.update(default_context())
+    return platform
+
+
 def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     """Calibrated E1 overhead of the pool's per-shard WAL machinery.
 
@@ -153,7 +177,6 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     interquartile range shows the noise floor.
     """
     from repro.bench.harness import STATISTIC, paired_overhead
-    from repro.bench.migrate import _ScenarioRunner
     from repro.bench.workloads import COMMUNICATION_SCENARIOS
     from repro.domains.communication.cvm import build_cvm
     from repro.middleware.platform import PlatformPool
@@ -177,10 +200,8 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
     def sweep(*, op_cost: float, pairs: int) -> dict[str, Any]:
         """One bare and one durable platform stay alive for the whole
         sweep; a sample is one 71-step pass on one of them."""
-        bare_runner = _ScenarioRunner(op_cost=op_cost)
-        bare_platform = bare_runner.platform
-        durable_runner = _ScenarioRunner(op_cost=op_cost)
-        durable_platform = durable_runner.platform
+        bare_platform = _e1_platform(op_cost)
+        durable_platform = _e1_platform(op_cost)
         resources = durable_platform.broker.resources
         policy = shard_policy()
         durability = policy.open_shard(0)
@@ -213,8 +234,8 @@ def e1_pool_overhead_bench(*, repeat: int = 15) -> dict[str, Any]:
                 **paired_overhead(bare_pass, durable_pass, pairs=pairs),
             }
         finally:
-            bare_runner.stop()
-            durable_runner.stop()
+            bare_platform.stop()
+            durable_platform.stop()
             durability.wal.close()
             policy.discard_ephemeral_root()
 

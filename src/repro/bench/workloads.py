@@ -14,11 +14,20 @@ are tagged tuples:
 
 Scenarios use symbolic connection/medium ids, so the same scenario
 replays identically against the model-based and handcrafted Brokers.
+
+The four shipped domains share one two-phase session workload:
+:func:`_phases` alternates a domain's phase-1 and phase-2 models, and
+:func:`golden_logs` records the op_log of running them uninterrupted,
+the reference every interrupted run (recovery, worker moves, generated
+vs reference dispatch) must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.domains.assembly import DomainCase
 
 __all__ = [
     "Step",
@@ -26,6 +35,7 @@ __all__ = [
     "scenario_names",
     "adaptation_wiring",
     "adaptation_wiring_reliable",
+    "golden_logs",
 ]
 
 Step = tuple  # ("api", name, args) | ("fail", conn) | ("recover", conn)
@@ -186,3 +196,48 @@ def adaptation_wiring_reliable() -> dict[str, list[tuple[str, dict[str, str]]]]:
                              "kind": "kind", "quality": "quality"}),
     ]
     return wiring
+
+
+# -- domain sessions ----------------------------------------------------------
+
+
+def _fresh_session(case: DomainCase) -> tuple[Any, Any, Any]:
+    """(service, dsk, started platform) for one session of ``case``."""
+    from repro.middleware.loader import load_platform
+
+    service = case.service()
+    dsk = case.knowledge(service)
+    platform = load_platform(case.middleware(), dsk)
+    if platform.controller is not None and case.context:
+        platform.controller.context.update(case.context)
+    return service, dsk, platform
+
+
+def _log_bytes(service: Any) -> bytes:
+    return "\n".join(service.op_log).encode("utf-8")
+
+
+def _phases(case: DomainCase, steps: int) -> list[Any]:
+    """``steps`` session steps: the two phase models, alternating."""
+    models = [case.phase1(), case.phase2()]
+    return [models[i % 2] for i in range(steps)]
+
+
+def golden_logs(cases: list[DomainCase], steps: int = 2) -> dict[str, bytes]:
+    """Uninterrupted runs of :func:`_phases`: the per-domain golden
+    op_logs."""
+    golden: dict[str, bytes] = {}
+    for case in cases:
+        service, _dsk, platform = _fresh_session(case)
+        try:
+            for model in _phases(case, steps):
+                platform.run_model(model)
+        finally:
+            platform.stop()
+        golden[case.name] = _log_bytes(service)
+        if not golden[case.name]:
+            raise RuntimeError(
+                f"domain {case.name!r} produced an empty op_log; the "
+                f"workload exercises nothing"
+            )
+    return golden

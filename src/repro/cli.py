@@ -26,8 +26,8 @@ Commands:
 * ``trace`` — run ``examples/quickstart.py`` with causal signal
   tracing enabled and print the trace_id/parent_seq chains.
 * ``bench NAME [--quick] [--output PATH]`` — run one experiment suite
-  (``faults``, ``aot``, ``scale``, ``migrate``, ``ingress``,
-  ``cluster``, ``walfabric``), write its ``BENCH_PR*.json`` report,
+  (``faults``, ``aot``, ``scale``, ``ingress``, ``cluster``,
+  ``walfabric``), write its ``BENCH_PR*.json`` report,
   then check it; a failed check exits 1.
 """
 
@@ -682,7 +682,6 @@ BENCH_SUITES: dict[str, tuple[str, str]] = {
     "faults": ("faults", "BENCH_PR2.json"),
     "aot": ("aot", "BENCH_PR8.json"),
     "scale": ("scale", "BENCH_PR4.json"),
-    "migrate": ("migrate", "BENCH_PR5.json"),
     "ingress": ("ingress", "BENCH_PR6.json"),
     "cluster": ("cluster", "BENCH_PR9.json"),
     "walfabric": ("walfabric", "BENCH_PR10.json"),

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.modeling.meta import Metamodel
 from repro.modeling.model import Model
-from repro.modeling.serialize import clone_model, model_from_dict, model_to_dict
+from repro.modeling.serialize import model_from_dict, model_to_dict
 
 __all__ = ["StateError", "StateManager"]
 
@@ -130,12 +130,6 @@ class StateManager:
 
     def install_model(self, model: Model) -> None:
         self._model = model
-
-    def checkpoint_model(self) -> Model:
-        """A deep copy of the runtime model (comparator input)."""
-        if self._model is None:
-            raise StateError(f"state {self.name!r}: no runtime model installed")
-        return clone_model(self._model)
 
     # -- externalization (PR 5) -------------------------------------------------
 

@@ -138,8 +138,8 @@ class Platform:
         self.started = False
         #: set when a snapshot restore failed partway AND could not be
         #: rolled back (see repro.middleware.snapshot.apply_snapshot):
-        #: the platform state is inconsistent and must not serve work
-        #: until a supervised retry restores it from the snapshot.
+        #: the platform state is inconsistent, and a PlatformPool runs
+        #: no work on it until a later restore succeeds.
         self.failed = False
         self._wire()
 
@@ -418,6 +418,21 @@ class Platform:
         )
 
 
+def _refuse_failed(platform: Platform) -> None:
+    """Raise unless ``platform`` may serve work: a restore that failed
+    and could not be rolled back leaves it half-restored."""
+    if platform.failed:
+        raise PlatformError(
+            f"platform {platform.name!r} failed a restore and its "
+            f"rollback; it serves no work until restored"
+        )
+
+
+def _serve(platform: Platform, fn: "Callable[[Platform], Any]") -> Any:
+    _refuse_failed(platform)
+    return fn(platform)
+
+
 class PlatformPool:
     """A sharded multi-session front door over N platform instances.
 
@@ -519,22 +534,23 @@ class PlatformPool:
         return self.platforms[self.shard_for(key).index]
 
     def submit(self, key: str, fn: "Callable[[Platform], Any]"):
-        """Run ``fn(platform)`` on the shard owning ``key``; a Future."""
+        """Run ``fn(platform)`` on the shard owning ``key``; a Future.
+
+        A platform marked :attr:`Platform.failed` runs nothing: the
+        future raises :class:`PlatformError` instead."""
         return self.runtime.dispatch(
-            str(key), lambda shard: shard.call(fn, self.platforms[shard.index])
+            str(key),
+            lambda shard: shard.call(_serve, self.platforms[shard.index], fn),
         )
 
-    def close_session(self, key: str) -> bool:
+    def close_session(self, key: str) -> None:
         """Release per-session fabric state for a closed session.
 
         Entries still queued in any ingress tier built by
         :meth:`build_ingress` are resolved first as typed ``REJECTED``
         outcomes (``ShedReason.SESSION_CLOSED``) — closing a session
         must never leave a waiter hanging on a queue nobody will pump,
-        nor dispatch its backlog into the released session.  Then the
-        migration route override installed by a move (if any) is pruned
-        so the routing table stays bounded over millions of session
-        lifetimes.  Returns True when an override was dropped.
+        nor dispatch its backlog into the released session.
         """
         for tier in self._ingress_tiers:
             tier.close_session(key)
@@ -547,7 +563,6 @@ class PlatformPool:
             # entry frames, and the close frame marks intent).
             durability.log_event("closed", key)
             durability.forget(key)
-        return self.runtime.router.forget(key)
 
     # -- ingress (PR 6) ---------------------------------------------------
 
@@ -627,7 +642,10 @@ class PlatformPool:
         Returns a future resolving to an
         :class:`~repro.runtime.faults.InvocationOutcome`: the owning
         shard thread runs ``apply(platform, key, doc)``, inside the
-        shard's durability bracket when the pool is durable.
+        shard's durability bracket when the pool is durable.  On a
+        platform marked :attr:`Platform.failed` nothing runs or is
+        logged, and the outcome is ``FAILED`` with a
+        :class:`PlatformError`.
         """
         if self._apply_doc is None:
             raise PlatformError(
@@ -639,7 +657,6 @@ class PlatformPool:
         apply = self._apply_doc
 
         def run() -> Any:
-            # the platform and log of the shard the router picked
             shard = current_shard()
             platform = self.platforms[shard.index]
 
@@ -649,6 +666,7 @@ class PlatformPool:
                 return value
 
             try:
+                _refuse_failed(platform)
                 if shard.durability is None:
                     value = applied(None)
                 else:

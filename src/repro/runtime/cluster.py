@@ -50,11 +50,13 @@ import traceback
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from repro.runtime.faults import InvocationOutcome
 from repro.runtime.ingress import IngressRejected, ShedReason
-from repro.runtime.sharded import SessionRouter
+from repro.runtime.sharded import shard_index_for
 from repro.runtime.wal import (
     FRAME_HEADER_SIZE,
     WalError,
@@ -71,6 +73,7 @@ __all__ = [
     "ClusterError",
     "RemoteWorkerError",
     "ProcessCluster",
+    "SessionRouter",
     "LogShipper",
     "worker_main",
 ]
@@ -568,6 +571,166 @@ class LogShipper:
 # ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
+
+
+class SessionRouter:
+    """Session-key routing and the one session-transfer protocol, owned
+    by :class:`ProcessCluster` over its worker handles.
+
+    An owner is one of :attr:`owners`: an object with an ``index`` and
+    a ``lock`` that orders what enters its FIFO; lock order is owner,
+    then router.  ``_epoch`` counts route writes, so a dispatch that
+    resolved an owner before a re-point resolves again.
+    """
+
+    def __init__(self, owners: Sequence[Any]) -> None:
+        self.owners = list(owners)
+        #: session-key -> owner overrides written by moves.  Read
+        #: lock-free on the hot path (CPython dict reads are atomic;
+        #: the common case is an empty dict), written under ``_lock``.
+        self._routes: dict[str, Any] = {}
+        self._held: dict[str, list[tuple[Callable[[Any], Any], Future]]] = {}
+        self._lock = threading.Lock()
+        self._epoch = 0
+        self.migrations = 0
+
+    def owner(self, key: str) -> Any:
+        """The owner of ``key``: its route override, else its affinity
+        owner."""
+        if self._routes:
+            owner = self._routes.get(str(key))
+            if owner is not None:
+                return owner
+        return self.owners[shard_index_for(key, len(self.owners))]
+
+    def point(self, key: str, owner: Any) -> None:
+        """Route ``key`` to ``owner``.  The affinity owner needs no
+        override, so pointing a key home drops its entry."""
+        with self._lock:
+            if owner is self.owners[shard_index_for(key, len(self.owners))]:
+                self._routes.pop(key, None)
+            else:
+                self._routes[key] = owner
+            self._epoch += 1
+
+    def forget(self, key: str) -> bool:
+        """Drop ``key``'s override; True if one existed."""
+        with self._lock:
+            self._epoch += 1
+            return self._routes.pop(key, None) is not None
+
+    def dispatch(self, key: str, send: Callable[[Any], Any]) -> Any:
+        """Enqueue one submission: ``send(owner)`` under the owner's lock,
+        or, while ``key`` is held, a Future resolved once the flush has
+        sent it.  A hold starts under the source's lock, so a submission
+        lands on the source's FIFO ahead of the capture or waits."""
+        while True:
+            owner = self._lock_owner(key)
+            try:
+                if key not in self._held:
+                    return send(owner)
+                with self._lock:
+                    held = self._held.get(key)
+                    if held is not None:
+                        future: Future = Future()
+                        future.set_running_or_notify_cancel()
+                        held.append((send, future))
+                        return future
+                # flushed since: a re-point moved the key, resolve again
+            finally:
+                owner.lock.release()
+
+    def _lock_owner(self, key: str) -> Any:
+        """``key``'s owner with its lock taken, resolved again if a
+        route write landed before the lock was."""
+        while True:
+            epoch = self._epoch
+            owner = self.owner(key)
+            owner.lock.acquire()
+            if epoch == self._epoch:
+                return owner
+            owner.lock.release()
+
+    def transfer(
+        self,
+        key: str,
+        target: Any,
+        *,
+        capture: Callable[[Any], Any],
+        restore: Callable[[Any, Any], Any],
+        release: Callable[[Any, Any], None],
+    ) -> Any:
+        """Move ``key`` to ``target``: the one session-transfer protocol.
+
+        1. Hold new submissions for ``key`` (:meth:`dispatch` queues them).
+        2. ``capture(source)`` runs behind the source's FIFO.
+        3. ``restore(target, snapshot)`` rebuilds the session there.
+        4. The route re-points to ``target``.
+        5. ``release(source, target)`` lets the source let go.
+        6. The held submissions flush to the owner in arrival order.
+
+        If a step before the re-point fails, the route stays unchanged
+        (unless the failed restore re-homed the session itself) and
+        held work flushes to the owner it names.  Returns restore's
+        result, or None when ``key`` already lives on ``target``.
+        """
+        source = self._lock_owner(key)
+        try:
+            if source is target:
+                return None
+            with self._lock:
+                if key in self._held:
+                    raise ClusterError(
+                        f"a move of session {key!r} is already in progress"
+                    )
+                self._held[key] = []
+        finally:
+            source.lock.release()
+        try:
+            snapshot = capture(source)
+            result = restore(target, snapshot)
+            self.point(key, target)
+            release(source, target)
+            with self._lock:
+                self.migrations += 1
+            return result
+        finally:
+            self._flush(key)
+
+    def _flush(self, key: str) -> None:
+        """Enqueue ``key``'s held work on its owner, in arrival order."""
+        owner = self._lock_owner(key)
+        try:
+            with self._lock:
+                held = self._held.pop(key)
+            for send, future in held:
+                try:
+                    inner = send(owner)
+                except BaseException as exc:  # noqa: BLE001 - to future
+                    future.set_exception(exc)
+                    continue
+                if isinstance(inner, Future):
+                    inner.add_done_callback(partial(_copy_result, future))
+                else:
+                    future.set_result(inner)
+        finally:
+            owner.lock.release()
+
+    def stats(self) -> dict[str, Any]:
+        """The migrations counter and the hold gauge."""
+        with self._lock:
+            queued = sum(len(held) for held in self._held.values())
+            return {"migrations": self.migrations,
+                    "held": {"sessions": len(self._held), "queued": queued},
+                    "route_overrides": len(self._routes)}
+
+
+def _copy_result(outer: Future, done: Future) -> None:
+    error = done.exception()
+    if error is not None:
+        outer.set_exception(error)
+    else:
+        outer.set_result(done.result())
 
 
 @dataclass

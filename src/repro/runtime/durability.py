@@ -13,9 +13,10 @@ session.
 it, ``journal.end_entry`` seals the memoized effects, and
 :meth:`ShardDurability.checkpoint` writes every checkpoint frame.  The
 shard owns the log and hands sessions their journals, so every session
-hosted on a durable fabric is durable without opting in, and migration
-can move a session's truncation floor and tail between shard logs
-(:meth:`WriteAheadLog.export_session` / ``import_session``).  A
+hosted on a durable fabric is durable without opting in.  A session's
+frames stay in the log of the shard that hosts it: sessions never move
+between shards, and a worker move carries its session as a capture
+checkpoint (:meth:`~repro.runtime.cluster.ProcessCluster.migrate`).  A
 standalone session is a :class:`ShardDurability` over a log of its own.
 """
 

@@ -59,6 +59,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.runtime.clock import Clock, WallClock
@@ -372,11 +373,7 @@ class IngressTier:
     def _bind(self, key: str, fn: Callable[..., Any]) -> Callable[[], Any]:
         if self._resolve is None:
             return fn
-        # Resolve lazily, on the shard thread at run time: a session
-        # migrated while its request sat queued must execute against
-        # the platform that owns it *now*, not a stale submit-time one.
-        resolve = self._resolve
-        return lambda: fn(*resolve(key))
+        return partial(fn, *self._resolve(key))
 
     def _admission_locked(self, request: IngressRequest) -> str | None:
         """The shed decision; None admits.  Caller holds the lock."""
@@ -409,11 +406,8 @@ class IngressTier:
         Collects in strict priority order (all dispatchable interactive
         heads before any batch head), round-robin across sessions
         within a class, honoring the per-shard in-flight cap; then
-        posts **one** batch task per destination shard.  A request
-        whose session a move holds goes through the router instead
-        (:meth:`SessionRouter.dispatch`): it waits for the flush and
-        runs on the new owner, in order.  Returns the number of
-        requests handed off.
+        posts **one** batch task per destination shard.  Returns the
+        number of requests handed off.
         """
         batches: dict[int, list[IngressRequest]] = {}
         cap = self.policy.max_inflight_per_shard
@@ -427,14 +421,6 @@ class IngressTier:
                     if not queue:
                         continue  # emptied by an earlier pass
                     head = queue[0]
-                    # Re-resolve shard ownership at dispatch time: a
-                    # migrate() that landed while the request was
-                    # queued re-pointed the session's affinity, and
-                    # dispatching to the submit-time shard would break
-                    # the one-shard-per-session ordering contract.
-                    owner = self.runtime.shard_for(key).index
-                    if owner != head.shard:
-                        head.shard = owner
                     taken = batches.get(head.shard)
                     if self._inflight[head.shard] >= cap:
                         stalled[priority].append(key)
@@ -457,29 +443,12 @@ class IngressTier:
                         reversed(stalled[priority])
                     )
         handed = 0
-        held: list[IngressRequest] = []
-        router = self.runtime.router
         for index, requests in sorted(batches.items()):
             handed += len(requests)
             shard = self.runtime.shards[index]
-            # A hold starts under its source's lock, so under this lock
-            # a session routed here and not held stays so until the
-            # batch is posted; any other request waits for its move.
-            with shard.lock:
-                batch: list[IngressRequest] = []
-                for request in requests:
-                    settled = router.settled(request.key, shard)
-                    (batch if settled else held).append(request)
-                if batch:
-                    shard.post(lambda r=batch: self._deliver(r))
+            shard.post(lambda r=requests: self._deliver(r))
             self.metrics.count("ingress.handoff_batches", shard.name)
             self.metrics.count("ingress.handoff_requests", shard.name, len(requests))
-        for request in held:
-            # posted to the session's owner once its move released it
-            self.runtime.dispatch(
-                request.key,
-                lambda owner, r=request: owner.post(lambda: self._deliver([r])),
-            )
         self.dispatched += handed
         return handed
 
@@ -519,7 +488,6 @@ class IngressTier:
             future.set_result(outcome)
         with self._lock:
             for request in requests:
-                # the shard pump charged, wherever the request ran
                 self._inflight[request.shard] -= 1
             self.completed += len(requests)
         notify = self.on_work

@@ -16,9 +16,9 @@ dedicated pump thread — so everything *inside* a shard remains
 single-threaded and lock-free, exactly the hot path PR 3 optimized.
 Concurrency exists only *between* shards:
 
-* work enters through :meth:`ShardedRuntime.submit`, which the
-  :class:`SessionRouter` posts to the owning shard's mailbox (strict
-  FIFO per shard, so per-session ordering holds, moves included);
+* work enters through :meth:`ShardedRuntime.submit`, which posts it
+  to the owning shard's mailbox (strict FIFO per shard, so
+  per-session ordering holds);
 * signals that must cross shards go through the batched
   :class:`ForwardingChannel`, which buffers per destination and
   flushes with :meth:`EventBus.publish_batch` on the *destination*
@@ -34,6 +34,12 @@ Concurrency exists only *between* shards:
 Affinity hashing uses CRC-32 of the key, not Python's randomized
 ``hash()``, so a session maps to the same shard in every process —
 required for replayable benchmarks and cross-process routing tables.
+
+A session never leaves its shard.  Each shard runs one platform that
+holds the state of every session the shard hosts, so there is no
+per-session state to carry to another shard: sessions move only
+between worker processes
+(:meth:`~repro.runtime.cluster.ProcessCluster.migrate`).
 """
 
 from __future__ import annotations
@@ -41,8 +47,7 @@ from __future__ import annotations
 import threading
 import zlib
 from concurrent.futures import Future
-from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from repro.runtime.clock import Clock, WallClock
 from repro.runtime.events import EventBus, Signal
@@ -55,9 +60,7 @@ __all__ = [
     "current_shard",
     "Shard",
     "ForwardingChannel",
-    "SessionRouter",
     "ShardedRuntime",
-    "ShardRebalancer",
 ]
 
 #: the shard whose task the current thread is executing (if any).
@@ -108,8 +111,6 @@ class Shard:
             name=f"{self.name}.bus", clock=self.clock, metrics=self.metrics
         )
         self.mailbox = Mailbox(self.name, on_error=self._on_task_error)
-        #: orders routed submissions against holds (SessionRouter)
-        self.lock = threading.Lock()
         self.task_errors: list[Exception] = []
         #: optional ShardDurability (see ShardedRuntime.attach_durability):
         #: the fabric's DurabilityPolicy applied to this shard — its
@@ -246,16 +247,12 @@ class ForwardingChannel:
         if flush is not None:
             self._dispatch(to_shard, flush)
 
-    def flush(self, to_shard: int | None = None) -> int:
-        """Dispatch buffered signals (all shards by default); returns
-        how many signals were flushed."""
+    def flush(self) -> int:
+        """Dispatch every buffered signal; returns how many were
+        flushed."""
         with self._lock:
-            if to_shard is None:
-                drained = self._buffers
-                self._buffers = {}
-            else:
-                batch = self._buffers.pop(to_shard, None)
-                drained = {to_shard: batch} if batch else {}
+            drained = self._buffers
+            self._buffers = {}
         total = 0
         for index, batch in drained.items():
             total += len(batch)
@@ -284,182 +281,6 @@ class ForwardingChannel:
             "pending": self.pending,
             "batch_size": self.batch_size,
         }
-
-
-class SessionRouter:
-    """Session-key routing and the one session-transfer protocol,
-    owned by :class:`ShardedRuntime` (over shards) and
-    :class:`~repro.runtime.cluster.ProcessCluster` (over worker handles).
-
-    An owner is one of :attr:`owners`: an object with an ``index`` and
-    a ``lock`` that orders what enters its FIFO; lock order is owner,
-    then router.  A session moves only between the owners of its
-    fabric.  ``_epoch`` counts route writes, so a dispatch that resolved
-    an owner before a re-point resolves again.
-    """
-
-    def __init__(self, owners: Sequence[Any]) -> None:
-        self.owners = list(owners)
-        #: session-key -> owner overrides written by moves.  Read
-        #: lock-free on the hot path (CPython dict reads are atomic;
-        #: the common case is an empty dict), written under ``_lock``.
-        self._routes: dict[str, Any] = {}
-        self._held: dict[str, list[tuple[Callable[[Any], Any], Future]]] = {}
-        self._lock = threading.Lock()
-        self._epoch = 0
-        self.migrations = 0
-
-    def owner(self, key: str) -> Any:
-        """The owner of ``key``: its route override, else its affinity
-        owner."""
-        if self._routes:
-            owner = self._routes.get(str(key))
-            if owner is not None:
-                return owner
-        return self.owners[shard_index_for(key, len(self.owners))]
-
-    def point(self, key: str, owner: Any) -> None:
-        """Route ``key`` to ``owner``.  The affinity owner needs no
-        override, so pointing a key home drops its entry."""
-        with self._lock:
-            if owner is self.owners[shard_index_for(key, len(self.owners))]:
-                self._routes.pop(key, None)
-            else:
-                self._routes[key] = owner
-            self._epoch += 1
-
-    def forget(self, key: str) -> bool:
-        """Drop ``key``'s override; True if one existed."""
-        with self._lock:
-            self._epoch += 1
-            return self._routes.pop(key, None) is not None
-
-    def dispatch(self, key: str, send: Callable[[Any], Any]) -> Any:
-        """Enqueue one submission: ``send(owner)`` under the owner's lock,
-        or, while ``key`` is held, a Future resolved once the flush has
-        sent it.  A hold starts under the source's lock, so a submission
-        lands on the source's FIFO ahead of the capture or waits."""
-        while True:
-            owner = self._lock_owner(key)
-            try:
-                if key not in self._held:
-                    return send(owner)
-                with self._lock:
-                    held = self._held.get(key)
-                    if held is not None:
-                        future: Future = Future()
-                        future.set_running_or_notify_cancel()
-                        held.append((send, future))
-                        return future
-                # flushed since: a re-point moved the key, resolve again
-            finally:
-                owner.lock.release()
-
-    def settled(self, key: str, owner: Any) -> bool:
-        """Whether ``key`` routes to ``owner`` and no move holds it.
-        Asked under ``owner.lock``, the answer stands until the lock is
-        released: a hold starts under its source's lock, and a move
-        re-points the route only while it holds the key."""
-        return key not in self._held and self.owner(key) is owner
-
-    def _lock_owner(self, key: str) -> Any:
-        """``key``'s owner with its lock taken, resolved again if a
-        route write landed before the lock was."""
-        while True:
-            epoch = self._epoch
-            owner = self.owner(key)
-            owner.lock.acquire()
-            if epoch == self._epoch:
-                return owner
-            owner.lock.release()
-
-    def transfer(
-        self,
-        key: str,
-        target: Any,
-        *,
-        capture: Callable[[Any], Any],
-        restore: Callable[[Any, Any], Any],
-        release: Callable[[Any, Any], None],
-    ) -> Any:
-        """Move ``key`` to ``target``: the one session-transfer protocol.
-
-        1. Hold new submissions for ``key`` (:meth:`dispatch` queues them).
-        2. ``capture(source)`` runs behind the source's FIFO.
-        3. ``restore(target, snapshot)`` rebuilds the session there.
-        4. The route re-points to ``target``.
-        5. ``release(source, target)`` lets the source let go.
-        6. The held submissions flush to the owner in arrival order.
-
-        If a step before the re-point fails, the route stays unchanged
-        (unless the failed restore re-homed the session itself) and
-        held work flushes to the owner it names.  Transports differ
-        only in how they run capture, restore and release.  Returns
-        restore's result, or None when ``key`` already lives on
-        ``target``.
-        """
-        source = self._lock_owner(key)
-        try:
-            if source is target:
-                return None
-            with self._lock:
-                if key in self._held:
-                    raise ShardedRuntimeError(
-                        f"a move of session {key!r} is already in progress"
-                    )
-                self._held[key] = []
-        finally:
-            source.lock.release()
-        try:
-            snapshot = capture(source)
-            result = restore(target, snapshot)
-            self.point(key, target)
-            release(source, target)
-            with self._lock:
-                self.migrations += 1
-            return result
-        finally:
-            self._flush(key)
-
-    def _flush(self, key: str) -> None:
-        """Enqueue ``key``'s held work on its owner, in arrival order."""
-        owner = self._lock_owner(key)
-        try:
-            with self._lock:
-                held = self._held.pop(key)
-            for send, future in held:
-                try:
-                    inner = send(owner)
-                except BaseException as exc:  # noqa: BLE001 - to future
-                    future.set_exception(exc)
-                    continue
-                if isinstance(inner, Future):
-                    inner.add_done_callback(partial(_copy_result, future))
-                else:
-                    future.set_result(inner)
-        finally:
-            owner.lock.release()
-
-    def overrides(self) -> dict[str, Any]:
-        """A copy of the route overrides (key -> owner index)."""
-        with self._lock:
-            return {key: owner.index for key, owner in self._routes.items()}
-
-    def stats(self) -> dict[str, Any]:
-        """The migrations counter and the hold gauge."""
-        with self._lock:
-            queued = sum(len(held) for held in self._held.values())
-            return {"migrations": self.migrations,
-                    "held": {"sessions": len(self._held), "queued": queued},
-                    "route_overrides": len(self._routes)}
-
-
-def _copy_result(outer: Future, done: Future) -> None:
-    error = done.exception()
-    if error is not None:
-        outer.set_exception(error)
-    else:
-        outer.set_result(done.result())
 
 
 class ShardedRuntime:
@@ -495,7 +316,6 @@ class ShardedRuntime:
             for index in range(shards)
         ]
         self.channel = ForwardingChannel(self, batch_size=batch_size)
-        self.router = SessionRouter(self.shards)
         self.started = False
 
     # -- lifecycle --------------------------------------------------------
@@ -587,15 +407,15 @@ class ShardedRuntime:
     # -- routing ----------------------------------------------------------
 
     def shard_for(self, key: str) -> Shard:
-        """The shard owning session ``key`` (:meth:`SessionRouter.owner`)."""
-        return self.router.owner(key)
+        """The shard owning session ``key``: its CRC-32 affinity shard."""
+        return self.shards[shard_index_for(key, len(self.shards))]
 
     def dispatch(self, key: str, send: Callable[[Shard], Any]) -> Any:
-        """``send(owner)`` for one submission, through the router's
-        hold (:meth:`SessionRouter.dispatch`)."""
+        """``send(shard)`` for one submission to the shard owning
+        ``key``."""
         if not self.started:
             raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        return self.router.dispatch(key, send)
+        return send(self.shard_for(key))
 
     def submit(
         self, key: str, fn: Callable[..., Any], *args: Any, **kwargs: Any
@@ -636,80 +456,6 @@ class ShardedRuntime:
             return
         self.channel.forward(signal, to_shard=target.index, origin=origin)
 
-    # -- live migration ----------------------------------------------------
-
-    def migrate(
-        self,
-        key: str,
-        to_shard: int,
-        *,
-        capture: Callable[[], Any] | None = None,
-        restore: Callable[[Any], Any] | None = None,
-        timeout: float = 30.0,
-    ) -> Any:
-        """Move session ``key`` to ``to_shard`` without losing state.
-
-        ``capture()`` returns the state that travels (typically a
-        :class:`~repro.middleware.snapshot.SessionSnapshot`) and runs on
-        the source shard's thread behind the session's queued tasks;
-        the cross-shard signals buffered for the source then reach its
-        bus.  ``restore(snapshot)`` rebuilds the session on the target
-        shard's thread, against the target's bus/clock/metrics, and its
-        result is returned (see :meth:`SessionRouter.transfer`).  If it
-        raises, the session stays on its source and the error
-        propagates.  The release hands the session's log tail (latest
-        full checkpoint + later frames) to a durable target, and the
-        source log forgets it.
-
-        Causal trace chains survive because the snapshot carries model
-        documents, not live signals — signals forwarded post-migration
-        derive children exactly as before, now toward the new shard.
-        """
-        if not self.started:
-            raise ShardedRuntimeError(f"fabric {self.name!r} is not started")
-        if capture is None or restore is None:
-            raise ShardedRuntimeError(
-                f"fabric {self.name!r}: migrate needs capture and restore hooks"
-            )
-        if not 0 <= to_shard < len(self.shards):
-            raise ShardedRuntimeError(
-                f"no shard {to_shard} (fabric has {len(self.shards)})"
-            )
-        key = str(key)
-
-        def capture_on(source: Shard) -> Any:
-            snapshot = self._call_on(source, capture, timeout=timeout)
-            if self.channel.flush(source.index):
-                self._call_on(source, lambda: None, timeout=timeout)
-            return snapshot
-
-        def hand_off(source: Shard, target: Shard) -> None:
-            if source.durability is None:
-                return
-            if target.durability is not None:
-                frames = source.durability.wal.export_session(key)
-                if frames:
-                    target.durability.wal.import_session(frames, session=key)
-            source.durability.forget(key)
-
-        return self.router.transfer(
-            key, self.shards[to_shard], capture=capture_on,
-            restore=lambda target, snapshot: self._call_on(
-                target, restore, snapshot, timeout=timeout
-            ),
-            release=hand_off,
-        )
-
-    def _call_on(
-        self, shard: Shard, fn: Callable[..., Any], *args: Any,
-        timeout: float,
-    ) -> Any:
-        """Run ``fn`` on ``shard``'s thread (FIFO) and wait for it."""
-        future = shard.call(fn, *args)
-        if self.inline:
-            self.drain()
-        return future.result(timeout=timeout)
-
     def drain(self) -> int:
         """Inline mode: run queued tasks (and flushed batches) to
         quiescence on the calling thread; returns tasks executed."""
@@ -747,7 +493,6 @@ class ShardedRuntime:
             "published": sum(s.bus.published for s in self.shards),
             "delivered": sum(s.bus.delivered for s in self.shards),
             "channel": self.channel.stats(),
-            **self.router.stats(),
         }
 
     def __repr__(self) -> str:
@@ -756,119 +501,3 @@ class ShardedRuntime:
             f"inline={self.inline}, started={self.started})"
         )
 
-
-class ShardRebalancer:
-    """Moves hot sessions between shards to even out load (PR 5).
-
-    CRC-32 affinity balances session *counts*, not session *costs*: a
-    few heavy sessions can pin one shard at 100% while the rest idle.
-    The rebalancer consumes per-session cost estimates (the caller
-    derives them from per-shard metrics — e.g. API-call counters or
-    mailbox task counts), plans greedy hottest-to-coolest moves until
-    the max/min shard load ratio drops under ``imbalance_threshold``,
-    and applies the moves with the fabric's ``migrate``
-    (:meth:`ShardedRuntime.migrate`):
-    ``capture(key)`` runs on the session's source shard and returns the
-    travelling state, ``restore(key, snapshot)`` runs on the target
-    shard.
-    """
-
-    def __init__(
-        self,
-        runtime: ShardedRuntime,
-        *,
-        capture: Callable[[str], Any] | None = None,
-        restore: Callable[[str, Any], Any] | None = None,
-        imbalance_threshold: float = 1.25,
-        max_moves: int = 64,
-    ) -> None:
-        if imbalance_threshold < 1.0:
-            raise ShardedRuntimeError("imbalance_threshold must be >= 1.0")
-        self.runtime = runtime
-        self.capture = capture
-        self.restore = restore
-        self.imbalance_threshold = imbalance_threshold
-        self.max_moves = max_moves
-        self.moves_applied = 0
-
-    # -- observation --------------------------------------------------------
-
-    def shard_loads(self) -> list[int]:
-        """Tasks processed per shard — the fabric-level load signal."""
-        return [shard.mailbox.processed for shard in self.runtime.shards]
-
-    def imbalance(self, loads: "Iterable[float]") -> float:
-        """max/min load ratio (min clamped to 1 to stay defined)."""
-        values = list(loads)
-        return max(values) / max(min(values), 1) if values else 1.0
-
-    # -- planning -----------------------------------------------------------
-
-    def plan(self, session_costs: dict[str, float]) -> list[tuple[str, int]]:
-        """Greedy hottest-to-coolest move plan.
-
-        ``session_costs`` maps session keys to a load estimate in any
-        consistent unit.  Repeatedly moves the most expensive session
-        off the most loaded shard onto the least loaded one, as long as
-        the move strictly shrinks the max-min spread and the fabric is
-        above the imbalance threshold.  Deterministic: ties break on
-        session key.
-        """
-        router = self.runtime.router
-        shards = len(router.owners)
-        if shards < 2 or not session_costs:
-            return []
-        loads = [0.0] * shards
-        by_shard: dict[int, list[str]] = {i: [] for i in range(shards)}
-        for key in sorted(session_costs):
-            index = router.owner(key).index
-            loads[index] += session_costs[key]
-            by_shard[index].append(key)
-        moves: list[tuple[str, int]] = []
-        while len(moves) < self.max_moves:
-            hottest = max(range(shards), key=lambda i: (loads[i], -i))
-            coolest = min(range(shards), key=lambda i: (loads[i], i))
-            spread = loads[hottest] - loads[coolest]
-            if (
-                hottest == coolest
-                or not by_shard[hottest]
-                or loads[hottest] <= self.imbalance_threshold * max(loads[coolest], 1e-12)
-            ):
-                break
-            candidate = max(
-                by_shard[hottest], key=lambda k: (session_costs[k], k)
-            )
-            cost = session_costs[candidate]
-            if cost >= spread:
-                # Moving it would overshoot; try the cheapest instead.
-                candidate = min(
-                    by_shard[hottest], key=lambda k: (session_costs[k], k)
-                )
-                cost = session_costs[candidate]
-                if cost >= spread:
-                    break  # no move improves the spread
-            by_shard[hottest].remove(candidate)
-            by_shard[coolest].append(candidate)
-            loads[hottest] -= cost
-            loads[coolest] += cost
-            moves.append((candidate, coolest))
-        return moves
-
-    # -- execution ---------------------------------------------------------
-
-    def apply(
-        self, moves: "Iterable[tuple[str, int]]", *, timeout: float = 30.0
-    ) -> int:
-        """Execute a plan via live migration; returns the number of
-        sessions moved."""
-        capture, restore = self.capture, self.restore
-        applied = 0
-        for key, to_shard in moves:
-            hooks = {} if capture is None or restore is None else {
-                "capture": lambda k=key: capture(k),
-                "restore": lambda snapshot, k=key: restore(k, snapshot),
-            }
-            self.runtime.migrate(key, to_shard, timeout=timeout, **hooks)
-            applied += 1
-        self.moves_applied += applied
-        return applied

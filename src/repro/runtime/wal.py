@@ -45,10 +45,9 @@ resume from the store" discipline:
   outbox, and :meth:`WriteAheadLog.take_outbox` hands them over in
   write order, CRC-checked again and never decoded.
   :meth:`WriteAheadLog.land` writes such frames into a standby copy
-  unchanged, after checking every CRC again; the doc-shaped caller
-  (:meth:`WriteAheadLog.import_session`) encodes at its own edge and
-  lands through the same routine.  The log lists its directory once,
-  at open, and keeps its live segment indexes in memory.
+  unchanged, after checking every CRC again.  The log lists its
+  directory once, at open, and keeps its live segment indexes in
+  memory.
 
 * Reading a log back is one loop over segments, shared by
   :meth:`WriteAheadLog.replay` (a log this process holds open) and
@@ -690,46 +689,6 @@ class WriteAheadLog:
         self._active_sessions.discard(session)
         self._checkpoint_segment.pop(session, None)
         self.checkpoint_bytes.pop(session, None)
-
-    # -- session hand-off ---------------------------------------------
-
-    def export_session(self, session: str) -> list[dict[str, Any]]:
-        """The session's recovery-relevant tail as raw frame docs.
-
-        Returns the session's own latest checkpoint frame (if any)
-        followed by every later frame of the session — entries, seals,
-        events — in log order.  This is exactly what a target shard
-        needs to :meth:`import_session` and recover the session as if
-        it had always lived there; earlier frames are already covered
-        by the checkpoint and stay behind.
-
-        Unlike :func:`session_tail`, a ``covers_all`` checkpoint does
-        not start the tail: it is this shard's platform snapshot, and
-        landing it in another shard's log would advance the truncation
-        floor of every session that shard hosts.
-        """
-        frames: list[dict[str, Any]] = []
-        for doc in self.replay():
-            if str(doc.get("session", "")) != session:
-                continue
-            if doc.get("k") == "checkpoint":
-                frames = [doc]
-            else:
-                frames.append(doc)
-        return frames
-
-    def import_session(
-        self, frames: list[dict[str, Any]], *, session: str
-    ) -> None:
-        """Adopt an exported tail: append the frames and register the
-        session's truncation floor at this log's current head."""
-        encoded = [
-            encode_frame(self._encode(doc, strict=False)) for doc in frames
-        ]
-        with self._lock:
-            self._land_locked(encoded)
-            self._active_sessions.add(session)
-            self._sync_locked()
 
     def land(self, frames: list[bytes]) -> None:
         """Append whole frames shipped from another log (a standby

@@ -1,9 +1,14 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -119,6 +124,20 @@ class TestRunCml:
         )
         assert main(["run-cml", str(scenario), "--teardown"]) == 0
         assert "close_session" in capsys.readouterr().out
+
+
+class TestBench:
+    def test_retired_migrate_suite_is_an_invalid_choice(self):
+        """Sessions move only between worker processes; the in-process
+        move benchmark is gone from the suite list."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "migrate"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert "invalid choice: 'migrate'" in result.stderr
 
 
 # -- trace --replay over the logs the fabric writes ---------------------------

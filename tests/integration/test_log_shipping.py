@@ -32,6 +32,7 @@ from repro.runtime.wal import (
     WriteAheadLog,
     decode_frame,
     encode_frame_doc,
+    session_tail,
     split_frames,
 )
 
@@ -182,9 +183,8 @@ class TestShipOutbox:
             for doc in OPS:
                 donor.apply("s2", doc)
             worker.adopt("s2", _ship(donor))
-            wal.import_session(
-                [{"k": "checkpoint", "session": "moved", "snapshot": {}}],
-                session="moved")
+            wal.land([encode_frame_doc(
+                {"k": "checkpoint", "session": "moved", "snapshot": {}})])
             shipped += worker.ship_tail()
             worker.close("s1")
             worker.apply("s2", {"op": "api", "api": "ncb.add_party",
@@ -569,7 +569,7 @@ def _segment_frames(wal):
 def _fake_cluster(*handles):
     """An unstarted ProcessCluster over stand-in worker handles."""
     from repro.runtime.cluster import ProcessCluster
-    from repro.runtime.sharded import SessionRouter
+    from repro.runtime.cluster import SessionRouter
 
     cluster = ProcessCluster(len(handles), backend="unused:backend")
     cluster.handles = [SimpleNamespace(index=i, alive=alive, depth=depth,
@@ -594,9 +594,9 @@ class TestLogShipper:
             assert shipper.receive(0, [checkpoint, entry])
             assert shipper.receive(1, [checkpoint])
             assert shipper.frames_received == 3
-            exported = shipper.log_for(0).export_session("s1")
+            exported = session_tail(shipper.log_for(0).replay(), "s1")
             assert [doc["k"] for doc in exported] == ["checkpoint", "entry"]
-            assert len(shipper.log_for(1).export_session("s1")) == 1
+            assert len(session_tail(shipper.log_for(1).replay(), "s1")) == 1
         finally:
             shipper.close()
 
@@ -619,7 +619,7 @@ class TestLogShipper:
             for bad in ([checkpoint, flipped], ragged):
                 assert not shipper.receive(0, bad)
             assert standby.appends == 0
-            assert standby.export_session("s1") == []
+            assert session_tail(standby.replay(), "s1") == []
             counts = shipper.stats()[0]
             assert (counts["frames"], counts["bytes"], counts["refused"]) \
                 == (0, 0, 2)
@@ -628,8 +628,8 @@ class TestLogShipper:
             counts = shipper.stats()[0]
             assert (counts["frames"], counts["bytes"], counts["refused"]) \
                 == (2, len(checkpoint) + len(entry), 2)
-            assert [doc["k"] for doc in standby.export_session("s1")] == [
-                "checkpoint", "entry"]
+            tail = session_tail(standby.replay(), "s1")
+            assert [doc["k"] for doc in tail] == ["checkpoint", "entry"]
         finally:
             shipper.close()
 
@@ -733,7 +733,7 @@ class TestLogShipper:
             # than it, and the segment being filled
             assert most_segments <= largest // 4096 + 3
             assert standby.rotations > most_segments  # it did rotate past
-            report = adopter.adopt("s1", standby.export_session("s1"))
+            report = adopter.adopt("s1", session_tail(standby.replay(), "s1"))
             assert report["errors"] == []
             golden = _inline_op_logs(OPEN_DOC, ops)[-1]
             assert adopter.describe("s1")["op_logs"] == golden

@@ -115,7 +115,7 @@ def test_generated_code_is_total_across_edits_and_teardown(monkeypatch):
     reference env, no template renders on the reference path, no
     broker call dispatches through the action table and no command
     takes the Case-1 pattern scan."""
-    from repro.bench.migrate import _fresh_session
+    from repro.bench.workloads import _fresh_session
     from repro.domains.assembly import domain_cases
     from repro.middleware.broker.actions import BrokerActionTable
     from repro.middleware.controller.handlers import ActionHandler
@@ -377,7 +377,7 @@ class TestGenerationAndValidation:
     )
     def test_generation_is_deterministic(self, domain):
         """Same DSK -> byte-identical module source, in every domain."""
-        from repro.bench.migrate import _fresh_session
+        from repro.bench.workloads import _fresh_session
         from repro.domains.assembly import domain_cases
 
         case = next(c for c in domain_cases() if c.name == domain)

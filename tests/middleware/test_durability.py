@@ -10,7 +10,7 @@ per-entry error containment.
 
 import pytest
 
-from repro.bench.migrate import _fresh_session as domain_session
+from repro.bench.workloads import _fresh_session as domain_session
 from repro.domains.assembly import domain_cases
 from repro.domains.communication.cml import CmlBuilder, cml_metamodel
 from repro.domains.communication.cvm import (

@@ -209,26 +209,6 @@ class TestIngressIntegration:
         assert any(golden.values()), "workload must touch the service"
         assert run(via_ingress=True) == golden
 
-    def test_close_session_releases_migration_route(self):
-        from repro.middleware.snapshot import SessionSnapshot  # noqa: F401
-
-        with make_pool(shards=2, inline=True) as pool:
-            key = "roaming"
-            pool.submit(key, open_session(key))
-            pool.drain()
-            home = pool.shard_for(key).index
-            away = (home + 1) % 2
-            pool.runtime.migrate(
-                key, away,
-                capture=lambda: "state",
-                restore=lambda snapshot: snapshot,
-            )
-            assert pool.runtime.router.overrides() == {key: away}
-            assert pool.close_session(key) is True
-            assert pool.runtime.router.overrides() == {}
-            # Idempotent for never-migrated (or already closed) keys.
-            assert pool.close_session(key) is False
-
 
 class TestPoolCloseSessionShedsIngress:
     def test_close_session_resolves_queued_ingress_backlog(self):
@@ -251,8 +231,7 @@ class TestPoolCloseSessionShedsIngress:
             ]
             pool.drain()  # only the direct submit ran; tier never pumped
             assert queued[0].done()
-            shed = pool.close_session(key)
-            assert shed is False  # no migration route existed
+            pool.close_session(key)
             for future in queued[1:]:
                 assert future.done(), (
                     "closing the session must not leave ingress waiters"
@@ -386,55 +365,6 @@ class TestPoolDurability:
                 doc.get("session") == key and doc["k"] == "event"
                 for doc in frames
             )
-
-    def test_move_hands_the_log_tail_to_the_target(self):
-        """A shard-to-shard move ships the session's log tail to the
-        target shard's log, and the source log forgets the session."""
-        from repro.middleware.snapshot import SessionSnapshot
-        from repro.runtime.sharded import current_shard
-
-        with make_pool(shards=2, inline=True) as pool:
-            pool.attach_cluster(None, apply=_apply_doc)
-            key = "moving-durable"
-            for doc in (_api("ncb.open_session", connection="c1"),
-                        _api("ncb.add_party", connection="c1",
-                             party="alice")):
-                pool.submit_doc(key, doc)
-                pool.drain()
-            source = pool.shard_for(key)
-            target = pool.runtime.shards[1 - source.index]
-            assert key in source.durability.sessions()
-            tail = source.durability.wal.export_session(key)
-            assert [doc["k"] for doc in tail] == ["entry", "applied"] * 2
-
-            def capture():
-                platform = pool.platforms[current_shard().index]
-                service = platform.broker.resources.require("net0")
-                return {"snapshot": platform.checkpoint().to_dict(),
-                        "service": service.export_state()}
-
-            def restore(doc):
-                platform = pool.platforms[current_shard().index]
-                platform.restore_from(
-                    SessionSnapshot.from_dict(doc["snapshot"]))
-                platform.broker.resources.require("net0").import_state(
-                    doc["service"])
-
-            pool.runtime.migrate(key, target.index, capture=capture,
-                                 restore=restore)
-            assert pool.shard_for(key) is target
-            assert key not in source.durability.sessions()
-            imported = [doc for doc in target.durability.wal.replay()
-                        if doc.get("session") == key]
-            assert imported == tail
-            # the next step logs on the target, beside the imported tail
-            future = pool.submit_doc(
-                key, _api("ncb.add_party", connection="c1", party="bob"))
-            pool.drain()
-            assert future.result(timeout=10).ok
-            assert key in target.durability.sessions()
-            assert target.durability.wal.export_session(key)[:4] == tail
-            assert source.durability.wal.export_session(key) == tail
 
 
 class TestDocSubmission:
@@ -679,6 +609,55 @@ class TestPoolRecovery:
             second = pool.recover_session("b", apply_entry=apply_entry)
             assert (second.effects_live, second.effects_memoized) == (
                 0, first.effects_live)
+
+    def test_a_failed_platform_refuses_work(self, tmp_path):
+        """A restore whose rollback also fails marks the shard platform
+        failed; the pool then runs nothing on it and logs nothing."""
+        from repro.middleware.platform import PlatformError
+        from repro.middleware.snapshot import ExternalizeError
+        from repro.runtime.durability import DurabilityPolicy
+
+        key = "phoenix"
+
+        def policy():
+            return DurabilityPolicy(
+                mode="wal", log_root=str(tmp_path / "pool-wal"), fsync=False
+            )
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            pool.attach_cluster(None, apply=_apply_doc)
+            pool.submit_doc(key, _api("ncb.open_session", connection="c1"))
+            pool.drain()
+            pool.checkpoint_now()
+
+        calls = []
+
+        def apply(platform, key, doc):
+            calls.append(doc)
+            return _apply_doc(platform, key, doc)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("layer restore refused")
+
+        with make_pool(shards=1, inline=True, durability=policy()) as pool:
+            pool.attach_cluster(None, apply=apply)
+            platform = pool.platform_for(key)
+            platform.broker.restore_external = refuse
+            with pytest.raises(ExternalizeError, match="rollback also failed"):
+                pool.recover_session(key, apply_entry=lambda p, s: None)
+            assert platform.failed is True
+            logged = len(_wal_frames(pool, key))
+            step = pool.submit_doc(key, _api(
+                "ncb.add_party", connection="c1", party="alice"))
+            direct = pool.submit(key, lambda p: calls.append("direct"))
+            pool.drain()
+            outcome = step.result(timeout=10)
+            assert not outcome.ok
+            assert isinstance(outcome.error, PlatformError)
+            with pytest.raises(PlatformError, match="failed a restore"):
+                direct.result(timeout=10)
+            assert calls == []
+            assert len(_wal_frames(pool, key)) == logged
 
     def test_routed_events_are_not_replayed(self, tmp_path):
         """``route_signal`` logs a routed event in the target shard's

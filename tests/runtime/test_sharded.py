@@ -407,346 +407,3 @@ class TestShardLifecycle:
             future.result(timeout=1)
         # Future-wrapped failures are not double-counted as task errors.
         assert shard.task_errors == []
-
-
-def keys_on_shard(index, *, shards, count, prefix="mig"):
-    """Deterministic keys that CRC-hash to the given shard."""
-    found, i = [], 0
-    while len(found) < count:
-        key = f"{prefix}-{i:04d}"
-        if shard_index_for(key, shards) == index:
-            found.append(key)
-        i += 1
-    return found
-
-
-class TestMigration:
-    def test_migrate_moves_state_and_repoints_route(self):
-        runtime = ShardedRuntime(2, name="mig", inline=True)
-        runtime.start()
-        try:
-            key = "session-x"
-            source = runtime.shard_for(key).index
-            target = 1 - source
-            state = {"counter": 3}
-            landed = {}
-
-            result = runtime.migrate(
-                key, target,
-                capture=lambda: dict(state),
-                restore=lambda snap: landed.update(snap) or "ok",
-            )
-            assert result == "ok"
-            assert landed == state
-            assert runtime.shard_for(key).index == target
-            assert runtime.router.overrides() == {key: target}
-            assert runtime.stats()["migrations"] == 1
-            assert runtime.stats()["route_overrides"] == 1
-        finally:
-            runtime.stop()
-
-    def test_migrate_to_home_shard_is_a_noop(self):
-        runtime = ShardedRuntime(2, name="mig-noop", inline=True)
-        runtime.start()
-        try:
-            key = "session-x"
-            home = runtime.shard_for(key).index
-            result = runtime.migrate(
-                key, home,
-                capture=lambda: {},
-                restore=lambda snap: "moved",
-            )
-            assert result is None
-            assert runtime.router.overrides() == {}
-            assert runtime.stats()["migrations"] == 0
-        finally:
-            runtime.stop()
-
-    def test_migrate_requires_started_fabric_and_valid_shard(self):
-        runtime = ShardedRuntime(2, name="mig-err", inline=True)
-        with pytest.raises(ShardedRuntimeError, match="not started"):
-            runtime.migrate("k", 1, capture=dict, restore=lambda s: s)
-        runtime.start()
-        try:
-            with pytest.raises(ShardedRuntimeError, match="no shard"):
-                runtime.migrate("k", 9, capture=dict, restore=lambda s: s)
-        finally:
-            runtime.stop()
-
-    def test_capture_and_restore_run_on_their_shard_threads(self):
-        runtime = ShardedRuntime(2, name="mig-threads")
-        runtime.start()
-        try:
-            key = "session-x"
-            source = runtime.shard_for(key).index
-            target = 1 - source
-            seen = {}
-
-            def capture():
-                seen["capture"] = current_shard().index
-                return {}
-
-            def restore(_snap):
-                seen["restore"] = current_shard().index
-                return True
-
-            runtime.migrate(key, target, capture=capture, restore=restore)
-            assert seen == {"capture": source, "restore": target}
-        finally:
-            runtime.stop()
-
-    def test_capture_is_fifo_ordered_behind_pending_work(self):
-        # The capture is the quiesce point: every task posted before the
-        # migration must be visible in the captured state.
-        runtime = ShardedRuntime(2, name="mig-fifo")
-        runtime.start()
-        try:
-            key = "session-x"
-            target = 1 - runtime.shard_for(key).index
-            state = {"count": 0}
-            for _ in range(50):
-                runtime.post(key, lambda: state.update(
-                    count=state["count"] + 1
-                ))
-            captured = runtime.migrate(
-                key, target,
-                capture=lambda: dict(state),
-                restore=lambda snap: snap,
-            )
-            assert captured == {"count": 50}
-        finally:
-            runtime.stop()
-
-    def test_post_after_migration_lands_on_target(self):
-        runtime = ShardedRuntime(2, name="mig-post")
-        runtime.start()
-        try:
-            key = "session-x"
-            target = 1 - runtime.shard_for(key).index
-            runtime.migrate(
-                key, target, capture=dict, restore=lambda s: s
-            )
-            where = []
-            runtime.post(key, lambda: where.append(current_shard().index))
-            runtime.shards[target].call(lambda: None).result(timeout=5)
-            assert where == [target]
-        finally:
-            runtime.stop()
-
-
-    def test_failed_restore_keeps_the_session_on_its_source(self):
-        # Regression: the route used to stay re-pointed at a target
-        # whose restore raised, stranding the session on its source.
-        runtime = ShardedRuntime(2, name="mig-fail", inline=True)
-        runtime.start()
-        try:
-            key = "session-x"
-            home = runtime.shard_for(key).index
-            away = 1 - home
-
-            def restore(snapshot):
-                if snapshot.get("fail_restore"):
-                    raise RuntimeError("restore refused")
-                return True
-
-            with pytest.raises(RuntimeError, match="restore refused"):
-                runtime.migrate(key, away, restore=restore,
-                                capture=lambda: {"fail_restore": True})
-            assert runtime.router.overrides() == {}
-            assert runtime.stats()["migrations"] == 0
-            where = []
-            runtime.post(key, lambda: where.append(current_shard().index))
-            runtime.drain()
-            assert where == [home]
-
-            # a failed move back home keeps the existing override too
-            runtime.migrate(key, away, capture=dict, restore=restore)
-            with pytest.raises(RuntimeError, match="restore refused"):
-                runtime.migrate(key, home, restore=restore,
-                                capture=lambda: {"fail_restore": True})
-            assert runtime.router.overrides() == {key: away}
-            assert runtime.stats()["migrations"] == 1
-        finally:
-            runtime.stop()
-
-
-class TestRoutePruning:
-    """Regression: the migration route-override table must stay bounded
-    (it used to grow one entry per migrated session, forever)."""
-
-    def test_migrate_back_home_prunes_the_override(self):
-        runtime = ShardedRuntime(2, name="prune", inline=True)
-        runtime.start()
-        try:
-            key = "session-x"
-            home = runtime.shard_for(key).index
-            away = 1 - home
-            runtime.migrate(key, away, capture=dict, restore=lambda s: s)
-            assert runtime.router.overrides() == {key: away}
-            # Migrating back to the affinity shard must *remove* the
-            # entry, not overwrite it with the affinity index.
-            runtime.migrate(key, home, capture=dict, restore=lambda s: s)
-            assert runtime.router.overrides() == {}
-            assert runtime.stats()["route_overrides"] == 0
-            assert runtime.shard_for(key).index == home
-        finally:
-            runtime.stop()
-
-    def test_release_drops_override_for_closed_session(self):
-        runtime = ShardedRuntime(2, name="prune-close", inline=True)
-        runtime.start()
-        try:
-            key = "session-x"
-            away = 1 - runtime.shard_for(key).index
-            runtime.migrate(key, away, capture=dict, restore=lambda s: s)
-            assert runtime.router.forget(key) is True
-            assert runtime.router.overrides() == {}
-            # Routing falls back to CRC affinity after release.
-            assert runtime.shard_for(key).index == 1 - away
-            # Idempotent, and safe for never-migrated keys.
-            assert runtime.router.forget(key) is False
-            assert runtime.router.forget("never-migrated") is False
-        finally:
-            runtime.stop()
-
-    def test_churn_does_not_grow_the_table(self):
-        runtime = ShardedRuntime(4, name="prune-churn", inline=True)
-        runtime.start()
-        try:
-            for i in range(64):
-                key = f"churn-{i:03d}"
-                home = runtime.shard_for(key).index
-                away = (home + 1) % 4
-                runtime.migrate(key, away, capture=dict, restore=lambda s: s)
-                if i % 2:
-                    runtime.migrate(
-                        key, home, capture=dict, restore=lambda s: s
-                    )  # migrated back home
-                else:
-                    runtime.router.forget(key)  # closed
-            assert runtime.router.overrides() == {}
-        finally:
-            runtime.stop()
-
-
-class TestShardRebalancer:
-    def test_threshold_validated(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, inline=True)
-        with pytest.raises(ShardedRuntimeError, match="threshold"):
-            ShardRebalancer(runtime, imbalance_threshold=0.5)
-
-    def test_balanced_fabric_plans_no_moves(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, inline=True)
-        rebalancer = ShardRebalancer(runtime)
-        costs = {}
-        for index in (0, 1):
-            for key in keys_on_shard(index, shards=2, count=3):
-                costs[key] = 1.0
-        assert rebalancer.plan(costs) == []
-
-    def test_plan_spreads_packed_shard(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, inline=True)
-        rebalancer = ShardRebalancer(runtime)
-        costs = {key: 1.0 for key in keys_on_shard(0, shards=2, count=6)}
-        moves = rebalancer.plan(costs)
-        assert moves  # the packed shard sheds sessions
-        assert all(to_shard == 1 for _key, to_shard in moves)
-        # moving half evens a uniform-cost fabric
-        assert len(moves) == 3
-        # deterministic: same inputs, same plan
-        assert rebalancer.plan(dict(costs)) == moves
-
-    def test_plan_is_threshold_gated(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, inline=True)
-        rebalancer = ShardRebalancer(runtime, imbalance_threshold=10.0)
-        costs = {key: 1.0 for key in keys_on_shard(0, shards=2, count=4)}
-        costs.update(
-            {key: 1.0 for key in keys_on_shard(1, shards=2, count=1)}
-        )
-        # 4:1 imbalance is under the (lax) 10x threshold: nothing moves.
-        assert rebalancer.plan(costs) == []
-
-    def test_plan_avoids_overshooting_moves(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, inline=True)
-        rebalancer = ShardRebalancer(runtime)
-        k1, k2 = keys_on_shard(0, shards=2, count=2)
-        (k3,) = keys_on_shard(1, shards=2, count=1)
-        # Loads 110 vs 60 (spread 50): moving the giant (100) would just
-        # flip the imbalance, so the plan falls back to the small session.
-        moves = rebalancer.plan({k1: 100.0, k2: 10.0, k3: 60.0})
-        assert (k1, 1) not in moves
-        assert (k2, 1) in moves
-
-    def test_shard_loads_and_imbalance(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, name="rb-loads", inline=True)
-        runtime.start()
-        try:
-            rebalancer = ShardRebalancer(runtime)
-            for key in keys_on_shard(0, shards=2, count=4):
-                runtime.post(key, lambda: None)
-            runtime.drain()
-            loads = rebalancer.shard_loads()
-            assert loads[0] >= 4
-            assert rebalancer.imbalance(loads) >= 4.0
-            assert rebalancer.imbalance([]) == 1.0
-        finally:
-            runtime.stop()
-
-    def test_apply_migrates_planned_sessions(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, name="rb-apply", inline=True)
-        runtime.start()
-        try:
-            keys = keys_on_shard(0, shards=2, count=4)
-            sessions = {key: {"home": 0} for key in keys}
-
-            def capture(key):
-                return dict(sessions[key])
-
-            def restore(key, snap):
-                sessions[key] = dict(snap, home=current_shard().index)
-                return True
-
-            rebalancer = ShardRebalancer(
-                runtime, capture=capture, restore=restore
-            )
-            moves = rebalancer.plan({key: 1.0 for key in keys})
-            assert moves
-            applied = rebalancer.apply(moves)
-            assert applied == len(moves)
-            assert rebalancer.moves_applied == len(moves)
-            for key, to_shard in moves:
-                assert sessions[key]["home"] == to_shard
-                assert runtime.shard_for(key).index == to_shard
-        finally:
-            runtime.stop()
-
-    def test_apply_without_hooks_is_refused(self):
-        from repro.runtime.sharded import ShardRebalancer
-
-        runtime = ShardedRuntime(2, name="rb-nohooks", inline=True)
-        runtime.start()
-        try:
-            rebalancer = ShardRebalancer(runtime)
-            keys = keys_on_shard(0, shards=2, count=4)
-            moves = rebalancer.plan({key: 1.0 for key in keys})
-            assert moves
-            with pytest.raises(ShardedRuntimeError, match="hooks"):
-                rebalancer.apply(moves)
-            assert rebalancer.moves_applied == 0
-            assert runtime.router.overrides() == {}
-        finally:
-            runtime.stop()

@@ -319,7 +319,7 @@ class TestSegmentsAndTruncation:
         assert wal.truncated_segments > 0
         assert [d["snapshot"]["i"] for d in frames(wal)
                 if d["k"] == "checkpoint"][0] >= 7
-        assert wal.export_session("s")[0]["snapshot"]["i"] == 8
+        assert session_tail(wal.replay(), "s")[0]["snapshot"]["i"] == 8
         wal.close()
 
     def test_floor_bookkeeping_survives_reopen(self, tmp_path):

@@ -84,9 +84,8 @@ def test_ship_and_checkpoint_list_no_directory(tmp_path, monkeypatch):
     standby.land(wal.take_outbox())
     assert list(wal.replay())
     standby.truncate()
-    standby.import_session(
-        [{"k": "checkpoint", "session": "moved", "snapshot": {}}],
-        session="moved")
+    standby.land([encode_frame_doc(
+        {"k": "checkpoint", "session": "moved", "snapshot": {}})])
     assert listings == []
     monkeypatch.undo()
 
